@@ -30,6 +30,12 @@ from pathlib import Path
 
 import numpy as np
 
+NOISE_PX = 0.5
+# bal kind: a ring of cameras around a unit Gaussian cloud, close enough for
+# strong perspective.
+RING_RADIUS = 20.0
+FOCAL_PX = 1000.0
+
 
 def _look_at_origin(centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rotations and translations of cameras whose -z axis points at the origin."""
@@ -52,15 +58,15 @@ def track_lengths(rng: np.random.Generator, n_landmarks: int, n_cameras: int,
 
 
 def make_bal_shaped(n_cameras: int, n_landmarks: int, seed: int, *, min_track: int = 3,
-                    zipf: float = 1.0, radius: float = 20.0, focal: float = 1000.0,
-                    noise: float = 0.5, cloud_sigma: float = 1.0) -> dict:
+                    zipf: float = 1.0) -> dict:
+    """Ground truth and noisy observations (sorted by landmark, then camera)."""
     if not 2 <= min_track <= n_cameras:
         raise ValueError("need 2 <= min_track <= cameras")
     rng = np.random.Generator(np.random.Philox(seed))
-    points = rng.standard_normal((n_landmarks, 3)) * cloud_sigma
+    points = rng.standard_normal((n_landmarks, 3))
     angles = 2.0 * np.pi * np.arange(n_cameras) / n_cameras
-    centers = np.stack([radius * np.cos(angles), radius * np.sin(angles),
-                        0.05 * radius * rng.standard_normal(n_cameras)], axis=1)
+    centers = np.stack([RING_RADIUS * np.cos(angles), RING_RADIUS * np.sin(angles),
+                        0.05 * RING_RADIUS * rng.standard_normal(n_cameras)], axis=1)
     rotations, translations = _look_at_origin(centers)
 
     lengths = track_lengths(rng, n_landmarks, n_cameras, min_track, zipf)
@@ -73,19 +79,19 @@ def make_bal_shaped(n_cameras: int, n_landmarks: int, seed: int, *, min_track: i
     p_cam = np.einsum("nij,nj->ni", rotations[cam_idx], points[lm_idx]) + translations[cam_idx]
     if (p_cam[:, 2] >= 0).any():
         raise ValueError("geometry places a landmark behind a camera")
-    meas = -focal * p_cam[:, :2] / p_cam[:, 2:3]
-    meas += noise * rng.standard_normal(meas.shape)
+    meas = -FOCAL_PX * p_cam[:, :2] / p_cam[:, 2:3]
+    meas += NOISE_PX * rng.standard_normal(meas.shape)
     return dict(rotations=rotations, translations=translations,
-                focal=np.full(n_cameras, focal), points=points,
+                focal=np.full(n_cameras, FOCAL_PX), points=points,
                 cam_idx=cam_idx, lm_idx=lm_idx, meas=meas)
 
 
-def make_ring(n_cameras: int, n_landmarks: int, seed: int, noise: float) -> dict:
+def make_ring(n_cameras: int, n_landmarks: int, seed: int) -> dict:
     from scipy.spatial.transform import Rotation
 
     from stratba.synth import make_ring_problem
 
-    p = make_ring_problem(n_cameras, n_landmarks, noise, seed)
+    p = make_ring_problem(n_cameras, n_landmarks, NOISE_PX, seed)
     return dict(rotations=Rotation.from_rotvec(np.array(p.metric_cameras[:, :3])).as_matrix(),
                 translations=np.array(p.metric_cameras[:, 3:6]),
                 focal=np.array(p.metric_cameras[:, 6]), points=np.array(p.metric_points),
@@ -112,7 +118,6 @@ def main(argv=None) -> int:
     ap.add_argument("kind", choices=("ring", "bal"))
     ap.add_argument("--cameras", type=int, required=True)
     ap.add_argument("--landmarks", type=int, required=True)
-    ap.add_argument("--noise", type=float, default=0.5, help="pixel noise sigma")
     ap.add_argument("--min-track", type=int, default=3, help="bal: shortest track")
     ap.add_argument("--zipf", type=float, default=1.0, help="bal: track-length exponent")
     ap.add_argument("--seeds", type=int, nargs="+", required=True)
@@ -122,10 +127,10 @@ def main(argv=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     for seed in args.seeds:
         if args.kind == "ring":
-            gt = make_ring(args.cameras, args.landmarks, seed, args.noise)
+            gt = make_ring(args.cameras, args.landmarks, seed)
         else:
             gt = make_bal_shaped(args.cameras, args.landmarks, seed, min_track=args.min_track,
-                                 zipf=args.zipf, noise=args.noise)
+                                 zipf=args.zipf)
         write_problem(gt, out / f"{args.kind}-{seed}")
     return 0
 
