@@ -5,8 +5,10 @@
 Run from the repository root. Each run generates its workload's fixed panel
 of (problem seed, start seed) pairs in a separate process (perfbench/gen.py),
 then solves the whole panel, one solve per fresh process (perfbench/worker.py),
-in rounds until ``--seconds`` would be exceeded. Every output is checked against
-quantities computed here, with this file's own projection code. The last
+in rounds until ``--seconds`` would be exceeded. Timings are scaled to the
+host's undisturbed speed by a probe timed around each solve (worker.HostProbe).
+Every output is checked against quantities computed here, with this file's own
+projection code. The last
 line of standard output is one JSON object: ``correct``, ``attempted``,
 ``failed`` and ``metrics`` (the end-to-end metrics with ``--trace 0``, the
 per-layer ones with ``--trace 1``).
@@ -70,11 +72,12 @@ WORKLOADS = {
         ("--metric", "--solver", "povar", "--stage2-solver", "ripoba"),
         ((0, 0), (0, 1), (0, 2), (0, 3)),
         COMMON_SPANS + POWER_SPANS + ("metric_upgrade.upgrade",)),
-    # Sparse long-tailed tracks: many track-length groups.
+    # Sparse long-tailed tracks: many track-length groups. One pair, so that a
+    # run holds five to eight repeats of it.
     "bal-povar": Workload(
         "bal", ("--cameras", "30", "--landmarks", "1500", "--min-track", "3", "--zipf", "1.0"),
         ("--full", "--solver", "povar", "--stage2-solver", "ripoba"),
-        ((0, 0), (1, 1), (2, 2)),
+        ((0, 0),),
         COMMON_SPANS + POWER_SPANS),
     # Explicit Schur matrix + factorization in stage 1, PCG in stage 2; no power series.
     "ring-direct": Workload(
@@ -221,10 +224,11 @@ def measure(args, wl: Workload, env: dict, work: Path, deadline: float) -> int:
         problems[s] = (f"{wl.kind}-{s}", gt, ground_truth_cost(gt))
 
     with_metric = "--metric" in wl.solve_args
-    per_solve: dict[str, list[float]] = {}
-    setup: list[float] = []
-    layers: list[dict] = []
-    overhead: list[float] = []
+    # Samples are kept per panel pair: the pairs differ in size and iteration
+    # count, and a median over a pooled mix would jump between them.
+    per_solve = {pair: {} for pair in wl.panel}
+    layers = {pair: [] for pair in wl.panel}
+    overhead = {pair: [] for pair in wl.panel}
     attempted = failed = 0
     correct = True
     round_times: list[float] = []
@@ -233,8 +237,8 @@ def measure(args, wl: Workload, env: dict, work: Path, deadline: float) -> int:
     while r < MIN_ROUNDS or (time.perf_counter() - start + statistics.median(round_times)
                              <= args.seconds):
         t_round = time.perf_counter()
-        for (problem_seed, start_seed), traced in itertools.product(
-                wl.panel, (False, True) if args.trace else (False,)):
+        for pair, traced in itertools.product(wl.panel, (False, True) if args.trace else (False,)):
+            problem_seed, start_seed = pair
             stem, gt, gt_cost = problems[problem_seed]
             if not traced:
                 untraced_total = None
@@ -262,37 +266,47 @@ def measure(args, wl: Workload, env: dict, work: Path, deadline: float) -> int:
                 err = rotation_error(res_dir / f"{stem}_metric.txt", gt)
                 if err > ROTATION_TOL_RAD:
                     failed += 1
+            # Timings at the host's undisturbed speed (worker.HostProbe).
+            scale = res["host_scale"]
             if traced:
                 missing = [s for s in wl.expected_spans if res["layers"][f"{s}.calls"] == 0]
                 if missing:
                     raise SystemExit(f"traced run recorded no calls of {', '.join(missing)}")
-                layers.append(res["layers"])
+                layers[pair].append({k: v * scale if unit_of(k) == "s" else v
+                                     for k, v in res["layers"].items()})
                 if untraced_total is not None:
-                    overhead.append(res["total_s"] - untraced_total)
+                    overhead[pair].append(res["total_s"] * scale - untraced_total)
             else:
-                untraced_total = res["total_s"]
-                figures["total_s"] = res["total_s"]
+                untraced_total = res["total_s"] * scale
+                figures["total_s"] = res["total_s"] * scale
+                figures["time_to_solution_s"] *= scale
+                figures["stage1_obs_iter_per_s"] /= scale
                 figures["peak_rss_mb"] = res["peak_rss_mb"]
                 for k, v in figures.items():
-                    per_solve.setdefault(k, []).append(v)
-                setup.extend(res["setup_s"])
+                    per_solve[pair].setdefault(k, []).append(v)
+                per_solve[pair].setdefault("setup_s", []).extend(t * scale for t in res["setup_s"])
             shutil.rmtree(res_dir)
         round_times.append(time.perf_counter() - t_round)
         r += 1
 
     if args.trace:
-        metrics = {k: {"value": statistics.median(d[k] for d in layers), "unit": unit_of(k)}
-                   for k in layers[0]} if layers else {}
-        metrics["trace.overhead_s"] = {"value": statistics.median(overhead) if overhead else 0.0,
-                                       "unit": "s"}
+        names = next((d for ds in layers.values() for d in ds), {})
+        metrics = {k: {"value": over_panel({p: [d[k] for d in ds] for p, ds in layers.items()}),
+                       "unit": unit_of(k)} for k in names}
+        metrics["trace.overhead_s"] = {"value": over_panel(overhead), "unit": "s"}
     else:
-        per_solve["setup_s"] = setup
-        metrics = {k: {"value": statistics.median(per_solve[k]), "unit": unit}
-                   for k, unit in END_TO_END.items() if per_solve.get(k)}
+        metrics = {k: {"value": over_panel({p: f.get(k, []) for p, f in per_solve.items()}),
+                       "unit": unit} for k, unit in END_TO_END.items()}
     print(f"{args.workload}: {r} rounds in {time.perf_counter() - start:.1f} s", file=sys.stderr)
     print(json.dumps({"correct": correct, "attempted": attempted, "failed": failed,
                       "metrics": metrics}))
     return 0
+
+
+def over_panel(samples: dict) -> float:
+    """Mean over the panel's pairs of each pair's median; pairs without samples are left out."""
+    medians = [statistics.median(v) for v in samples.values() if v]
+    return statistics.fmean(medians) if medians else 0.0
 
 
 def unit_of(name: str) -> str:
