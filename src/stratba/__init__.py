@@ -3,7 +3,7 @@
 from .bal_io import (
     BalParseError,
     BaProblem,
-    Observation,
+    ObservationPlan,
     ProjectiveState,
     load_bal,
     parse_bal,
@@ -25,7 +25,7 @@ from .evaluation import (
 )
 from .metric_upgrade import AmbiguityState, MetricUpgradeResult, upgrade
 from .normal_eq import (
-    LandmarkBlockStore,
+    JacobianRows,
     SchurSystem,
     apply_schur,
     assemble,
@@ -36,7 +36,6 @@ from .normal_eq import (
 )
 from .objective import (
     PoseConfig,
-    ResidualBlock,
     pose_jacobians,
     pose_residual,
     projective_jacobians,

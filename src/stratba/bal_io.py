@@ -13,6 +13,7 @@ Tokens are whitespace-separated; decimal and scientific notation are accepted.
 from __future__ import annotations
 
 import bz2
+import functools
 import gzip
 import logging
 from dataclasses import dataclass
@@ -33,15 +34,6 @@ class BalParseError(ValueError):
     def __init__(self, line: int, message: str):
         self.line = line
         super().__init__(f"line {line}: {message}")
-
-
-@dataclass(frozen=True)
-class Observation:
-    """A single image measurement of one landmark from one camera."""
-
-    camera_index: int
-    landmark_index: int
-    measurement: np.ndarray  # (2,) pixels
 
 
 def _frozen(a: np.ndarray, dtype=np.float64) -> np.ndarray:
@@ -86,10 +78,63 @@ class BaProblem:
         if n and (self.landmark_indices.min() < 0 or self.landmark_indices.max() >= self.num_landmarks):
             raise ValueError("landmark index out of range")
 
+    @functools.cached_property
+    def plan(self) -> ObservationPlan:
+        """Observation orders of the block-sparse normal equations, built on first use."""
+        return ObservationPlan.build(self)
+
+
+@dataclass(frozen=True)
+class ObservationPlan:
+    """Camera-major and landmark-major observation orders with segment pointers.
+
+    Linearized rows are stored in camera-major order (landmarks increasing
+    within a camera), so each camera owns the contiguous rows
+    ``camera_ptr[c]:camera_ptr[c + 1]``. ``landmark_rows`` lists those rows
+    landmark-major (cameras increasing within a landmark), each landmark
+    owning ``landmark_ptr[l]:landmark_ptr[l + 1]`` of it. Unobserved cameras
+    and landmarks get empty segments. The arrays are read-only, since one plan
+    serves every linearization of its problem.
+    """
+
+    rows: np.ndarray  # (n_obs,) observation index of each camera-major row
+    row_camera: np.ndarray  # (n_obs,) camera of each row, non-decreasing
+    row_landmark: np.ndarray  # (n_obs,) landmark of each row
+    camera_ptr: np.ndarray  # (n_cameras + 1,)
+    landmark_rows: np.ndarray  # (n_obs,) rows in landmark-major order
+    landmark_ptr: np.ndarray  # (n_landmarks + 1,)
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            object.__setattr__(self, name, _frozen(value, np.int64))
+
+    @classmethod
+    def build(cls, problem: BaProblem) -> ObservationPlan:
+        cams, lms = problem.camera_indices, problem.landmark_indices
+        rows = np.argsort(cams * problem.num_landmarks + lms, kind="stable")
+        row_landmark = lms[rows]
+        return cls(
+            rows=rows,
+            row_camera=cams[rows],
+            row_landmark=row_landmark,
+            camera_ptr=_segment_pointers(cams, problem.num_cameras),
+            landmark_rows=np.argsort(row_landmark, kind="stable"),
+            landmark_ptr=_segment_pointers(lms, problem.num_landmarks),
+        )
+
     @property
-    def observations(self) -> Iterator[Observation]:
-        for c, l, m in zip(self.camera_indices, self.landmark_indices, self.measurements):
-            yield Observation(int(c), int(l), m)
+    def num_cameras(self) -> int:
+        return len(self.camera_ptr) - 1
+
+    @property
+    def num_landmarks(self) -> int:
+        return len(self.landmark_ptr) - 1
+
+
+def _segment_pointers(keys: np.ndarray, n: int) -> np.ndarray:
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=n), out=ptr[1:])
+    return ptr
 
 
 @dataclass(frozen=True)

@@ -1,24 +1,32 @@
 """Block-sparse damped normal equations and their Schur reduction.
 
-Landmark blocks stack, per landmark and per observation row group,
-[pose Jacobian | landmark Jacobian | residual]; groups are keyed by the
-number of observing cameras so all per-landmark work is batched. The pose
-Hessian blocks are damped with Jacobi scaling; the landmark blocks are damped
-only in ``both`` mode (joint / tangent-space optimization), never in
-``pose_only`` mode (eliminated-landmark optimization).
+Linearization keeps one Jacobian row band [pose | landmark | residual] per
+observation, in the camera-major row order of the problem's observation plan
+(``BaProblem.plan``). The reduced-camera operator assembled from the rows
+holds the pose blocks U (one GEMM per camera over its contiguous rows), the
+landmark blocks V and gradients b_l (segment sums over landmarks, in a fixed
+order), and the coupling W = Jp^T Jl as a block-sparse row matrix with one
+block per observation, together with one copy of W^T. The reduced right-hand
+side, the matrix-free products, back-substitution, the block diagonal and the
+explicit reduced matrix all read these pieces. The pose Hessian blocks are
+damped with Jacobi scaling; the landmark blocks are damped only in ``both``
+mode (joint / tangent-space optimization), never in ``pose_only`` mode
+(eliminated-landmark optimization).
 """
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import logging
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
-from .bal_io import BaProblem, ProjectiveState
+from .bal_io import BaProblem, ObservationPlan, ProjectiveState
 from .objective import (
     PoseConfig,
-    landmark_order,
     stage1_jacobians,
     stage1_residuals,
     stage2_jacobians,
@@ -37,89 +45,125 @@ V_PINV_TOL = 1e-10
 
 
 @dataclass
-class BlockGroup:
-    """All landmark blocks that share an observation count ``k``."""
+class JacobianRows:
+    """Per-observation Jacobian row bands in the plan's camera-major row order."""
 
-    lm_ids: np.ndarray  # (g,)
-    cams: np.ndarray  # (g, k) strictly increasing per row
-    pose_jac: np.ndarray  # (g, k, r, d_p)
-    lm_jac: np.ndarray  # (g, k, r, d_l)
-    residual: np.ndarray  # (g, k, r)
+    plan: ObservationPlan
+    pose_jac: np.ndarray  # (n_obs, r, d_p)
+    lm_jac: np.ndarray  # (n_obs, r, d_l)
+    residual: np.ndarray  # (n_obs, r)
+
+    @property
+    def pose_width(self) -> int:
+        return self.pose_jac.shape[2]
+
+    @property
+    def lm_width(self) -> int:
+        return self.lm_jac.shape[2]
 
 
-@dataclass
-class LandmarkBlockStore:
-    """Per-landmark dense stacked Jacobian/residual blocks."""
-
-    groups: list[BlockGroup]
-    n_cameras: int
-    n_landmarks: int
-    pose_width: int
-    lm_width: int
-    rows_per_obs: int
+def _row_inputs(problem: BaProblem, state: ProjectiveState):
+    plan = problem.plan
+    return (state.cameras[plan.row_camera], state.landmarks[plan.row_landmark],
+            problem.measurements[plan.rows])
 
 
 def build_stage1_blocks(problem: BaProblem, state: ProjectiveState,
-                        config: PoseConfig | None = None) -> LandmarkBlockStore:
-    """Linearize the stage-1 objective into landmark blocks (widths 12/3)."""
+                        config: PoseConfig | None = None) -> JacobianRows:
+    """Linearize the stage-1 objective into per-observation rows (widths 12/3)."""
     eta = (config or PoseConfig()).eta
-    order, ids, counts = landmark_order(problem)
-    cams_obs = state.cameras[problem.camera_indices[order]]
-    lms_obs = state.landmarks[problem.landmark_indices[order]]
-    meas_obs = problem.measurements[order]
-    jp, jl = stage1_jacobians(cams_obs, lms_obs, meas_obs, eta)
-    res = stage1_residuals(cams_obs, lms_obs, meas_obs, eta)
-    return _group_blocks(problem, order, ids, counts, jp, jl, res, 12, 3, 4)
+    cams, lms, meas = _row_inputs(problem, state)
+    jp, jl = stage1_jacobians(cams, lms, meas, eta)
+    return JacobianRows(problem.plan, jp, jl, stage1_residuals(cams, lms, meas, eta))
 
 
-def build_stage2_blocks(problem: BaProblem, state: ProjectiveState) -> LandmarkBlockStore:
-    """Linearize the stage-2 objective into unprojected blocks (widths 12/4).
+def build_stage2_blocks(problem: BaProblem, state: ProjectiveState) -> JacobianRows:
+    """Linearize the stage-2 objective into unprojected rows (widths 12/4).
 
     Degenerate observations (depth within the guard) must be excluded by the
     caller rejecting the state; here they would poison the step, so we raise.
     """
-    order, ids, counts = landmark_order(problem)
-    cams_obs = state.cameras[problem.camera_indices[order]]
-    lms_obs = state.landmarks[problem.landmark_indices[order]]
-    meas_obs = problem.measurements[order]
-    jp, jl, valid = stage2_jacobians(cams_obs, lms_obs, meas_obs)
+    cams, lms, meas = _row_inputs(problem, state)
+    jp, jl, valid = stage2_jacobians(cams, lms, meas)
     if not valid.all():
         raise FloatingPointError("degenerate projection while linearizing stage 2")
-    res, _ = stage2_residuals(cams_obs, lms_obs, meas_obs)
-    return _group_blocks(problem, order, ids, counts, jp, jl, res, 12, 4, 2)
+    return JacobianRows(problem.plan, jp, jl, stage2_residuals(cams, lms, meas)[0])
 
 
-def _group_blocks(problem, order, ids, counts, jp, jl, res, d_p, d_l, r) -> LandmarkBlockStore:
-    cam_sorted = problem.camera_indices[order]
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    groups = []
-    for k in np.unique(counts):
-        sel = np.nonzero(counts == k)[0]
-        row_idx = offsets[sel][:, None] + np.arange(k)[None, :]
-        groups.append(BlockGroup(
-            lm_ids=ids[sel],
-            cams=cam_sorted[row_idx],
-            pose_jac=jp[row_idx],
-            lm_jac=jl[row_idx],
-            residual=res[row_idx],
-        ))
-    return LandmarkBlockStore(groups, problem.num_cameras, problem.num_landmarks, d_p, d_l, r)
+def pinv_psd(blocks: np.ndarray, rel_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Pseudo-inverse of symmetric PSD blocks; eigenvalues below rel_tol*trace drop."""
+    w, q = np.linalg.eigh(blocks)
+    trace = np.trace(blocks, axis1=1, axis2=2)
+    tol = rel_tol * np.maximum(trace, 0.0)
+    ok = w > tol[:, None]
+    inv_w = np.where(ok, 1.0 / np.where(ok, w, 1.0), 0.0)
+    pinv = np.einsum("nij,nj,nkj->nik", q, inv_w, q)
+    return pinv, ~ok.all(axis=1)
+
+
+def _jacobi_damped(blocks: np.ndarray, lam: float) -> np.ndarray:
+    """blocks + lam * D^T D with D the clamped square root of each block diagonal."""
+    d_sq = np.clip(np.sqrt(np.einsum("nii->ni", blocks)), *DAMPING_CLAMP) ** 2
+    out = blocks.copy()
+    np.einsum("nii->ni", out)[...] += lam * d_sq
+    return out
+
+
+def block_apply(blocks: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """Block-diagonal product: blocks (n, a, b) times a flattened (n * b) vector."""
+    n, b = blocks.shape[0], blocks.shape[2]
+    return np.einsum("nij,nj->ni", blocks, vec.reshape(n, b)).ravel()
 
 
 @dataclass
 class SchurSystem:
-    """Damped block normal equations plus cached landmark-block inverses."""
+    """Damped block normal equations: the reduced-camera operator of one linearization.
 
-    u_blocks: np.ndarray  # (n_p, d_p, d_p) damped
-    v_blocks: np.ndarray  # (n_l, d_l, d_l) damped only in BOTH mode
-    v_inv: np.ndarray  # (n_l, d_l, d_l) pseudo-inverses
-    v_degenerate: np.ndarray  # (n_l,) bool
-    groups: list[BlockGroup]  # carries the coupling blocks W per (camera, landmark)
-    w_blocks: list[np.ndarray]  # per group (g, k, d_p, d_l)
+    Constructed from the undamped Hessian blocks; the damped ``u_blocks`` and
+    ``v_blocks`` and the landmark-block pseudo-inverses follow from ``lam``
+    and ``damping_mode``.
+    """
+
+    hessian_u: np.ndarray  # (n_p, d_p, d_p) undamped
+    hessian_v: np.ndarray  # (n_l, d_l, d_l) undamped
+    w: scipy.sparse.bsr_array  # (n_p d_p, n_l d_l), one (d_p, d_l) block per observation
+    wt: scipy.sparse.bsr_array  # W^T, one (d_l, d_p) block per observation
     b_p: np.ndarray  # (n_p, d_p)
     b_l: np.ndarray  # (n_l, d_l)
     lam: float
     damping_mode: str
+    u_blocks: np.ndarray = dataclasses.field(init=False)  # damped
+    v_blocks: np.ndarray = dataclasses.field(init=False)  # damped only in BOTH mode
+    v_inv: np.ndarray = dataclasses.field(init=False)  # pseudo-inverses
+    v_degenerate: np.ndarray = dataclasses.field(init=False)  # (n_l,) bool
+
+    def __post_init__(self):
+        if self.lam < 0:
+            raise ValueError("damping must be non-negative")
+        if self.damping_mode not in (POSE_ONLY, BOTH):
+            raise ValueError(f"unknown damping mode {self.damping_mode!r}")
+        self.u_blocks = _jacobi_damped(self.hessian_u, self.lam)
+        if self.damping_mode == BOTH:
+            self.v_blocks = _jacobi_damped(self.hessian_v, self.lam)
+        else:
+            self.v_blocks = self.hessian_v
+        self.v_inv, self.v_degenerate = pinv_psd(self.v_blocks, V_PINV_TOL)
+        if self.v_degenerate.any():
+            logger.debug("%d landmark blocks are singular at tolerance",
+                         int(self.v_degenerate.sum()))
+
+    def redamped(self, lam: float) -> SchurSystem:
+        """The same linearization at another damping.
+
+        W, W^T and the gradients are shared; in pose-only mode so are V and
+        its pseudo-inverse. The result equals a fresh ``assemble`` bit for bit.
+        """
+        if self.damping_mode == BOTH:
+            return dataclasses.replace(self, lam=lam)
+        out = copy.copy(self)
+        out.lam = lam
+        out.u_blocks = _jacobi_damped(self.hessian_u, lam)
+        return out
 
     @property
     def n_cameras(self) -> int:
@@ -141,143 +185,112 @@ class SchurSystem:
     def pose_dim(self) -> int:
         return self.u_blocks.shape[0] * self.u_blocks.shape[1]
 
-
-def _pinv_psd(blocks: np.ndarray, rel_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Pseudo-inverse of symmetric PSD blocks; eigenvalues below rel_tol*trace drop."""
-    w, q = np.linalg.eigh(blocks)
-    trace = np.trace(blocks, axis1=1, axis2=2)
-    tol = rel_tol * np.maximum(trace, 0.0)
-    ok = w > tol[:, None]
-    inv_w = np.where(ok, 1.0 / np.where(ok, w, 1.0), 0.0)
-    pinv = np.einsum("nij,nj,nkj->nik", q, inv_w, q)
-    return pinv, ~ok.all(axis=1)
+    def coupling(self, x: np.ndarray) -> np.ndarray:
+        """W V^+ W^T x for a flattened pose-dimension vector."""
+        return self.w @ block_apply(self.v_inv, self.wt @ x)
 
 
-def assemble(blocks: LandmarkBlockStore, lam: float, damping_mode: str = POSE_ONLY
-             ) -> SchurSystem:
-    """Form damped U/V/W blocks and gradients from landmark blocks.
+def _segment_sum(values: np.ndarray, ptr: np.ndarray) -> np.ndarray:
+    """Sums of consecutive runs values[ptr[i]:ptr[i + 1]]; empty runs give zero."""
+    out = np.zeros((len(ptr) - 1,) + values.shape[1:])
+    nonempty = ptr[1:] > ptr[:-1]
+    if nonempty.any():
+        out[nonempty] = np.add.reduceat(values, ptr[:-1][nonempty], axis=0)
+    return out
+
+
+def assemble(rows: JacobianRows, lam: float, damping_mode: str = POSE_ONLY) -> SchurSystem:
+    """Form damped U/V/W blocks and gradients from per-observation rows.
 
     U = Jp^T Jp + lam * Dp^T Dp with Jacobi Dp (clamped); V = Jl^T Jl, plus the
     analogous landmark damping in ``both`` mode; W = Jp^T Jl; b = J^T r.
     """
-    if lam < 0:
-        raise ValueError("damping must be non-negative")
-    if damping_mode not in (POSE_ONLY, BOTH):
-        raise ValueError(f"unknown damping mode {damping_mode!r}")
-    d_p, d_l = blocks.pose_width, blocks.lm_width
-    u = np.zeros((blocks.n_cameras, d_p, d_p))
-    v = np.zeros((blocks.n_landmarks, d_l, d_l))
-    b_p = np.zeros((blocks.n_cameras, d_p))
-    b_l = np.zeros((blocks.n_landmarks, d_l))
-    w_blocks = []
-    for g in blocks.groups:
-        u_contrib = np.einsum("gkri,gkrj->gkij", g.pose_jac, g.pose_jac)
-        np.add.at(u, g.cams.ravel(), u_contrib.reshape(-1, d_p, d_p))
-        v[g.lm_ids] += np.einsum("gkri,gkrj->gij", g.lm_jac, g.lm_jac)
-        w_blocks.append(np.einsum("gkri,gkrj->gkij", g.pose_jac, g.lm_jac))
-        np.add.at(b_p, g.cams.ravel(),
-                  np.einsum("gkri,gkr->gki", g.pose_jac, g.residual).reshape(-1, d_p))
-        b_l[g.lm_ids] += np.einsum("gkri,gkr->gi", g.lm_jac, g.residual)
+    plan = rows.plan
+    n_p, n_l = plan.num_cameras, plan.num_landmarks
+    d_p, d_l = rows.pose_width, rows.lm_width
+    jp, jl, res = rows.pose_jac, rows.lm_jac, rows.residual
 
-    diag_u = np.einsum("nii->ni", u)
-    d_sq = np.clip(np.sqrt(diag_u), *DAMPING_CLAMP) ** 2
-    u_damped = u.copy()
-    np.einsum("nii->ni", u_damped)[...] += lam * d_sq
-    if damping_mode == BOTH:
-        diag_v = np.einsum("nii->ni", v)
-        dl_sq = np.clip(np.sqrt(diag_v), *DAMPING_CLAMP) ** 2
-        v_damped = v.copy()
-        np.einsum("nii->ni", v_damped)[...] += lam * dl_sq
-    else:
-        v_damped = v
+    u = np.empty((n_p, d_p, d_p))
+    b_p = np.empty((n_p, d_p))
+    for c in range(n_p):
+        sl = slice(plan.camera_ptr[c], plan.camera_ptr[c + 1])
+        a = jp[sl].reshape(-1, d_p)
+        u[c] = a.T @ a
+        b_p[c] = a.T @ res[sl].ravel()
 
-    v_inv, degenerate = _pinv_psd(v_damped, V_PINV_TOL)
-    if degenerate.any():
-        logger.debug("%d landmark blocks are singular at tolerance", int(degenerate.sum()))
-    return SchurSystem(u_damped, v_damped, v_inv, degenerate, blocks.groups, w_blocks,
-                       b_p, b_l, lam, damping_mode)
+    lm_rows = plan.landmark_rows
+    jl_by_lm = jl[lm_rows]
+    v = _segment_sum(np.matmul(jl_by_lm.transpose(0, 2, 1), jl_by_lm), plan.landmark_ptr)
+    b_l = _segment_sum(np.einsum("nri,nr->ni", jl_by_lm, res[lm_rows]), plan.landmark_ptr)
+
+    w_data = np.matmul(jp.transpose(0, 2, 1), jl)
+    w = scipy.sparse.bsr_array((w_data, plan.row_landmark, plan.camera_ptr),
+                               shape=(n_p * d_p, n_l * d_l))
+    wt = scipy.sparse.bsr_array(
+        (np.ascontiguousarray(w_data[lm_rows].transpose(0, 2, 1)),
+         plan.row_camera[lm_rows], plan.landmark_ptr),
+        shape=(n_l * d_l, n_p * d_p))
+    return SchurSystem(u, v, w, wt, b_p, b_l, lam, damping_mode)
 
 
 # ---------------------------------------------------------------------------
-# matrix-free reduced-system operations
-
-
-def _coupling_apply_vinv_wt(system: SchurSystem, x_blocks: np.ndarray) -> np.ndarray:
-    """Per-landmark t = V^{-1} W^T x, gathered over each landmark's cameras."""
-    t = np.zeros((system.n_landmarks, system.lm_width))
-    for g, w in zip(system.groups, system.w_blocks):
-        s = np.einsum("gkij,gki->gj", w, x_blocks[g.cams])
-        t[g.lm_ids] += s
-    return np.einsum("nij,nj->ni", system.v_inv, t)
-
-
-def _scatter_w(system: SchurSystem, t: np.ndarray, out: np.ndarray) -> None:
-    """out += W t accumulated per camera, for per-landmark vectors t."""
-    for g, w in zip(system.groups, system.w_blocks):
-        contrib = np.einsum("gkij,gj->gki", w, t[g.lm_ids])
-        np.add.at(out, g.cams.ravel(), contrib.reshape(-1, system.pose_width))
+# reduced-system operations
 
 
 def schur_rhs(system: SchurSystem) -> np.ndarray:
     """Reduced right-hand side -(b_p - W V^{-1} b_l), flattened to pose dimension."""
-    t = np.einsum("nij,nj->ni", system.v_inv, system.b_l)
-    acc = np.zeros_like(system.b_p)
-    _scatter_w(system, t, acc)
-    return -(system.b_p - acc).ravel()
+    return -(system.b_p.ravel() - system.w @ block_apply(system.v_inv, system.b_l))
 
 
 def apply_schur(system: SchurSystem, x: np.ndarray) -> np.ndarray:
-    """Matrix-free product (U - W V^{-1} W^T) x in one pass over landmark blocks."""
-    xb = x.reshape(system.n_cameras, system.pose_width)
-    y = np.einsum("nij,nj->ni", system.u_blocks, xb)
-    t = _coupling_apply_vinv_wt(system, xb)
-    acc = np.zeros_like(y)
-    _scatter_w(system, t, acc)
-    return (y - acc).ravel()
+    """Matrix-free product (U - W V^{-1} W^T) x."""
+    return block_apply(system.u_blocks, x) - system.coupling(x)
 
 
 def back_substitute(system: SchurSystem, pose_update: np.ndarray) -> np.ndarray:
     """Landmark updates -V^{-1}(b_l + W^T dx_p); degenerate blocks get zero."""
-    xb = pose_update.reshape(system.n_cameras, system.pose_width)
-    w_t_x = np.zeros((system.n_landmarks, system.lm_width))
-    for g, w in zip(system.groups, system.w_blocks):
-        w_t_x[g.lm_ids] += np.einsum("gkij,gki->gj", w, xb[g.cams])
-    upd = -np.einsum("nij,nj->ni", system.v_inv, system.b_l + w_t_x)
+    upd = -block_apply(system.v_inv, system.b_l.ravel() + system.wt @ pose_update)
     if system.v_degenerate.any():
-        upd[system.v_degenerate] = 0.0
+        upd.reshape(system.n_landmarks, system.lm_width)[system.v_degenerate] = 0.0
         logger.debug("zeroed updates of %d degenerate landmark blocks",
                      int(system.v_degenerate.sum()))
-    return upd.ravel()
+    return upd
 
 
 def schur_diag_blocks(system: SchurSystem) -> np.ndarray:
     """Exact block diagonal of the reduced system, one block per camera."""
+    w = system.w
+    w_vinv = np.matmul(w.data, system.v_inv[w.indices])
     out = system.u_blocks.copy()
-    for g, w in zip(system.groups, system.w_blocks):
-        contrib = np.einsum("gkij,gjl,gkml->gkim", w, system.v_inv[g.lm_ids], w)
-        np.subtract.at(out, g.cams.ravel(), contrib.reshape(-1, system.pose_width,
-                                                            system.pose_width))
+    for c in range(system.n_cameras):
+        sl = slice(w.indptr[c], w.indptr[c + 1])
+        out[c] -= np.tensordot(w_vinv[sl], w.data[sl], axes=([0, 2], [0, 2]))
     return out
 
 
-def dense_schur(system: SchurSystem, max_chunk_elems: int = 2 ** 24) -> np.ndarray:
-    """Materialize the reduced matrix densely (direct baseline and small oracles)."""
-    d = system.pose_width
+def coupling_matrix(system: SchurSystem) -> scipy.sparse.bsr_array:
+    """W V^+ W^T explicitly: the sparse product W (V^+ W^T), in (d_p, d_p) blocks."""
+    wt = system.wt
+    block_lm = np.repeat(np.arange(system.n_landmarks), np.diff(wt.indptr))
+    vinv_wt = scipy.sparse.bsr_array(
+        (np.matmul(system.v_inv[block_lm], wt.data), wt.indices, wt.indptr), shape=wt.shape)
+    return system.w @ vinv_wt
+
+
+def pose_block_matrix(system: SchurSystem) -> scipy.sparse.bsr_array:
+    """The damped pose blocks U as a block-diagonal sparse matrix."""
     n = system.n_cameras
-    if (n * d) ** 2 > 64_000_000:
-        raise ValueError(f"dense Schur matrix of dimension {n * d} is too large")
-    sb = np.zeros((n, n, d, d))
-    ii = np.arange(n)
-    sb[ii, ii] = system.u_blocks
-    flat = sb.reshape(n * n, d, d)
-    for g, w in zip(system.groups, system.w_blocks):
-        k = g.cams.shape[1]
-        # chunk landmarks so the (g, k, k, d, d) intermediate stays bounded
-        step = max(1, max_chunk_elems // max(1, k * k * d * d))
-        for lo in range(0, len(g.lm_ids), step):
-            sl = slice(lo, min(lo + step, len(g.lm_ids)))
-            cross = np.einsum("gaij,gjl,gbml->gabim", w[sl], system.v_inv[g.lm_ids[sl]], w[sl])
-            cams = g.cams[sl]
-            pos = (cams[:, :, None] * n + cams[:, None, :]).ravel()
-            np.subtract.at(flat, pos, cross.reshape(-1, d, d))
-    return sb.transpose(0, 2, 1, 3).reshape(n * d, n * d)
+    return scipy.sparse.bsr_array((system.u_blocks, np.arange(n), np.arange(n + 1)),
+                                  shape=(system.pose_dim, system.pose_dim))
+
+
+def schur_matrix(system: SchurSystem) -> scipy.sparse.bsr_array:
+    """The reduced matrix U - W (V^+ W^T) as one block-sparse matrix."""
+    return pose_block_matrix(system) - coupling_matrix(system)
+
+
+def dense_schur(system: SchurSystem) -> np.ndarray:
+    """Materialize the reduced matrix densely (direct baseline and small oracles)."""
+    if system.pose_dim ** 2 > 64_000_000:
+        raise ValueError(f"dense Schur matrix of dimension {system.pose_dim} is too large")
+    return schur_matrix(system).toarray()

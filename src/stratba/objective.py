@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bal_io import BaProblem, Observation, ProjectiveState
+from .bal_io import BaProblem, ProjectiveState
 
 logger = logging.getLogger(__name__)
 
@@ -45,16 +45,6 @@ class PoseConfig:
     def __post_init__(self):
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
-
-
-@dataclass(frozen=True)
-class ResidualBlock:
-    """One observation's residual rows and Jacobians for the active stage."""
-
-    observation: Observation
-    residual: np.ndarray  # (4,) stage 1, (2,) stage 2
-    pose_jacobian: np.ndarray  # (4, 12) or (2, 12)
-    landmark_jacobian: np.ndarray  # (4, 3) or (2, 4)
 
 
 class ProjectionDegenerateError(ValueError):
@@ -211,41 +201,8 @@ def total_cost(state: ProjectiveState, problem: BaProblem, stage: int,
     return float(np.sum(r * r))
 
 
-def residual_block(state: ProjectiveState, problem: BaProblem, obs_index: int, stage: int,
-                   config: PoseConfig | None = None) -> ResidualBlock:
-    """Residual and Jacobian rows of one observation, for inspection and tests."""
-    c = int(problem.camera_indices[obs_index])
-    l = int(problem.landmark_indices[obs_index])
-    m = problem.measurements[obs_index]
-    cam = state.cameras[c]
-    lm = state.landmarks[l]
-    if stage == STAGE1:
-        eta = (config or PoseConfig()).eta
-        r = stage1_residuals(cam[None], lm[None], m[None], eta)[0]
-        jp, jl = stage1_jacobians(cam[None], lm[None], m[None], eta)
-        jp, jl = jp[0], jl[0]
-    else:
-        r = projective_residual(cam, lm, m)
-        jp, jl = projective_jacobians(cam, lm, m)
-    return ResidualBlock(Observation(c, l, m), r, jp, jl)
-
-
 # ---------------------------------------------------------------------------
 # closed-form landmark elimination
-
-
-def landmark_order(problem: BaProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Observation permutation grouping landmarks, camera-sorted within a group.
-
-    Returns (order, landmark_ids, counts): applying ``order`` to the
-    observation arrays makes each landmark's observations contiguous with
-    strictly increasing camera indices inside the group (BAL problems have at
-    most one observation per camera/landmark pair).
-    """
-    order = np.lexsort((problem.camera_indices, problem.landmark_indices))
-    lm_sorted = problem.landmark_indices[order]
-    ids, counts = np.unique(lm_sorted, return_counts=True)
-    return order, ids, counts
 
 
 def solve_landmarks(state: ProjectiveState, problem: BaProblem,
@@ -264,7 +221,8 @@ def solve_landmarks(state: ProjectiveState, problem: BaProblem,
     if problem.num_observations == 0:
         return out
 
-    order, ids, counts = landmark_order(problem)
+    plan = problem.plan
+    order = plan.rows[plan.landmark_rows]
     cams_obs = state.cameras[problem.camera_indices[order]]
     meas_obs = problem.measurements[order]
     # Affine model r = A v + c on the free coordinates: A is the landmark
@@ -275,9 +233,10 @@ def solve_landmarks(state: ProjectiveState, problem: BaProblem,
     c_rows = stage1_residuals(cams_obs, zero_lm, meas_obs, eta)  # (n,4)
 
     n_degenerate = 0
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    for k in np.unique(counts):
-        sel = np.nonzero(counts == k)[0]
+    offsets = plan.landmark_ptr[:-1]
+    counts = np.diff(plan.landmark_ptr)
+    for k in np.unique(counts[counts > 0]):
+        sel = np.nonzero(counts == k)[0]  # landmark ids
         row_idx = offsets[sel][:, None] + np.arange(k)[None, :]  # (g, k)
         a = a_rows[row_idx].reshape(len(sel), 4 * k, 3)
         c = c_rows[row_idx].reshape(len(sel), 4 * k)
@@ -288,7 +247,7 @@ def solve_landmarks(state: ProjectiveState, problem: BaProblem,
         v = -np.einsum("gji,gj,gkj,gk->gi", vt, inv_s, u, c)
         full_rank = ok.all(axis=1) & (s[:, 0] > 0)
         n_degenerate += int((~full_rank).sum())
-        lm_sel = ids[sel[full_rank]]
+        lm_sel = sel[full_rank]
         out[lm_sel, :3] = v[full_rank]
         out[lm_sel, 3] = 1.0
 

@@ -119,14 +119,22 @@ def write_state(state: ProjectiveState, path: str | Path) -> None:
 
 
 def read_state(path: str | Path) -> ProjectiveState:
+    """Inverse of :func:`write_state`; raises ValueError on a malformed file."""
     with open(path) as fh:
-        tag, n_cam = fh.readline().split()
-        assert tag == "cameras"
-        cams = np.array([[float(v) for v in fh.readline().split()] for _ in range(int(n_cam))])
-        tag, n_lm = fh.readline().split()
-        assert tag == "landmarks"
-        lms = np.array([[float(v) for v in fh.readline().split()] for _ in range(int(n_lm))])
+        cams = _read_section(fh, "cameras", 12)
+        lms = _read_section(fh, "landmarks", 4)
     return ProjectiveState(cams.reshape(-1, 3, 4), lms)
+
+
+def _read_section(fh, tag: str, width: int) -> np.ndarray:
+    header = fh.readline().split()
+    if len(header) != 2 or header[0] != tag:
+        raise ValueError(f"expected a '{tag} <count>' line, got {' '.join(header)!r}")
+    n = int(header[1])
+    rows = [[float(v) for v in fh.readline().split()] for _ in range(n)]
+    if any(len(row) != width for row in rows):
+        raise ValueError(f"{tag} rows must hold {width} numbers each")
+    return np.array(rows, dtype=float).reshape(n, width)
 
 
 def full_trace(pre_stage1_cost: float, stage1_runtime: float, stage2_trace: ConvergenceTrace

@@ -10,18 +10,12 @@ by plain normalization.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .bal_io import ProjectiveState
-from .normal_eq import (
-    BOTH,
-    BlockGroup,
-    LandmarkBlockStore,
-    assemble,
-    build_stage2_blocks,
-)
-
-from dataclasses import dataclass
+from .normal_eq import BOTH, JacobianRows, assemble, build_stage2_blocks
 
 _UNIT_TOL = 1e-9
 
@@ -64,25 +58,20 @@ def state_tangent_bases(state: ProjectiveState) -> TangentBasis:
     )
 
 
-def project_blocks(blocks: LandmarkBlockStore, bases: TangentBasis) -> LandmarkBlockStore:
+def project_blocks(rows: JacobianRows, bases: TangentBasis) -> JacobianRows:
     """Right-multiply each Jacobian row band by its parameter's tangent basis.
 
-    Pose bands shrink 12 -> 11 and landmark bands 4 -> 3; residual columns are
-    untouched.
+    Pose bands shrink 12 -> 11 (one GEMM per camera over its contiguous rows)
+    and landmark bands 4 -> 3; residual columns are untouched.
     """
-    groups = []
-    for g in blocks.groups:
-        cam_b = bases.camera_bases[g.cams]  # (g, k, 12, 11)
-        groups.append(BlockGroup(
-            lm_ids=g.lm_ids,
-            cams=g.cams,
-            pose_jac=np.einsum("gkri,gkij->gkrj", g.pose_jac, cam_b),
-            lm_jac=np.einsum("gkri,gij->gkrj", g.lm_jac, bases.landmark_bases[g.lm_ids]),
-            residual=g.residual,
-        ))
-    return LandmarkBlockStore(groups, blocks.n_cameras, blocks.n_landmarks,
-                              blocks.pose_width - 1, blocks.lm_width - 1,
-                              blocks.rows_per_obs)
+    plan = rows.plan
+    n_obs, r, d_p = rows.pose_jac.shape
+    pose = np.empty((n_obs, r, d_p - 1))
+    for c, basis in enumerate(bases.camera_bases):
+        sl = slice(plan.camera_ptr[c], plan.camera_ptr[c + 1])
+        pose[sl] = (rows.pose_jac[sl].reshape(-1, d_p) @ basis).reshape(-1, r, d_p - 1)
+    lm = np.matmul(rows.lm_jac, bases.landmark_bases[plan.row_landmark])
+    return JacobianRows(plan, pose, lm, rows.residual)
 
 
 def retract(state: ProjectiveState) -> ProjectiveState:

@@ -10,8 +10,8 @@ and re-solves landmarks in closed form after every accepted step; ``joint``
 mode damps both parameter groups and keeps the back-substituted landmark
 update. The power series is justified whenever the eigenvalues of
 U^{-1} W V^{-1} W^T lie in [0, 1), which holds structurally for both flavors
-with damped positive-definite pose blocks; ``spectral_check`` measures the
-largest such eigenvalue.
+with damped positive-definite pose blocks; ``spectral_check`` computes the
+largest such eigenvalue exactly.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 import scipy.sparse.linalg
 
 from .bal_io import BaProblem, ProjectiveState
@@ -32,15 +31,17 @@ from .normal_eq import (
     BOTH,
     POSE_ONLY,
     SchurSystem,
-    _coupling_apply_vinv_wt,
-    _pinv_psd,
-    _scatter_w,
     apply_schur,
     assemble,
     back_substitute,
+    block_apply,
     build_stage1_blocks,
+    coupling_matrix,
     dense_schur,
+    pinv_psd,
+    pose_block_matrix,
     schur_diag_blocks,
+    schur_matrix,
     schur_rhs,
 )
 from .objective import STAGE1, STAGE2, PoseConfig, solve_landmarks, total_cost
@@ -109,18 +110,9 @@ def _u_inverse(system: SchurSystem) -> np.ndarray:
     return np.linalg.inv(system.u_blocks)
 
 
-def _block_apply(blocks: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    n, d = blocks.shape[0], blocks.shape[1]
-    return np.einsum("nij,nj->ni", blocks, vec.reshape(n, d)).ravel()
-
-
 def _coupling_round_trip(system: SchurSystem, vec: np.ndarray) -> np.ndarray:
     """W V^{-1} W^T vec for a flattened pose-dimension vector."""
-    xb = vec.reshape(system.n_cameras, system.pose_width)
-    t = _coupling_apply_vinv_wt(system, xb)
-    out = np.zeros_like(xb)
-    _scatter_w(system, t, out)
-    return out.ravel()
+    return system.coupling(vec)
 
 
 def power_schur_solve(system: SchurSystem, config: SolverConfig) -> StepReport:
@@ -133,12 +125,12 @@ def power_schur_solve(system: SchurSystem, config: SolverConfig) -> StepReport:
     """
     rhs = schur_rhs(system)
     u_inv = _u_inverse(system)
-    t = _block_apply(u_inv, rhs)
+    t = block_apply(u_inv, rhs)
     x = t.copy()
     order_used = 0
     trunc = 1.0 if np.linalg.norm(x) > 0 else 0.0
     for i in range(1, config.max_power_order + 1):
-        t = _block_apply(u_inv, _coupling_round_trip(system, t))
+        t = block_apply(u_inv, _coupling_round_trip(system, t))
         x += t
         xn = np.linalg.norm(x)
         ratio = np.linalg.norm(t) / xn if xn > 0 else 0.0
@@ -163,10 +155,10 @@ def pcg_schur_solve(system: SchurSystem, config: SolverConfig) -> StepReport:
     try:
         m_inv = np.linalg.inv(diag)
     except np.linalg.LinAlgError:
-        m_inv = _pinv_psd(diag, 1e-12)[0]
+        m_inv = pinv_psd(diag, 1e-12)[0]
     x = np.zeros_like(rhs)
     r = rhs.copy()
-    z = _block_apply(m_inv, r)
+    z = block_apply(m_inv, r)
     p = z.copy()
     rz = float(r @ z)
     flag = None
@@ -185,43 +177,20 @@ def pcg_schur_solve(system: SchurSystem, config: SolverConfig) -> StepReport:
         rel = np.linalg.norm(r) / rhs_norm
         if rel <= config.pcg_tolerance:
             break
-        z = _block_apply(m_inv, r)
+        z = block_apply(m_inv, r)
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new
     return StepReport(x, back_substitute(system, x), iterations, 0, rel, flag)
 
 
-def _sparse_schur(system: SchurSystem) -> scipy.sparse.csc_matrix:
-    d = system.pose_width
-    n = system.n_cameras
-    rows, cols, vals = [], [], []
-    base = np.arange(d)
-    for i in range(n):
-        rows.append((i * d + base)[:, None].repeat(d, axis=1).ravel())
-        cols.append((i * d + base)[None, :].repeat(d, axis=0).ravel())
-        vals.append(system.u_blocks[i].ravel())
-    for g, w in zip(system.groups, system.w_blocks):
-        cross = np.einsum("gaij,gjl,gbml->gabim", w, system.v_inv[g.lm_ids], w)
-        k = g.cams.shape[1]
-        shape = (len(g.lm_ids), k, k, d, d)
-        r_idx = g.cams[:, :, None, None, None] * d + base[None, None, None, :, None]
-        c_idx = g.cams[:, None, :, None, None] * d + base[None, None, None, None, :]
-        rows.append(np.broadcast_to(r_idx, shape).ravel())
-        cols.append(np.broadcast_to(c_idx, shape).ravel())
-        vals.append(-cross.ravel())
-    mat = scipy.sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n * d, n * d))
-    return mat.tocsc()
-
-
 def direct_schur_solve(system: SchurSystem, config: SolverConfig) -> StepReport:
     """Factorize the explicitly assembled reduced matrix and solve.
 
     Small systems go through a dense Cholesky with a symmetric-indefinite
-    fallback; larger ones through a sparse LU. Singular systems come back
-    flagged so the outer loop can raise the damping and retry.
+    fallback; larger ones through a sparse LU of the same block-sparse
+    matrix. Singular systems come back flagged so the outer loop can raise
+    the damping and retry.
     """
     rhs = schur_rhs(system)
     flag = None
@@ -238,7 +207,7 @@ def direct_schur_solve(system: SchurSystem, config: SolverConfig) -> StepReport:
                 flag = "singular"
     else:
         try:
-            lu = scipy.sparse.linalg.splu(_sparse_schur(system))
+            lu = scipy.sparse.linalg.splu(schur_matrix(system).tocsc())
             x = lu.solve(rhs)
         except RuntimeError:
             flag = "singular"
@@ -260,39 +229,18 @@ def solve_reduced(system: SchurSystem, config: SolverConfig) -> StepReport:
     return _INNER_SOLVERS[config.inner_solver](system, config)
 
 
-def spectral_check(system: SchurSystem, max_iterations: int = 50000, tol: float = 1e-14
-                   ) -> float:
-    """Largest eigenvalue of U^{-1} W V^{-1} W^T by power iteration.
+def spectral_check(system: SchurSystem) -> float:
+    """Largest eigenvalue of U^{-1} W V^{-1} W^T, computed exactly.
 
-    Runs on the symmetrized similar operator
-    U^{-1/2} W V^{-1} W^T U^{-1/2}, whose Rayleigh quotients increase
-    monotonically, so the returned value approaches the true maximum from
-    below (clustered top eigenvalues can leave it a little short). Intended
-    as a property-check oracle on small systems.
+    It is the top eigenvalue of the generalized symmetric-definite problem
+    (W V^+ W^T) v = mu U v, solved densely from the operator's explicit
+    pieces. Intended as a property-check oracle on small systems.
     """
-    w, q = np.linalg.eigh(system.u_blocks)
-    if (w <= 0).any():
+    if (np.linalg.eigvalsh(system.u_blocks) <= 0).any():
         raise ValueError("pose blocks must be positive-definite")
-    u_inv_half = np.einsum("nij,nj,nkj->nik", q, 1.0 / np.sqrt(w), q)
-
-    def op(vec: np.ndarray) -> np.ndarray:
-        a = _block_apply(u_inv_half, vec)
-        return _block_apply(u_inv_half, _coupling_round_trip(system, a))
-
-    dim = system.pose_dim
-    v = np.full(dim, 1.0 / math.sqrt(dim))
-    mu = 0.0
-    for _ in range(max_iterations):
-        av = op(v)
-        nrm = np.linalg.norm(av)
-        if nrm == 0:
-            return 0.0
-        mu_new = float(v @ av)
-        v = av / nrm
-        if abs(mu_new - mu) <= tol * max(1.0, abs(mu_new)):
-            return mu_new
-        mu = mu_new
-    return mu
+    return float(scipy.linalg.eigh(coupling_matrix(system).toarray(),
+                                   pose_block_matrix(system).toarray(),
+                                   eigvals_only=True)[-1])
 
 
 def solver_label(stage: int, config: SolverConfig) -> str:
@@ -323,14 +271,17 @@ def lm_minimize(problem: BaProblem, state: ProjectiveState, stage: int,
     Per iteration: linearize, assemble (pose-only damping in varpro mode, both
     groups otherwise; stage 2 always damps both), run the inner solver, and
     evaluate the trial state. Steps are accepted only on strict cost decrease;
-    the damping halves on success and quadruples on failure. In stage-1 varpro
-    mode accepted steps are followed by the closed-form landmark re-solve, so
-    the linearization always sits at landmark-optimal points. Terminates on
-    the iteration cap or when a finite trial changes the cost by at most the
-    relative function tolerance (a stagnant rejected trial also counts: no
-    strictly better point is being found). Every iteration appends a
-    (cost, cumulative seconds) record; cost sequences are bit-reproducible
-    for identical inputs.
+    the damping halves on success and quadruples on failure. Stage 1
+    linearizes only at a new point: after a rejected step it re-damps the
+    kept system, which equals linearizing again bit for bit. In stage-1
+    varpro mode accepted steps are followed by the closed-form landmark
+    re-solve, so the linearization always sits at landmark-optimal points.
+    Terminates on the iteration cap or when a finite trial changes the cost
+    by at most the relative function tolerance (a stagnant rejected trial
+    also counts: no strictly better point is being found). Every iteration
+    appends a (cost, cumulative seconds) record; cost sequences are
+    bit-reproducible for identical inputs. A singular pose block or a
+    degenerate stage-2 linearization raises NumericFailureError.
     """
     pose_cfg = config.pose
     f = total_cost(state, problem, stage, pose_cfg)
@@ -345,24 +296,31 @@ def lm_minimize(problem: BaProblem, state: ProjectiveState, stage: int,
         trace_sink(records[0])
     lam = config.initial_lambda
     bases = None
+    system = None  # stage-1 linearization at the current state
 
     for it in range(1, config.max_outer_iterations + 1):
-        if stage == STAGE1:
-            mode = POSE_ONLY if config.mode == VARPRO else BOTH
-            system = assemble(build_stage1_blocks(problem, state, pose_cfg), lam, mode)
-            report = solve_reduced(system, config)
-            trial = None if report.flag == "singular" else _stage1_trial(state, report)
-        elif stage == STAGE2:
-            from .riemannian import apply_tangent_step, riemannian_step, state_tangent_bases
+        try:
+            if stage == STAGE1:
+                if system is None:
+                    mode = POSE_ONLY if config.mode == VARPRO else BOTH
+                    system = assemble(build_stage1_blocks(problem, state, pose_cfg), lam, mode)
+                else:
+                    system = system.redamped(lam)
+                report = solve_reduced(system, config)
+                trial = None if report.flag == "singular" else _stage1_trial(state, report)
+            elif stage == STAGE2:
+                from .riemannian import apply_tangent_step, riemannian_step, state_tangent_bases
 
-            if bases is None:
-                bases = state_tangent_bases(state)
-            report = riemannian_step(problem, state, config, lam, bases)
-            trial = None
-            if report.flag != "singular":
-                trial = apply_tangent_step(state, bases, report)
-        else:
-            raise ValueError(f"unknown stage {stage!r}")
+                if bases is None:
+                    bases = state_tangent_bases(state)
+                report = riemannian_step(problem, state, config, lam, bases)
+                trial = None
+                if report.flag != "singular":
+                    trial = apply_tangent_step(state, bases, report)
+            else:
+                raise ValueError(f"unknown stage {stage!r}")
+        except (np.linalg.LinAlgError, FloatingPointError) as exc:
+            raise NumericFailureError(f"stage {stage} iteration {it}: {exc}") from exc
 
         f_trial = math.inf if trial is None else total_cost(trial, problem, stage, pose_cfg)
         converged = False
@@ -372,6 +330,7 @@ def lm_minimize(problem: BaProblem, state: ProjectiveState, stage: int,
                 f_trial = total_cost(trial, problem, stage, pose_cfg)
             state = trial
             bases = None
+            system = None
             denom = f if f > 0 else 1.0
             converged = abs(f - f_trial) / denom <= config.function_tolerance
             f = f_trial

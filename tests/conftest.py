@@ -155,10 +155,10 @@ def dense_uwv(system):
     for j in range(n_l):
         v[j * e:(j + 1) * e, j * e:(j + 1) * e] = system.v_blocks[j]
     w = np.zeros((n_p * d, n_l * e))
-    for g, wb in zip(system.groups, system.w_blocks):
-        for gi, lm in enumerate(g.lm_ids):
-            for ki, cam in enumerate(g.cams[gi]):
-                w[cam * d:(cam + 1) * d, lm * e:(lm + 1) * e] += wb[gi, ki]
+    for cam in range(n_p):
+        for k in range(system.w.indptr[cam], system.w.indptr[cam + 1]):
+            lm = system.w.indices[k]
+            w[cam * d:(cam + 1) * d, lm * e:(lm + 1) * e] += system.w.data[k]
     return u, w, v
 
 

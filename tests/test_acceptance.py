@@ -91,7 +91,7 @@ def test_criterion_01_spectrum_property():
         n_lms = int(rng.integers(8, 20))
         lam = float(10.0 ** rng.uniform(-4, -1))
         system, _, _ = make_varpro_system(n_cams, n_lms, seed=seed, lam=lam)
-        mu = spectral_check(system, max_iterations=3000)
+        mu = spectral_check(system)
         assert 0.0 <= mu <= 1.0 - 1e-10
         checked += 1
     for seed in range(50):
@@ -99,7 +99,7 @@ def test_criterion_01_spectrum_property():
         n_lms = int(rng.integers(8, 20))
         lam = float(10.0 ** rng.uniform(-4, -1))
         system, _, _ = make_riemannian_system(n_cams, n_lms, seed=seed + 500, lam=lam)
-        mu = spectral_check(system, max_iterations=3000)
+        mu = spectral_check(system)
         assert 0.0 <= mu <= 1.0 - 1e-10
         checked += 1
     # true spectra on a subset, via dense eigendecomposition

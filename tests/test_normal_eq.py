@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from stratba.bal_io import BaProblem, load_bal, prune_underobserved, write_bal
 from stratba.normal_eq import (
     BOTH,
     POSE_ONLY,
-    BlockGroup,
-    LandmarkBlockStore,
+    JacobianRows,
     apply_schur,
     assemble,
     back_substitute,
@@ -25,15 +25,9 @@ from tests.conftest import (
 
 
 def single_observation_store(jp, jl, res, n_cameras=1, n_landmarks=1, cam=0, lm=0):
-    group = BlockGroup(
-        lm_ids=np.array([lm]),
-        cams=np.array([[cam]]),
-        pose_jac=jp[None, None],
-        lm_jac=jl[None, None],
-        residual=res[None, None],
-    )
-    return LandmarkBlockStore([group], n_cameras, n_landmarks, jp.shape[1], jl.shape[1],
-                              jp.shape[0])
+    problem = BaProblem(n_cameras, n_landmarks, 1, np.array([cam]), np.array([lm]),
+                        np.zeros((1, 2)))
+    return JacobianRows(problem.plan, jp[None], jl[None], res[None])
 
 
 def test_assemble_single_observation_direct_products():
@@ -46,7 +40,7 @@ def test_assemble_single_observation_direct_products():
     expected_u[:4, :4] = np.eye(4)
     np.testing.assert_array_equal(system.u_blocks[0], expected_u)
     np.testing.assert_array_equal(system.v_blocks[0], np.zeros((3, 3)))
-    np.testing.assert_array_equal(system.w_blocks[0][0, 0], np.zeros((12, 3)))
+    np.testing.assert_array_equal(system.w.data[0], np.zeros((12, 3)))
     expected_bp = np.zeros(12)
     expected_bp[0] = 1.0
     np.testing.assert_array_equal(system.b_p[0], expected_bp)
@@ -97,13 +91,15 @@ def test_assemble_matches_dense_oracle(mode, seed):
                                    atol=1e-12 * max(1, np.abs(h).max()))
         np.testing.assert_allclose(system.b_l[j], g[pc + j * d_l:pc + (j + 1) * d_l],
                                    atol=1e-12 * max(1, np.abs(g).max()))
-    # coupling blocks
-    for group, w in zip(system.groups, system.w_blocks):
-        for g_idx, lm in enumerate(group.lm_ids):
-            for k_idx, cam in enumerate(group.cams[g_idx]):
-                expected = h[cam * d_p:(cam + 1) * d_p, pc + lm * d_l:pc + (lm + 1) * d_l]
-                np.testing.assert_allclose(w[g_idx, k_idx], expected,
-                                           atol=1e-12 * max(1, np.abs(h).max()))
+    # coupling blocks: one per observation, and W^T holds the same blocks transposed
+    assert len(system.w.data) == problem.num_observations
+    for cam in range(problem.num_cameras):
+        for k in range(system.w.indptr[cam], system.w.indptr[cam + 1]):
+            lm = system.w.indices[k]
+            expected = h[cam * d_p:(cam + 1) * d_p, pc + lm * d_l:pc + (lm + 1) * d_l]
+            np.testing.assert_allclose(system.w.data[k], expected,
+                                       atol=1e-12 * max(1, np.abs(h).max()))
+    np.testing.assert_array_equal(system.wt.toarray(), system.w.toarray().T)
 
 
 def dense_blocks_from_oracle(problem, state, lam, mode, eta=0.1):
@@ -213,8 +209,21 @@ def test_blocks_reference_strictly_increasing_cameras():
     problem = make_random_problem(6, 9, seed=4)
     state = make_random_state(problem, 5, STAGE1)
     blocks = build_stage1_blocks(problem, state, PoseConfig(0.1))
-    for g in blocks.groups:
-        assert (np.diff(g.cams, axis=1) > 0).all()
+    plan = blocks.plan
+    # camera-major rows: cameras non-decreasing, landmarks strictly increasing per camera
+    assert (np.diff(plan.row_camera) >= 0).all()
+    for c in range(problem.num_cameras):
+        seg = plan.row_landmark[plan.camera_ptr[c]:plan.camera_ptr[c + 1]]
+        assert (np.diff(seg) > 0).all()
+        assert (plan.row_camera[plan.camera_ptr[c]:plan.camera_ptr[c + 1]] == c).all()
+    # landmark-major rows: strictly increasing cameras within each landmark
+    for lm in range(problem.num_landmarks):
+        seg = plan.landmark_rows[plan.landmark_ptr[lm]:plan.landmark_ptr[lm + 1]]
+        assert (plan.row_landmark[seg] == lm).all()
+        assert (np.diff(plan.row_camera[seg]) > 0).all()
+    np.testing.assert_array_equal(problem.camera_indices[plan.rows], plan.row_camera)
+    np.testing.assert_array_equal(problem.landmark_indices[plan.rows], plan.row_landmark)
+    assert sorted(plan.rows) == list(range(problem.num_observations))
 
 
 def test_schur_diag_matches_dense():
@@ -237,3 +246,76 @@ def test_degenerate_v_block_zero_update():
     assert system.v_degenerate[0]
     upd = back_substitute(system, np.ones(12))
     np.testing.assert_array_equal(upd, np.zeros(3))
+
+
+@pytest.mark.parametrize("mode", [POSE_ONLY, BOTH])
+def test_redamped_equals_fresh_assembly(mode):
+    problem = make_random_problem(4, 9, seed=21)
+    state = make_random_state(problem, 22, STAGE1)
+    blocks = build_stage1_blocks(problem, state, PoseConfig(0.1))
+    redamped = assemble(blocks, 1e-4, mode).redamped(0.37)
+    fresh = assemble(blocks, 0.37, mode)
+    assert redamped.lam == 0.37
+    for name in ("u_blocks", "v_blocks", "v_inv", "v_degenerate", "b_p", "b_l"):
+        np.testing.assert_array_equal(getattr(redamped, name), getattr(fresh, name))
+    np.testing.assert_array_equal(schur_rhs(redamped), schur_rhs(fresh))
+    np.testing.assert_array_equal(dense_schur(redamped), dense_schur(fresh))
+
+
+def problem_with_unobserved(seed):
+    """Random graph with camera 0 and landmarks 2 and 6 (the last) unobserved."""
+    base = make_random_problem(3, 5, seed=seed)
+    lms = base.landmark_indices
+    return BaProblem(
+        num_cameras=4, num_landmarks=7, num_observations=base.num_observations,
+        camera_indices=base.camera_indices + 1,
+        landmark_indices=np.where(lms >= 2, lms + 1, lms),
+        measurements=base.measurements)
+
+
+@pytest.mark.parametrize("mode", [POSE_ONLY, BOTH])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_unobserved_camera_and_landmark_match_dense_oracle(mode, seed):
+    problem = problem_with_unobserved(seed)
+    state = make_random_state(problem, seed + 70, STAGE1)
+    lam = 0.3
+    system = assemble(build_stage1_blocks(problem, state, PoseConfig(0.1)), lam, mode)
+    assert list(np.diff(problem.plan.camera_ptr) == 0) == [True, False, False, False]
+    assert list(np.nonzero(np.diff(problem.plan.landmark_ptr) == 0)[0]) == [2, 6]
+
+    jac, res, d_p, d_l = dense_jacobian(problem, state, STAGE1, eta=0.1)
+    h, g = dense_damped_hessian(jac, res, problem.num_cameras, d_p, lam, mode)
+    pc = problem.num_cameras * d_p
+    u, v, w, b_p, b_l = h[:pc, :pc], h[pc:, pc:], h[:pc, pc:], g[:pc], g[pc:]
+    v_pinv = np.linalg.pinv(v, hermitian=True)
+    s_dense = u - w @ v_pinv @ w.T
+    scale = max(1, np.abs(s_dense).max())
+
+    np.testing.assert_allclose(dense_schur(system), s_dense, atol=1e-11 * scale)
+    rhs = -(b_p - w @ v_pinv @ b_l)
+    np.testing.assert_allclose(schur_rhs(system), rhs, atol=1e-11 * max(1, np.abs(rhs).max()))
+    x = np.random.default_rng(seed).standard_normal(system.pose_dim)
+    np.testing.assert_allclose(apply_schur(system, x), s_dense @ x, atol=1e-11 * scale)
+    diag = schur_diag_blocks(system)
+    for i in range(problem.num_cameras):
+        np.testing.assert_allclose(diag[i], s_dense[i * d_p:(i + 1) * d_p, i * d_p:(i + 1) * d_p],
+                                   atol=1e-11 * scale)
+    upd = back_substitute(system, x)
+    expected = -v_pinv @ (b_l + w.T @ x)
+    np.testing.assert_allclose(upd, expected, atol=1e-9 * max(1, np.abs(expected).max()))
+    np.testing.assert_array_equal(upd.reshape(-1, d_l)[[2, 6]], 0.0)
+    # the unobserved camera is decoupled: its block is the clamped damping alone
+    np.testing.assert_array_equal(system.u_blocks[0], lam * 1e-12 * np.eye(d_p))
+
+
+def test_plan_built_lazily_and_cached(tmp_path):
+    problem = make_random_problem(4, 6, seed=3)
+    path = tmp_path / "p.txt"
+    with open(path, "w") as fh:
+        write_bal(problem, fh)
+    loaded = prune_underobserved(load_bal(path))
+    assert "plan" not in vars(loaded)
+    plan = loaded.plan
+    assert loaded.plan is plan
+    np.testing.assert_array_equal(plan.camera_ptr, [0, *np.cumsum(np.bincount(
+        loaded.camera_indices, minlength=4))])

@@ -57,13 +57,11 @@ def test_project_blocks_kills_normal_directions():
     bases = state_tangent_bases(state)
     # rows proportional to the parameter vector lie in the basis null space
     cams_vec = state.cameras.reshape(-1, 12)
-    for g in blocks.groups:
-        g.pose_jac[...] = cams_vec[g.cams][:, :, None, :]
-        g.lm_jac[...] = state.landmarks[g.lm_ids][:, None, None, :]
+    blocks.pose_jac[...] = cams_vec[blocks.plan.row_camera][:, None, :]
+    blocks.lm_jac[...] = state.landmarks[blocks.plan.row_landmark][:, None, :]
     projected = project_blocks(blocks, bases)
-    for g in projected.groups:
-        np.testing.assert_allclose(g.pose_jac, 0.0, atol=1e-12)
-        np.testing.assert_allclose(g.lm_jac, 0.0, atol=1e-12)
+    np.testing.assert_allclose(projected.pose_jac, 0.0, atol=1e-12)
+    np.testing.assert_allclose(projected.lm_jac, 0.0, atol=1e-12)
 
 
 def test_tangent_basis_axis_projection_selects_columns(rng):
@@ -79,18 +77,14 @@ def test_project_blocks_matches_dense_products():
     blocks = build_stage2_blocks(problem, state)
     bases = state_tangent_bases(state)
     projected = project_blocks(blocks, bases)
-    for g_raw, g_proj in zip(blocks.groups, projected.groups):
-        for gi in range(len(g_raw.lm_ids)):
-            for ki in range(g_raw.cams.shape[1]):
-                cam = g_raw.cams[gi, ki]
-                np.testing.assert_allclose(
-                    g_proj.pose_jac[gi, ki],
-                    g_raw.pose_jac[gi, ki] @ bases.camera_bases[cam], atol=1e-13)
-            lm = g_raw.lm_ids[gi]
-            np.testing.assert_allclose(
-                g_proj.lm_jac[gi],
-                g_raw.lm_jac[gi] @ bases.landmark_bases[lm], atol=1e-13)
-            np.testing.assert_array_equal(g_proj.residual[gi], g_raw.residual[gi])
+    plan = blocks.plan
+    for row in range(problem.num_observations):
+        cam, lm = plan.row_camera[row], plan.row_landmark[row]
+        np.testing.assert_allclose(
+            projected.pose_jac[row], blocks.pose_jac[row] @ bases.camera_bases[cam], atol=1e-13)
+        np.testing.assert_allclose(
+            projected.lm_jac[row], blocks.lm_jac[row] @ bases.landmark_bases[lm], atol=1e-13)
+        np.testing.assert_array_equal(projected.residual[row], blocks.residual[row])
     assert projected.pose_width == 11 and projected.lm_width == 3
 
 

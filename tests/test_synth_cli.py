@@ -87,6 +87,20 @@ def test_state_file_round_trip(tmp_path):
     np.testing.assert_array_equal(state.landmarks, again.landmarks)
 
 
+@pytest.mark.parametrize("text", [
+    "",
+    "points 1\n1 2 3 4 5 6 7 8 9 10 11 12\nlandmarks 0\n",
+    "cameras 1\n1 2 3\nlandmarks 0\n",
+    "cameras 0\nlandmarks 1\n1 2 3 x\n",
+    "cameras 0\nlandmarks 2\n1 2 3 4\n",
+])
+def test_read_state_rejects_malformed_files(tmp_path, text):
+    path = tmp_path / "state.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError):
+        read_state(path)
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -227,6 +241,35 @@ def test_cli_numeric_failure_keeps_partial_artifacts(synth_file, tmp_path, monke
     assert [t.stage for t in traces] == ["stage1"]
     summary = json.loads((out / "ring_summary.json").read_text())
     assert "error" in summary
+    assert (out / "ring_state.txt").exists()
+
+
+@pytest.mark.parametrize("module, name, error", [
+    ("solvers", "_u_inverse", np.linalg.LinAlgError("Singular matrix")),
+    ("riemannian", "build_stage2_blocks",
+     FloatingPointError("degenerate projection while linearizing stage 2")),
+])
+def test_cli_linalg_and_degenerate_failures_exit_4(synth_file, tmp_path, monkeypatch, capsys,
+                                                   module, name, error):
+    import importlib
+
+    mod = importlib.import_module(f"stratba.{module}")
+    real = getattr(mod, name)
+
+    def fail_in_stage2(*args, **kwargs):
+        if module == "solvers" and args[0].pose_width == 12:
+            return real(*args, **kwargs)  # the power series of stage 1 proceeds
+        raise error
+
+    monkeypatch.setattr(mod, name, fail_in_stage2)
+    out = tmp_path / "fail"
+    code = main(["solve", "--full", "--seed", "1", "--out-dir", str(out), str(synth_file)])
+    assert code == 4
+    assert "partial artifacts" in capsys.readouterr().err
+    traces = read_trace_csv(out / "ring_trace.csv")
+    assert [t.stage for t in traces] == ["stage1"]
+    summary = json.loads((out / "ring_summary.json").read_text())
+    assert str(error) in summary["error"]
     assert (out / "ring_state.txt").exists()
 
 
