@@ -12,6 +12,7 @@ Tokens are whitespace-separated; decimal and scientific notation are accepted.
 
 from __future__ import annotations
 
+import array
 import bz2
 import functools
 import gzip
@@ -130,6 +131,15 @@ class ObservationPlan:
     def num_landmarks(self) -> int:
         return len(self.landmark_ptr) - 1
 
+    def landmark_sums(self, values: np.ndarray) -> np.ndarray:
+        """Per-landmark sums of values listed in ``landmark_rows`` order; zero if unobserved."""
+        ptr = self.landmark_ptr
+        out = np.zeros((len(ptr) - 1,) + values.shape[1:])
+        nonempty = ptr[1:] > ptr[:-1]
+        if nonempty.any():
+            out[nonempty] = np.add.reduceat(values, ptr[:-1][nonempty], axis=0)
+        return out
+
 
 def _segment_pointers(keys: np.ndarray, n: int) -> np.ndarray:
     ptr = np.zeros(n + 1, dtype=np.int64)
@@ -210,29 +220,27 @@ def parse_bal(stream: IO[str]) -> BaProblem:
     if n_cam < 0 or n_lm < 0 or n_obs < 0:
         raise BalParseError(rd.line, "malformed header: negative count")
 
-    cam_idx = np.empty(n_obs, dtype=np.int64)
-    lm_idx = np.empty(n_obs, dtype=np.int64)
-    meas = np.empty((n_obs, 2), dtype=np.float64)
-    for k in range(n_obs):
+    # Arrays are built from the tokens actually read: the header counts are
+    # untrusted and may exceed any allocatable size. Indices stay Python ints
+    # until the end, since an index below a count beyond int64 only fails
+    # once the file proves truncated.
+    cam_idx, lm_idx, meas = [], [], array.array("d")
+    for _ in range(n_obs):
         c = rd.next_int("camera index")
         if not 0 <= c < n_cam:
             raise BalParseError(rd.line, f"camera index {c} out of range [0, {n_cam})")
         p = rd.next_int("point index")
         if not 0 <= p < n_lm:
             raise BalParseError(rd.line, f"point index {p} out of range [0, {n_lm})")
-        cam_idx[k] = c
-        lm_idx[k] = p
-        meas[k, 0] = rd.next_float("measurement x")
-        meas[k, 1] = rd.next_float("measurement y")
+        cam_idx.append(c)
+        lm_idx.append(p)
+        meas.append(rd.next_float("measurement x"))
+        meas.append(rd.next_float("measurement y"))
 
-    cams = np.empty((n_cam, CAMERA_FIELDS), dtype=np.float64)
-    for i in range(n_cam):
-        for j in range(CAMERA_FIELDS):
-            cams[i, j] = rd.next_float(f"camera {i} parameter {j}")
-    pts = np.empty((n_lm, POINT_FIELDS), dtype=np.float64)
-    for i in range(n_lm):
-        for j in range(POINT_FIELDS):
-            pts[i, j] = rd.next_float(f"point {i} coordinate {j}")
+    cams = array.array("d", (rd.next_float(f"camera {i} parameter {j}")
+                             for i in range(n_cam) for j in range(CAMERA_FIELDS)))
+    pts = array.array("d", (rd.next_float(f"point {i} coordinate {j}")
+                            for i in range(n_lm) for j in range(POINT_FIELDS)))
     if not rd.at_end():
         raise BalParseError(rd.line, "trailing data after point block")
 
@@ -240,11 +248,11 @@ def parse_bal(stream: IO[str]) -> BaProblem:
         num_cameras=n_cam,
         num_landmarks=n_lm,
         num_observations=n_obs,
-        camera_indices=cam_idx,
-        landmark_indices=lm_idx,
-        measurements=meas,
-        metric_cameras=cams,
-        metric_points=pts,
+        camera_indices=np.array(cam_idx, dtype=np.int64),
+        landmark_indices=np.array(lm_idx, dtype=np.int64),
+        measurements=np.array(meas, dtype=np.float64).reshape(n_obs, 2),
+        metric_cameras=np.array(cams, dtype=np.float64).reshape(n_cam, CAMERA_FIELDS),
+        metric_points=np.array(pts, dtype=np.float64).reshape(n_lm, POINT_FIELDS),
     )
 
 

@@ -26,7 +26,9 @@ import scipy.sparse
 
 from .bal_io import BaProblem, ObservationPlan, ProjectiveState
 from .objective import (
+    V_PINV_TOL,
     PoseConfig,
+    pinv_psd,
     stage1_jacobians,
     stage1_residuals,
     stage2_jacobians,
@@ -40,8 +42,6 @@ BOTH = "both"
 
 # Jacobi damping diagonals are clamped to this range before squaring.
 DAMPING_CLAMP = (1e-6, 1e6)
-# Relative eigenvalue cutoff for landmark-block pseudo-inverses.
-V_PINV_TOL = 1e-10
 
 
 @dataclass
@@ -88,17 +88,6 @@ def build_stage2_blocks(problem: BaProblem, state: ProjectiveState) -> JacobianR
     if not valid.all():
         raise FloatingPointError("degenerate projection while linearizing stage 2")
     return JacobianRows(problem.plan, jp, jl, stage2_residuals(cams, lms, meas)[0])
-
-
-def pinv_psd(blocks: np.ndarray, rel_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Pseudo-inverse of symmetric PSD blocks; eigenvalues below rel_tol*trace drop."""
-    w, q = np.linalg.eigh(blocks)
-    trace = np.trace(blocks, axis1=1, axis2=2)
-    tol = rel_tol * np.maximum(trace, 0.0)
-    ok = w > tol[:, None]
-    inv_w = np.where(ok, 1.0 / np.where(ok, w, 1.0), 0.0)
-    pinv = np.einsum("nij,nj,nkj->nik", q, inv_w, q)
-    return pinv, ~ok.all(axis=1)
 
 
 def _jacobi_damped(blocks: np.ndarray, lam: float) -> np.ndarray:
@@ -190,15 +179,6 @@ class SchurSystem:
         return self.w @ block_apply(self.v_inv, self.wt @ x)
 
 
-def _segment_sum(values: np.ndarray, ptr: np.ndarray) -> np.ndarray:
-    """Sums of consecutive runs values[ptr[i]:ptr[i + 1]]; empty runs give zero."""
-    out = np.zeros((len(ptr) - 1,) + values.shape[1:])
-    nonempty = ptr[1:] > ptr[:-1]
-    if nonempty.any():
-        out[nonempty] = np.add.reduceat(values, ptr[:-1][nonempty], axis=0)
-    return out
-
-
 def assemble(rows: JacobianRows, lam: float, damping_mode: str = POSE_ONLY) -> SchurSystem:
     """Form damped U/V/W blocks and gradients from per-observation rows.
 
@@ -220,8 +200,8 @@ def assemble(rows: JacobianRows, lam: float, damping_mode: str = POSE_ONLY) -> S
 
     lm_rows = plan.landmark_rows
     jl_by_lm = jl[lm_rows]
-    v = _segment_sum(np.matmul(jl_by_lm.transpose(0, 2, 1), jl_by_lm), plan.landmark_ptr)
-    b_l = _segment_sum(np.einsum("nri,nr->ni", jl_by_lm, res[lm_rows]), plan.landmark_ptr)
+    v = plan.landmark_sums(np.matmul(jl_by_lm.transpose(0, 2, 1), jl_by_lm))
+    b_l = plan.landmark_sums(np.einsum("nri,nr->ni", jl_by_lm, res[lm_rows]))
 
     w_data = np.matmul(jp.transpose(0, 2, 1), jl)
     w = scipy.sparse.bsr_array((w_data, plan.row_landmark, plan.camera_ptr),

@@ -72,6 +72,20 @@ def stage1_residuals(cameras: np.ndarray, landmarks: np.ndarray, measurements: n
     return out
 
 
+def stage1_landmark_jacobian(cameras: np.ndarray, measurements: np.ndarray,
+                             eta: float) -> np.ndarray:
+    """Landmark Jacobian (n,4,3) for a batch of observations.
+
+    It is taken with respect to the three free coordinates and does not
+    depend on the landmark, since the residual is affine in it.
+    """
+    p3 = cameras[:, :, :3]  # (n, 3, 3)
+    jl = np.empty((len(cameras), 4, 3))
+    jl[:, :2] = math.sqrt(1.0 - eta) * (p3[:, :2] - measurements[:, :, None] * p3[:, 2:3])
+    jl[:, 2:] = math.sqrt(eta) * p3[:, :2]
+    return jl
+
+
 def stage1_jacobians(cameras: np.ndarray, landmarks: np.ndarray, measurements: np.ndarray,
                      eta: float) -> tuple[np.ndarray, np.ndarray]:
     """Pose (n,4,12) and landmark (n,4,3) Jacobians for a batch of observations.
@@ -90,14 +104,7 @@ def stage1_jacobians(cameras: np.ndarray, landmarks: np.ndarray, measurements: n
     jp[:, 1, 8:12] = -s1 * measurements[:, 1:2] * x
     jp[:, 2, 0:4] = s2 * x
     jp[:, 3, 4:8] = s2 * x
-
-    p3 = cameras[:, :, :3]  # (n, 3, 3)
-    jl = np.empty((n, 4, 3))
-    jl[:, 0, :] = s1 * (p3[:, 0, :] - measurements[:, 0:1] * p3[:, 2, :])
-    jl[:, 1, :] = s1 * (p3[:, 1, :] - measurements[:, 1:2] * p3[:, 2, :])
-    jl[:, 2, :] = s2 * p3[:, 0, :]
-    jl[:, 3, :] = s2 * p3[:, 1, :]
-    return jp, jl
+    return jp, stage1_landmark_jacobian(cameras, measurements, eta)
 
 
 # ---------------------------------------------------------------------------
@@ -204,53 +211,52 @@ def total_cost(state: ProjectiveState, problem: BaProblem, stage: int,
 # ---------------------------------------------------------------------------
 # closed-form landmark elimination
 
+# Relative eigenvalue cutoff for landmark-block pseudo-inverses.
+V_PINV_TOL = 1e-10
+
+
+def pinv_psd(blocks: np.ndarray, rel_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Pseudo-inverse of symmetric PSD blocks; eigenvalues below rel_tol*trace drop."""
+    w, q = np.linalg.eigh(blocks)
+    trace = np.trace(blocks, axis1=1, axis2=2)
+    tol = rel_tol * np.maximum(trace, 0.0)
+    ok = w > tol[:, None]
+    inv_w = np.where(ok, 1.0 / np.where(ok, w, 1.0), 0.0)
+    pinv = np.einsum("nij,nj,nkj->nik", q, inv_w, q)
+    return pinv, ~ok.all(axis=1)
+
 
 def solve_landmarks(state: ProjectiveState, problem: BaProblem,
                     config: PoseConfig | None = None) -> np.ndarray:
     """Closed-form per-landmark optimum of the stage-1 cost with cameras fixed.
 
-    Each landmark's stacked residual is affine in its three free coordinates;
-    the minimum-norm least-squares solution is taken via SVD with singular
-    values below 1e-10 times the largest treated as zero. Landmarks whose
-    stacked system is rank-deficient at that tolerance are left unchanged and
-    counted in a single warning. Unobserved landmarks are also left unchanged.
-    Returns a new (n_l, 4) array with last coordinate exactly 1.
+    Each landmark's stacked residual is affine in its three free coordinates,
+    r = A v + c, with A the landmark Jacobian rows and c the residual at the
+    origin landmark (0, 0, 0, 1). The optimum v = -(A^T A)^+ A^T c is taken
+    for all landmarks at once from the segment sums A^T A and A^T c over the
+    observation plan, with the pseudo-inverse and rank rule of the Schur
+    system's V^+: an eigenvalue of A^T A at or below ``V_PINV_TOL`` times its
+    trace makes the landmark rank-deficient. Such landmarks are left unchanged
+    and counted in a single warning; they are exactly the landmarks whose
+    update ``back_substitute`` zeroes. Unobserved landmarks are also left
+    unchanged. Returns a new (n_l, 4) array with last coordinate exactly 1.
     """
     eta = (config or PoseConfig()).eta
     out = np.array(state.landmarks, copy=True)
-    if problem.num_observations == 0:
-        return out
-
     plan = problem.plan
-    order = plan.rows[plan.landmark_rows]
-    cams_obs = state.cameras[problem.camera_indices[order]]
-    meas_obs = problem.measurements[order]
-    # Affine model r = A v + c on the free coordinates: A is the landmark
-    # Jacobian, c the residual at the origin landmark (0, 0, 0, 1).
-    zero_lm = np.zeros((len(order), 4))
-    zero_lm[:, 3] = 1.0
-    a_rows = stage1_jacobians(cams_obs, zero_lm, meas_obs, eta)[1]  # (n,4,3)
-    c_rows = stage1_residuals(cams_obs, zero_lm, meas_obs, eta)  # (n,4)
+    obs = plan.rows[plan.landmark_rows]  # landmark-major observation order
+    cams = state.cameras[problem.camera_indices[obs]]
+    meas = problem.measurements[obs]
+    a = stage1_landmark_jacobian(cams, meas, eta)  # (n, 4, 3)
+    c = stage1_residuals(cams, np.broadcast_to([0.0, 0.0, 0.0, 1.0], (len(obs), 4)), meas, eta)
+    ata_inv, skipped = pinv_psd(plan.landmark_sums(np.matmul(a.transpose(0, 2, 1), a)),
+                                V_PINV_TOL)
+    v = -np.einsum("nij,nj->ni", ata_inv, plan.landmark_sums(np.einsum("nri,nr->ni", a, c)))
 
-    n_degenerate = 0
-    offsets = plan.landmark_ptr[:-1]
-    counts = np.diff(plan.landmark_ptr)
-    for k in np.unique(counts[counts > 0]):
-        sel = np.nonzero(counts == k)[0]  # landmark ids
-        row_idx = offsets[sel][:, None] + np.arange(k)[None, :]  # (g, k)
-        a = a_rows[row_idx].reshape(len(sel), 4 * k, 3)
-        c = c_rows[row_idx].reshape(len(sel), 4 * k)
-        u, s, vt = np.linalg.svd(a, full_matrices=False)
-        tol = 1e-10 * s[:, :1]
-        ok = s > tol
-        inv_s = np.where(ok, 1.0 / np.where(ok, s, 1.0), 0.0)
-        v = -np.einsum("gji,gj,gkj,gk->gi", vt, inv_s, u, c)
-        full_rank = ok.all(axis=1) & (s[:, 0] > 0)
-        n_degenerate += int((~full_rank).sum())
-        lm_sel = sel[full_rank]
-        out[lm_sel, :3] = v[full_rank]
-        out[lm_sel, 3] = 1.0
-
+    solved = ~skipped
+    out[solved, :3] = v[solved]
+    out[solved, 3] = 1.0
+    n_degenerate = int((skipped & (np.diff(plan.landmark_ptr) > 0)).sum())
     if n_degenerate:
         logger.warning("left %d landmarks unchanged: rank-deficient closed-form systems",
                        n_degenerate)

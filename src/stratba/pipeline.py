@@ -60,6 +60,14 @@ class RunSpec:
             raise ValueError(
                 f"unknown stage-2 solver {self.stage2_solver!r}; choose from "
                 f"{sorted(STAGE2_SOLVERS)}")
+        by_stem: dict[str, list[str]] = {}
+        for path in self.inputs:
+            by_stem.setdefault(artifact_stem(path), []).append(str(path))
+        clashes = [f"{stem!r} from {', '.join(paths)}"
+                   for stem, paths in by_stem.items() if len(paths) > 1]
+        if clashes:
+            raise ValueError("inputs would overwrite each other's artifacts: "
+                             + "; ".join(clashes))
         # delegate range checks
         self.stage1_config()
 
@@ -105,6 +113,11 @@ class RunSpec:
             "power_threshold": self.power_threshold,
             "inner_iterations": self.inner_iterations,
         }
+
+
+def artifact_stem(path: str | Path) -> str:
+    """Prefix of a run's artifact names: the input file name up to its first dot."""
+    return Path(path).name.split(".")[0]
 
 
 def write_state(state: ProjectiveState, path: str | Path) -> None:
@@ -160,8 +173,7 @@ def run_problem(path: str | Path, spec: RunSpec) -> dict:
     path = Path(path)
     out_dir = Path(spec.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    stem = path.name.split(".")[0]
-    problem_id = stem
+    stem = problem_id = artifact_stem(path)
 
     raw = load_bal(path)
     problem = prune_underobserved(raw)

@@ -38,13 +38,12 @@ from .normal_eq import (
     build_stage1_blocks,
     coupling_matrix,
     dense_schur,
-    pinv_psd,
     pose_block_matrix,
     schur_diag_blocks,
     schur_matrix,
     schur_rhs,
 )
-from .objective import STAGE1, STAGE2, PoseConfig, solve_landmarks, total_cost
+from .objective import STAGE1, STAGE2, PoseConfig, pinv_psd, solve_landmarks, total_cost
 
 logger = logging.getLogger(__name__)
 

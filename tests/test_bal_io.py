@@ -3,6 +3,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stratba.bal_io import (
     BalParseError,
@@ -67,6 +69,49 @@ def test_non_numeric_token_reports_line():
     text = "1 1 1\n0 0 1 1\n" + "\n".join(["0"] * 8) + "\nbogus\n1 2 3\n"
     with pytest.raises(BalParseError, match="line 11.*bogus"):
         parse_bal(io.StringIO(text))
+
+
+@pytest.mark.parametrize("header", [
+    "99999999999999999999999 0 0",
+    "0 0 99999999999999999999999",
+    "100000000000000 0 0",
+    "99999999999999999999999 1 1\n12345678901234567890 0 1 2",  # index beyond int64
+])
+def test_huge_header_counts_are_truncation_errors(header):
+    # the counts exceed any allocatable array; only the tokens present count
+    with pytest.raises(BalParseError, match="truncated"):
+        parse_bal(io.StringIO(header + "\n"))
+
+
+def _only_parse_errors(text):
+    try:
+        problem = parse_bal(io.StringIO(text))
+    except BalParseError:
+        return
+    assert problem.measurements.shape == (problem.num_observations, 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.text())
+def test_fuzz_arbitrary_text_raises_only_parse_errors(text):
+    _only_parse_errors(text)
+
+
+# Small counts and indices, so that generated files get past the header.
+_TOKENS = st.one_of(
+    st.integers(-2, 4).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["1e999", "-0", "nan", "1_0", "0x1", "99999999999999999999999", ""]),
+    st.text(max_size=3),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_TOKENS, max_size=40), st.lists(st.sampled_from([" ", "\n", "\t", "\r\n"]),
+                                                  min_size=1))
+def test_fuzz_token_soup_raises_only_parse_errors(tokens, separators):
+    _only_parse_errors("".join(tok + separators[i % len(separators)]
+                               for i, tok in enumerate(tokens)))
 
 
 def test_trailing_data_rejected():

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stratba.bal_io import ProjectiveState
+from stratba.bal_io import BaProblem, ProjectiveState
+from stratba.normal_eq import assemble, build_stage1_blocks
 from stratba.objective import (
     STAGE1,
     STAGE2,
@@ -331,6 +332,54 @@ def test_solve_landmarks_degenerate_left_unchanged(caplog):
         out = solve_landmarks(state, problem, PoseConfig(0.1))
     np.testing.assert_array_equal(out[0], [7.0, 8.0, 9.0, 1.0])
     assert any("rank-deficient" in r.message for r in caplog.records)
+
+
+def test_solve_landmarks_matches_per_landmark_lstsq(caplog):
+    # tracks of 2-6 views over unsorted observations; landmark 10 is unobserved,
+    # landmark 11 is seen only by two cameras whose first column is scaled by
+    # 1e-7, an eigenvalue ratio near 3e-15 in its normal equations
+    rng = np.random.default_rng(41)
+    cameras = rng.standard_normal((8, 3, 4))
+    cameras[6:, :, 0] *= 1e-7
+    cam_idx, lm_idx = [], []
+    for j in range(10):
+        views = rng.choice(6, size=2 + j % 5, replace=False)
+        cam_idx += views.tolist()
+        lm_idx += [j] * len(views)
+    cam_idx += [6, 7]
+    lm_idx += [11, 11]
+    order = rng.permutation(len(cam_idx))
+    problem = BaProblem(8, 12, len(cam_idx), np.array(cam_idx)[order],
+                        np.array(lm_idx)[order], 2.0 * rng.standard_normal((len(cam_idx), 2)))
+    start = np.concatenate([rng.standard_normal((12, 3)), np.ones((12, 1))], axis=1)
+    start[10, 3] = start[11, 3] = 2.5  # left alone, so the scale must survive
+    state = ProjectiveState(cameras, start)
+    cfg = PoseConfig(0.3)
+    with caplog.at_level("WARNING"):
+        out = solve_landmarks(state, problem, cfg)
+
+    warnings = [r.getMessage() for r in caplog.records if "rank-deficient" in r.getMessage()]
+    assert warnings == ["left 1 landmarks unchanged: rank-deficient closed-form systems"]
+    np.testing.assert_array_equal(out[10:], start[10:])
+    origin = np.array([0.0, 0.0, 0.0, 1.0])
+    for j in range(10):
+        rows_a, rows_c = [], []
+        for k in np.nonzero(problem.landmark_indices == j)[0]:
+            cam = cameras[problem.camera_indices[k]]
+            m = problem.measurements[k]
+            rows_a.append(pose_jacobians(cam, start[j], m, cfg)[1])
+            rows_c.append(pose_residual(cam, origin, m, cfg))
+        expected = np.linalg.lstsq(np.vstack(rows_a), -np.concatenate(rows_c), rcond=None)[0]
+        np.testing.assert_allclose(out[j, :3], expected, rtol=0, atol=1e-12 * max(
+            1.0, np.abs(expected).max()))
+        assert out[j, 3] == 1.0
+
+    # a stage-1 linearization at the re-solved point is stationary in every
+    # solved landmark and flags exactly the skipped ones as degenerate
+    system = assemble(build_stage1_blocks(problem, ProjectiveState(cameras, out), cfg), 1e-4)
+    np.testing.assert_array_equal(system.v_degenerate, np.arange(12) >= 10)
+    scale = np.linalg.norm(system.hessian_v[:10], axis=(1, 2))
+    assert np.all(np.linalg.norm(system.b_l[:10], axis=1) <= 1e-12 * np.maximum(1.0, scale))
 
 
 def test_solve_landmarks_gradient_small(rng):

@@ -328,6 +328,24 @@ def test_cli_jobs_fan_out(tmp_path):
     assert (out / "ring1_trace.csv").exists()
 
 
+@pytest.mark.parametrize("names", [("a/x.txt", "b/x.txt"), ("x.v1.txt", "x.v2.txt")])
+def test_cli_refuses_colliding_artifact_stems(tmp_path, capsys, names):
+    paths = []
+    for i, name in enumerate(names):
+        p = tmp_path / name
+        p.parent.mkdir(parents=True, exist_ok=True)
+        assert main(["synth", "--cameras", "4", "--landmarks", "12", "--seed", str(i),
+                     "-o", str(p)]) == 0
+        paths.append(str(p))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    code = main(["solve", "--stage1", "--jobs", "2", "--out-dir", str(out), *paths])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "'x'" in err and all(p in err for p in paths)
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_cli_out_dir_env_override(synth_file, tmp_path, monkeypatch):
     target = tmp_path / "env_out"
     monkeypatch.setenv("STRATBA_OUT_DIR", str(target))
