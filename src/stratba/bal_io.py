@@ -16,7 +16,9 @@ import array
 import bz2
 import functools
 import gzip
+import io
 import logging
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterator
@@ -212,7 +214,64 @@ def parse_bal(stream: IO[str]) -> BaProblem:
 
     Raises :class:`BalParseError` with a line number for malformed headers,
     out-of-range indices, truncated files, and non-numeric tokens.
+    Well-formed text is converted in bulk; any other text goes through the
+    token reader, which finds the first offending token and its line.
     """
+    text = stream.read()
+    problem = _parse_bulk(text)
+    return problem if problem is not None else _parse_tokens(io.StringIO(text))
+
+
+_OBSERVATION_DTYPE = [("camera", np.int64), ("point", np.int64), ("xy", np.float64, 2)]
+
+
+def _loadtxt(text: str, dtype) -> np.ndarray:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an empty block warns; treat it as a misfit
+        return np.loadtxt(io.StringIO(text), dtype=dtype, comments=None, ndmin=1)
+
+
+def _parse_bulk(text: str) -> BaProblem | None:
+    """The problem from the canonical layout, or None for any other text.
+
+    The canonical layout is ASCII with the header on the first line and one
+    observation per line; the parameters follow in any layout. ``np.loadtxt``
+    accepts a subset of the literals Python's ``int`` and ``float`` accept
+    and reads them to the same values, so the result equals the token
+    reader's.
+    """
+    if not text.isascii():
+        return None
+    breaks = np.flatnonzero(np.frombuffer(text.encode("ascii"), dtype=np.uint8) == ord("\n"))
+    try:
+        n_cam, n_lm, n_obs = map(int, text[:breaks[0]].split())
+    except (IndexError, ValueError):
+        return None
+    if min(n_cam, n_lm, n_obs) <= 0 or len(breaks) <= n_obs:
+        return None
+    obs_end = breaks[n_obs] + 1
+    try:
+        obs = _loadtxt(text[breaks[0] + 1:obs_end], _OBSERVATION_DTYPE)
+        meta = _loadtxt(text[obs_end:], np.float64).ravel()
+    except (ValueError, UserWarning):
+        return None
+    cams, points = obs["camera"], obs["point"]
+    if (len(obs) != n_obs or len(meta) != CAMERA_FIELDS * n_cam + POINT_FIELDS * n_lm
+            or cams.min() < 0 or cams.max() >= n_cam or points.min() < 0 or points.max() >= n_lm):
+        return None
+    return BaProblem(
+        num_cameras=n_cam,
+        num_landmarks=n_lm,
+        num_observations=n_obs,
+        camera_indices=cams,
+        landmark_indices=points,
+        measurements=obs["xy"],
+        metric_cameras=meta[:CAMERA_FIELDS * n_cam].reshape(n_cam, CAMERA_FIELDS),
+        metric_points=meta[CAMERA_FIELDS * n_cam:].reshape(n_lm, POINT_FIELDS),
+    )
+
+
+def _parse_tokens(stream: IO[str]) -> BaProblem:
     rd = _TokenReader(stream)
     n_cam = rd.next_int("camera count")
     n_lm = rd.next_int("point count")
@@ -302,9 +361,9 @@ def prune_underobserved(problem: BaProblem, min_cameras: int = 2) -> BaProblem:
     seen only once yield rank-deficient closed-form systems, so they are
     removed before any solving and never re-added.
     """
-    n_distinct = np.zeros(problem.num_landmarks, dtype=np.int64)
-    pairs = np.unique(np.stack([problem.camera_indices, problem.landmark_indices], axis=1), axis=0)
-    np.add.at(n_distinct, pairs[:, 1], 1)
+    n_lm = problem.num_landmarks
+    pairs = np.unique(problem.camera_indices * n_lm + problem.landmark_indices)
+    n_distinct = np.bincount(pairs % max(n_lm, 1), minlength=n_lm)
     keep_lm = n_distinct >= min_cameras
     obs_keep = keep_lm[problem.landmark_indices]
     cam_seen = np.zeros(problem.num_cameras, dtype=bool)
@@ -346,5 +405,5 @@ def random_init(problem: BaProblem, seed: int, config=None) -> ProjectiveState:
     zero_landmarks = np.zeros((problem.num_landmarks, 4))
     zero_landmarks[:, 3] = 1.0
     state = ProjectiveState(cameras=cameras, landmarks=zero_landmarks)
-    landmarks = solve_landmarks(state, problem, config or PoseConfig())
+    landmarks = solve_landmarks(state, problem, config or PoseConfig()).landmarks
     return ProjectiveState(cameras=cameras, landmarks=landmarks)

@@ -27,9 +27,12 @@ import scipy.sparse
 from .bal_io import BaProblem, ObservationPlan, ProjectiveState
 from .objective import (
     V_PINV_TOL,
+    LandmarkSolve,
     PoseConfig,
+    block_gram,
     pinv_psd,
-    stage1_jacobians,
+    stage1_landmark_jacobian,
+    stage1_pose_jacobian,
     stage1_residuals,
     stage2_jacobians,
     stage2_residuals,
@@ -46,12 +49,18 @@ DAMPING_CLAMP = (1e-6, 1e6)
 
 @dataclass
 class JacobianRows:
-    """Per-observation Jacobian row bands in the plan's camera-major row order."""
+    """Per-observation Jacobian row bands in the plan's camera-major row order.
+
+    ``resolved`` is the landmark re-solve at these cameras when the rows were
+    linearized from it: ``lm_jac`` is then its Jacobian, and ``assemble``
+    takes V and V^+ from it too.
+    """
 
     plan: ObservationPlan
     pose_jac: np.ndarray  # (n_obs, r, d_p)
     lm_jac: np.ndarray  # (n_obs, r, d_l)
     residual: np.ndarray  # (n_obs, r)
+    resolved: LandmarkSolve | None = None
 
     @property
     def pose_width(self) -> int:
@@ -69,12 +78,18 @@ def _row_inputs(problem: BaProblem, state: ProjectiveState):
 
 
 def build_stage1_blocks(problem: BaProblem, state: ProjectiveState,
-                        config: PoseConfig | None = None) -> JacobianRows:
-    """Linearize the stage-1 objective into per-observation rows (widths 12/3)."""
+                        config: PoseConfig | None = None,
+                        resolved: LandmarkSolve | None = None) -> JacobianRows:
+    """Linearize the stage-1 objective into per-observation rows (widths 12/3).
+
+    ``resolved``, the landmark re-solve at ``state.cameras``, supplies the
+    landmark Jacobian, which depends on the cameras alone.
+    """
     eta = (config or PoseConfig()).eta
     cams, lms, meas = _row_inputs(problem, state)
-    jp, jl = stage1_jacobians(cams, lms, meas, eta)
-    return JacobianRows(problem.plan, jp, jl, stage1_residuals(cams, lms, meas, eta))
+    jl = stage1_landmark_jacobian(cams, meas, eta) if resolved is None else resolved.jacobian
+    return JacobianRows(problem.plan, stage1_pose_jacobian(lms, meas, eta), jl,
+                        stage1_residuals(cams, lms, meas, eta), resolved)
 
 
 def build_stage2_blocks(problem: BaProblem, state: ProjectiveState) -> JacobianRows:
@@ -110,7 +125,8 @@ class SchurSystem:
 
     Constructed from the undamped Hessian blocks; the damped ``u_blocks`` and
     ``v_blocks`` and the landmark-block pseudo-inverses follow from ``lam``
-    and ``damping_mode``.
+    and ``damping_mode``. In pose-only mode ``v_pinv`` may pass the
+    pseudo-inverses and degenerate mask of ``hessian_v`` when already known.
     """
 
     hessian_u: np.ndarray  # (n_p, d_p, d_p) undamped
@@ -125,18 +141,23 @@ class SchurSystem:
     v_blocks: np.ndarray = dataclasses.field(init=False)  # damped only in BOTH mode
     v_inv: np.ndarray = dataclasses.field(init=False)  # pseudo-inverses
     v_degenerate: np.ndarray = dataclasses.field(init=False)  # (n_l,) bool
+    v_pinv: dataclasses.InitVar[tuple[np.ndarray, np.ndarray] | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, v_pinv):
         if self.lam < 0:
             raise ValueError("damping must be non-negative")
         if self.damping_mode not in (POSE_ONLY, BOTH):
             raise ValueError(f"unknown damping mode {self.damping_mode!r}")
         self.u_blocks = _jacobi_damped(self.hessian_u, self.lam)
         if self.damping_mode == BOTH:
+            if v_pinv is not None:
+                raise ValueError("v_pinv is the pseudo-inverse of the undamped V")
             self.v_blocks = _jacobi_damped(self.hessian_v, self.lam)
         else:
             self.v_blocks = self.hessian_v
-        self.v_inv, self.v_degenerate = pinv_psd(self.v_blocks, V_PINV_TOL)
+        if v_pinv is None:
+            v_pinv = pinv_psd(self.v_blocks, V_PINV_TOL)
+        self.v_inv, self.v_degenerate = v_pinv
         if self.v_degenerate.any():
             logger.debug("%d landmark blocks are singular at tolerance",
                          int(self.v_degenerate.sum()))
@@ -183,7 +204,9 @@ def assemble(rows: JacobianRows, lam: float, damping_mode: str = POSE_ONLY) -> S
     """Form damped U/V/W blocks and gradients from per-observation rows.
 
     U = Jp^T Jp + lam * Dp^T Dp with Jacobi Dp (clamped); V = Jl^T Jl, plus the
-    analogous landmark damping in ``both`` mode; W = Jp^T Jl; b = J^T r.
+    analogous landmark damping in ``both`` mode; W = Jp^T Jl; b = J^T r. Rows
+    linearized from a landmark re-solve take V, and in pose-only mode V^+,
+    from it.
     """
     plan = rows.plan
     n_p, n_l = plan.num_cameras, plan.num_landmarks
@@ -200,17 +223,21 @@ def assemble(rows: JacobianRows, lam: float, damping_mode: str = POSE_ONLY) -> S
 
     lm_rows = plan.landmark_rows
     jl_by_lm = jl[lm_rows]
-    v = plan.landmark_sums(np.matmul(jl_by_lm.transpose(0, 2, 1), jl_by_lm))
+    resolved = rows.resolved
+    v_pinv = None
+    if resolved is None:
+        v = plan.landmark_sums(block_gram(jl_by_lm))
+    else:
+        v = resolved.hessian
+        if damping_mode == POSE_ONLY:
+            v_pinv = resolved.pinv, resolved.degenerate
     b_l = plan.landmark_sums(np.einsum("nri,nr->ni", jl_by_lm, res[lm_rows]))
 
     w_data = np.matmul(jp.transpose(0, 2, 1), jl)
     w = scipy.sparse.bsr_array((w_data, plan.row_landmark, plan.camera_ptr),
                                shape=(n_p * d_p, n_l * d_l))
-    wt = scipy.sparse.bsr_array(
-        (np.ascontiguousarray(w_data[lm_rows].transpose(0, 2, 1)),
-         plan.row_camera[lm_rows], plan.landmark_ptr),
-        shape=(n_l * d_l, n_p * d_p))
-    return SchurSystem(u, v, w, wt, b_p, b_l, lam, damping_mode)
+    # Transposing keeps W's block order within each landmark: cameras increasing.
+    return SchurSystem(u, v, w, w.T, b_p, b_l, lam, damping_mode, v_pinv)
 
 
 # ---------------------------------------------------------------------------

@@ -47,10 +47,6 @@ class PoseConfig:
             raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
 
 
-class ProjectionDegenerateError(ValueError):
-    """Perspective division with |z| at or below Z_EPSILON."""
-
-
 # ---------------------------------------------------------------------------
 # batched stage-1 kernels
 
@@ -86,17 +82,15 @@ def stage1_landmark_jacobian(cameras: np.ndarray, measurements: np.ndarray,
     return jl
 
 
-def stage1_jacobians(cameras: np.ndarray, landmarks: np.ndarray, measurements: np.ndarray,
-                     eta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Pose (n,4,12) and landmark (n,4,3) Jacobians for a batch of observations.
+def stage1_pose_jacobian(landmarks: np.ndarray, measurements: np.ndarray,
+                         eta: float) -> np.ndarray:
+    """Pose Jacobian (n,4,12) for a batch of observations.
 
-    The landmark Jacobian is with respect to the three free coordinates; the
-    fixed trailing 1 contributes only to the residual offset.
+    It does not depend on the camera, since the residual is linear in it.
     """
-    n = len(cameras)
     s1 = math.sqrt(1.0 - eta)
     s2 = math.sqrt(eta)
-    jp = np.zeros((n, 4, 12))
+    jp = np.zeros((len(landmarks), 4, 12))
     x = landmarks  # (n, 4)
     jp[:, 0, 0:4] = s1 * x
     jp[:, 0, 8:12] = -s1 * measurements[:, 0:1] * x
@@ -104,7 +98,7 @@ def stage1_jacobians(cameras: np.ndarray, landmarks: np.ndarray, measurements: n
     jp[:, 1, 8:12] = -s1 * measurements[:, 1:2] * x
     jp[:, 2, 0:4] = s2 * x
     jp[:, 3, 4:8] = s2 * x
-    return jp, stage1_landmark_jacobian(cameras, measurements, eta)
+    return jp
 
 
 # ---------------------------------------------------------------------------
@@ -141,45 +135,6 @@ def stage2_jacobians(cameras: np.ndarray, landmarks: np.ndarray, measurements: n
     # d u_c / d vec(P) is the landmark repeated in column band c
     jp = np.einsum("nrc,nj->nrcj", dpi, landmarks).reshape(n, 2, 12)
     return jp, jl, valid
-
-
-# ---------------------------------------------------------------------------
-# single-observation operations
-
-
-def pose_residual(camera: np.ndarray, landmark: np.ndarray, measurement: np.ndarray,
-                  config: PoseConfig) -> np.ndarray:
-    """Stage-1 residual 4-vector for one observation."""
-    return stage1_residuals(camera[None], np.asarray(landmark, dtype=float)[None],
-                            np.asarray(measurement, dtype=float)[None], config.eta)[0]
-
-
-def pose_jacobians(camera: np.ndarray, landmark: np.ndarray, measurement: np.ndarray,
-                   config: PoseConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Stage-1 Jacobians (4x12 pose, 4x3 landmark) for one observation."""
-    jp, jl = stage1_jacobians(camera[None], np.asarray(landmark, dtype=float)[None],
-                              np.asarray(measurement, dtype=float)[None], config.eta)
-    return jp[0], jl[0]
-
-
-def projective_residual(camera: np.ndarray, landmark: np.ndarray, measurement: np.ndarray
-                        ) -> np.ndarray:
-    """Stage-2 reprojection residual; raises ProjectionDegenerateError near z=0."""
-    r, valid = stage2_residuals(camera[None], np.asarray(landmark, dtype=float)[None],
-                                np.asarray(measurement, dtype=float)[None])
-    if not valid[0]:
-        raise ProjectionDegenerateError("projected depth within epsilon of zero")
-    return r[0]
-
-
-def projective_jacobians(camera: np.ndarray, landmark: np.ndarray, measurement: np.ndarray
-                         ) -> tuple[np.ndarray, np.ndarray]:
-    """Stage-2 Jacobians (2x12 pose, 2x4 landmark) for one observation."""
-    jp, jl, valid = stage2_jacobians(camera[None], np.asarray(landmark, dtype=float)[None],
-                                     np.asarray(measurement, dtype=float)[None])
-    if not valid[0]:
-        raise ProjectionDegenerateError("projected depth within epsilon of zero")
-    return jp[0], jl[0]
 
 
 def _gather(state: ProjectiveState, problem: BaProblem):
@@ -226,8 +181,32 @@ def pinv_psd(blocks: np.ndarray, rel_tol: float) -> tuple[np.ndarray, np.ndarray
     return pinv, ~ok.all(axis=1)
 
 
+def block_gram(a: np.ndarray) -> np.ndarray:
+    """A^T A for every block of a batch: (n, r, d) -> (n, d, d)."""
+    # np.matmul takes a slow strided path for a transposed view; a contiguous
+    # copy of A^T gives the same products faster.
+    return np.matmul(np.ascontiguousarray(a.transpose(0, 2, 1)), a)
+
+
+@dataclass(frozen=True)
+class LandmarkSolve:
+    """Closed-form landmarks and the landmark side of stage 1 at their cameras.
+
+    The landmark Jacobian A depends only on the cameras and measurements, so
+    at these cameras A, V = A^T A and its pseudo-inverse are also the landmark
+    blocks of the stage-1 linearization: ``build_stage1_blocks`` and
+    ``assemble`` take them from here instead of forming them again.
+    """
+
+    landmarks: np.ndarray  # (n_l, 4), last coordinate exactly 1
+    jacobian: np.ndarray  # (n_obs, 4, 3) A in the plan's camera-major row order
+    hessian: np.ndarray  # (n_l, 3, 3) A^T A, the undamped V
+    pinv: np.ndarray  # (n_l, 3, 3) pinv_psd(V, V_PINV_TOL)
+    degenerate: np.ndarray  # (n_l,) rank-deficient at V_PINV_TOL
+
+
 def solve_landmarks(state: ProjectiveState, problem: BaProblem,
-                    config: PoseConfig | None = None) -> np.ndarray:
+                    config: PoseConfig | None = None) -> LandmarkSolve:
     """Closed-form per-landmark optimum of the stage-1 cost with cameras fixed.
 
     Each landmark's stacked residual is affine in its three free coordinates,
@@ -239,18 +218,21 @@ def solve_landmarks(state: ProjectiveState, problem: BaProblem,
     trace makes the landmark rank-deficient. Such landmarks are left unchanged
     and counted in a single warning; they are exactly the landmarks whose
     update ``back_substitute`` zeroes. Unobserved landmarks are also left
-    unchanged. Returns a new (n_l, 4) array with last coordinate exactly 1.
+    unchanged. The new (n_l, 4) landmarks, with last coordinate exactly 1,
+    come back with A, A^T A and its pseudo-inverse, which the next stage-1
+    linearization at these cameras reuses.
     """
     eta = (config or PoseConfig()).eta
     out = np.array(state.landmarks, copy=True)
     plan = problem.plan
-    obs = plan.rows[plan.landmark_rows]  # landmark-major observation order
-    cams = state.cameras[problem.camera_indices[obs]]
-    meas = problem.measurements[obs]
-    a = stage1_landmark_jacobian(cams, meas, eta)  # (n, 4, 3)
-    c = stage1_residuals(cams, np.broadcast_to([0.0, 0.0, 0.0, 1.0], (len(obs), 4)), meas, eta)
-    ata_inv, skipped = pinv_psd(plan.landmark_sums(np.matmul(a.transpose(0, 2, 1), a)),
-                                V_PINV_TOL)
+    cams = state.cameras[plan.row_camera]
+    meas = problem.measurements[plan.rows]
+    jac = stage1_landmark_jacobian(cams, meas, eta)  # (n, 4, 3), camera-major
+    origin = np.broadcast_to([0.0, 0.0, 0.0, 1.0], (len(meas), 4))
+    a = jac[plan.landmark_rows]
+    c = stage1_residuals(cams, origin, meas, eta)[plan.landmark_rows]
+    ata = plan.landmark_sums(block_gram(a))
+    ata_inv, skipped = pinv_psd(ata, V_PINV_TOL)
     v = -np.einsum("nij,nj->ni", ata_inv, plan.landmark_sums(np.einsum("nri,nr->ni", a, c)))
 
     solved = ~skipped
@@ -260,4 +242,4 @@ def solve_landmarks(state: ProjectiveState, problem: BaProblem,
     if n_degenerate:
         logger.warning("left %d landmarks unchanged: rank-deficient closed-form systems",
                        n_degenerate)
-    return out
+    return LandmarkSolve(out, jac, ata, ata_inv, skipped)

@@ -274,7 +274,9 @@ def lm_minimize(problem: BaProblem, state: ProjectiveState, stage: int,
     linearizes only at a new point: after a rejected step it re-damps the
     kept system, which equals linearizing again bit for bit. In stage-1
     varpro mode accepted steps are followed by the closed-form landmark
-    re-solve, so the linearization always sits at landmark-optimal points.
+    re-solve, so the linearization always sits at landmark-optimal points;
+    the re-solve hands its landmark Jacobian, V = A^T A and V^+ to the next
+    linearization, which then forms only the pose side, residuals and W.
     Terminates on the iteration cap or when a finite trial changes the cost
     by at most the relative function tolerance (a stagnant rejected trial
     also counts: no strictly better point is being found). Every iteration
@@ -296,13 +298,16 @@ def lm_minimize(problem: BaProblem, state: ProjectiveState, stage: int,
     lam = config.initial_lambda
     bases = None
     system = None  # stage-1 linearization at the current state
+    resolved = None  # varpro: the landmark re-solve at the current cameras
 
     for it in range(1, config.max_outer_iterations + 1):
         try:
             if stage == STAGE1:
                 if system is None:
                     mode = POSE_ONLY if config.mode == VARPRO else BOTH
-                    system = assemble(build_stage1_blocks(problem, state, pose_cfg), lam, mode)
+                    system = assemble(build_stage1_blocks(problem, state, pose_cfg, resolved),
+                                      lam, mode)
+                    resolved = None  # the system now holds its V and V^+
                 else:
                     system = system.redamped(lam)
                 report = solve_reduced(system, config)
@@ -325,7 +330,8 @@ def lm_minimize(problem: BaProblem, state: ProjectiveState, stage: int,
         converged = False
         if f_trial < f:
             if stage == STAGE1 and config.mode == VARPRO:
-                trial = ProjectiveState(trial.cameras, solve_landmarks(trial, problem, pose_cfg))
+                resolved = solve_landmarks(trial, problem, pose_cfg)
+                trial = ProjectiveState(trial.cameras, resolved.landmarks)
                 f_trial = total_cost(trial, problem, stage, pose_cfg)
             state = trial
             bases = None

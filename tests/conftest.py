@@ -16,12 +16,57 @@ from stratba.objective import (
     STAGE1,
     STAGE2,
     PoseConfig,
-    pose_jacobians,
-    pose_residual,
-    projective_jacobians,
-    projective_residual,
+    stage1_landmark_jacobian,
+    stage1_pose_jacobian,
+    stage1_residuals,
+    stage2_jacobians,
+    stage2_residuals,
 )
 from stratba.riemannian import project_blocks, retract, state_tangent_bases
+
+
+# ---------------------------------------------------------------------------
+# single-observation views of the batched kernels
+
+
+class ProjectionDegenerateError(ValueError):
+    """Perspective division with |z| at or below the kernels' Z_EPSILON."""
+
+
+def _one(*arrays):
+    return [np.asarray(a, dtype=float)[None] for a in arrays]
+
+
+def pose_residual(camera, landmark, measurement, config: PoseConfig) -> np.ndarray:
+    """Stage-1 residual 4-vector for one observation."""
+    return stage1_residuals(*_one(camera, landmark, measurement), config.eta)[0]
+
+
+def pose_jacobians(camera, landmark, measurement, config: PoseConfig):
+    """Stage-1 Jacobians (4x12 pose, 4x3 landmark) for one observation."""
+    cam, lm, m = _one(camera, landmark, measurement)
+    return (stage1_pose_jacobian(lm, m, config.eta)[0],
+            stage1_landmark_jacobian(cam, m, config.eta)[0])
+
+
+def projective_residual(camera, landmark, measurement) -> np.ndarray:
+    """Stage-2 reprojection residual; raises ProjectionDegenerateError near z=0."""
+    r, valid = stage2_residuals(*_one(camera, landmark, measurement))
+    if not valid[0]:
+        raise ProjectionDegenerateError("projected depth within epsilon of zero")
+    return r[0]
+
+
+def projective_jacobians(camera, landmark, measurement):
+    """Stage-2 Jacobians (2x12 pose, 2x4 landmark) for one observation."""
+    jp, jl, valid = stage2_jacobians(*_one(camera, landmark, measurement))
+    if not valid[0]:
+        raise ProjectionDegenerateError("projected depth within epsilon of zero")
+    return jp[0], jl[0]
+
+
+# ---------------------------------------------------------------------------
+# random problems and dense oracles
 
 
 def make_random_problem(n_cameras: int, n_landmarks: int, seed: int,

@@ -36,16 +36,7 @@ from stratba.normal_eq import (
     dense_schur,
     schur_rhs,
 )
-from stratba.objective import (
-    STAGE1,
-    STAGE2,
-    PoseConfig,
-    pose_jacobians,
-    pose_residual,
-    projective_jacobians,
-    projective_residual,
-    solve_landmarks,
-)
+from stratba.objective import STAGE1, STAGE2, PoseConfig, solve_landmarks
 from stratba.riemannian import lift_stage1_to_stage2, project_blocks, state_tangent_bases
 from stratba.solvers import (
     SolverConfig,
@@ -63,6 +54,10 @@ from tests.conftest import (
     make_random_state,
     make_riemannian_system,
     make_varpro_system,
+    pose_jacobians,
+    pose_residual,
+    projective_jacobians,
+    projective_residual,
 )
 
 LADYBUG_NAMES = ("problem-49-7776-pre.txt", "problem-49-7776-pre.txt.bz2",
@@ -199,7 +194,7 @@ def test_criterion_04_landmark_elimination():
         problem = make_random_problem(6, 10, seed=seed)
         state = make_random_state(problem, seed + 60, STAGE1)
         cfg = PoseConfig(0.1)
-        lms = solve_landmarks(state, problem, cfg)
+        lms = solve_landmarks(state, problem, cfg).landmarks
         for j in range(problem.num_landmarks):
             rows_a, rows_r = [], []
             for k in range(problem.num_observations):
@@ -229,7 +224,7 @@ def test_criterion_04_landmark_elimination():
             camera_indices=np.arange(n_cams), landmark_indices=np.zeros(n_cams, dtype=int),
             measurements=meas)
         state = ProjectiveState(cameras, np.array([[0.0, 0, 0, 1]]))
-        out = solve_landmarks(state, problem, PoseConfig(rng.uniform(0, 1)))
+        out = solve_landmarks(state, problem, PoseConfig(rng.uniform(0, 1))).landmarks
         assert np.abs(out[0] - truth).max() <= 1e-10
     print("\nACCEPTANCE 4 PASS: landmark gradient <= 1e-8 relative at the closed-form "
           "solution; noise-free recovery within 1e-10")

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stratba import bal_io
 from stratba.bal_io import (
     BalParseError,
     BaProblem,
@@ -142,6 +143,36 @@ def test_round_trip_identity(rng):
     np.testing.assert_array_equal(problem.camera_indices, again.camera_indices)
 
 
+@pytest.mark.parametrize("text", [
+    # 17- and 26-digit values, signs, leading zeros, inf/nan and overflow
+    "2 2 3\n0 1 0.10000000000000000555111512 -3.0000000000000004\n+1 01 1e400 nan\n"
+    "1 0 .5 -Infinity\n" + "\n".join(f"{0.1 * i:.26g}" for i in range(24)) + "\n",
+    # the parameter block several values a line, no final newline
+    "1 2 2\n0 0 1.5 -2.0\n0 1 3 4\n" + " ".join(str(i) for i in range(15)),
+])
+def test_bulk_parse_equals_token_reader(text):
+    bulk = bal_io._parse_bulk(text)
+    assert bulk is not None
+    reference = bal_io._parse_tokens(io.StringIO(text))
+    for name in ("camera_indices", "landmark_indices", "measurements", "metric_cameras",
+                 "metric_points"):
+        got, want = getattr(bulk, name), getattr(reference, name)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("text", [
+    minimal_bal_text().replace("\n", " "),  # one line
+    "1 1 1\n0 0\n1.5 -2.0\n" + minimal_bal_text().split("\n", 2)[2],  # split observation
+    minimal_bal_text().replace("1.5", "1_5.0"),  # a literal only Python reads
+])
+def test_non_canonical_layouts_parse_through_token_reader(text):
+    assert bal_io._parse_bulk(text) is None
+    reference = bal_io._parse_tokens(io.StringIO(text))
+    np.testing.assert_array_equal(parse_bal(io.StringIO(text)).measurements,
+                                  reference.measurements)
+
+
 def test_gzip_detection(tmp_path):
     path = tmp_path / "problem.txt.gz"
     with gzip.open(path, "wt") as fh:
@@ -167,6 +198,19 @@ def test_prune_underobserved():
     np.testing.assert_array_equal(pruned.camera_indices, [0, 1])
     np.testing.assert_array_equal(pruned.metric_points, problem.metric_points[:1])
     np.testing.assert_array_equal(pruned.metric_cameras, problem.metric_cameras[:2])
+
+    # landmark 1 seen twice, both times by camera 1 -> one distinct camera, dropped
+    problem = BaProblem(
+        num_cameras=2, num_landmarks=2, num_observations=4,
+        camera_indices=np.array([0, 1, 1, 1]),
+        landmark_indices=np.array([0, 1, 0, 1]),
+        measurements=np.arange(8.0).reshape(4, 2),
+    )
+    pruned = prune_underobserved(problem)
+    assert (pruned.num_cameras, pruned.num_landmarks, pruned.num_observations) == (2, 1, 2)
+    np.testing.assert_array_equal(pruned.camera_indices, [0, 1])
+    np.testing.assert_array_equal(pruned.landmark_indices, [0, 0])
+    np.testing.assert_array_equal(pruned.measurements, problem.measurements[[0, 2]])
 
 
 def test_prune_noop_returns_same_object():

@@ -10,11 +10,13 @@ from stratba.normal_eq import (
     assemble,
     back_substitute,
     build_stage1_blocks,
+    build_stage2_blocks,
     dense_schur,
     schur_diag_blocks,
     schur_rhs,
 )
-from stratba.objective import STAGE1, PoseConfig
+from stratba.objective import STAGE1, STAGE2, PoseConfig
+from stratba.riemannian import project_blocks, state_tangent_bases
 from tests.conftest import (
     dense_damped_hessian,
     dense_jacobian,
@@ -306,6 +308,26 @@ def test_unobserved_camera_and_landmark_match_dense_oracle(mode, seed):
     np.testing.assert_array_equal(upd.reshape(-1, d_l)[[2, 6]], 0.0)
     # the unobserved camera is decoupled: its block is the clamped damping alone
     np.testing.assert_array_equal(system.u_blocks[0], lam * 1e-12 * np.eye(d_p))
+
+
+@pytest.mark.parametrize("stage", [STAGE1, STAGE2])
+def test_wt_equals_gathered_transposed_blocks(stage):
+    problem = problem_with_unobserved(2)
+    state = make_random_state(problem, 80, stage)
+    if stage == STAGE1:
+        rows = build_stage1_blocks(problem, state, PoseConfig(0.1))
+    else:
+        rows = project_blocks(build_stage2_blocks(problem, state), state_tangent_bases(state))
+    system = assemble(rows, 0.1, BOTH)
+    # reference: W's blocks gathered landmark-major and transposed one by one
+    plan, w = problem.plan, system.w
+    lm_rows = plan.landmark_rows
+    ref_data = np.ascontiguousarray(w.data[lm_rows].transpose(0, 2, 1))
+    ref_indices = plan.row_camera[lm_rows]
+    assert system.wt.shape == (w.shape[1], w.shape[0])
+    np.testing.assert_array_equal(system.wt.indptr, plan.landmark_ptr)
+    np.testing.assert_array_equal(system.wt.indices, ref_indices)
+    np.testing.assert_array_equal(system.wt.data, ref_data)
 
 
 def test_plan_built_lazily_and_cached(tmp_path):

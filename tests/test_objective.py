@@ -6,20 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stratba.bal_io import BaProblem, ProjectiveState
-from stratba.normal_eq import assemble, build_stage1_blocks
-from stratba.objective import (
-    STAGE1,
-    STAGE2,
-    PoseConfig,
+from stratba.normal_eq import BOTH, SchurSystem, assemble, build_stage1_blocks
+from stratba.objective import STAGE1, STAGE2, PoseConfig, solve_landmarks, total_cost
+from tests.conftest import (
     ProjectionDegenerateError,
+    central_difference_jacobian,
+    make_random_problem,
+    make_random_state,
     pose_jacobians,
     pose_residual,
     projective_jacobians,
     projective_residual,
-    solve_landmarks,
-    total_cost,
 )
-from tests.conftest import central_difference_jacobian, make_random_problem, make_random_state
 
 
 def test_pose_config_range():
@@ -287,7 +285,7 @@ def test_solve_landmarks_recovers_ground_truth(rng):
             camera_indices=np.arange(n_cams), landmark_indices=np.zeros(n_cams, dtype=int),
             measurements=meas)
         state = ProjectiveState(cameras, np.array([[0.0, 0, 0, 1]]))
-        out = solve_landmarks(state, problem, PoseConfig(rng.uniform(0, 1)))
+        out = solve_landmarks(state, problem, PoseConfig(rng.uniform(0, 1))).landmarks
         np.testing.assert_allclose(out[0], truth, atol=1e-10)
 
 
@@ -300,7 +298,7 @@ def test_solve_landmarks_zero_rhs_gives_origin(rng):
         camera_indices=np.arange(3), landmark_indices=np.zeros(3, dtype=int),
         measurements=np.zeros((3, 2)))
     state = ProjectiveState(cameras, np.array([[5.0, 5, 5, 1]]))
-    out = solve_landmarks(state, problem, PoseConfig(0.1))
+    out = solve_landmarks(state, problem, PoseConfig(0.1)).landmarks
     np.testing.assert_allclose(out[0], [0, 0, 0, 1], atol=1e-12)
 
 
@@ -308,7 +306,7 @@ def test_solve_landmarks_is_optimal_under_perturbation(rng):
     problem = make_random_problem(4, 5, seed=8)
     state = make_random_state(problem, 9, STAGE1)
     cfg = PoseConfig(0.1)
-    solved = ProjectiveState(state.cameras, solve_landmarks(state, problem, cfg))
+    solved = ProjectiveState(state.cameras, solve_landmarks(state, problem, cfg).landmarks)
     base = total_cost(solved, problem, STAGE1, cfg)
     assert base <= total_cost(state, problem, STAGE1, cfg)
     for _ in range(20):
@@ -329,15 +327,15 @@ def test_solve_landmarks_degenerate_left_unchanged(caplog):
         measurements=np.ones((2, 2)))
     state = ProjectiveState(cameras, np.array([[7.0, 8.0, 9.0, 1.0]]))
     with caplog.at_level("WARNING"):
-        out = solve_landmarks(state, problem, PoseConfig(0.1))
+        out = solve_landmarks(state, problem, PoseConfig(0.1)).landmarks
     np.testing.assert_array_equal(out[0], [7.0, 8.0, 9.0, 1.0])
     assert any("rank-deficient" in r.message for r in caplog.records)
 
 
-def test_solve_landmarks_matches_per_landmark_lstsq(caplog):
-    # tracks of 2-6 views over unsorted observations; landmark 10 is unobserved,
-    # landmark 11 is seen only by two cameras whose first column is scaled by
-    # 1e-7, an eigenvalue ratio near 3e-15 in its normal equations
+def mixed_track_problem():
+    """Tracks of 2-6 views over unsorted observations; landmark 10 is unobserved,
+    landmark 11 is seen only by two cameras whose first column is scaled by
+    1e-7, an eigenvalue ratio near 3e-15 in its normal equations."""
     rng = np.random.default_rng(41)
     cameras = rng.standard_normal((8, 3, 4))
     cameras[6:, :, 0] *= 1e-7
@@ -353,10 +351,15 @@ def test_solve_landmarks_matches_per_landmark_lstsq(caplog):
                         np.array(lm_idx)[order], 2.0 * rng.standard_normal((len(cam_idx), 2)))
     start = np.concatenate([rng.standard_normal((12, 3)), np.ones((12, 1))], axis=1)
     start[10, 3] = start[11, 3] = 2.5  # left alone, so the scale must survive
-    state = ProjectiveState(cameras, start)
+    return problem, ProjectiveState(cameras, start)
+
+
+def test_solve_landmarks_matches_per_landmark_lstsq(caplog):
+    problem, state = mixed_track_problem()
+    cameras, start = state.cameras, state.landmarks
     cfg = PoseConfig(0.3)
     with caplog.at_level("WARNING"):
-        out = solve_landmarks(state, problem, cfg)
+        out = solve_landmarks(state, problem, cfg).landmarks
 
     warnings = [r.getMessage() for r in caplog.records if "rank-deficient" in r.getMessage()]
     assert warnings == ["left 1 landmarks unchanged: rank-deficient closed-form systems"]
@@ -382,11 +385,38 @@ def test_solve_landmarks_matches_per_landmark_lstsq(caplog):
     assert np.all(np.linalg.norm(system.b_l[:10], axis=1) <= 1e-12 * np.maximum(1.0, scale))
 
 
+@pytest.mark.parametrize("lam", [1e-4, 0.37])
+def test_linearization_from_resolve_equals_fresh(lam):
+    # the re-solve's landmark Jacobian, V and V^+ stand in for the ones a
+    # fresh linearization at the re-solved point forms, bit for bit
+    problem, state = mixed_track_problem()
+    cfg = PoseConfig(0.3)
+    resolved = solve_landmarks(state, problem, cfg)
+    at = ProjectiveState(state.cameras, resolved.landmarks)
+    rows = build_stage1_blocks(problem, at, cfg, resolved)
+    fresh_rows = build_stage1_blocks(problem, at, cfg)
+    np.testing.assert_array_equal(rows.lm_jac, fresh_rows.lm_jac)
+    reused, fresh = assemble(rows, lam), assemble(fresh_rows, lam)
+    # the unobserved and the rank-deficient landmark are both covered
+    np.testing.assert_array_equal(reused.v_degenerate, np.arange(12) >= 10)
+    for got, want in ((reused, fresh), (assemble(rows, 1e-4).redamped(lam), fresh)):
+        for name in ("u_blocks", "v_blocks", "v_inv", "v_degenerate", "b_p", "b_l"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+        for m in ("w", "wt"):
+            for part in ("indptr", "indices", "data"):
+                np.testing.assert_array_equal(getattr(getattr(got, m), part),
+                                              getattr(getattr(want, m), part))
+    # a damped V has no use for the undamped V's pseudo-inverse
+    with pytest.raises(ValueError, match="undamped"):
+        SchurSystem(fresh.hessian_u, fresh.hessian_v, fresh.w, fresh.wt, fresh.b_p, fresh.b_l,
+                    lam, BOTH, (resolved.pinv, resolved.degenerate))
+
+
 def test_solve_landmarks_gradient_small(rng):
     problem = make_random_problem(6, 10, seed=21)
     state = make_random_state(problem, 22, STAGE1)
     cfg = PoseConfig(0.1)
-    lms = solve_landmarks(state, problem, cfg)
+    lms = solve_landmarks(state, problem, cfg).landmarks
     # analytic per-landmark gradient 2 A^T (A v + c), assembled independently
     for j in range(problem.num_landmarks):
         rows_a, rows_c = [], []

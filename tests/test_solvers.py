@@ -313,6 +313,8 @@ def test_lm_bit_reproducible():
                                  SolverConfig(inner_solver="direct")])
 def test_lm_linearizes_only_at_new_points(monkeypatch, cfg):
     # a rejected step re-damps the kept system instead of linearizing again
+    import stratba.normal_eq as normal_eq_mod
+    import stratba.objective as objective_mod
     import stratba.solvers as solvers_mod
 
     calls = []
@@ -322,9 +324,18 @@ def test_lm_linearizes_only_at_new_points(monkeypatch, cfg):
         calls.append(1)
         return real(*args, **kwargs)
 
+    pinv_calls = []
+    real_pinv = objective_mod.pinv_psd
+
+    def counting_pinv(*args, **kwargs):
+        pinv_calls.append(1)
+        return real_pinv(*args, **kwargs)
+
     problem = make_random_problem(4, 20, seed=9)
     state = random_init(problem, 4)
     monkeypatch.setattr(solvers_mod, "build_stage1_blocks", counting)
+    for mod in (objective_mod, normal_eq_mod, solvers_mod):
+        monkeypatch.setattr(mod, "pinv_psd", counting_pinv)
     _, trace = lm_minimize(problem, state, STAGE1, cfg)
     costs = [r.cost for r in trace.records]
     accepted = [b < a for a, b in zip(costs, costs[1:])]
@@ -332,6 +343,13 @@ def test_lm_linearizes_only_at_new_points(monkeypatch, cfg):
     # one linearization at the start, one after every accepted step that
     # is followed by another iteration
     assert len(calls) == 1 + sum(accepted[:-1])
+    if cfg.mode == "varpro":
+        # V^+ of the first linearization, then one per landmark re-solve,
+        # which hands it to the next linearization
+        assert len(pinv_calls) == 1 + sum(accepted)
+    else:
+        # the damped V of every iteration, fresh or re-damped
+        assert len(pinv_calls) == len(accepted)
 
 
 def test_lm_stage2_rejects_infinite_trials():
