@@ -7,12 +7,13 @@ import logging
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from operator import attrgetter
 from pathlib import Path
 
-from .bal_io import BalParseError
+from .bal_io import BalParseError, write_bal
 from .evaluation import performance_profile, read_trace_csv, write_profile_csv
-from .pipeline import RunSpec, run_problem
-from .solvers import NumericFailureError
+from .pipeline import SOLVER_SETTINGS, RunSpec, run_problem, solver_config
+from .solvers import NumericFailureError, SolverConfig
 from .synth import make_ring_problem
 
 EXIT_OK = 0
@@ -43,13 +44,10 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--stage2-solver", default="ripoba",
                        help="stage-2 solver: ripoba | ripcg")
     solve.add_argument("--seed", type=int, default=0)
-    solve.add_argument("--eta", type=float, default=0.1)
-    solve.add_argument("--lambda0", type=float, default=1e-4)
-    solve.add_argument("--max-iterations", type=int, default=50)
-    solve.add_argument("--ftol", type=float, default=1e-6)
-    solve.add_argument("--power-order", type=int, default=20)
-    solve.add_argument("--power-threshold", type=float, default=0.01)
-    solve.add_argument("--inner-iterations", type=int, default=500)
+    defaults = SolverConfig()
+    for key, flag, attr in SOLVER_SETTINGS:
+        default = attrgetter(attr)(defaults)
+        solve.add_argument(flag, dest=key, type=type(default), default=default)
     solve.add_argument("--out-dir", default=None,
                        help="artifact directory (default: $STRATBA_OUT_DIR or .)")
     solve.add_argument("--jobs", type=int, default=1,
@@ -75,22 +73,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_solve(args) -> int:
     out_dir = args.out_dir or os.environ.get("STRATBA_OUT_DIR", ".")
-    spec = RunSpec(
-        inputs=args.inputs,
-        seed=args.seed,
-        stage=args.stage,
-        stage1_solver=args.solver,
-        stage2_solver=args.stage2_solver,
-        eta=args.eta,
-        initial_lambda=args.lambda0,
-        max_iterations=args.max_iterations,
-        function_tolerance=args.ftol,
-        power_order=args.power_order,
-        power_threshold=args.power_threshold,
-        inner_iterations=args.inner_iterations,
-        out_dir=out_dir,
-    )
     try:
+        spec = RunSpec(
+            inputs=args.inputs,
+            seed=args.seed,
+            stage=args.stage,
+            stage1_solver=args.solver,
+            stage2_solver=args.stage2_solver,
+            solver=solver_config(**{key: getattr(args, key) for key, _, _ in SOLVER_SETTINGS}),
+            out_dir=out_dir,
+        )
         spec.validate()
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -147,8 +139,6 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    from .bal_io import write_bal
-
     try:
         problem = make_ring_problem(args.cameras, args.landmarks, args.noise, args.seed)
     except ValueError as exc:

@@ -13,6 +13,7 @@ Problems no solver reaches stay in the denominator and credit nobody.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 from dataclasses import dataclass
@@ -156,28 +157,24 @@ def _fmt(x: float) -> str:
 
 
 def _open_sink(sink, mode: str):
+    """A file opened from a path and closed on exit, or a caller's handle left open."""
     if isinstance(sink, (str, Path)):
-        return open(sink, mode, newline=""), True
-    return sink, False
+        return open(sink, mode, newline="")
+    return contextlib.nullcontext(sink)
 
 
 def write_trace_csv(traces: Iterable[ConvergenceTrace], sink: str | Path | IO[str]) -> None:
-    fh, owned = _open_sink(sink, "w")
-    try:
+    with _open_sink(sink, "w") as fh:
         w = csv.writer(fh)
         w.writerow(TRACE_HEADER)
         for t in traces:
             for rec in t.records:
                 w.writerow([t.problem_id, t.solver_id, t.stage, rec.iteration,
                             _fmt(rec.cost), _fmt(rec.elapsed_seconds)])
-    finally:
-        if owned:
-            fh.close()
 
 
 def read_trace_csv(source: str | Path | IO[str]) -> list[ConvergenceTrace]:
-    fh, owned = _open_sink(source, "r")
-    try:
+    with _open_sink(source, "r") as fh:
         rd = csv.reader(fh)
         header = next(rd, None)
         if header != TRACE_HEADER:
@@ -194,27 +191,19 @@ def read_trace_csv(source: str | Path | IO[str]) -> list[ConvergenceTrace]:
             ConvergenceTrace(solver, problem, stage, recs, recs[0].cost)
             for (problem, solver, stage), recs in grouped.items()
         ]
-    finally:
-        if owned:
-            fh.close()
 
 
 def write_profile_csv(profiles: Iterable[ProfileResult], sink: str | Path | IO[str]) -> None:
-    fh, owned = _open_sink(sink, "w")
-    try:
+    with _open_sink(sink, "w") as fh:
         w = csv.writer(fh)
         w.writerow(PROFILE_HEADER)
         for p in profiles:
             for alpha, pct in p.curve:
                 w.writerow([_fmt(p.tau), p.solver_id, _fmt(alpha), _fmt(pct)])
-    finally:
-        if owned:
-            fh.close()
 
 
 def read_profile_csv(source: str | Path | IO[str]) -> list[ProfileResult]:
-    fh, owned = _open_sink(source, "r")
-    try:
+    with _open_sink(source, "r") as fh:
         rd = csv.reader(fh)
         header = next(rd, None)
         if header != PROFILE_HEADER:
@@ -226,6 +215,3 @@ def read_profile_csv(source: str | Path | IO[str]) -> list[ProfileResult]:
             tau, solver, alpha, pct = row
             grouped.setdefault((float(tau), solver), []).append((float(alpha), float(pct)))
         return [ProfileResult(tau, solver, curve) for (tau, solver), curve in grouped.items()]
-    finally:
-        if owned:
-            fh.close()

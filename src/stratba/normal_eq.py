@@ -78,14 +78,14 @@ def _row_inputs(problem: BaProblem, state: ProjectiveState):
 
 
 def build_stage1_blocks(problem: BaProblem, state: ProjectiveState,
-                        config: PoseConfig | None = None,
+                        config: PoseConfig = PoseConfig(),
                         resolved: LandmarkSolve | None = None) -> JacobianRows:
     """Linearize the stage-1 objective into per-observation rows (widths 12/3).
 
     ``resolved``, the landmark re-solve at ``state.cameras``, supplies the
     landmark Jacobian, which depends on the cameras alone.
     """
-    eta = (config or PoseConfig()).eta
+    eta = config.eta
     cams, lms, meas = _row_inputs(problem, state)
     jl = stage1_landmark_jacobian(cams, meas, eta) if resolved is None else resolved.jacobian
     return JacobianRows(problem.plan, stage1_pose_jacobian(lms, meas, eta), jl,

@@ -144,7 +144,7 @@ def _gather(state: ProjectiveState, problem: BaProblem):
 
 
 def total_cost(state: ProjectiveState, problem: BaProblem, stage: int,
-               config: PoseConfig | None = None) -> float:
+               config: PoseConfig = PoseConfig()) -> float:
     """Sum of squared residual norms over all observations.
 
     Stage-2 cost is +inf when any observation is degenerate. Summation is
@@ -153,7 +153,7 @@ def total_cost(state: ProjectiveState, problem: BaProblem, stage: int,
     """
     cams, lms = _gather(state, problem)
     if stage == STAGE1:
-        r = stage1_residuals(cams, lms, problem.measurements, (config or PoseConfig()).eta)
+        r = stage1_residuals(cams, lms, problem.measurements, config.eta)
     elif stage == STAGE2:
         r, valid = stage2_residuals(cams, lms, problem.measurements)
         if not valid.all():
@@ -206,7 +206,7 @@ class LandmarkSolve:
 
 
 def solve_landmarks(state: ProjectiveState, problem: BaProblem,
-                    config: PoseConfig | None = None) -> LandmarkSolve:
+                    config: PoseConfig = PoseConfig()) -> LandmarkSolve:
     """Closed-form per-landmark optimum of the stage-1 cost with cameras fixed.
 
     Each landmark's stacked residual is affine in its three free coordinates,
@@ -222,7 +222,7 @@ def solve_landmarks(state: ProjectiveState, problem: BaProblem,
     come back with A, A^T A and its pseudo-inverse, which the next stage-1
     linearization at these cameras reuses.
     """
-    eta = (config or PoseConfig()).eta
+    eta = config.eta
     out = np.array(state.landmarks, copy=True)
     plan = problem.plan
     cams = state.cameras[plan.row_camera]

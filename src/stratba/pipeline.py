@@ -5,7 +5,8 @@ from __future__ import annotations
 import json
 import logging
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -15,38 +16,53 @@ from .evaluation import ConvergenceTrace, TraceRecord, write_trace_csv
 from .metric_upgrade import upgrade
 from .objective import STAGE1, STAGE2, PoseConfig, total_cost
 from .riemannian import lift_stage1_to_stage2
-from .solvers import JOINT, VARPRO, NumericFailureError, SolverConfig, lm_minimize
+from .solvers import (
+    JOINT,
+    STAGE1_SOLVERS,
+    STAGE2_SOLVERS,
+    NumericFailureError,
+    SolverConfig,
+    lm_minimize,
+)
 
 logger = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
 
-STAGE1_SOLVERS = {
-    "povar": (VARPRO, "power"),
-    "poba": (JOINT, "power"),
-    "iterative": (VARPRO, "pcg"),
-    "direct": (VARPRO, "direct"),
-}
-STAGE2_SOLVERS = {"ripoba": "power", "ripcg": "pcg"}
 STAGES = ("stage1", "stage2", "full", "metric")
+
+# The solver settings a run exposes, in summary order: summary key, command-line
+# flag, and the SolverConfig attribute that holds the value and its default.
+SOLVER_SETTINGS = (
+    ("eta", "--eta", "pose.eta"),
+    ("initial_lambda", "--lambda0", "initial_lambda"),
+    ("max_iterations", "--max-iterations", "max_outer_iterations"),
+    ("function_tolerance", "--ftol", "function_tolerance"),
+    ("power_order", "--power-order", "max_power_order"),
+    ("power_threshold", "--power-threshold", "power_threshold"),
+    ("inner_iterations", "--inner-iterations", "max_inner_iterations"),
+)
+
+
+def solver_config(**settings) -> SolverConfig:
+    """A SolverConfig from settings named by their summary keys; the rest keep
+    their defaults. Out-of-range values raise ValueError."""
+    kwargs = {attr: settings[key] for key, _, attr in SOLVER_SETTINGS if key in settings}
+    if "pose.eta" in kwargs:
+        kwargs["pose"] = PoseConfig(eta=kwargs.pop("pose.eta"))
+    return SolverConfig(**kwargs)
 
 
 @dataclass
 class RunSpec:
-    """One solve invocation: inputs, stage selection, solver names, overrides."""
+    """One solve invocation: inputs, stage selection, solver names, solver settings."""
 
     inputs: list[str]
     seed: int = 0
     stage: str = "full"
     stage1_solver: str = "povar"
     stage2_solver: str = "ripoba"
-    eta: float = 0.1
-    initial_lambda: float = 1e-4
-    max_iterations: int = 50
-    function_tolerance: float = 1e-6
-    power_order: int = 20
-    power_threshold: float = 0.01
-    inner_iterations: int = 500
+    solver: SolverConfig = field(default_factory=SolverConfig)
     out_dir: str = "."
 
     def validate(self) -> None:
@@ -68,36 +84,13 @@ class RunSpec:
         if clashes:
             raise ValueError("inputs would overwrite each other's artifacts: "
                              + "; ".join(clashes))
-        # delegate range checks
-        self.stage1_config()
 
     def stage1_config(self) -> SolverConfig:
         mode, inner = STAGE1_SOLVERS[self.stage1_solver]
-        return SolverConfig(
-            max_outer_iterations=self.max_iterations,
-            function_tolerance=self.function_tolerance,
-            initial_lambda=self.initial_lambda,
-            max_power_order=self.power_order,
-            power_threshold=self.power_threshold,
-            max_inner_iterations=self.inner_iterations,
-            inner_solver=inner,
-            mode=mode,
-            pose=PoseConfig(eta=self.eta),
-        )
+        return replace(self.solver, mode=mode, inner_solver=inner)
 
     def stage2_config(self) -> SolverConfig:
-        inner = STAGE2_SOLVERS[self.stage2_solver]
-        return SolverConfig(
-            max_outer_iterations=self.max_iterations,
-            function_tolerance=self.function_tolerance,
-            initial_lambda=self.initial_lambda,
-            max_power_order=self.power_order,
-            power_threshold=self.power_threshold,
-            max_inner_iterations=self.inner_iterations,
-            inner_solver=inner,
-            mode=JOINT,
-            pose=PoseConfig(eta=self.eta),
-        )
+        return replace(self.solver, mode=JOINT, inner_solver=STAGE2_SOLVERS[self.stage2_solver])
 
     def config_echo(self) -> dict:
         return {
@@ -105,13 +98,7 @@ class RunSpec:
             "stage": self.stage,
             "stage1_solver": self.stage1_solver,
             "stage2_solver": self.stage2_solver,
-            "eta": self.eta,
-            "initial_lambda": self.initial_lambda,
-            "max_iterations": self.max_iterations,
-            "function_tolerance": self.function_tolerance,
-            "power_order": self.power_order,
-            "power_threshold": self.power_threshold,
-            "inner_iterations": self.inner_iterations,
+            **{key: attrgetter(attr)(self.solver) for key, _, attr in SOLVER_SETTINGS},
         }
 
 
@@ -189,7 +176,7 @@ def run_problem(path: str | Path, spec: RunSpec) -> dict:
         "stages": {},
     }
     traces: list[ConvergenceTrace] = []
-    state = random_init(problem, spec.seed, PoseConfig(eta=spec.eta))
+    state = random_init(problem, spec.seed, spec.solver.pose)
     failure: NumericFailureError | None = None
 
     try:

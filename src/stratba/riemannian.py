@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bal_io import ProjectiveState
-from .normal_eq import BOTH, JacobianRows, assemble, build_stage2_blocks
+from .normal_eq import BOTH, JacobianRows, SchurSystem, assemble, build_stage2_blocks
 
 _UNIT_TOL = 1e-9
 
@@ -103,25 +103,19 @@ def apply_tangent_step(state: ProjectiveState, bases: TangentBasis, report) -> P
     dl = report.landmark_update.reshape(-1, 3)
     cams = state.cameras.reshape(n_p, 12) + np.einsum("nij,nj->ni", bases.camera_bases, dp)
     lms = state.landmarks + np.einsum("nij,nj->ni", bases.landmark_bases, dl)
-    cam_norms = np.linalg.norm(cams, axis=1)
-    lm_norms = np.linalg.norm(lms, axis=1)
-    if (cam_norms == 0).any() or (lm_norms == 0).any():
+    try:
+        return retract(ProjectiveState(cams.reshape(state.cameras.shape), lms))
+    except ValueError:
         return None
-    return ProjectiveState((cams / cam_norms[:, None]).reshape(state.cameras.shape),
-                           lms / lm_norms[:, None])
 
 
-def riemannian_step(problem, state: ProjectiveState, config, lam: float | None = None,
-                    bases: TangentBasis | None = None):
-    """One tangent-space reduced solve at the given damping (defaults to the
-    configured starting value). Returns the inner solver's StepReport with
-    tangent-dimension updates (11 per camera, 3 per landmark)."""
-    from .solvers import solve_reduced
+def riemannian_step(problem, state: ProjectiveState, lam: float,
+                    bases: TangentBasis) -> SchurSystem:
+    """The stage-2 linearization at ``state``: the damped tangent-space system.
 
-    if lam is None:
-        lam = config.initial_lambda
-    if bases is None:
-        bases = state_tangent_bases(state)
-    raw = build_stage2_blocks(problem, state)
-    system = assemble(project_blocks(raw, bases), lam, BOTH)
-    return solve_reduced(system, config)
+    The projective Jacobian rows are projected onto ``bases`` and both
+    parameter groups are damped, so an inner solve of the result gives
+    tangent-coordinate updates (11 per camera, 3 per landmark) for
+    :func:`apply_tangent_step`.
+    """
+    return assemble(project_blocks(build_stage2_blocks(problem, state), bases), lam, BOTH)

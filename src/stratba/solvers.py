@@ -44,6 +44,7 @@ from .normal_eq import (
     schur_rhs,
 )
 from .objective import STAGE1, STAGE2, PoseConfig, pinv_psd, solve_landmarks, total_cost
+from .riemannian import apply_tangent_step, riemannian_step, state_tangent_bases
 
 logger = logging.getLogger(__name__)
 
@@ -51,6 +52,24 @@ VARPRO = "varpro"
 JOINT = "joint"
 
 _DENSE_DIRECT_LIMIT = 6000
+
+# Damping update of the outer loop: halved after an accepted step, quadrupled
+# after a rejected one, and clamped to [LAMBDA_MIN, LAMBDA_MAX].
+LAMBDA_DECREASE = 0.5
+LAMBDA_INCREASE = 4.0
+LAMBDA_MIN = 1e-12
+LAMBDA_MAX = 1e8
+
+# Conventional solver names, used in traces and on the command line, and the
+# settings each selects: (mode, inner solver) in stage 1, the inner solver in
+# stage 2.
+STAGE1_SOLVERS = {
+    "povar": (VARPRO, "power"),
+    "poba": (JOINT, "power"),
+    "iterative": (VARPRO, "pcg"),
+    "direct": (VARPRO, "direct"),
+}
+STAGE2_SOLVERS = {"ripoba": "power", "ripcg": "pcg"}
 
 
 class NumericFailureError(RuntimeError):
@@ -73,10 +92,6 @@ class SolverConfig:
     inner_solver: str = "power"  # power | pcg | direct
     mode: str = VARPRO  # varpro | joint
     pcg_tolerance: float = 1e-6
-    lambda_increase: float = 4.0
-    lambda_decrease: float = 0.5
-    lambda_min: float = 1e-12
-    lambda_max: float = 1e8
     pose: PoseConfig = field(default_factory=PoseConfig)
 
     def __post_init__(self):
@@ -85,8 +100,7 @@ class SolverConfig:
         if self.mode not in (VARPRO, JOINT):
             raise ValueError(f"unknown mode {self.mode!r}")
         for name in ("max_outer_iterations", "function_tolerance", "initial_lambda",
-                     "max_inner_iterations", "pcg_tolerance", "lambda_increase",
-                     "lambda_decrease", "lambda_min", "lambda_max"):
+                     "max_inner_iterations", "pcg_tolerance"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.max_power_order < 0 or self.power_threshold < 0:
@@ -243,108 +257,124 @@ def spectral_check(system: SchurSystem) -> float:
 
 
 def solver_label(stage: int, config: SolverConfig) -> str:
-    """Conventional solver names used in traces and on the command line."""
+    """The conventional name of a stage's solver: the inverse of the name tables."""
     if stage == STAGE1:
-        return {
-            (VARPRO, "power"): "povar",
-            (JOINT, "power"): "poba",
-            (VARPRO, "pcg"): "iterative",
-            (VARPRO, "direct"): "direct",
-        }.get((config.mode, config.inner_solver), f"{config.mode}-{config.inner_solver}")
-    return {"power": "ripoba", "pcg": "ripcg"}.get(
-        config.inner_solver, f"riemannian-{config.inner_solver}")
+        names, key, fallback = STAGE1_SOLVERS, (config.mode, config.inner_solver), config.mode
+    else:
+        names, key, fallback = STAGE2_SOLVERS, config.inner_solver, "riemannian"
+    return next((n for n, v in names.items() if v == key), f"{fallback}-{config.inner_solver}")
 
 
-def _stage1_trial(state: ProjectiveState, report: StepReport) -> ProjectiveState:
-    cams = state.cameras + report.pose_update.reshape(state.cameras.shape)
-    lms = np.array(state.landmarks, copy=True)
-    lms[:, :3] += report.landmark_update.reshape(-1, 3)
-    return ProjectiveState(cams, lms)
+class _Stage1:
+    """Stage 1: the pOSE blend; varpro mode re-solves landmarks after each accepted step."""
+
+    def __init__(self, problem: BaProblem, config: SolverConfig):
+        self.problem = problem
+        self.pose = config.pose
+        self.varpro = config.mode == VARPRO
+        self.resolved = None  # varpro: the landmark re-solve at the current cameras
+
+    def cost(self, state: ProjectiveState) -> float:
+        return total_cost(state, self.problem, STAGE1, self.pose)
+
+    def linearize(self, state: ProjectiveState, lam: float) -> SchurSystem:
+        rows = build_stage1_blocks(self.problem, state, self.pose, self.resolved)
+        self.resolved = None  # the system now holds its V and V^+
+        return assemble(rows, lam, POSE_ONLY if self.varpro else BOTH)
+
+    def trial(self, state: ProjectiveState, report: StepReport) -> ProjectiveState:
+        cams = state.cameras + report.pose_update.reshape(state.cameras.shape)
+        lms = np.array(state.landmarks, copy=True)
+        lms[:, :3] += report.landmark_update.reshape(-1, 3)
+        return ProjectiveState(cams, lms)
+
+    def on_accept(self, trial: ProjectiveState) -> ProjectiveState:
+        if not self.varpro:
+            return trial
+        self.resolved = solve_landmarks(trial, self.problem, self.pose)
+        return ProjectiveState(trial.cameras, self.resolved.landmarks)
+
+
+class _Stage2:
+    """Stage 2: the projective cost on the product of unit spheres (tangent steps, retraction)."""
+
+    def __init__(self, problem: BaProblem, config: SolverConfig):
+        self.problem = problem
+        self.bases = None  # tangent bases at the current linearization point
+
+    def cost(self, state: ProjectiveState) -> float:
+        return total_cost(state, self.problem, STAGE2)
+
+    def linearize(self, state: ProjectiveState, lam: float) -> SchurSystem:
+        self.bases = state_tangent_bases(state)
+        return riemannian_step(self.problem, state, lam, self.bases)
+
+    def trial(self, state: ProjectiveState, report: StepReport) -> ProjectiveState | None:
+        return apply_tangent_step(state, self.bases, report)
+
+    def on_accept(self, trial: ProjectiveState) -> ProjectiveState:
+        return trial
+
+
+_STAGES = {STAGE1: _Stage1, STAGE2: _Stage2}
 
 
 def lm_minimize(problem: BaProblem, state: ProjectiveState, stage: int,
-                config: SolverConfig, trace_sink=None, *, solver_id: str | None = None,
-                problem_id: str = "") -> tuple[ProjectiveState, ConvergenceTrace]:
-    """Damped least-squares outer loop for either stage.
+                config: SolverConfig, trace_sink=None, *, problem_id: str = ""
+                ) -> tuple[ProjectiveState, ConvergenceTrace]:
+    """Damped least-squares outer loop, the same for both stages.
 
-    Per iteration: linearize, assemble (pose-only damping in varpro mode, both
-    groups otherwise; stage 2 always damps both), run the inner solver, and
-    evaluate the trial state. Steps are accepted only on strict cost decrease;
-    the damping halves on success and quadruples on failure. Stage 1
-    linearizes only at a new point: after a rejected step it re-damps the
-    kept system, which equals linearizing again bit for bit. In stage-1
-    varpro mode accepted steps are followed by the closed-form landmark
-    re-solve, so the linearization always sits at landmark-optimal points;
-    the re-solve hands its landmark Jacobian, V = A^T A and V^+ to the next
-    linearization, which then forms only the pose side, residuals and W.
-    Terminates on the iteration cap or when a finite trial changes the cost
-    by at most the relative function tolerance (a stagnant rejected trial
-    also counts: no strictly better point is being found). Every iteration
-    appends a (cost, cumulative seconds) record; cost sequences are
-    bit-reproducible for identical inputs. A singular pose block or a
-    degenerate stage-2 linearization raises NumericFailureError.
+    A stage object supplies the cost, the linearization into a damped
+    ``SchurSystem`` (stage 1: pose blocks only in varpro mode, both groups in
+    joint mode; stage 2: both groups of the tangent-space system), the trial
+    state of an inner solve (stage 2 retracts it onto the spheres), and the
+    state kept after an accepted step (stage-1 varpro: the closed-form
+    landmark re-solve, which hands its landmark Jacobian, V and V^+ to the
+    next linearization). Each point is linearized once; after a rejected
+    step the kept system is re-damped, which equals linearizing again bit for
+    bit. Steps are accepted only on strict cost decrease; the damping halves
+    on success and quadruples on failure. Terminates on the iteration cap or
+    when a finite trial changes the cost by at most the relative function
+    tolerance (a stagnant rejected trial also counts). Every iteration appends
+    a (cost, cumulative seconds) record; cost sequences are bit-reproducible.
+    A singular pose block or a degenerate stage-2 linearization raises
+    NumericFailureError.
     """
-    pose_cfg = config.pose
-    f = total_cost(state, problem, stage, pose_cfg)
+    if stage not in _STAGES:
+        raise ValueError(f"unknown stage {stage!r}")
+    ops = _STAGES[stage](problem, config)
+    f = ops.cost(state)
     if not math.isfinite(f):
         raise NumericFailureError(f"stage {stage} starting cost is not finite")
-    label = solver_id if solver_id is not None else solver_label(stage, config)
-    stage_name = "stage1" if stage == STAGE1 else "stage2"
 
     t_start = time.perf_counter()
     records = [TraceRecord(0, f, 0.0)]
     if trace_sink is not None:
         trace_sink(records[0])
     lam = config.initial_lambda
-    bases = None
-    system = None  # stage-1 linearization at the current state
-    resolved = None  # varpro: the landmark re-solve at the current cameras
+    system = None  # the linearization at the current state
 
     for it in range(1, config.max_outer_iterations + 1):
         try:
-            if stage == STAGE1:
-                if system is None:
-                    mode = POSE_ONLY if config.mode == VARPRO else BOTH
-                    system = assemble(build_stage1_blocks(problem, state, pose_cfg, resolved),
-                                      lam, mode)
-                    resolved = None  # the system now holds its V and V^+
-                else:
-                    system = system.redamped(lam)
-                report = solve_reduced(system, config)
-                trial = None if report.flag == "singular" else _stage1_trial(state, report)
-            elif stage == STAGE2:
-                from .riemannian import apply_tangent_step, riemannian_step, state_tangent_bases
-
-                if bases is None:
-                    bases = state_tangent_bases(state)
-                report = riemannian_step(problem, state, config, lam, bases)
-                trial = None
-                if report.flag != "singular":
-                    trial = apply_tangent_step(state, bases, report)
-            else:
-                raise ValueError(f"unknown stage {stage!r}")
+            system = ops.linearize(state, lam) if system is None else system.redamped(lam)
+            report = solve_reduced(system, config)
+            trial = None if report.flag == "singular" else ops.trial(state, report)
         except (np.linalg.LinAlgError, FloatingPointError) as exc:
             raise NumericFailureError(f"stage {stage} iteration {it}: {exc}") from exc
 
-        f_trial = math.inf if trial is None else total_cost(trial, problem, stage, pose_cfg)
-        converged = False
-        if f_trial < f:
-            if stage == STAGE1 and config.mode == VARPRO:
-                resolved = solve_landmarks(trial, problem, pose_cfg)
-                trial = ProjectiveState(trial.cameras, resolved.landmarks)
-                f_trial = total_cost(trial, problem, stage, pose_cfg)
-            state = trial
-            bases = None
-            system = None
-            denom = f if f > 0 else 1.0
-            converged = abs(f - f_trial) / denom <= config.function_tolerance
-            f = f_trial
-            lam = max(config.lambda_min, lam * config.lambda_decrease)
+        f_trial = math.inf if trial is None else ops.cost(trial)
+        accepted = f_trial < f
+        if accepted:
+            kept = ops.on_accept(trial)
+            if kept is not trial:
+                f_trial = ops.cost(kept)
+            state, system = kept, None
+        denom = f if f > 0 else 1.0
+        converged = math.isfinite(f_trial) and abs(f - f_trial) / denom <= config.function_tolerance
+        if accepted:
+            f, lam = f_trial, max(LAMBDA_MIN, lam * LAMBDA_DECREASE)
         else:
-            if math.isfinite(f_trial):
-                denom = f if f > 0 else 1.0
-                converged = abs(f - f_trial) / denom <= config.function_tolerance
-            lam = min(config.lambda_max, lam * config.lambda_increase)
+            lam = min(LAMBDA_MAX, lam * LAMBDA_INCREASE)
 
         rec = TraceRecord(it, f, time.perf_counter() - t_start)
         records.append(rec)
@@ -353,5 +383,6 @@ def lm_minimize(problem: BaProblem, state: ProjectiveState, stage: int,
         if converged:
             break
 
-    trace = ConvergenceTrace(label, problem_id, stage_name, records, records[0].cost)
+    trace = ConvergenceTrace(solver_label(stage, config), problem_id, f"stage{stage}", records,
+                             records[0].cost)
     return state, trace

@@ -250,11 +250,17 @@ def test_degenerate_v_block_zero_update():
     np.testing.assert_array_equal(upd, np.zeros(3))
 
 
-@pytest.mark.parametrize("mode", [POSE_ONLY, BOTH])
+@pytest.mark.parametrize("mode", [POSE_ONLY, BOTH, "stage2"])
 def test_redamped_equals_fresh_assembly(mode):
     problem = make_random_problem(4, 9, seed=21)
-    state = make_random_state(problem, 22, STAGE1)
-    blocks = build_stage1_blocks(problem, state, PoseConfig(0.1))
+    if mode == "stage2":
+        # the projected tangent-space system that stage 2 re-damps
+        state = make_random_state(problem, 22, STAGE2)
+        blocks = project_blocks(build_stage2_blocks(problem, state), state_tangent_bases(state))
+        mode = BOTH
+    else:
+        state = make_random_state(problem, 22, STAGE1)
+        blocks = build_stage1_blocks(problem, state, PoseConfig(0.1))
     redamped = assemble(blocks, 1e-4, mode).redamped(0.37)
     fresh = assemble(blocks, 0.37, mode)
     assert redamped.lam == 0.37

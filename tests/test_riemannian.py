@@ -14,7 +14,13 @@ from stratba.riemannian import (
     state_tangent_bases,
     tangent_basis,
 )
-from stratba.solvers import SolverConfig, lm_minimize, pcg_schur_solve, power_schur_solve
+from stratba.solvers import (
+    SolverConfig,
+    lm_minimize,
+    pcg_schur_solve,
+    power_schur_solve,
+    solve_reduced,
+)
 from stratba.synth import ground_truth_state, make_ring_problem
 from tests.conftest import dense_uwv, make_random_problem, make_random_state
 
@@ -111,7 +117,9 @@ def test_riemannian_step_zero_gradient_zero_update():
     problem = make_ring_problem(4, 12, 0.0, seed=2)
     state = retract(ground_truth_state(problem))
     assert total_cost(state, problem, STAGE2) <= 1e-18
-    rep = riemannian_step(problem, state, SolverConfig())
+    cfg = SolverConfig()
+    system = riemannian_step(problem, state, cfg.initial_lambda, state_tangent_bases(state))
+    rep = solve_reduced(system, cfg)
     np.testing.assert_allclose(rep.pose_update, 0.0, atol=1e-12)
     np.testing.assert_allclose(rep.landmark_update, 0.0, atol=1e-12)
 
@@ -122,9 +130,9 @@ def test_riemannian_step_matches_dense_solve(seed):
     state = make_random_state(problem, seed + 30, STAGE2)
     lam = 3.0
     cfg = SolverConfig(max_power_order=20, power_threshold=0.0)
-    rep = riemannian_step(problem, state, cfg, lam=lam)
-
     bases = state_tangent_bases(state)
+    rep = solve_reduced(riemannian_step(problem, state, lam, bases), cfg)
+
     system = assemble(project_blocks(build_stage2_blocks(problem, state), bases), lam, BOTH)
     u, w, v = dense_uwv(system)
     h = np.block([[u, w], [w.T, v]])

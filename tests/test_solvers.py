@@ -309,16 +309,22 @@ def test_lm_bit_reproducible():
         assert [r.cost for r in t1.records] == [r.cost for r in t2.records]
 
 
-@pytest.mark.parametrize("cfg", [SolverConfig(), SolverConfig(mode="joint"),
-                                 SolverConfig(inner_solver="direct")])
-def test_lm_linearizes_only_at_new_points(monkeypatch, cfg):
+@pytest.mark.parametrize("stage, cfg", [
+    pytest.param(STAGE1, SolverConfig(), id="cfg0"),
+    pytest.param(STAGE1, SolverConfig(mode="joint"), id="cfg1"),
+    pytest.param(STAGE1, SolverConfig(inner_solver="direct"), id="cfg2"),
+    pytest.param(STAGE2, SolverConfig(), id="stage2"),
+])
+def test_lm_linearizes_only_at_new_points(monkeypatch, stage, cfg):
     # a rejected step re-damps the kept system instead of linearizing again
     import stratba.normal_eq as normal_eq_mod
     import stratba.objective as objective_mod
     import stratba.solvers as solvers_mod
+    from stratba.riemannian import lift_stage1_to_stage2
 
     calls = []
-    real = solvers_mod.build_stage1_blocks
+    linearize = "build_stage1_blocks" if stage == STAGE1 else "riemannian_step"
+    real = getattr(solvers_mod, linearize)
 
     def counting(*args, **kwargs):
         calls.append(1)
@@ -333,17 +339,19 @@ def test_lm_linearizes_only_at_new_points(monkeypatch, cfg):
 
     problem = make_random_problem(4, 20, seed=9)
     state = random_init(problem, 4)
-    monkeypatch.setattr(solvers_mod, "build_stage1_blocks", counting)
+    if stage == STAGE2:
+        state = lift_stage1_to_stage2(state)
+    monkeypatch.setattr(solvers_mod, linearize, counting)
     for mod in (objective_mod, normal_eq_mod, solvers_mod):
         monkeypatch.setattr(mod, "pinv_psd", counting_pinv)
-    _, trace = lm_minimize(problem, state, STAGE1, cfg)
+    _, trace = lm_minimize(problem, state, stage, cfg)
     costs = [r.cost for r in trace.records]
     accepted = [b < a for a, b in zip(costs, costs[1:])]
     assert not all(accepted)  # some steps were rejected
     # one linearization at the start, one after every accepted step that
     # is followed by another iteration
     assert len(calls) == 1 + sum(accepted[:-1])
-    if cfg.mode == "varpro":
+    if stage == STAGE1 and cfg.mode == "varpro":
         # V^+ of the first linearization, then one per landmark re-solve,
         # which hands it to the next linearization
         assert len(pinv_calls) == 1 + sum(accepted)

@@ -220,6 +220,18 @@ def test_cli_config_error_exit_code(synth_file, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+
+@pytest.mark.parametrize("flag, value", [
+    ("--eta", "1.5"), ("--max-iterations", "0"), ("--lambda0", "0"),
+    ("--power-order", "-1"), ("--inner-iterations", "0"),
+])
+def test_cli_setting_out_of_range_is_config_error(synth_file, tmp_path, capsys, flag, value):
+    out = tmp_path / "out"
+    code = main(["solve", flag, value, "--out-dir", str(out), str(synth_file)])
+    assert code == 3
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
 def test_cli_numeric_failure_keeps_partial_artifacts(synth_file, tmp_path, monkeypatch, capsys):
     import stratba.pipeline as pipeline_mod
     from stratba.solvers import NumericFailureError
