@@ -36,9 +36,8 @@ from .normal_eq import (
     back_substitute,
     block_apply,
     build_stage1_blocks,
-    coupling_matrix,
+    dense_coupling,
     dense_schur,
-    pose_block_matrix,
     schur_diag_blocks,
     schur_matrix,
     schur_rhs,
@@ -246,14 +245,14 @@ def spectral_check(system: SchurSystem) -> float:
     """Largest eigenvalue of U^{-1} W V^{-1} W^T, computed exactly.
 
     It is the top eigenvalue of the generalized symmetric-definite problem
-    (W V^+ W^T) v = mu U v, solved densely from the operator's explicit
-    pieces. Intended as a property-check oracle on small systems.
+    (W V^+ W^T) v = mu U v, solved densely with the coupling that
+    ``dense_schur`` subtracts. Intended as a property-check oracle on small
+    systems.
     """
     if (np.linalg.eigvalsh(system.u_blocks) <= 0).any():
         raise ValueError("pose blocks must be positive-definite")
-    return float(scipy.linalg.eigh(coupling_matrix(system).toarray(),
-                                   pose_block_matrix(system).toarray(),
-                                   eigvals_only=True)[-1])
+    u = scipy.linalg.block_diag(*system.u_blocks)
+    return float(scipy.linalg.eigh(dense_coupling(system), u, eigvals_only=True)[-1])
 
 
 def solver_label(stage: int, config: SolverConfig) -> str:

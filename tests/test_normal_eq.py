@@ -316,6 +316,52 @@ def test_unobserved_camera_and_landmark_match_dense_oracle(mode, seed):
     np.testing.assert_array_equal(system.u_blocks[0], lam * 1e-12 * np.eye(d_p))
 
 
+def dense_rows_jacobian(rows, n_cameras, n_landmarks):
+    """The stacked Jacobian and residual of per-observation rows, one row band at a time."""
+    plan = rows.plan
+    n_obs, r, d_p = rows.pose_jac.shape
+    d_l = rows.lm_width
+    pc = n_cameras * d_p
+    jac = np.zeros((n_obs * r, pc + n_landmarks * d_l))
+    for k in range(n_obs):
+        c, lm = plan.row_camera[k], plan.row_landmark[k]
+        jac[k * r:(k + 1) * r, c * d_p:(c + 1) * d_p] = rows.pose_jac[k]
+        jac[k * r:(k + 1) * r, pc + lm * d_l:pc + (lm + 1) * d_l] = rows.lm_jac[k]
+    return jac, rows.residual.ravel(), d_p, d_l
+
+
+@pytest.mark.parametrize("mode", [POSE_ONLY, BOTH])
+def test_dense_schur_over_many_landmark_chunks_matches_dense_oracle(mode):
+    # 4 cameras (camera 0 unobserved) and 61 landmarks: a dense slab of the
+    # coupling holds pose_dim / 3 = 16 landmarks, so four chunks run, the last
+    # one partial. Landmark 5 has a rank-deficient block (no third column).
+    base = make_random_problem(3, 61, seed=31)
+    problem = BaProblem(4, 61, base.num_observations, base.camera_indices + 1,
+                        base.landmark_indices, base.measurements)
+    state = make_random_state(problem, 32, STAGE1)
+    rows = build_stage1_blocks(problem, state, PoseConfig(0.1))
+    rows.lm_jac[problem.plan.row_landmark == 5, :, 2] = 0.0
+    lam = 0.3
+    system = assemble(rows, lam, mode)
+    assert system.n_landmarks * system.lm_width > 3 * system.pose_dim
+    assert system.v_degenerate[5]
+    assert np.diff(system.w.indptr)[0] == 0
+
+    jac, res, d_p, _ = dense_rows_jacobian(rows, problem.num_cameras, problem.num_landmarks)
+    h, _ = dense_damped_hessian(jac, res, problem.num_cameras, d_p, lam, mode)
+    pc = problem.num_cameras * d_p
+    u, v, w = h[:pc, :pc], h[pc:, pc:], h[:pc, pc:]
+    s_dense = u - w @ np.linalg.pinv(v, hermitian=True) @ w.T
+    scale = max(1, np.abs(s_dense).max())
+
+    s = dense_schur(system)
+    np.testing.assert_allclose(s, s_dense, atol=1e-11 * scale)
+    assert np.abs(s - s.T).max() <= 1e-12 * np.abs(s).max()
+    # the unobserved camera keeps its damped pose block alone
+    np.testing.assert_array_equal(s[:d_p, :d_p], system.u_blocks[0])
+    np.testing.assert_array_equal(s[:d_p, d_p:], 0.0)
+
+
 @pytest.mark.parametrize("stage", [STAGE1, STAGE2])
 def test_wt_equals_gathered_transposed_blocks(stage):
     problem = problem_with_unobserved(2)

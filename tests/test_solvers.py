@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
+from stratba import solvers
 from stratba.bal_io import ProjectiveState
 from stratba.normal_eq import POSE_ONLY, SchurSystem, dense_schur, schur_rhs
 from stratba.objective import STAGE1, STAGE2, total_cost
@@ -179,17 +180,11 @@ def test_direct_singular_flagged():
     assert rep.flag == "singular"
 
 
-def test_direct_sparse_path_matches_dense():
-    import stratba.solvers as solvers_mod
-
+def test_direct_sparse_path_matches_dense(monkeypatch):
     system, _, _ = make_varpro_system(4, 9, seed=7, lam=0.05)
     dense_rep = direct_schur_solve(system, SolverConfig())
-    original = solvers_mod._DENSE_DIRECT_LIMIT
-    solvers_mod._DENSE_DIRECT_LIMIT = 0
-    try:
-        sparse_rep = direct_schur_solve(system, SolverConfig())
-    finally:
-        solvers_mod._DENSE_DIRECT_LIMIT = original
+    monkeypatch.setattr(solvers, "_DENSE_DIRECT_LIMIT", 0)
+    sparse_rep = direct_schur_solve(system, SolverConfig())
     np.testing.assert_allclose(sparse_rep.pose_update, dense_rep.pose_update,
                                rtol=1e-9, atol=1e-12)
 
