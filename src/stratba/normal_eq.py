@@ -8,15 +8,17 @@ landmark blocks V and gradients b_l (segment sums over landmarks, in a fixed
 order), and the coupling W = Jp^T Jl as a block-sparse row matrix with one
 block per observation, together with one copy of W^T. The reduced right-hand
 side, the matrix-free products, back-substitution, the block diagonal and the
-explicit reduced matrix all read these pieces. The last two start from the
-blockwise product Y = W V^+ (one batched matmul, W's block structure): the
-block diagonal sums Y_o W_o^T over each camera's blocks with one GEMM, and
-the dense reduced matrix is U - Y W^T, summed with dense GEMMs over chunks of
-landmarks whose slabs are at most pose_dim wide. Only the sparse direct solve
-above the dense limit forms Y W^T as a block-sparse product. The pose
-Hessian blocks are damped with Jacobi scaling; the landmark blocks are damped
-only in ``both`` mode (joint / tangent-space optimization), never in
-``pose_only`` mode (eliminated-landmark optimization).
+explicit reduced matrix all read these pieces. The last two use the
+blockwise product Y = W V^+, which has W's block structure: the block
+diagonal sums Y_o W_o^T over each camera's blocks with one GEMM, and the
+dense reduced matrix is U - Y W^T. On densely observed graphs Y W^T is
+summed with dense GEMMs over chunks of landmarks, in slabs no larger than
+the result; on sparse graphs, where the GEMMs would mostly multiply zeros,
+and in the sparse direct solve above the dense limit, it is a block-sparse
+product. The pose Hessian blocks are damped with Jacobi scaling; the
+landmark blocks are damped only in ``both`` mode (joint / tangent-space
+optimization), never in ``pose_only`` mode (eliminated-landmark
+optimization).
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg.blas
 import scipy.sparse
 
 from .bal_io import BaProblem, ObservationPlan, ProjectiveState
@@ -50,6 +53,13 @@ BOTH = "both"
 
 # Jacobi damping diagonals are clamped to this range before squaring.
 DAMPING_CLAMP = (1e-6, 1e6)
+
+# How many times faster, per multiply-add, the dense GEMMs of ``dense_coupling``
+# run than the block-sparse product, which it takes when the GEMMs would do
+# more than this many times its multiply-adds. Measured with one BLAS thread
+# on a 2-vCPU x86-64 host: 9x on a 10-camera ring, 17-28x on random graphs of
+# 20-100 cameras with tracks of 4-25 views, 37-50x at 138-300 cameras.
+_GEMM_SPEEDUP = 20
 
 
 @dataclass
@@ -295,44 +305,74 @@ def schur_diag_blocks(system: SchurSystem) -> np.ndarray:
     return out
 
 
-def dense_coupling(system: SchurSystem) -> np.ndarray:
-    """W V^+ W^T as a dense array: a sum of GEMMs over chunks of landmarks.
-
-    Each chunk scatters its blocks of Y = W V^+ and of W into two dense slabs
-    with pose_dim rows and at most pose_dim columns, and adds
-    Y_chunk W_chunk^T, so no slab is larger than the result.
-    """
+def _sparse_coupling(system: SchurSystem) -> scipy.sparse.bsr_array:
+    """W V^+ W^T as the block-sparse product (Y as BSR) @ W^T."""
     w = system.w
-    n_p, d_p, d_l = system.n_cameras, system.pose_width, system.lm_width
-    n_l, dim = system.n_landmarks, system.pose_dim
+    y = scipy.sparse.bsr_array((coupling_blocks(system), w.indices, w.indptr), shape=w.shape)
+    return y @ system.wt
+
+
+def _landmark_major_blocks(system: SchurSystem):
+    """W^T's blocks with those of a repeated (camera, landmark) pair summed.
+
+    Returns per-landmark block pointers and, per block, its landmark, its
+    camera and W_o^T. W^T is landmark-major with cameras increasing within
+    each landmark, so repeated pairs are adjacent.
+    """
+    wt = system.wt
+    block_lm = np.repeat(np.arange(system.n_landmarks), np.diff(wt.indptr))
+    cams, blocks, ptr = wt.indices, wt.data, wt.indptr
+    repeated = (np.diff(cams) == 0) & (np.diff(block_lm) == 0)
+    if repeated.any():
+        keep = np.flatnonzero(np.concatenate(([True], ~repeated)))
+        blocks = np.add.reduceat(blocks, keep)
+        cams, block_lm = cams[keep], block_lm[keep]
+        ptr = np.searchsorted(block_lm, np.arange(system.n_landmarks + 1))
+    return ptr, block_lm, cams, blocks
+
+
+def dense_coupling(system: SchurSystem) -> np.ndarray:
+    """W V^+ W^T as a dense array.
+
+    On densely observed graphs it is a sum of GEMMs over chunks of landmarks:
+    each chunk scatters its blocks of W^T into a dense slab with pose_dim
+    columns and at most pose_dim rows, multiplies that by the chunk's V^+
+    blocks into Y^T = V^+ W^T, and adds Y_chunk W_chunk^T into the result in
+    place, so no slab is larger than the result. Blocks of a repeated
+    (camera, landmark) pair are summed first, as W sums them. The GEMMs cost
+    n_cameras^2 multiply-adds per landmark against track_length^2 for the
+    block-sparse product (Y as BSR) @ W^T, which is taken instead on graphs
+    too sparse for GEMM speed to make up the difference.
+    """
+    n_p, n_l = system.n_cameras, system.n_landmarks
+    d_p, d_l, dim = system.pose_width, system.lm_width, system.pose_dim
+    tracks = np.diff(system.wt.indptr)
+    if n_p * n_p * n_l > _GEMM_SPEEDUP * np.dot(tracks, tracks):
+        return _sparse_coupling(system).toarray()
+    ptr, block_lm, cams, wt_blocks = _landmark_major_blocks(system)
     chunk = max(1, dim // d_l)
-    y = coupling_blocks(system)
-    block_camera = np.repeat(np.arange(n_p), np.diff(w.indptr))
-    order = np.argsort(w.indices, kind="stable")  # W's blocks, landmark-major
-    starts = np.arange(0, n_l, chunk)
-    ptr = np.searchsorted(w.indices[order], np.append(starts, n_l))
-    out = np.zeros((dim, dim))
-    for first, lo, hi in zip(starts, ptr[:-1], ptr[1:]):
+    # (Y W^T)^T, Fortran-ordered so that each GEMM adds into it in place
+    out_t = np.zeros((dim, dim), order="F")
+    for first in range(0, n_l, chunk):
+        last = min(first + chunk, n_l)
+        lo, hi = ptr[first], ptr[last]
         if lo == hi:
             continue
-        k = order[lo:hi]
-        cams, lms = block_camera[k], w.indices[k] - first
-        width = min(chunk, n_l - first)
-        y_slab = np.zeros((n_p, d_p, width, d_l))
-        w_slab = np.zeros((n_p, d_p, width, d_l))
-        y_slab[cams, :, lms, :] = y[k]
-        w_slab[cams, :, lms, :] = w.data[k]
-        out += y_slab.reshape(dim, -1) @ w_slab.reshape(dim, -1).T
-    return out
+        wt_slab = np.zeros((last - first, d_l, n_p, d_p))
+        wt_slab[block_lm[lo:hi] - first, :, cams[lo:hi], :] = wt_blocks[lo:hi]
+        wt_2d = wt_slab.reshape(-1, dim)
+        yt_2d = np.matmul(system.v_inv[first:last], wt_2d.reshape(last - first, d_l, dim))
+        scipy.linalg.blas.dgemm(1.0, wt_2d.T, yt_2d.reshape(-1, dim).T, beta=1.0, c=out_t,
+                                trans_b=True, overwrite_c=True)
+    return out_t.T
 
 
 def schur_matrix(system: SchurSystem) -> scipy.sparse.bsr_array:
     """The reduced matrix U - (W V^+) W^T as one block-sparse matrix (sparse direct solves)."""
-    w, n, dim = system.w, system.n_cameras, system.pose_dim
+    n, dim = system.n_cameras, system.pose_dim
     u = scipy.sparse.bsr_array((system.u_blocks, np.arange(n), np.arange(n + 1)),
                                shape=(dim, dim))
-    y = scipy.sparse.bsr_array((coupling_blocks(system), w.indices, w.indptr), shape=w.shape)
-    return u - y @ system.wt
+    return u - _sparse_coupling(system)
 
 
 def dense_schur(system: SchurSystem) -> np.ndarray:

@@ -91,6 +91,22 @@ def make_random_problem(n_cameras: int, n_landmarks: int, seed: int,
     )
 
 
+def with_repeated_observations(problem: BaProblem, rows, seed: int) -> BaProblem:
+    """The problem with observations ``rows`` made a second time, at new measurements."""
+    rng = np.random.default_rng(seed)
+    rows = np.asarray(rows)
+    return BaProblem(
+        num_cameras=problem.num_cameras,
+        num_landmarks=problem.num_landmarks,
+        num_observations=problem.num_observations + len(rows),
+        camera_indices=np.concatenate([problem.camera_indices, problem.camera_indices[rows]]),
+        landmark_indices=np.concatenate([problem.landmark_indices,
+                                         problem.landmark_indices[rows]]),
+        measurements=np.concatenate([problem.measurements,
+                                     2.0 * rng.standard_normal((len(rows), 2))]),
+    )
+
+
 def make_random_state(problem: BaProblem, seed: int, stage: int) -> ProjectiveState:
     rng = np.random.default_rng(seed)
     cameras = rng.standard_normal((problem.num_cameras, 3, 4))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from stratba import normal_eq
 from stratba.bal_io import BaProblem, load_bal, prune_underobserved, write_bal
 from stratba.normal_eq import (
     BOTH,
@@ -11,6 +12,7 @@ from stratba.normal_eq import (
     back_substitute,
     build_stage1_blocks,
     build_stage2_blocks,
+    dense_coupling,
     dense_schur,
     schur_diag_blocks,
     schur_rhs,
@@ -23,6 +25,7 @@ from tests.conftest import (
     make_random_problem,
     make_random_state,
     make_varpro_system,
+    with_repeated_observations,
 )
 
 
@@ -330,11 +333,27 @@ def dense_rows_jacobian(rows, n_cameras, n_landmarks):
     return jac, rows.residual.ravel(), d_p, d_l
 
 
+# _GEMM_SPEEDUP settings that make dense_coupling take one path whatever the graph
+COUPLING_PATHS = {"gemm": np.inf, "sparse": 0.0}
+
+
+def dense_oracle_schur(rows, problem, lam, mode):
+    """u - w V^+ w^T from the stacked row Jacobian, and its entry scale."""
+    jac, res, d_p, _ = dense_rows_jacobian(rows, problem.num_cameras, problem.num_landmarks)
+    h, _ = dense_damped_hessian(jac, res, problem.num_cameras, d_p, lam, mode)
+    pc = problem.num_cameras * d_p
+    u, v, w = h[:pc, :pc], h[pc:, pc:], h[:pc, pc:]
+    s_dense = u - w @ np.linalg.pinv(v, hermitian=True) @ w.T
+    return s_dense, max(1, np.abs(s_dense).max())
+
+
+@pytest.mark.parametrize("path", COUPLING_PATHS)
 @pytest.mark.parametrize("mode", [POSE_ONLY, BOTH])
-def test_dense_schur_over_many_landmark_chunks_matches_dense_oracle(mode):
+def test_dense_schur_over_many_landmark_chunks_matches_dense_oracle(mode, path, monkeypatch):
     # 4 cameras (camera 0 unobserved) and 61 landmarks: a dense slab of the
     # coupling holds pose_dim / 3 = 16 landmarks, so four chunks run, the last
     # one partial. Landmark 5 has a rank-deficient block (no third column).
+    monkeypatch.setattr(normal_eq, "_GEMM_SPEEDUP", COUPLING_PATHS[path])
     base = make_random_problem(3, 61, seed=31)
     problem = BaProblem(4, 61, base.num_observations, base.camera_indices + 1,
                         base.landmark_indices, base.measurements)
@@ -347,19 +366,64 @@ def test_dense_schur_over_many_landmark_chunks_matches_dense_oracle(mode):
     assert system.v_degenerate[5]
     assert np.diff(system.w.indptr)[0] == 0
 
-    jac, res, d_p, _ = dense_rows_jacobian(rows, problem.num_cameras, problem.num_landmarks)
-    h, _ = dense_damped_hessian(jac, res, problem.num_cameras, d_p, lam, mode)
-    pc = problem.num_cameras * d_p
-    u, v, w = h[:pc, :pc], h[pc:, pc:], h[:pc, pc:]
-    s_dense = u - w @ np.linalg.pinv(v, hermitian=True) @ w.T
-    scale = max(1, np.abs(s_dense).max())
-
+    s_dense, scale = dense_oracle_schur(rows, problem, lam, mode)
+    d_p = system.pose_width
     s = dense_schur(system)
     np.testing.assert_allclose(s, s_dense, atol=1e-11 * scale)
     assert np.abs(s - s.T).max() <= 1e-12 * np.abs(s).max()
     # the unobserved camera keeps its damped pose block alone
     np.testing.assert_array_equal(s[:d_p, :d_p], system.u_blocks[0])
     np.testing.assert_array_equal(s[:d_p, d_p:], 0.0)
+
+
+@pytest.mark.parametrize("path", COUPLING_PATHS)
+@pytest.mark.parametrize("mode", [POSE_ONLY, BOTH])
+def test_dense_schur_sums_repeated_observations(mode, path, monkeypatch):
+    # A landmark observed twice by the same camera gets two blocks of W for
+    # one (camera, landmark) pair; S must couple them as the Jacobian does.
+    # After the repeats landmark 0 is seen once by one camera and twice by
+    # another, and landmark 3 three times by one camera.
+    monkeypatch.setattr(normal_eq, "_GEMM_SPEEDUP", COUPLING_PATHS[path])
+    base = make_random_problem(3, 20, seed=41, cameras_per_landmark=2)
+    first_of = {lm: np.flatnonzero(base.landmark_indices == lm) for lm in (0, 3)}
+    problem = with_repeated_observations(
+        base, [first_of[0][1], first_of[3][0], first_of[3][0]], seed=42)
+    pairs = set(zip(problem.camera_indices.tolist(), problem.landmark_indices.tolist()))
+    assert len(pairs) == problem.num_observations - 3
+    state = make_random_state(problem, 43, STAGE1)
+    rows = build_stage1_blocks(problem, state, PoseConfig(0.1))
+    lam = 0.2
+    system = assemble(rows, lam, mode)
+    assert system.w.data.shape[0] == problem.num_observations
+
+    s_dense, scale = dense_oracle_schur(rows, problem, lam, mode)
+    s = dense_schur(system)
+    np.testing.assert_allclose(s, s_dense, atol=1e-11 * scale)
+    assert np.abs(s - s.T).max() <= 1e-12 * np.abs(s).max()
+
+
+def test_dense_coupling_takes_sparse_product_on_sparse_graphs(monkeypatch):
+    # 40 cameras, every landmark seen by 2: the GEMMs would do 400 times the
+    # block-sparse product's multiply-adds; a fully observed graph does 1.
+    calls = []
+    sparse_coupling = normal_eq._sparse_coupling
+
+    def counting(system):
+        calls.append(system)
+        return sparse_coupling(system)
+
+    monkeypatch.setattr(normal_eq, "_sparse_coupling", counting)
+    sparse, _, _ = make_varpro_system(40, 30, seed=5, cameras_per_landmark=2)
+    full, _, _ = make_varpro_system(4, 30, seed=6, cameras_per_landmark=4)
+    picked = [dense_coupling(sparse), dense_coupling(full)]
+    assert len(calls) == 1 and calls[0] is sparse
+    for system, c in zip((sparse, full), picked):
+        forced = []
+        for speedup in COUPLING_PATHS.values():
+            monkeypatch.setattr(normal_eq, "_GEMM_SPEEDUP", speedup)
+            forced.append(dense_coupling(system))
+        for other in forced:
+            np.testing.assert_allclose(other, c, rtol=0, atol=1e-12 * np.abs(c).max())
 
 
 @pytest.mark.parametrize("stage", [STAGE1, STAGE2])

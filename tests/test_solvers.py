@@ -4,10 +4,17 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from stratba import solvers
+from stratba import normal_eq, solvers
 from stratba.bal_io import ProjectiveState
-from stratba.normal_eq import POSE_ONLY, SchurSystem, dense_schur, schur_rhs
-from stratba.objective import STAGE1, STAGE2, total_cost
+from stratba.normal_eq import (
+    POSE_ONLY,
+    SchurSystem,
+    assemble,
+    build_stage1_blocks,
+    dense_schur,
+    schur_rhs,
+)
+from stratba.objective import STAGE1, STAGE2, PoseConfig, total_cost
 from stratba.solvers import (
     SolverConfig,
     direct_schur_solve,
@@ -22,8 +29,10 @@ from stratba.bal_io import random_init
 from tests.conftest import (
     dense_uwv,
     make_random_problem,
+    make_random_state,
     make_riemannian_system,
     make_varpro_system,
+    with_repeated_observations,
 )
 
 
@@ -228,6 +237,16 @@ def _assert_matches_oracle(mu, oracle):
 @pytest.mark.parametrize("seed", range(8))
 def test_spectral_check_varpro_in_unit_interval(seed):
     system, _, _ = make_varpro_system(4, 10, seed=seed, lam=1e-4)
+    _assert_matches_oracle(spectral_check(system), dense_spectral_oracle(system))
+
+
+@pytest.mark.parametrize("speedup", [np.inf, 0.0], ids=["gemm", "sparse"])
+def test_spectral_check_sums_repeated_observations(speedup, monkeypatch):
+    # _GEMM_SPEEDUP picks the dense GEMMs or the block-sparse coupling product
+    monkeypatch.setattr(normal_eq, "_GEMM_SPEEDUP", speedup)
+    problem = with_repeated_observations(make_random_problem(4, 10, seed=3), [0, 5, 5], seed=4)
+    state = make_random_state(problem, 1003, STAGE1)
+    system = assemble(build_stage1_blocks(problem, state, PoseConfig(0.1)), 1e-4, POSE_ONLY)
     _assert_matches_oracle(spectral_check(system), dense_spectral_oracle(system))
 
 
