@@ -25,6 +25,8 @@ from typing import IO, Iterator
 
 import numpy as np
 
+from .objective import PoseConfig, solve_landmarks
+
 logger = logging.getLogger(__name__)
 
 CAMERA_FIELDS = 9
@@ -96,8 +98,10 @@ class ObservationPlan:
     ``camera_ptr[c]:camera_ptr[c + 1]``. ``landmark_rows`` lists those rows
     landmark-major (cameras increasing within a landmark), each landmark
     owning ``landmark_ptr[l]:landmark_ptr[l + 1]`` of it. Unobserved cameras
-    and landmarks get empty segments. The arrays are read-only, since one plan
-    serves every linearization of its problem.
+    and landmarks get empty segments. The rows of a (camera, landmark) pair
+    observed more than once are adjacent; ``pair_starts`` holds the first row
+    of each distinct pair, where ``assemble`` sums the pair's coupling blocks.
+    The arrays are read-only, since one plan serves every linearization.
     """
 
     rows: np.ndarray  # (n_obs,) observation index of each camera-major row
@@ -106,6 +110,7 @@ class ObservationPlan:
     camera_ptr: np.ndarray  # (n_cameras + 1,)
     landmark_rows: np.ndarray  # (n_obs,) rows in landmark-major order
     landmark_ptr: np.ndarray  # (n_landmarks + 1,)
+    pair_starts: np.ndarray  # (n_pairs,) first row of each distinct (camera, landmark) pair
 
     def __post_init__(self):
         for name, value in vars(self).items():
@@ -114,8 +119,9 @@ class ObservationPlan:
     @classmethod
     def build(cls, problem: BaProblem) -> ObservationPlan:
         cams, lms = problem.camera_indices, problem.landmark_indices
-        rows = np.argsort(cams * problem.num_landmarks + lms, kind="stable")
-        row_landmark = lms[rows]
+        keys = cams * problem.num_landmarks + lms
+        rows = np.argsort(keys, kind="stable")
+        row_keys, row_landmark = keys[rows], lms[rows]
         return cls(
             rows=rows,
             row_camera=cams[rows],
@@ -123,6 +129,7 @@ class ObservationPlan:
             camera_ptr=_segment_pointers(cams, problem.num_cameras),
             landmark_rows=np.argsort(row_landmark, kind="stable"),
             landmark_ptr=_segment_pointers(lms, problem.num_landmarks),
+            pair_starts=np.flatnonzero(np.diff(row_keys, prepend=-1)),
         )
 
     @property
@@ -390,7 +397,7 @@ def prune_underobserved(problem: BaProblem, min_cameras: int = 2) -> BaProblem:
     )
 
 
-def random_init(problem: BaProblem, seed: int, config=None) -> ProjectiveState:
+def random_init(problem: BaProblem, seed: int, config: PoseConfig = PoseConfig()) -> ProjectiveState:
     """Build the randomized starting state for the first stage.
 
     Camera entries are i.i.d. standard normal from a Philox counter-based
@@ -398,12 +405,10 @@ def random_init(problem: BaProblem, seed: int, config=None) -> ProjectiveState:
     set to their closed-form optimum given those cameras and normalized to a
     last coordinate of exactly 1. A pure function of (problem, seed, config).
     """
-    from .objective import PoseConfig, solve_landmarks
-
     rng = np.random.Generator(np.random.Philox(int(seed) & 0xFFFFFFFFFFFFFFFF))
     cameras = rng.standard_normal((problem.num_cameras, 3, 4))
     zero_landmarks = np.zeros((problem.num_landmarks, 4))
     zero_landmarks[:, 3] = 1.0
     state = ProjectiveState(cameras=cameras, landmarks=zero_landmarks)
-    landmarks = solve_landmarks(state, problem, config or PoseConfig()).landmarks
+    landmarks = solve_landmarks(state, problem, config).landmarks
     return ProjectiveState(cameras=cameras, landmarks=landmarks)

@@ -29,6 +29,9 @@ logger = logging.getLogger(__name__)
 _SQRT2 = math.sqrt(2.0)
 # Beyond this residual the output is flagged as not converged.
 _ORTHOGONALITY_FLAG = 1e-6
+# Damped least-squares loop over c: iteration cap and relative cost-change stop.
+_MAX_ITERATIONS = 100
+_FUNCTION_TOLERANCE = 1e-14
 
 
 @dataclass
@@ -142,10 +145,6 @@ def gram_derivative(h: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _vec_f(a: np.ndarray) -> np.ndarray:
-    return np.asarray(a).flatten(order="F")
-
-
 def _reduced_residual(q: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Residual stack (n, 6) and eliminated scales at the given c."""
     m = _gram_terms(q, c)
@@ -192,8 +191,7 @@ def _reduced_jacobian(q: np.ndarray, c: np.ndarray, alphas: np.ndarray) -> np.nd
     return jac
 
 
-def upgrade(problem: BaProblem, state: ProjectiveState, max_iterations: int = 100,
-            function_tolerance: float = 1e-14) -> MetricUpgradeResult:
+def upgrade(problem: BaProblem, state: ProjectiveState) -> MetricUpgradeResult:
     """Find the ambiguity transform and return per-camera metric poses.
 
     Damped least squares over c with scales eliminated in closed form, then
@@ -208,7 +206,7 @@ def upgrade(problem: BaProblem, state: ProjectiveState, max_iterations: int = 10
     res, alphas = _reduced_residual(q, c)
     cost = float(np.sum(res * res))
     lam = 1e-4
-    for _ in range(max_iterations):
+    for _ in range(_MAX_ITERATIONS):
         jac = _reduced_jacobian(q, c, alphas).reshape(-1, 3)
         r = res.reshape(-1)
         jtj = jac.T @ jac
@@ -225,11 +223,11 @@ def upgrade(problem: BaProblem, state: ProjectiveState, max_iterations: int = 10
             rel = abs(cost - cost_t) / cost if cost > 0 else 0.0
             c, res, alphas, cost = c + delta, res_t, alphas_t, cost_t
             lam = max(1e-12, lam * 0.5)
-            if rel <= function_tolerance:
+            if rel <= _FUNCTION_TOLERANCE:
                 break
         else:
             lam = min(1e8, lam * 4.0)
-            if math.isfinite(cost_t) and cost > 0 and abs(cost - cost_t) / cost <= function_tolerance:
+            if math.isfinite(cost_t) and cost > 0 and abs(cost - cost_t) / cost <= _FUNCTION_TOLERANCE:
                 break
 
     h = np.zeros((4, 4))

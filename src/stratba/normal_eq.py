@@ -5,19 +5,21 @@ observation, in the camera-major row order of the problem's observation plan
 (``BaProblem.plan``). The reduced-camera operator assembled from the rows
 holds the pose blocks U (one GEMM per camera over its contiguous rows), the
 landmark blocks V and gradients b_l (segment sums over landmarks, in a fixed
-order), and the coupling W = Jp^T Jl as a block-sparse row matrix with one
-block per observation, together with one copy of W^T. The reduced right-hand
-side, the matrix-free products, back-substitution, the block diagonal and the
-explicit reduced matrix all read these pieces. The last two use the
-blockwise product Y = W V^+, which has W's block structure: the block
-diagonal sums Y_o W_o^T over each camera's blocks with one GEMM, and the
-dense reduced matrix is U - Y W^T. On densely observed graphs Y W^T is
-summed with dense GEMMs over chunks of landmarks, in slabs no larger than
-the result; on sparse graphs, where the GEMMs would mostly multiply zeros,
-and in the sparse direct solve above the dense limit, it is a block-sparse
-product. The pose Hessian blocks are damped with Jacobi scaling; the
-landmark blocks are damped only in ``both`` mode (joint / tangent-space
-optimization), never in ``pose_only`` mode (eliminated-landmark
+order), and the coupling W = Jp^T Jl as a canonical block-sparse row matrix
+with one block per distinct (camera, landmark) pair, together with one copy
+of W^T: ``assemble`` sums the blocks of a pair that a camera observes more
+than once, so nothing downstream treats repeats specially. The reduced
+right-hand side, the matrix-free products, back-substitution, the exact
+block diagonal and the explicit reduced matrix all read these pieces. The
+last two use the blockwise product Y = W V^+, which has W's block
+structure: the block diagonal sums Y_o W_o^T over each camera's blocks with
+one GEMM, and the dense reduced matrix is U - Y W^T. On densely observed
+graphs Y W^T is summed with dense GEMMs over chunks of landmarks, in slabs
+no larger than the result; on sparse graphs, where the GEMMs would mostly
+multiply zeros, and in the sparse direct solve above the dense limit, it is
+a block-sparse product. The pose Hessian blocks are damped with Jacobi
+scaling; the landmark blocks are damped only in ``both`` mode (joint /
+tangent-space optimization), never in ``pose_only`` mode (eliminated-landmark
 optimization).
 """
 
@@ -146,8 +148,8 @@ class SchurSystem:
 
     hessian_u: np.ndarray  # (n_p, d_p, d_p) undamped
     hessian_v: np.ndarray  # (n_l, d_l, d_l) undamped
-    w: scipy.sparse.bsr_array  # (n_p d_p, n_l d_l), one (d_p, d_l) block per observation
-    wt: scipy.sparse.bsr_array  # W^T, one (d_l, d_p) block per observation
+    w: scipy.sparse.bsr_array  # (n_p d_p, n_l d_l), one (d_p, d_l) block per distinct pair
+    wt: scipy.sparse.bsr_array  # W^T, one (d_l, d_p) block per distinct pair
     b_p: np.ndarray  # (n_p, d_p)
     b_l: np.ndarray  # (n_l, d_l)
     lam: float
@@ -221,7 +223,8 @@ def assemble(rows: JacobianRows, lam: float, damping_mode: str = POSE_ONLY) -> S
     U = Jp^T Jp + lam * Dp^T Dp with Jacobi Dp (clamped); V = Jl^T Jl, plus the
     analogous landmark damping in ``both`` mode; W = Jp^T Jl; b = J^T r. Rows
     linearized from a landmark re-solve take V, and in pose-only mode V^+,
-    from it.
+    from it. The W blocks of a repeated (camera, landmark) pair are summed,
+    so W and W^T hold one block per distinct pair.
     """
     plan = rows.plan
     n_p, n_l = plan.num_cameras, plan.num_landmarks
@@ -249,8 +252,12 @@ def assemble(rows: JacobianRows, lam: float, damping_mode: str = POSE_ONLY) -> S
     b_l = plan.landmark_sums(np.einsum("nri,nr->ni", jl_by_lm, res[lm_rows]))
 
     w_data = np.matmul(jp.transpose(0, 2, 1), jl)
-    w = scipy.sparse.bsr_array((w_data, plan.row_landmark, plan.camera_ptr),
-                               shape=(n_p * d_p, n_l * d_l))
+    w_indices, w_ptr = plan.row_landmark, plan.camera_ptr
+    starts = plan.pair_starts
+    if len(starts) < len(w_data):  # some camera observes a landmark more than once
+        w_data = np.add.reduceat(w_data, starts)
+        w_indices, w_ptr = w_indices[starts], np.searchsorted(starts, w_ptr)
+    w = scipy.sparse.bsr_array((w_data, w_indices, w_ptr), shape=(n_p * d_p, n_l * d_l))
     # Transposing keeps W's block order within each landmark: cameras increasing.
     return SchurSystem(u, v, w, w.T, b_p, b_l, lam, damping_mode, v_pinv)
 
@@ -290,7 +297,8 @@ def coupling_blocks(system: SchurSystem) -> np.ndarray:
 
 def schur_diag_blocks(system: SchurSystem) -> np.ndarray:
     """Exact block diagonal of the reduced system: U_c minus the sum of Y_o W_o^T
-    over camera c's blocks, one GEMM per camera.
+    over camera c's blocks, one GEMM per camera. Repeated (camera, landmark)
+    pairs need no care: ``assemble`` summed each pair's blocks into one.
 
     A single segment sum of the per-block products would hold d_p x d_p
     doubles per observation, and ran about three times slower on 80k
@@ -312,25 +320,6 @@ def _sparse_coupling(system: SchurSystem) -> scipy.sparse.bsr_array:
     return y @ system.wt
 
 
-def _landmark_major_blocks(system: SchurSystem):
-    """W^T's blocks with those of a repeated (camera, landmark) pair summed.
-
-    Returns per-landmark block pointers and, per block, its landmark, its
-    camera and W_o^T. W^T is landmark-major with cameras increasing within
-    each landmark, so repeated pairs are adjacent.
-    """
-    wt = system.wt
-    block_lm = np.repeat(np.arange(system.n_landmarks), np.diff(wt.indptr))
-    cams, blocks, ptr = wt.indices, wt.data, wt.indptr
-    repeated = (np.diff(cams) == 0) & (np.diff(block_lm) == 0)
-    if repeated.any():
-        keep = np.flatnonzero(np.concatenate(([True], ~repeated)))
-        blocks = np.add.reduceat(blocks, keep)
-        cams, block_lm = cams[keep], block_lm[keep]
-        ptr = np.searchsorted(block_lm, np.arange(system.n_landmarks + 1))
-    return ptr, block_lm, cams, blocks
-
-
 def dense_coupling(system: SchurSystem) -> np.ndarray:
     """W V^+ W^T as a dense array.
 
@@ -338,18 +327,21 @@ def dense_coupling(system: SchurSystem) -> np.ndarray:
     each chunk scatters its blocks of W^T into a dense slab with pose_dim
     columns and at most pose_dim rows, multiplies that by the chunk's V^+
     blocks into Y^T = V^+ W^T, and adds Y_chunk W_chunk^T into the result in
-    place, so no slab is larger than the result. Blocks of a repeated
-    (camera, landmark) pair are summed first, as W sums them. The GEMMs cost
-    n_cameras^2 multiply-adds per landmark against track_length^2 for the
-    block-sparse product (Y as BSR) @ W^T, which is taken instead on graphs
-    too sparse for GEMM speed to make up the difference.
+    place, so no slab is larger than the result. W^T holds one block per
+    distinct (camera, landmark) pair, so the scatter sets each slab entry at
+    most once. The GEMMs cost n_cameras^2 multiply-adds per landmark against
+    track_length^2 for the block-sparse product (Y as BSR) @ W^T, which is
+    taken instead on graphs too sparse for GEMM speed to make up the
+    difference.
     """
     n_p, n_l = system.n_cameras, system.n_landmarks
     d_p, d_l, dim = system.pose_width, system.lm_width, system.pose_dim
-    tracks = np.diff(system.wt.indptr)
+    wt = system.wt
+    ptr, cams, wt_blocks = wt.indptr, wt.indices, wt.data
+    tracks = np.diff(ptr)
     if n_p * n_p * n_l > _GEMM_SPEEDUP * np.dot(tracks, tracks):
         return _sparse_coupling(system).toarray()
-    ptr, block_lm, cams, wt_blocks = _landmark_major_blocks(system)
+    block_lm = np.repeat(np.arange(n_l), tracks)
     chunk = max(1, dim // d_l)
     # (Y W^T)^T, Fortran-ordered so that each GEMM adds into it in place
     out_t = np.zeros((dim, dim), order="F")

@@ -21,10 +21,12 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .bal_io import BaProblem, ProjectiveState
+if TYPE_CHECKING:
+    from .bal_io import BaProblem, ProjectiveState
 
 logger = logging.getLogger(__name__)
 

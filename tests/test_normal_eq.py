@@ -96,7 +96,7 @@ def test_assemble_matches_dense_oracle(mode, seed):
                                    atol=1e-12 * max(1, np.abs(h).max()))
         np.testing.assert_allclose(system.b_l[j], g[pc + j * d_l:pc + (j + 1) * d_l],
                                    atol=1e-12 * max(1, np.abs(g).max()))
-    # coupling blocks: one per observation, and W^T holds the same blocks transposed
+    # coupling blocks: one per observation (no pair repeats), and W^T holds them transposed
     assert len(system.w.data) == problem.num_observations
     for cam in range(problem.num_cameras):
         for k in range(system.w.indptr[cam], system.w.indptr[cam + 1]):
@@ -376,30 +376,71 @@ def test_dense_schur_over_many_landmark_chunks_matches_dense_oracle(mode, path, 
     np.testing.assert_array_equal(s[:d_p, d_p:], 0.0)
 
 
-@pytest.mark.parametrize("path", COUPLING_PATHS)
-@pytest.mark.parametrize("mode", [POSE_ONLY, BOTH])
-def test_dense_schur_sums_repeated_observations(mode, path, monkeypatch):
-    # A landmark observed twice by the same camera gets two blocks of W for
-    # one (camera, landmark) pair; S must couple them as the Jacobian does.
-    # After the repeats landmark 0 is seen once by one camera and twice by
-    # another, and landmark 3 three times by one camera.
-    monkeypatch.setattr(normal_eq, "_GEMM_SPEEDUP", COUPLING_PATHS[path])
+def repeated_observation_problem():
+    """A graph where some cameras observe a landmark more than once.
+
+    Landmark 0 is seen once by one camera and twice by another, and
+    landmark 3 three times by one camera: three rows repeat a pair.
+    """
     base = make_random_problem(3, 20, seed=41, cameras_per_landmark=2)
     first_of = {lm: np.flatnonzero(base.landmark_indices == lm) for lm in (0, 3)}
     problem = with_repeated_observations(
         base, [first_of[0][1], first_of[3][0], first_of[3][0]], seed=42)
     pairs = set(zip(problem.camera_indices.tolist(), problem.landmark_indices.tolist()))
     assert len(pairs) == problem.num_observations - 3
+    return problem, len(pairs)
+
+
+@pytest.mark.parametrize("path", COUPLING_PATHS)
+@pytest.mark.parametrize("mode", [POSE_ONLY, BOTH])
+def test_dense_schur_sums_repeated_observations(mode, path, monkeypatch):
+    # A landmark observed twice by the same camera gives two row bands for
+    # one (camera, landmark) pair; S must couple them as the Jacobian does.
+    monkeypatch.setattr(normal_eq, "_GEMM_SPEEDUP", COUPLING_PATHS[path])
+    problem, n_pairs = repeated_observation_problem()
     state = make_random_state(problem, 43, STAGE1)
     rows = build_stage1_blocks(problem, state, PoseConfig(0.1))
     lam = 0.2
     system = assemble(rows, lam, mode)
-    assert system.w.data.shape[0] == problem.num_observations
+    assert system.w.data.shape[0] == n_pairs
 
     s_dense, scale = dense_oracle_schur(rows, problem, lam, mode)
     s = dense_schur(system)
     np.testing.assert_allclose(s, s_dense, atol=1e-11 * scale)
     assert np.abs(s - s.T).max() <= 1e-12 * np.abs(s).max()
+
+
+@pytest.mark.parametrize("mode", [POSE_ONLY, BOTH])
+def test_schur_diag_blocks_exact_on_repeated_observations(mode):
+    # The PCG preconditioner must include the cross terms W_1 V^+ W_2^T of
+    # the blocks of a repeated pair.
+    problem, _ = repeated_observation_problem()
+    state = make_random_state(problem, 43, STAGE1)
+    system = assemble(build_stage1_blocks(problem, state, PoseConfig(0.1)), 0.2, mode)
+    s = dense_schur(system)
+    n, d = system.n_cameras, system.pose_width
+    cams = np.arange(n)
+    np.testing.assert_allclose(schur_diag_blocks(system), s.reshape(n, d, n, d)[cams, :, cams, :],
+                               rtol=0, atol=1e-12 * np.abs(s).max())
+
+
+@pytest.mark.parametrize("stage", [STAGE1, STAGE2])
+def test_w_holds_one_canonical_block_per_distinct_pair(stage):
+    problem, n_pairs = repeated_observation_problem()
+    state = make_random_state(problem, 44, stage)
+    if stage == STAGE1:
+        rows = build_stage1_blocks(problem, state, PoseConfig(0.1))
+    else:
+        rows = project_blocks(build_stage2_blocks(problem, state), state_tangent_bases(state))
+    system = assemble(rows, 0.1, BOTH)
+    w, wt = system.w, system.wt
+    assert w.has_canonical_format and wt.has_canonical_format
+    assert len(w.data) == len(wt.data) == n_pairs
+    jac, _, d_p, _ = dense_rows_jacobian(rows, problem.num_cameras, problem.num_landmarks)
+    pc = problem.num_cameras * d_p
+    w_dense = jac[:, :pc].T @ jac[:, pc:]
+    np.testing.assert_allclose(w.toarray(), w_dense, rtol=0, atol=1e-12 * np.abs(w_dense).max())
+    np.testing.assert_array_equal(wt.toarray(), w.toarray().T)
 
 
 def test_dense_coupling_takes_sparse_product_on_sparse_graphs(monkeypatch):
