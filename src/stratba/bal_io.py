@@ -18,14 +18,16 @@ import functools
 import gzip
 import io
 import logging
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterator
 
 import numpy as np
+import scipy.sparse
 
-from .objective import PoseConfig, solve_landmarks
+from .objective import PoseConfig, solve_landmarks, stage1_weights
 
 logger = logging.getLogger(__name__)
 
@@ -88,6 +90,29 @@ class BaProblem:
         """Observation orders of the block-sparse normal equations, built on first use."""
         return ObservationPlan.build(self)
 
+    @functools.cached_property
+    def measurement_weights(self) -> scipy.sparse.csr_array:
+        """Per-pair measurement weights, built on first use.
+
+        A (num_landmarks, 4 num_cameras) CSR matrix: row l, columns 4c..4c+3
+        hold the weights (1, m0, m1, |m|^2) of ``objective.stage1_weights``
+        summed over landmark l's observations by camera c. Its product with a
+        per-camera table gives the stage-1 landmark normal equations. Built
+        from the plan's landmark-major rows, in which the rows of a pair are
+        adjacent.
+        """
+        plan = self.plan
+        rows = plan.landmark_rows
+        weights = stage1_weights(self.measurements[plan.rows[rows]])
+        keys = plan.row_landmark[rows] * self.num_cameras + plan.row_camera[rows]
+        starts = np.flatnonzero(np.diff(keys, prepend=-1))  # one per distinct pair
+        if len(starts) < len(rows):
+            weights = np.add.reduceat(weights, starts, axis=1)
+        ptr = 4 * _segment_pointers(plan.row_landmark[rows[starts]], self.num_landmarks)
+        cols = 4 * plan.row_camera[rows[starts], None] + np.arange(4)
+        return scipy.sparse.csr_array((weights.T.ravel(), cols.ravel(), ptr),
+                                      shape=(self.num_landmarks, 4 * self.num_cameras))
+
 
 @dataclass(frozen=True)
 class ObservationPlan:
@@ -140,14 +165,21 @@ class ObservationPlan:
     def num_landmarks(self) -> int:
         return len(self.landmark_ptr) - 1
 
+    @functools.cached_property
+    def landmark_segments(self) -> scipy.sparse.csr_array:
+        """(n_landmarks, n_obs) CSR of ones: row l picks landmark l's camera-major rows."""
+        return scipy.sparse.csr_array(
+            (np.ones(len(self.rows)), self.landmark_rows, self.landmark_ptr),
+            shape=(self.num_landmarks, len(self.rows)))
+
     def landmark_sums(self, values: np.ndarray) -> np.ndarray:
-        """Per-landmark sums of values listed in ``landmark_rows`` order; zero if unobserved."""
-        ptr = self.landmark_ptr
-        out = np.zeros((len(ptr) - 1,) + values.shape[1:])
-        nonempty = ptr[1:] > ptr[:-1]
-        if nonempty.any():
-            out[nonempty] = np.add.reduceat(values, ptr[:-1][nonempty], axis=0)
-        return out
+        """Per-landmark sums of values listed in camera-major row order; zero if unobserved.
+
+        Each landmark's rows are summed in ``landmark_rows`` order (cameras
+        increasing) by one product with ``landmark_segments``.
+        """
+        sums = self.landmark_segments @ values.reshape(len(values), math.prod(values.shape[1:]))
+        return sums.reshape((self.num_landmarks,) + values.shape[1:])
 
 
 def _segment_pointers(keys: np.ndarray, n: int) -> np.ndarray:

@@ -1,26 +1,33 @@
 """Block-sparse damped normal equations and their Schur reduction.
 
-Linearization keeps one Jacobian row band [pose | landmark | residual] per
-observation, in the camera-major row order of the problem's observation plan
-(``BaProblem.plan``). The reduced-camera operator assembled from the rows
-holds the pose blocks U (one GEMM per camera over its contiguous rows), the
-landmark blocks V and gradients b_l (segment sums over landmarks, in a fixed
-order), and the coupling W = Jp^T Jl as a canonical block-sparse row matrix
-with one block per distinct (camera, landmark) pair, together with one copy
-of W^T: ``assemble`` sums the blocks of a pair that a camera observes more
-than once, so nothing downstream treats repeats specially. The reduced
-right-hand side, the matrix-free products, back-substitution, the exact
-block diagonal and the explicit reduced matrix all read these pieces. The
-last two use the blockwise product Y = W V^+, which has W's block
-structure: the block diagonal sums Y_o W_o^T over each camera's blocks with
-one GEMM, and the dense reduced matrix is U - Y W^T. On densely observed
-graphs Y W^T is summed with dense GEMMs over chunks of landmarks, in slabs
-no larger than the result; on sparse graphs, where the GEMMs would mostly
-multiply zeros, and in the sparse direct solve above the dense limit, it is
-a block-sparse product. The pose Hessian blocks are damped with Jacobi
-scaling; the landmark blocks are damped only in ``both`` mode (joint /
-tangent-space optimization), never in ``pose_only`` mode (eliminated-landmark
-optimization).
+Linearization keeps per-observation rows in the camera-major row order of
+the problem's observation plan (``BaProblem.plan``). Stage 2 keeps one
+Jacobian row band [pose | landmark | residual] per observation
+(``JacobianRows``): U and b_p come from one GEMM per camera over its
+contiguous rows, V and b_l from segment sums over landmarks. Stage 1 uses the
+Kronecker form J_p = B (x) x^T of its pose Jacobian, with B the 4x3
+measurement matrix (``Stage1Rows``): per observation it keeps only the 3x3
+block G^T = B^T A and a = B^T r, next to the landmark x and the measurement
+weights; U and b_p come from one (19 x 4) moment GEMM per camera, each W
+block is G^T (x) x, and V, V^+ and b_l come from the landmark normal
+equations of ``objective``, so no per-observation Jacobian is formed. The
+reduced-camera operator assembled from either holds the pose blocks U, the
+landmark blocks V and gradients b_l, and the coupling W = Jp^T Jl as a
+canonical block-sparse row matrix with one block per distinct (camera,
+landmark) pair, together with one copy of W^T: the blocks of a pair that a
+camera observes more than once are summed once, so nothing downstream
+treats repeats specially. The reduced right-hand side, the matrix-free
+products, back-substitution, the exact block diagonal and the explicit
+reduced matrix all read these pieces. The last two use the blockwise product
+Y = W V^+, which has W's block structure: the block diagonal sums
+Y_o W_o^T over each camera's blocks with one GEMM, and the dense reduced
+matrix is U - Y W^T. On densely observed graphs Y W^T is summed with dense
+GEMMs over chunks of landmarks, in slabs no larger than the result; on
+sparse graphs, where the GEMMs would mostly multiply zeros, and in the
+sparse direct solve above the dense limit, it is a block-sparse product.
+The pose Hessian blocks are damped with Jacobi scaling; the landmark blocks
+are damped only in ``both`` mode (joint / tangent-space optimization), never
+in ``pose_only`` mode (eliminated-landmark optimization).
 """
 
 from __future__ import annotations
@@ -41,9 +48,10 @@ from .objective import (
     PoseConfig,
     block_gram,
     pinv_psd,
-    stage1_landmark_jacobian,
-    stage1_pose_jacobian,
-    stage1_residuals,
+    stage1_gram_apply,
+    stage1_gram_basis,
+    stage1_landmark_normals,
+    stage1_weights,
     stage2_jacobians,
     stage2_residuals,
 )
@@ -64,20 +72,26 @@ DAMPING_CLAMP = (1e-6, 1e6)
 _GEMM_SPEEDUP = 20
 
 
+def _pair_sums(values: np.ndarray, plan: ObservationPlan, axis: int = 0) -> np.ndarray:
+    """Values of the camera-major rows summed over each distinct (camera, landmark) pair."""
+    starts = plan.pair_starts
+    if len(starts) == values.shape[axis]:
+        return values
+    return np.add.reduceat(values, starts, axis=axis)
+
+
 @dataclass
 class JacobianRows:
     """Per-observation Jacobian row bands in the plan's camera-major row order.
 
-    ``resolved`` is the landmark re-solve at these cameras when the rows were
-    linearized from it: ``lm_jac`` is then its Jacobian, and ``assemble``
-    takes V and V^+ from it too.
+    The stage-2 linearization; ``riemannian.project_blocks`` projects them
+    onto the tangent spaces.
     """
 
     plan: ObservationPlan
     pose_jac: np.ndarray  # (n_obs, r, d_p)
     lm_jac: np.ndarray  # (n_obs, r, d_l)
     residual: np.ndarray  # (n_obs, r)
-    resolved: LandmarkSolve | None = None
 
     @property
     def pose_width(self) -> int:
@@ -87,26 +101,102 @@ class JacobianRows:
     def lm_width(self) -> int:
         return self.lm_jac.shape[2]
 
+    def block_sums(self):
+        """U and b_p with one GEMM per camera over its contiguous rows, V and b_l
+        as segment sums over landmarks, and one W = Jp^T Jl block per distinct pair."""
+        plan = self.plan
+        jp, jl, res = self.pose_jac, self.lm_jac, self.residual
+        n_p, d_p = plan.num_cameras, self.pose_width
+        u = np.empty((n_p, d_p, d_p))
+        b_p = np.empty((n_p, d_p))
+        for c in range(n_p):
+            sl = slice(plan.camera_ptr[c], plan.camera_ptr[c + 1])
+            a = jp[sl].reshape(-1, d_p)
+            u[c] = a.T @ a
+            b_p[c] = a.T @ res[sl].ravel()
+        v = plan.landmark_sums(block_gram(jl))
+        b_l = plan.landmark_sums(np.einsum("nri,nr->ni", jl, res))
+        w_blocks = _pair_sums(np.matmul(jp.transpose(0, 2, 1), jl), plan)
+        return u, b_p, w_blocks, v, b_l, None
 
-def _row_inputs(problem: BaProblem, state: ProjectiveState):
-    plan = problem.plan
-    return (state.cameras[plan.row_camera], state.landmarks[plan.row_landmark],
-            problem.measurements[plan.rows])
+
+@dataclass
+class Stage1Rows:
+    """The stage-1 linearization in the Kronecker form of its pose Jacobian.
+
+    An observation's pose Jacobian is B (x) x^T, with B its 4x3 measurement
+    matrix and x its landmark, and its landmark Jacobian is A = B P[:, :3]
+    (see ``objective``). So its W block is G^T (x) x, with the 3x3 block
+    G^T = B^T A, and its pose gradient is a (x) x, with a = B^T r. With
+    B^T B = sum_k w_k C_k over the weights w = (1, m0, m1, |m|^2), a camera's
+    U is sum_k C_k (x) M_k over the moments M_k = sum w_k x x^T of its
+    observations. The rows keep, per camera-major observation, G^T and the
+    left factor [w (x) x, a] of one (19 x 4) moment GEMM per camera, stored
+    with the observation axis last; the landmark blocks come from the
+    landmark normal equations, not from rows.
+    """
+
+    plan: ObservationPlan
+    gram_basis: np.ndarray  # (4, 3, 3) the C_k of B^T B
+    gt: np.ndarray  # (3, 3, n_obs) G^T = B^T A
+    moments_lhs: np.ndarray  # (19, n_obs) rows x, m0 x, m1 x, |m|^2 x, a
+    hessian_v: np.ndarray  # (n_l, 3, 3) A^T A
+    b_l: np.ndarray  # (n_l, 3)
+    v_pinv: tuple[np.ndarray, np.ndarray] | None  # pinv_psd(hessian_v), when known
+
+    def block_sums(self):
+        """U and b_p from the per-camera moments, W = G^T (x) x per distinct pair
+        (a repeated pair sums its G^T first, since x is shared), V and b_l as given."""
+        plan = self.plan
+        lhs = self.moments_lhs
+        x = lhs[:4]
+        n_p = plan.num_cameras
+        moments = np.empty((n_p, 19, 4))
+        for c in range(n_p):
+            sl = slice(plan.camera_ptr[c], plan.camera_ptr[c + 1])
+            moments[c] = lhs[:, sl] @ x[:, sl].T
+        u = np.einsum("kjJ,ckaA->cjaJA", self.gram_basis,
+                      moments[:, :16].reshape(n_p, 4, 4, 4)).reshape(n_p, 12, 12)
+        b_p = moments[:, 16:].reshape(n_p, 12)
+        gt, x = _pair_sums(self.gt, plan, axis=2), np.take(x, plan.pair_starts, axis=1)
+        w_blocks = np.empty((len(plan.pair_starts), 3, 4, 3))
+        np.multiply(gt[:, None], x[None, :, None], out=w_blocks.transpose(1, 2, 3, 0))
+        return u, b_p, w_blocks.reshape(-1, 12, 3), self.hessian_v, self.b_l, self.v_pinv
 
 
 def build_stage1_blocks(problem: BaProblem, state: ProjectiveState,
                         config: PoseConfig = PoseConfig(),
-                        resolved: LandmarkSolve | None = None) -> JacobianRows:
-    """Linearize the stage-1 objective into per-observation rows (widths 12/3).
+                        resolved: LandmarkSolve | None = None) -> Stage1Rows:
+    """Linearize the stage-1 objective in Kronecker form (widths 12/3).
 
-    ``resolved``, the landmark re-solve at ``state.cameras``, supplies the
-    landmark Jacobian, which depends on the cameras alone.
+    ``resolved``, the landmark re-solve at ``state.cameras``, supplies A^T A,
+    A^T c and V^+, which depend on the cameras alone; without it they are
+    formed here by ``stage1_landmark_normals``. The landmark gradient is
+    b_l = A^T A v + A^T c at the landmarks' free coordinates v, which holds
+    for stage-1 landmarks (last coordinate 1).
     """
     eta = config.eta
-    cams, lms, meas = _row_inputs(problem, state)
-    jl = stage1_landmark_jacobian(cams, meas, eta) if resolved is None else resolved.jacobian
-    return JacobianRows(problem.plan, stage1_pose_jacobian(lms, meas, eta), jl,
-                        stage1_residuals(cams, lms, meas, eta), resolved)
+    basis, offsets = stage1_gram_basis(eta)
+    plan = problem.plan
+    n = len(plan.rows)
+    # per-observation quantities with the observation axis last
+    cams = np.take(state.cameras.reshape(-1, 12).T, plan.row_camera, axis=1).reshape(3, 4, n)
+    lhs = np.empty((19, n))
+    x = lhs[:4]
+    np.take(state.landmarks.T, plan.row_landmark, axis=1, out=x)
+    weights = stage1_weights(problem.measurements[plan.rows])
+    lhs[:16].reshape(4, 4, n)[...] = weights[:, None] * x
+    px = np.einsum("ian,an->in", cams, x)
+    lhs[16:] = stage1_gram_apply(px, weights, eta) - offsets.T @ weights  # a = B^T (B P x - d)
+    if resolved is None:
+        v, origin_gradient = stage1_landmark_normals(state.cameras, problem, eta)
+        v_pinv = None
+    else:
+        v, origin_gradient = resolved.hessian, resolved.origin_gradient
+        v_pinv = resolved.pinv, resolved.degenerate
+    b_l = np.einsum("nij,nj->ni", v, state.landmarks[:, :3]) + origin_gradient
+    return Stage1Rows(plan, basis, stage1_gram_apply(cams[:, :3], weights, eta), lhs, v, b_l,
+                      v_pinv)
 
 
 def build_stage2_blocks(problem: BaProblem, state: ProjectiveState) -> JacobianRows:
@@ -115,11 +205,13 @@ def build_stage2_blocks(problem: BaProblem, state: ProjectiveState) -> JacobianR
     Degenerate observations (depth within the guard) must be excluded by the
     caller rejecting the state; here they would poison the step, so we raise.
     """
-    cams, lms, meas = _row_inputs(problem, state)
+    plan = problem.plan
+    cams, lms = state.cameras[plan.row_camera], state.landmarks[plan.row_landmark]
+    meas = problem.measurements[plan.rows]
     jp, jl, valid = stage2_jacobians(cams, lms, meas)
     if not valid.all():
         raise FloatingPointError("degenerate projection while linearizing stage 2")
-    return JacobianRows(problem.plan, jp, jl, stage2_residuals(cams, lms, meas)[0])
+    return JacobianRows(plan, jp, jl, stage2_residuals(cams, lms, meas)[0])
 
 
 def _jacobi_damped(blocks: np.ndarray, lam: float) -> np.ndarray:
@@ -217,49 +309,28 @@ class SchurSystem:
         return self.w @ block_apply(self.v_inv, self.wt @ x)
 
 
-def assemble(rows: JacobianRows, lam: float, damping_mode: str = POSE_ONLY) -> SchurSystem:
-    """Form damped U/V/W blocks and gradients from per-observation rows.
+def assemble(rows: JacobianRows | Stage1Rows, lam: float,
+             damping_mode: str = POSE_ONLY) -> SchurSystem:
+    """Form damped U/V/W blocks and gradients from linearized rows.
 
-    U = Jp^T Jp + lam * Dp^T Dp with Jacobi Dp (clamped); V = Jl^T Jl, plus the
-    analogous landmark damping in ``both`` mode; W = Jp^T Jl; b = J^T r. Rows
-    linearized from a landmark re-solve take V, and in pose-only mode V^+,
-    from it. The W blocks of a repeated (camera, landmark) pair are summed,
-    so W and W^T hold one block per distinct pair.
+    The rows supply their stage's sums: U = Jp^T Jp, V = Jl^T Jl, one
+    W = Jp^T Jl block per distinct (camera, landmark) pair (a repeated pair's
+    blocks summed) and b = J^T r, and, for rows linearized from a landmark
+    re-solve, V^+, which is used in pose-only mode. Here U gets the damping
+    lam * Dp^T Dp with Jacobi Dp (clamped), V the analogous landmark damping
+    in ``both`` mode, and W and W^T become canonical block-sparse matrices.
     """
     plan = rows.plan
-    n_p, n_l = plan.num_cameras, plan.num_landmarks
-    d_p, d_l = rows.pose_width, rows.lm_width
-    jp, jl, res = rows.pose_jac, rows.lm_jac, rows.residual
-
-    u = np.empty((n_p, d_p, d_p))
-    b_p = np.empty((n_p, d_p))
-    for c in range(n_p):
-        sl = slice(plan.camera_ptr[c], plan.camera_ptr[c + 1])
-        a = jp[sl].reshape(-1, d_p)
-        u[c] = a.T @ a
-        b_p[c] = a.T @ res[sl].ravel()
-
-    lm_rows = plan.landmark_rows
-    jl_by_lm = jl[lm_rows]
-    resolved = rows.resolved
-    v_pinv = None
-    if resolved is None:
-        v = plan.landmark_sums(block_gram(jl_by_lm))
-    else:
-        v = resolved.hessian
-        if damping_mode == POSE_ONLY:
-            v_pinv = resolved.pinv, resolved.degenerate
-    b_l = plan.landmark_sums(np.einsum("nri,nr->ni", jl_by_lm, res[lm_rows]))
-
-    w_data = np.matmul(jp.transpose(0, 2, 1), jl)
+    u, b_p, w_blocks, v, b_l, v_pinv = rows.block_sums()
     w_indices, w_ptr = plan.row_landmark, plan.camera_ptr
     starts = plan.pair_starts
-    if len(starts) < len(w_data):  # some camera observes a landmark more than once
-        w_data = np.add.reduceat(w_data, starts)
+    if len(starts) < len(w_indices):  # some camera observes a landmark more than once
         w_indices, w_ptr = w_indices[starts], np.searchsorted(starts, w_ptr)
-    w = scipy.sparse.bsr_array((w_data, w_indices, w_ptr), shape=(n_p * d_p, n_l * d_l))
+    shape = (plan.num_cameras * u.shape[1], plan.num_landmarks * v.shape[1])
+    w = scipy.sparse.bsr_array((w_blocks, w_indices, w_ptr), shape=shape)
     # Transposing keeps W's block order within each landmark: cameras increasing.
-    return SchurSystem(u, v, w, w.T, b_p, b_l, lam, damping_mode, v_pinv)
+    return SchurSystem(u, v, w, w.T, b_p, b_l, lam, damping_mode,
+                       v_pinv if damping_mode == POSE_ONLY else None)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,17 @@ measurement m,
     rows 1-2:  sqrt(1-eta) * (P[0:2] x - (P[2] x) m)
     rows 3-4:  sqrt(eta)   * (P[0:2] x - m)
 
-The residual is affine in the landmark's three free coordinates, which gives
-each landmark a closed-form least-squares optimum once cameras are fixed.
+that is r = B P x - d, with the 4x3 measurement matrix B and
+d = sqrt(eta) (0, 0, m). The residual is linear in the camera, with pose
+Jacobian B (x) x^T (Kronecker product), and affine in the landmark's three
+free coordinates, with landmark Jacobian A = B P[:, :3]; so each landmark has
+a closed-form least-squares optimum once cameras are fixed. B^T B and B^T d
+are linear in the measurement weights w = (1, m0, m1, |m|^2). So the landmark
+normal equations A^T A and A^T c of all landmarks are one sparse product of
+the problem's per-pair weight sums (``BaProblem.measurement_weights``) with a
+table of per-camera coefficients, and no per-observation Jacobian is formed;
+``normal_eq`` linearizes stage 1 from per-camera moments of x weighted the
+same way.
 
 Stage 2 is the plain projective reprojection error pi(P x) - m with
 pi([x, y, z]) = [x/z, y/z], evaluated on unit-norm homogeneous parameters.
@@ -70,37 +79,39 @@ def stage1_residuals(cameras: np.ndarray, landmarks: np.ndarray, measurements: n
     return out
 
 
-def stage1_landmark_jacobian(cameras: np.ndarray, measurements: np.ndarray,
-                             eta: float) -> np.ndarray:
-    """Landmark Jacobian (n,4,3) for a batch of observations.
+def stage1_weights(measurements: np.ndarray) -> np.ndarray:
+    """The weights w = (1, m0, m1, |m|^2) of each measurement, as rows: (n,2) -> (4,n)."""
+    out = np.empty((4, len(measurements)))
+    out[0] = 1.0
+    out[1:3] = measurements.T
+    out[3] = np.einsum("ni,ni->n", measurements, measurements)
+    return out
 
-    It is taken with respect to the three free coordinates and does not
-    depend on the landmark, since the residual is affine in it.
+
+def stage1_gram_basis(eta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Bases (4,3,3) and (4,3) with B^T B = sum_k w_k C_k and B^T d = sum_k w_k e_k."""
+    s = 1.0 - eta
+    c = np.zeros((4, 3, 3))
+    c[0, 0, 0] = c[0, 1, 1] = 1.0
+    c[1, 0, 2] = c[1, 2, 0] = c[2, 1, 2] = c[2, 2, 1] = -s
+    c[3, 2, 2] = s
+    e = np.zeros((4, 3))
+    e[1, 0] = e[2, 1] = eta
+    return c, e
+
+
+def stage1_gram_apply(v: np.ndarray, weights: np.ndarray, eta: float) -> np.ndarray:
+    """B^T B v for stacks v (3, ..., n) of 3-vectors, with B^T B from the weights (4, n).
+
+    B^T B = sum_k w_k C_k of ``stage1_gram_basis``, written out.
     """
-    p3 = cameras[:, :, :3]  # (n, 3, 3)
-    jl = np.empty((len(cameras), 4, 3))
-    jl[:, :2] = math.sqrt(1.0 - eta) * (p3[:, :2] - measurements[:, :, None] * p3[:, 2:3])
-    jl[:, 2:] = math.sqrt(eta) * p3[:, :2]
-    return jl
-
-
-def stage1_pose_jacobian(landmarks: np.ndarray, measurements: np.ndarray,
-                         eta: float) -> np.ndarray:
-    """Pose Jacobian (n,4,12) for a batch of observations.
-
-    It does not depend on the camera, since the residual is linear in it.
-    """
-    s1 = math.sqrt(1.0 - eta)
-    s2 = math.sqrt(eta)
-    jp = np.zeros((len(landmarks), 4, 12))
-    x = landmarks  # (n, 4)
-    jp[:, 0, 0:4] = s1 * x
-    jp[:, 0, 8:12] = -s1 * measurements[:, 0:1] * x
-    jp[:, 1, 4:8] = s1 * x
-    jp[:, 1, 8:12] = -s1 * measurements[:, 1:2] * x
-    jp[:, 2, 0:4] = s2 * x
-    jp[:, 3, 4:8] = s2 * x
-    return jp
+    s = 1.0 - eta
+    _, m0, m1, q = weights
+    out = np.empty_like(v)
+    out[0] = v[0] - (s * m0) * v[2]
+    out[1] = v[1] - (s * m1) * v[2]
+    out[2] = -s * (m0 * v[0] + m1 * v[1] - q * v[2])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +190,7 @@ def pinv_psd(blocks: np.ndarray, rel_tol: float) -> tuple[np.ndarray, np.ndarray
     tol = rel_tol * np.maximum(trace, 0.0)
     ok = w > tol[:, None]
     inv_w = np.where(ok, 1.0 / np.where(ok, w, 1.0), 0.0)
-    pinv = np.einsum("nij,nj,nkj->nik", q, inv_w, q)
+    pinv = np.matmul(q * inv_w[:, None, :], q.transpose(0, 2, 1))
     return pinv, ~ok.all(axis=1)
 
 
@@ -190,19 +201,53 @@ def block_gram(a: np.ndarray) -> np.ndarray:
     return np.matmul(np.ascontiguousarray(a.transpose(0, 2, 1)), a)
 
 
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a[:, :, None] * b[:, None, :]
+
+
+def stage1_landmark_normals(cameras: np.ndarray, problem: BaProblem,
+                            eta: float) -> tuple[np.ndarray, np.ndarray]:
+    """A^T A (n_l,3,3) and A^T c (n_l,3) of every landmark at these cameras.
+
+    A is the landmark Jacobian and c the residual at the origin landmark
+    (0, 0, 0, 1). With P3 = P[:, :3], rows p0, p1, p2, and t = P[:, 3], each
+    observation adds sum_k w_k P3^T C_k P3 to A^T A and
+    sum_k w_k P3^T (C_k t - e_k) to A^T c (bases of ``stage1_gram_basis``).
+    One sparse product of ``problem.measurement_weights`` with the
+    (4 n_cameras, 12) table of these per-camera coefficients gives both, and
+    A^T A is exactly symmetric.
+    """
+    s = 1.0 - eta
+    n_c = len(cameras)
+    p, t = cameras[:, :, :3], cameras[:, :, 3]
+    p0, p1, p2 = p[:, 0], p[:, 1], p[:, 2]
+    basis, offsets = stage1_gram_basis(eta)
+    # P3^T C_k P3 written out as sums of symmetric outer products
+    gram = np.empty((n_c, 4, 3, 3))
+    gram[:, 0] = _outer(p0, p0) + _outer(p1, p1)
+    gram[:, 1] = -s * (_outer(p0, p2) + _outer(p2, p0))
+    gram[:, 2] = -s * (_outer(p1, p2) + _outer(p2, p1))
+    gram[:, 3] = s * _outer(p2, p2)
+    table = np.empty((n_c, 4, 12))
+    table[:, :, :9] = gram.reshape(n_c, 4, 9)
+    table[:, :, 9:] = np.einsum("cia,cki->cka", p, np.einsum("kij,cj->cki", basis, t) - offsets)
+    normals = problem.measurement_weights @ table.reshape(4 * n_c, 12)
+    return normals[:, :9].reshape(-1, 3, 3), normals[:, 9:]
+
+
 @dataclass(frozen=True)
 class LandmarkSolve:
     """Closed-form landmarks and the landmark side of stage 1 at their cameras.
 
-    The landmark Jacobian A depends only on the cameras and measurements, so
-    at these cameras A, V = A^T A and its pseudo-inverse are also the landmark
-    blocks of the stage-1 linearization: ``build_stage1_blocks`` and
-    ``assemble`` take them from here instead of forming them again.
+    A^T A and A^T c depend only on the cameras and measurements, so at these
+    cameras V = A^T A, its pseudo-inverse and A^T c are also the landmark
+    blocks of the stage-1 linearization: ``build_stage1_blocks`` takes them
+    from here instead of forming them again.
     """
 
     landmarks: np.ndarray  # (n_l, 4), last coordinate exactly 1
-    jacobian: np.ndarray  # (n_obs, 4, 3) A in the plan's camera-major row order
     hessian: np.ndarray  # (n_l, 3, 3) A^T A, the undamped V
+    origin_gradient: np.ndarray  # (n_l, 3) A^T c, the landmark gradient at (0, 0, 0, 1)
     pinv: np.ndarray  # (n_l, 3, 3) pinv_psd(V, V_PINV_TOL)
     degenerate: np.ndarray  # (n_l,) rank-deficient at V_PINV_TOL
 
@@ -214,34 +259,27 @@ def solve_landmarks(state: ProjectiveState, problem: BaProblem,
     Each landmark's stacked residual is affine in its three free coordinates,
     r = A v + c, with A the landmark Jacobian rows and c the residual at the
     origin landmark (0, 0, 0, 1). The optimum v = -(A^T A)^+ A^T c is taken
-    for all landmarks at once from the segment sums A^T A and A^T c over the
-    observation plan, with the pseudo-inverse and rank rule of the Schur
-    system's V^+: an eigenvalue of A^T A at or below ``V_PINV_TOL`` times its
-    trace makes the landmark rank-deficient. Such landmarks are left unchanged
-    and counted in a single warning; they are exactly the landmarks whose
-    update ``back_substitute`` zeroes. Unobserved landmarks are also left
-    unchanged. The new (n_l, 4) landmarks, with last coordinate exactly 1,
-    come back with A, A^T A and its pseudo-inverse, which the next stage-1
-    linearization at these cameras reuses.
+    for all landmarks at once from ``stage1_landmark_normals``, with the
+    pseudo-inverse and rank rule of the Schur system's V^+: an eigenvalue of
+    A^T A at or below ``V_PINV_TOL`` times its trace makes the landmark
+    rank-deficient. Such landmarks are left unchanged and counted in a single
+    warning; they are exactly the landmarks whose update ``back_substitute``
+    zeroes. Unobserved landmarks are also left unchanged. The new (n_l, 4)
+    landmarks, with last coordinate exactly 1, come back with A^T A, A^T c
+    and the pseudo-inverse, which the next stage-1 linearization at these
+    cameras reuses.
     """
-    eta = config.eta
     out = np.array(state.landmarks, copy=True)
-    plan = problem.plan
-    cams = state.cameras[plan.row_camera]
-    meas = problem.measurements[plan.rows]
-    jac = stage1_landmark_jacobian(cams, meas, eta)  # (n, 4, 3), camera-major
-    origin = np.broadcast_to([0.0, 0.0, 0.0, 1.0], (len(meas), 4))
-    a = jac[plan.landmark_rows]
-    c = stage1_residuals(cams, origin, meas, eta)[plan.landmark_rows]
-    ata = plan.landmark_sums(block_gram(a))
+    ata, atc = stage1_landmark_normals(state.cameras, problem, config.eta)
     ata_inv, skipped = pinv_psd(ata, V_PINV_TOL)
-    v = -np.einsum("nij,nj->ni", ata_inv, plan.landmark_sums(np.einsum("nri,nr->ni", a, c)))
+    v = -np.einsum("nij,nj->ni", ata_inv, atc)
 
     solved = ~skipped
     out[solved, :3] = v[solved]
     out[solved, 3] = 1.0
-    n_degenerate = int((skipped & (np.diff(plan.landmark_ptr) > 0)).sum())
+    observed = np.diff(problem.measurement_weights.indptr) > 0
+    n_degenerate = int((skipped & observed).sum())
     if n_degenerate:
         logger.warning("left %d landmarks unchanged: rank-deficient closed-form systems",
                        n_degenerate)
-    return LandmarkSolve(out, jac, ata, ata_inv, skipped)
+    return LandmarkSolve(out, ata, atc, ata_inv, skipped)

@@ -328,8 +328,8 @@ def lm_minimize(problem: BaProblem, state: ProjectiveState, stage: int,
     joint mode; stage 2: both groups of the tangent-space system), the trial
     state of an inner solve (stage 2 retracts it onto the spheres), and the
     state kept after an accepted step (stage-1 varpro: the closed-form
-    landmark re-solve, which hands its landmark Jacobian, V and V^+ to the
-    next linearization). Each point is linearized once; after a rejected
+    landmark re-solve, which hands its V, V^+ and A^T c to the next
+    linearization). Each point is linearized once; after a rejected
     step the kept system is re-damped, which equals linearizing again bit for
     bit. Steps are accepted only on strict cost decrease; the damping halves
     on success and quadruples on failure. Terminates on the iteration cap or

@@ -7,22 +7,78 @@ share no code with the batched/blocked production paths they check.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from stratba.bal_io import BaProblem, ProjectiveState
-from stratba.normal_eq import BOTH, POSE_ONLY, assemble, build_stage1_blocks, build_stage2_blocks
+from stratba.normal_eq import (
+    BOTH,
+    POSE_ONLY,
+    JacobianRows,
+    assemble,
+    build_stage1_blocks,
+    build_stage2_blocks,
+)
 from stratba.objective import (
     STAGE1,
     STAGE2,
     PoseConfig,
-    stage1_landmark_jacobian,
-    stage1_pose_jacobian,
     stage1_residuals,
     stage2_jacobians,
     stage2_residuals,
 )
 from stratba.riemannian import project_blocks, retract, state_tangent_bases
+
+
+# ---------------------------------------------------------------------------
+# per-observation stage-1 Jacobians (the oracle of the moment-form linearization)
+
+
+def stage1_landmark_jacobian(cameras: np.ndarray, measurements: np.ndarray,
+                             eta: float) -> np.ndarray:
+    """Landmark Jacobian (n,4,3) for a batch of observations.
+
+    It is taken with respect to the three free coordinates and does not
+    depend on the landmark, since the residual is affine in it.
+    """
+    p3 = cameras[:, :, :3]  # (n, 3, 3)
+    jl = np.empty((len(cameras), 4, 3))
+    jl[:, :2] = math.sqrt(1.0 - eta) * (p3[:, :2] - measurements[:, :, None] * p3[:, 2:3])
+    jl[:, 2:] = math.sqrt(eta) * p3[:, :2]
+    return jl
+
+
+def stage1_pose_jacobian(landmarks: np.ndarray, measurements: np.ndarray,
+                         eta: float) -> np.ndarray:
+    """Pose Jacobian (n,4,12) for a batch of observations.
+
+    It does not depend on the camera, since the residual is linear in it.
+    """
+    s1 = math.sqrt(1.0 - eta)
+    s2 = math.sqrt(eta)
+    jp = np.zeros((len(landmarks), 4, 12))
+    x = landmarks  # (n, 4)
+    jp[:, 0, 0:4] = s1 * x
+    jp[:, 0, 8:12] = -s1 * measurements[:, 0:1] * x
+    jp[:, 1, 4:8] = s1 * x
+    jp[:, 1, 8:12] = -s1 * measurements[:, 1:2] * x
+    jp[:, 2, 0:4] = s2 * x
+    jp[:, 3, 4:8] = s2 * x
+    return jp
+
+
+def stage1_oracle_rows(problem: BaProblem, state: ProjectiveState, eta: float = 0.1
+                       ) -> JacobianRows:
+    """Stage-1 per-observation Jacobian rows in the plan's camera-major order."""
+    plan = problem.plan
+    cams = state.cameras[plan.row_camera]
+    lms = state.landmarks[plan.row_landmark]
+    meas = problem.measurements[plan.rows]
+    return JacobianRows(plan, stage1_pose_jacobian(lms, meas, eta),
+                        stage1_landmark_jacobian(cams, meas, eta),
+                        stage1_residuals(cams, lms, meas, eta))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stratba import normal_eq
-from stratba.bal_io import BaProblem, load_bal, prune_underobserved, write_bal
+from stratba.bal_io import BaProblem, ProjectiveState, load_bal, prune_underobserved, write_bal
 from stratba.normal_eq import (
     BOTH,
     POSE_ONLY,
@@ -17,14 +17,23 @@ from stratba.normal_eq import (
     schur_diag_blocks,
     schur_rhs,
 )
-from stratba.objective import STAGE1, STAGE2, PoseConfig
+from stratba.objective import (
+    STAGE1,
+    STAGE2,
+    PoseConfig,
+    solve_landmarks,
+    stage1_landmark_normals,
+    stage1_residuals,
+)
 from stratba.riemannian import project_blocks, state_tangent_bases
 from tests.conftest import (
     dense_damped_hessian,
     dense_jacobian,
+    dense_uwv,
     make_random_problem,
     make_random_state,
     make_varpro_system,
+    stage1_oracle_rows,
     with_repeated_observations,
 )
 
@@ -358,7 +367,7 @@ def test_dense_schur_over_many_landmark_chunks_matches_dense_oracle(mode, path, 
     problem = BaProblem(4, 61, base.num_observations, base.camera_indices + 1,
                         base.landmark_indices, base.measurements)
     state = make_random_state(problem, 32, STAGE1)
-    rows = build_stage1_blocks(problem, state, PoseConfig(0.1))
+    rows = stage1_oracle_rows(problem, state)
     rows.lm_jac[problem.plan.row_landmark == 5, :, 2] = 0.0
     lam = 0.3
     system = assemble(rows, lam, mode)
@@ -404,7 +413,7 @@ def test_dense_schur_sums_repeated_observations(mode, path, monkeypatch):
     system = assemble(rows, lam, mode)
     assert system.w.data.shape[0] == n_pairs
 
-    s_dense, scale = dense_oracle_schur(rows, problem, lam, mode)
+    s_dense, scale = dense_oracle_schur(stage1_oracle_rows(problem, state), problem, lam, mode)
     s = dense_schur(system)
     np.testing.assert_allclose(s, s_dense, atol=1e-11 * scale)
     assert np.abs(s - s.T).max() <= 1e-12 * np.abs(s).max()
@@ -430,13 +439,15 @@ def test_w_holds_one_canonical_block_per_distinct_pair(stage):
     state = make_random_state(problem, 44, stage)
     if stage == STAGE1:
         rows = build_stage1_blocks(problem, state, PoseConfig(0.1))
+        oracle = stage1_oracle_rows(problem, state)
     else:
-        rows = project_blocks(build_stage2_blocks(problem, state), state_tangent_bases(state))
+        rows = oracle = project_blocks(build_stage2_blocks(problem, state),
+                                       state_tangent_bases(state))
     system = assemble(rows, 0.1, BOTH)
     w, wt = system.w, system.wt
     assert w.has_canonical_format and wt.has_canonical_format
     assert len(w.data) == len(wt.data) == n_pairs
-    jac, _, d_p, _ = dense_rows_jacobian(rows, problem.num_cameras, problem.num_landmarks)
+    jac, _, d_p, _ = dense_rows_jacobian(oracle, problem.num_cameras, problem.num_landmarks)
     pc = problem.num_cameras * d_p
     w_dense = jac[:, :pc].T @ jac[:, pc:]
     np.testing.assert_allclose(w.toarray(), w_dense, rtol=0, atol=1e-12 * np.abs(w_dense).max())
@@ -494,7 +505,94 @@ def test_plan_built_lazily_and_cached(tmp_path):
         write_bal(problem, fh)
     loaded = prune_underobserved(load_bal(path))
     assert "plan" not in vars(loaded)
+    assert "measurement_weights" not in vars(loaded)
     plan = loaded.plan
     assert loaded.plan is plan
     np.testing.assert_array_equal(plan.camera_ptr, [0, *np.cumsum(np.bincount(
         loaded.camera_indices, minlength=4))])
+    assert "landmark_segments" not in vars(plan)
+    assert "measurement_weights" not in vars(loaded)
+    segments = plan.landmark_segments
+    assert plan.landmark_segments is segments
+    weights = loaded.measurement_weights
+    assert loaded.measurement_weights is weights
+    # the weight matrix: the weights (1, m0, m1, |m|^2) of each observation at
+    # its landmark's row and its camera's four columns
+    m = loaded.measurements
+    expected = np.zeros((6, 4 * 4))
+    for c, lm, (m0, m1) in zip(loaded.camera_indices, loaded.landmark_indices, m):
+        expected[lm, 4 * c:4 * c + 4] += [1.0, m0, m1, m0 * m0 + m1 * m1]
+    np.testing.assert_allclose(weights.toarray(), expected, rtol=1e-15)
+    # the segment matrix sums camera-major rows per landmark
+    values = np.arange(loaded.num_observations, dtype=float)
+    expected_sums = np.bincount(plan.row_landmark, weights=values, minlength=6)
+    np.testing.assert_array_equal(plan.landmark_sums(values), expected_sums)
+
+
+def raw_pixel_problem():
+    """A stage-1 problem at raw-pixel scale (|m| about 500-1000).
+
+    Camera 0 is unobserved and landmark 7 (the last) too; camera 2 observes
+    landmarks 1 and 4 twice. Landmark 6 is seen only by cameras 4 and 5,
+    whose first column is zero, so its normal equations have rank 2.
+    """
+    rng = np.random.default_rng(77)
+    tracks = [[1, 2, 3, 4], [1, 2, 2], [2, 3], [1, 3], [1, 2, 3, 2], [2, 3], [4, 5], []]
+    cam_idx = [c for track in tracks for c in track]
+    lm_idx = [j for j, track in enumerate(tracks) for _ in track]
+    order = rng.permutation(len(cam_idx))
+    n_obs = len(cam_idx)
+    radius = rng.uniform(500.0, 1000.0, n_obs)
+    angle = rng.uniform(0.0, 2 * np.pi, n_obs)
+    meas = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1)
+    problem = BaProblem(6, 8, n_obs, np.array(cam_idx)[order], np.array(lm_idx)[order], meas)
+    state = make_random_state(problem, 78, STAGE1)
+    cameras = np.array(state.cameras)
+    cameras[4:, :, 0] = 0.0
+    return problem, ProjectiveState(cameras, state.landmarks)
+
+
+@pytest.mark.parametrize("mode", [POSE_ONLY, BOTH])
+def test_stage1_system_matches_dense_oracle_at_raw_pixel_scale(mode):
+    problem, state = raw_pixel_problem()
+    plan = problem.plan
+    assert list(np.diff(plan.camera_ptr) == 0) == [True] + [False] * 5
+    assert list(np.nonzero(np.diff(plan.landmark_ptr) == 0)[0]) == [7]
+    assert len(plan.pair_starts) == problem.num_observations - 2
+    eta, lam = 0.1, 0.3
+    system = assemble(build_stage1_blocks(problem, state, PoseConfig(eta)), lam, mode)
+    assert system.v_degenerate[6]
+
+    jac, res, d_p, d_l = dense_jacobian(problem, state, STAGE1, eta)
+    h, g = dense_damped_hessian(jac, res, problem.num_cameras, d_p, lam, mode)
+    pc = problem.num_cameras * d_p
+    u, w, v = dense_uwv(system)
+    for got, want in ((u, h[:pc, :pc]), (w, h[:pc, pc:]), (v, h[pc:, pc:])):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(h).max())
+    gscale = 1e-12 * np.abs(g).max()
+    np.testing.assert_allclose(system.b_p.ravel(), g[:pc], rtol=0, atol=gscale)
+    np.testing.assert_allclose(system.b_l.ravel(), g[pc:], rtol=0, atol=gscale)
+    assert len(system.w.data) == len(plan.pair_starts)
+
+
+def test_landmark_normals_match_oracle_rows_at_raw_pixel_scale():
+    problem, state = raw_pixel_problem()
+    eta = 0.3
+    rows = stage1_oracle_rows(problem, state, eta)
+    plan = problem.plan
+    cams = state.cameras[plan.row_camera]
+    origin = np.broadcast_to([0.0, 0.0, 0.0, 1.0], (len(cams), 4))
+    c = stage1_residuals(cams, origin, problem.measurements[plan.rows], eta)
+    ata = np.zeros((problem.num_landmarks, 3, 3))
+    atc = np.zeros((problem.num_landmarks, 3))
+    for k, lm in enumerate(plan.row_landmark):
+        ata[lm] += rows.lm_jac[k].T @ rows.lm_jac[k]
+        atc[lm] += rows.lm_jac[k].T @ c[k]
+    got_ata, got_atc = stage1_landmark_normals(state.cameras, problem, eta)
+    np.testing.assert_allclose(got_ata, ata, rtol=0, atol=1e-12 * np.abs(ata).max())
+    np.testing.assert_allclose(got_atc, atc, rtol=0, atol=1e-12 * np.abs(atc).max())
+    np.testing.assert_array_equal(got_ata, got_ata.transpose(0, 2, 1))
+    resolved = solve_landmarks(state, problem, PoseConfig(eta))
+    np.testing.assert_array_equal(resolved.hessian, got_ata)
+    np.testing.assert_array_equal(resolved.origin_gradient, got_atc)
+    np.testing.assert_array_equal(resolved.degenerate, np.arange(8) >= 6)

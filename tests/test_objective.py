@@ -387,15 +387,16 @@ def test_solve_landmarks_matches_per_landmark_lstsq(caplog):
 
 @pytest.mark.parametrize("lam", [1e-4, 0.37])
 def test_linearization_from_resolve_equals_fresh(lam):
-    # the re-solve's landmark Jacobian, V and V^+ stand in for the ones a
-    # fresh linearization at the re-solved point forms, bit for bit
+    # the re-solve's V, A^T c and V^+ stand in for the ones a fresh
+    # linearization at the re-solved point forms, bit for bit
     problem, state = mixed_track_problem()
     cfg = PoseConfig(0.3)
     resolved = solve_landmarks(state, problem, cfg)
     at = ProjectiveState(state.cameras, resolved.landmarks)
     rows = build_stage1_blocks(problem, at, cfg, resolved)
     fresh_rows = build_stage1_blocks(problem, at, cfg)
-    np.testing.assert_array_equal(rows.lm_jac, fresh_rows.lm_jac)
+    np.testing.assert_array_equal(rows.hessian_v, fresh_rows.hessian_v)
+    np.testing.assert_array_equal(rows.b_l, fresh_rows.b_l)
     reused, fresh = assemble(rows, lam), assemble(fresh_rows, lam)
     # the unobserved and the rank-deficient landmark are both covered
     np.testing.assert_array_equal(reused.v_degenerate, np.arange(12) >= 10)

@@ -7,17 +7,23 @@ from pathlib import Path
 import pytest
 
 from stratba import solvers
+from stratba.bal_io import random_init
+from stratba.objective import STAGE1
 from stratba.solvers import SolverConfig, direct_schur_solve
-from tests.conftest import make_varpro_system
+from tests.conftest import make_random_problem, make_varpro_system
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
-def load_spans():
+def load_spans_module():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.SPANS
+    return module
+
+
+def load_spans():
+    return load_spans_module().SPANS
 
 
 @pytest.mark.parametrize("module, attribute, span", load_spans())
@@ -39,3 +45,26 @@ def test_direct_solve_reaches_dense_schur_through_module_name(monkeypatch):
     system, _, _ = make_varpro_system(4, 9, seed=7, lam=0.05)
     direct_schur_solve(system, SolverConfig())
     assert len(calls) == 1 and calls[0] is system
+
+
+def test_traced_povar_stage1_keeps_its_spans():
+    # the benchmark's tracer counts the stage-1 re-solve and linearization by
+    # name: one re-solve per accepted step, and one linearization at the
+    # start and after every accepted step that another iteration follows
+    problem = make_random_problem(4, 20, seed=9)
+    state = random_init(problem, 4)
+    tracer = load_spans_module().Tracer()
+    tracer.install()
+    try:
+        # through the module, whose name the tracer replaced
+        _, trace = solvers.lm_minimize(problem, state, STAGE1, SolverConfig())
+    finally:
+        tracer.uninstall()
+    report = tracer.report()
+    costs = [r.cost for r in trace.records]
+    accepted = [b < a for a, b in zip(costs, costs[1:])]
+    assert sum(accepted) >= 2
+    assert report["objective.solve_landmarks.calls"] == sum(accepted)
+    assert report["normal_eq.build_stage1_blocks.calls"] == 1 + sum(accepted[:-1])
+    assert report["normal_eq.assemble.stage1.calls"] == 1 + sum(accepted[:-1])
+    assert report["solvers.lm_iterations.stage1"] == len(accepted)
