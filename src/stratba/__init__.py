@@ -2,6 +2,7 @@
 
 from .bal_io import (
     BalParseError,
+    BalReadError,
     BaProblem,
     ObservationPlan,
     ProjectiveState,
@@ -25,7 +26,7 @@ from .evaluation import (
 )
 from .metric_upgrade import AmbiguityState, MetricUpgradeResult, upgrade
 from .normal_eq import (
-    JacobianRows,
+    BlockSums,
     SchurSystem,
     apply_schur,
     assemble,

@@ -20,6 +20,7 @@ import io
 import logging
 import math
 import warnings
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterator
@@ -41,6 +42,10 @@ class BalParseError(ValueError):
     def __init__(self, line: int, message: str):
         self.line = line
         super().__init__(f"line {line}: {message}")
+
+
+class BalReadError(OSError):
+    """A BAL input that cannot be read: missing, a directory, corrupt compression, not UTF-8."""
 
 
 def _frozen(a: np.ndarray, dtype=np.float64) -> np.ndarray:
@@ -125,7 +130,7 @@ class ObservationPlan:
     owning ``landmark_ptr[l]:landmark_ptr[l + 1]`` of it. Unobserved cameras
     and landmarks get empty segments. The rows of a (camera, landmark) pair
     observed more than once are adjacent; ``pair_starts`` holds the first row
-    of each distinct pair, where ``assemble`` sums the pair's coupling blocks.
+    of each distinct pair, where the linearization sums the pair's coupling blocks.
     The arrays are read-only, since one plan serves every linearization.
     """
 
@@ -380,16 +385,19 @@ def write_bal(problem: BaProblem, stream: IO[str]) -> None:
 def load_bal(path: str | Path) -> BaProblem:
     """Read a BAL file from disk, transparently decompressing gzip or bzip2 input."""
     path = Path(path)
-    with open(path, "rb") as fh:
-        magic = fh.read(3)
-    if magic[:2] == b"\x1f\x8b":
-        opener = gzip.open
-    elif magic == b"BZh":
-        opener = bz2.open
-    else:
-        opener = open
-    with opener(path, "rt") as fh:
-        return parse_bal(fh)
+    try:
+        with open(path, "rb") as fh:
+            magic = fh.read(3)
+        if magic[:2] == b"\x1f\x8b":
+            opener = gzip.open
+        elif magic == b"BZh":
+            opener = bz2.open
+        else:
+            opener = open
+        with opener(path, "rt", encoding="utf-8") as fh:
+            return parse_bal(fh)
+    except (OSError, EOFError, zlib.error, UnicodeDecodeError) as exc:  # reading, not parsing
+        raise BalReadError(f"cannot read {path}: {exc}") from exc
 
 
 def prune_underobserved(problem: BaProblem, min_cameras: int = 2) -> BaProblem:

@@ -10,7 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 from operator import attrgetter
 from pathlib import Path
 
-from .bal_io import BalParseError, write_bal
+from .bal_io import BalParseError, BalReadError, write_bal
 from .evaluation import performance_profile, read_trace_csv, write_profile_csv
 from .pipeline import SOLVER_SETTINGS, RunSpec, run_problem, solver_config
 from .solvers import NumericFailureError, SolverConfig
@@ -91,7 +91,7 @@ def _cmd_solve(args) -> int:
     def run_one(path: str) -> int:
         try:
             summary = run_problem(path, spec)
-        except FileNotFoundError as exc:
+        except BalReadError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_PARSE
         except BalParseError as exc:

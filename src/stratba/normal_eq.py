@@ -1,22 +1,23 @@
 """Block-sparse damped normal equations and their Schur reduction.
 
-Linearization keeps per-observation rows in the camera-major row order of
-the problem's observation plan (``BaProblem.plan``). Stage 2 keeps one
-Jacobian row band [pose | landmark | residual] per observation
-(``JacobianRows``): U and b_p come from one GEMM per camera over its
-contiguous rows, V and b_l from segment sums over landmarks. Stage 1 uses the
-Kronecker form J_p = B (x) x^T of its pose Jacobian, with B the 4x3
-measurement matrix (``Stage1Rows``): per observation it keeps only the 3x3
-block G^T = B^T A and a = B^T r, next to the landmark x and the measurement
-weights; U and b_p come from one (19 x 4) moment GEMM per camera, each W
-block is G^T (x) x, and V, V^+ and b_l come from the landmark normal
-equations of ``objective``, so no per-observation Jacobian is formed. The
-reduced-camera operator assembled from either holds the pose blocks U, the
-landmark blocks V and gradients b_l, and the coupling W = Jp^T Jl as a
-canonical block-sparse row matrix with one block per distinct (camera,
-landmark) pair, together with one copy of W^T: the blocks of a pair that a
-camera observes more than once are summed once, so nothing downstream
-treats repeats specially. The reduced right-hand side, the matrix-free
+Both stages linearize the same way, in the camera-major row order of the
+problem's observation plan (``BaProblem.plan``). An observation's residual
+depends on its camera P only through u = P x, so its pose Jacobian has the
+Kronecker form D (x) x^T, with D = dr/du: the 4x3 measurement matrix B in
+stage 1, the 2x3 derivative of the perspective division in stage 2. D^T D is
+a weighted sum sum_k w_k C_k over the four 3x3 bases of
+``objective.stage1_gram_basis`` (stage 2 at eta = 0). So a stage supplies per
+observation only its weights, a = D^T r and the 3 x d_l block G^T = D^T Jl,
+and one helper forms U and b_p from one (19 x 4) moment GEMM per camera and
+each W block as G^T (x) x; no per-observation pose Jacobian is formed. V and
+b_l come from the landmark normal equations of ``objective`` (stage 1) or,
+with landmark Jacobian D P, as P^T G^T and P^T a (stage 2). The sums
+(``BlockSums``) hold one W block per distinct (camera, landmark) pair: the
+blocks of a pair that a camera observes more than once are summed once, so
+nothing downstream treats repeats specially. ``assemble`` damps them into the reduced-camera
+operator: the pose blocks U, the landmark blocks V and gradients b_l, and
+the coupling W = Jp^T Jl as a canonical block-sparse row matrix, together
+with one copy of W^T. The reduced right-hand side, the matrix-free
 products, back-substitution, the exact block diagonal and the explicit
 reduced matrix all read these pieces. The last two use the blockwise product
 Y = W V^+, which has W's block structure: the block diagonal sums
@@ -32,7 +33,6 @@ in ``pose_only`` mode (eliminated-landmark optimization).
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import logging
 from dataclasses import dataclass
@@ -44,16 +44,14 @@ import scipy.sparse
 from .bal_io import BaProblem, ObservationPlan, ProjectiveState
 from .objective import (
     V_PINV_TOL,
+    Z_EPSILON,
     LandmarkSolve,
     PoseConfig,
-    block_gram,
     pinv_psd,
     stage1_gram_apply,
     stage1_gram_basis,
     stage1_landmark_normals,
     stage1_weights,
-    stage2_jacobians,
-    stage2_residuals,
 )
 
 logger = logging.getLogger(__name__)
@@ -71,104 +69,84 @@ DAMPING_CLAMP = (1e-6, 1e6)
 # 20-100 cameras with tracks of 4-25 views, 37-50x at 138-300 cameras.
 _GEMM_SPEEDUP = 20
 
+# Pairs per product writing W's blocks G^T (x) x: over all 13.8k pairs of a
+# 30-camera problem one product took 5.6 ms at landmark width 4 and chunks of
+# 256 took 2.6 ms, 1.8 ms either way at width 3 (2-vCPU x86-64, one thread).
+_W_CHUNK = 256
 
-def _pair_sums(values: np.ndarray, plan: ObservationPlan, axis: int = 0) -> np.ndarray:
-    """Values of the camera-major rows summed over each distinct (camera, landmark) pair."""
+
+@dataclass
+class BlockSums:
+    """The undamped sums of one linearization: U = Jp^T Jp and b_p = Jp^T r per
+    camera, one W = Jp^T Jl block per distinct (camera, landmark) pair in the
+    plan's pair order, V = Jl^T Jl and b_l = Jl^T r per landmark, and V^+ with
+    its degenerate mask when a landmark re-solve already holds them.
+    """
+
+    plan: ObservationPlan
+    u: np.ndarray  # (n_p, d_p, d_p)
+    b_p: np.ndarray  # (n_p, d_p)
+    w_blocks: np.ndarray  # (n_pairs, d_p, d_l)
+    v: np.ndarray  # (n_l, d_l, d_l)
+    b_l: np.ndarray  # (n_l, d_l)
+    v_pinv: tuple[np.ndarray, np.ndarray] | None = None
+
+
+def _kronecker_sums(plan: ObservationPlan, basis: np.ndarray, weights: np.ndarray,
+                    x: np.ndarray, a: np.ndarray, gt: np.ndarray, v: np.ndarray,
+                    b_l: np.ndarray, v_pinv: tuple[np.ndarray, np.ndarray] | None = None
+                    ) -> BlockSums:
+    """Block sums of a pose Jacobian in the Kronecker form D (x) x^T.
+
+    Per camera-major observation, with the observation axis last: the weights
+    w (4, n) of D^T D = sum_k w_k C_k over ``basis`` (4, 3, 3), the landmark
+    x (4, n), a = D^T r (3, n) and G^T = D^T Jl (3, d_l, n). A camera's U is
+    sum_k C_k (x) M_k over the moments M_k = sum w_k x x^T of its
+    observations and its b_p is sum a (x) x, both from one (19 x 4) moment
+    GEMM per camera; each W block is G^T (x) x, a repeated pair summing its
+    G^T first, since x is shared.
+    """
+    n_p, n = plan.num_cameras, x.shape[1]
+    lhs = np.empty((19, n))  # rows w_k x, then a
+    lhs[:16].reshape(4, 4, n)[...] = weights[:, None] * x
+    lhs[16:] = a
+    moments = np.empty((n_p, 19, 4))
+    for c in range(n_p):
+        sl = slice(plan.camera_ptr[c], plan.camera_ptr[c + 1])
+        moments[c] = lhs[:, sl] @ x[:, sl].T
+    del lhs  # before W, the largest array
+    u = np.einsum("kjJ,ckaA->cjaJA", basis,
+                  moments[:, :16].reshape(n_p, 4, 4, 4)).reshape(n_p, 12, 12)
+    b_p = moments[:, 16:].reshape(n_p, 12)
     starts = plan.pair_starts
-    if len(starts) == values.shape[axis]:
-        return values
-    return np.add.reduceat(values, starts, axis=axis)
+    if len(starts) < n:  # some camera observes a landmark more than once
+        gt = np.add.reduceat(gt, starts, axis=2)
+    x = np.take(x, starts, axis=1)
+    d_l = gt.shape[1]
+    w_blocks = np.empty((len(starts), 3, 4, d_l))
+    w_t = w_blocks.transpose(1, 2, 3, 0)
+    for first in range(0, len(starts), _W_CHUNK):
+        sl = slice(first, first + _W_CHUNK)
+        np.multiply(gt[:, None, :, sl], x[None, :, None, sl], out=w_t[..., sl])
+    return BlockSums(plan, u, b_p, w_blocks.reshape(-1, 12, d_l), v, b_l, v_pinv)
 
 
-@dataclass
-class JacobianRows:
-    """Per-observation Jacobian row bands in the plan's camera-major row order.
-
-    The stage-2 linearization; ``riemannian.project_blocks`` projects them
-    onto the tangent spaces.
-    """
-
-    plan: ObservationPlan
-    pose_jac: np.ndarray  # (n_obs, r, d_p)
-    lm_jac: np.ndarray  # (n_obs, r, d_l)
-    residual: np.ndarray  # (n_obs, r)
-
-    @property
-    def pose_width(self) -> int:
-        return self.pose_jac.shape[2]
-
-    @property
-    def lm_width(self) -> int:
-        return self.lm_jac.shape[2]
-
-    def block_sums(self):
-        """U and b_p with one GEMM per camera over its contiguous rows, V and b_l
-        as segment sums over landmarks, and one W = Jp^T Jl block per distinct pair."""
-        plan = self.plan
-        jp, jl, res = self.pose_jac, self.lm_jac, self.residual
-        n_p, d_p = plan.num_cameras, self.pose_width
-        u = np.empty((n_p, d_p, d_p))
-        b_p = np.empty((n_p, d_p))
-        for c in range(n_p):
-            sl = slice(plan.camera_ptr[c], plan.camera_ptr[c + 1])
-            a = jp[sl].reshape(-1, d_p)
-            u[c] = a.T @ a
-            b_p[c] = a.T @ res[sl].ravel()
-        v = plan.landmark_sums(block_gram(jl))
-        b_l = plan.landmark_sums(np.einsum("nri,nr->ni", jl, res))
-        w_blocks = _pair_sums(np.matmul(jp.transpose(0, 2, 1), jl), plan)
-        return u, b_p, w_blocks, v, b_l, None
-
-
-@dataclass
-class Stage1Rows:
-    """The stage-1 linearization in the Kronecker form of its pose Jacobian.
-
-    An observation's pose Jacobian is B (x) x^T, with B its 4x3 measurement
-    matrix and x its landmark, and its landmark Jacobian is A = B P[:, :3]
-    (see ``objective``). So its W block is G^T (x) x, with the 3x3 block
-    G^T = B^T A, and its pose gradient is a (x) x, with a = B^T r. With
-    B^T B = sum_k w_k C_k over the weights w = (1, m0, m1, |m|^2), a camera's
-    U is sum_k C_k (x) M_k over the moments M_k = sum w_k x x^T of its
-    observations. The rows keep, per camera-major observation, G^T and the
-    left factor [w (x) x, a] of one (19 x 4) moment GEMM per camera, stored
-    with the observation axis last; the landmark blocks come from the
-    landmark normal equations, not from rows.
-    """
-
-    plan: ObservationPlan
-    gram_basis: np.ndarray  # (4, 3, 3) the C_k of B^T B
-    gt: np.ndarray  # (3, 3, n_obs) G^T = B^T A
-    moments_lhs: np.ndarray  # (19, n_obs) rows x, m0 x, m1 x, |m|^2 x, a
-    hessian_v: np.ndarray  # (n_l, 3, 3) A^T A
-    b_l: np.ndarray  # (n_l, 3)
-    v_pinv: tuple[np.ndarray, np.ndarray] | None  # pinv_psd(hessian_v), when known
-
-    def block_sums(self):
-        """U and b_p from the per-camera moments, W = G^T (x) x per distinct pair
-        (a repeated pair sums its G^T first, since x is shared), V and b_l as given."""
-        plan = self.plan
-        lhs = self.moments_lhs
-        x = lhs[:4]
-        n_p = plan.num_cameras
-        moments = np.empty((n_p, 19, 4))
-        for c in range(n_p):
-            sl = slice(plan.camera_ptr[c], plan.camera_ptr[c + 1])
-            moments[c] = lhs[:, sl] @ x[:, sl].T
-        u = np.einsum("kjJ,ckaA->cjaJA", self.gram_basis,
-                      moments[:, :16].reshape(n_p, 4, 4, 4)).reshape(n_p, 12, 12)
-        b_p = moments[:, 16:].reshape(n_p, 12)
-        gt, x = _pair_sums(self.gt, plan, axis=2), np.take(x, plan.pair_starts, axis=1)
-        w_blocks = np.empty((len(plan.pair_starts), 3, 4, 3))
-        np.multiply(gt[:, None], x[None, :, None], out=w_blocks.transpose(1, 2, 3, 0))
-        return u, b_p, w_blocks.reshape(-1, 12, 3), self.hessian_v, self.b_l, self.v_pinv
+def _gather_rows(problem: BaProblem, state: ProjectiveState) -> tuple[np.ndarray, np.ndarray]:
+    """Cameras (3, 4, n) and landmarks (4, n) of the camera-major rows, observation axis last."""
+    plan = problem.plan
+    n = len(plan.rows)
+    cams = np.take(state.cameras.reshape(-1, 12).T, plan.row_camera, axis=1).reshape(3, 4, n)
+    return cams, np.take(state.landmarks.T, plan.row_landmark, axis=1)
 
 
 def build_stage1_blocks(problem: BaProblem, state: ProjectiveState,
                         config: PoseConfig = PoseConfig(),
-                        resolved: LandmarkSolve | None = None) -> Stage1Rows:
-    """Linearize the stage-1 objective in Kronecker form (widths 12/3).
+                        resolved: LandmarkSolve | None = None) -> BlockSums:
+    """Linearize the stage-1 objective (widths 12/3).
 
+    The pose Jacobian is B (x) x^T with B the 4x3 measurement matrix, whose
+    B^T B has the weights (1, m0, m1, |m|^2); the landmark Jacobian is
+    A = B P[:, :3], so G^T = B^T B P[:, :3] and a = B^T (B P x - d).
     ``resolved``, the landmark re-solve at ``state.cameras``, supplies A^T A,
     A^T c and V^+, which depend on the cameras alone; without it they are
     formed here by ``stage1_landmark_normals``. The landmark gradient is
@@ -177,17 +155,10 @@ def build_stage1_blocks(problem: BaProblem, state: ProjectiveState,
     """
     eta = config.eta
     basis, offsets = stage1_gram_basis(eta)
-    plan = problem.plan
-    n = len(plan.rows)
-    # per-observation quantities with the observation axis last
-    cams = np.take(state.cameras.reshape(-1, 12).T, plan.row_camera, axis=1).reshape(3, 4, n)
-    lhs = np.empty((19, n))
-    x = lhs[:4]
-    np.take(state.landmarks.T, plan.row_landmark, axis=1, out=x)
-    weights = stage1_weights(problem.measurements[plan.rows])
-    lhs[:16].reshape(4, 4, n)[...] = weights[:, None] * x
+    cams, x = _gather_rows(problem, state)
+    weights = stage1_weights(problem.measurements[problem.plan.rows])
     px = np.einsum("ian,an->in", cams, x)
-    lhs[16:] = stage1_gram_apply(px, weights, eta) - offsets.T @ weights  # a = B^T (B P x - d)
+    a = stage1_gram_apply(px, weights, eta) - offsets.T @ weights
     if resolved is None:
         v, origin_gradient = stage1_landmark_normals(state.cameras, problem, eta)
         v_pinv = None
@@ -195,23 +166,42 @@ def build_stage1_blocks(problem: BaProblem, state: ProjectiveState,
         v, origin_gradient = resolved.hessian, resolved.origin_gradient
         v_pinv = resolved.pinv, resolved.degenerate
     b_l = np.einsum("nij,nj->ni", v, state.landmarks[:, :3]) + origin_gradient
-    return Stage1Rows(plan, basis, stage1_gram_apply(cams[:, :3], weights, eta), lhs, v, b_l,
-                      v_pinv)
+    return _kronecker_sums(problem.plan, basis, weights, x, a,
+                           stage1_gram_apply(cams[:, :3], weights, eta), v, b_l, v_pinv)
 
 
-def build_stage2_blocks(problem: BaProblem, state: ProjectiveState) -> JacobianRows:
-    """Linearize the stage-2 objective into unprojected rows (widths 12/4).
+def build_stage2_blocks(problem: BaProblem, state: ProjectiveState) -> BlockSums:
+    """Linearize the stage-2 objective in the full parameters (widths 12/4).
+
+    With u = P x, p = u[:2] / u[2] and D = dp/du = [I | -p] / u[2], the pose
+    Jacobian is D (x) x^T, D^T D has the weights (1, p0, p1, |p|^2) / u[2]^2
+    over the stage-1 basis at eta = 0, and the landmark Jacobian is D P, so
+    G^T = D^T D P, a = D^T r, V = P^T G^T and b_l = P^T a per observation.
+    ``riemannian.project_blocks`` projects the sums onto the tangent spaces.
 
     Degenerate observations (depth within the guard) must be excluded by the
     caller rejecting the state; here they would poison the step, so we raise.
     """
     plan = problem.plan
-    cams, lms = state.cameras[plan.row_camera], state.landmarks[plan.row_landmark]
-    meas = problem.measurements[plan.rows]
-    jp, jl, valid = stage2_jacobians(cams, lms, meas)
-    if not valid.all():
+    cams, x = _gather_rows(problem, state)
+    u = np.einsum("ian,an->in", cams, x)
+    if not (np.abs(u[2]) > Z_EPSILON).all():
         raise FloatingPointError("degenerate projection while linearizing stage 2")
-    return JacobianRows(plan, jp, jl, stage2_residuals(cams, lms, meas)[0])
+    inv_z = 1.0 / u[2]
+    p = u[:2]
+    p *= inv_z
+    weights = stage1_weights(p.T)  # z^2 D^T D = sum_k w_k C_k
+    inv_z2 = inv_z * inv_z
+    gt = stage1_gram_apply(cams, weights, 0.0)
+    gt *= inv_z2
+    weights *= inv_z2
+    a = np.empty((3, len(inv_z)))
+    a[:2] = (p - problem.measurements[plan.rows].T) * inv_z
+    a[2] = -np.einsum("rn,rn->n", p, a[:2])
+    # (D P)^T (D P) = P^T G^T and (D P)^T r = P^T a
+    v = plan.landmark_sums(np.einsum("ijn,ikn->njk", cams, gt))
+    b_l = plan.landmark_sums(np.einsum("ijn,in->nj", cams, a))
+    return _kronecker_sums(plan, stage1_gram_basis(0.0)[0], weights, x, a, gt, v, b_l)
 
 
 def _jacobi_damped(blocks: np.ndarray, lam: float) -> np.ndarray:
@@ -277,12 +267,8 @@ class SchurSystem:
         W, W^T and the gradients are shared; in pose-only mode so are V and
         its pseudo-inverse. The result equals a fresh ``assemble`` bit for bit.
         """
-        if self.damping_mode == BOTH:
-            return dataclasses.replace(self, lam=lam)
-        out = copy.copy(self)
-        out.lam = lam
-        out.u_blocks = _jacobi_damped(self.hessian_u, lam)
-        return out
+        return dataclasses.replace(self, lam=lam, v_pinv=None if self.damping_mode == BOTH
+                                   else (self.v_inv, self.v_degenerate))
 
     @property
     def n_cameras(self) -> int:
@@ -309,28 +295,22 @@ class SchurSystem:
         return self.w @ block_apply(self.v_inv, self.wt @ x)
 
 
-def assemble(rows: JacobianRows | Stage1Rows, lam: float,
-             damping_mode: str = POSE_ONLY) -> SchurSystem:
-    """Form damped U/V/W blocks and gradients from linearized rows.
+def assemble(sums: BlockSums, lam: float, damping_mode: str = POSE_ONLY) -> SchurSystem:
+    """Form the damped system of one linearization's block sums.
 
-    The rows supply their stage's sums: U = Jp^T Jp, V = Jl^T Jl, one
-    W = Jp^T Jl block per distinct (camera, landmark) pair (a repeated pair's
-    blocks summed) and b = J^T r, and, for rows linearized from a landmark
-    re-solve, V^+, which is used in pose-only mode. Here U gets the damping
-    lam * Dp^T Dp with Jacobi Dp (clamped), V the analogous landmark damping
-    in ``both`` mode, and W and W^T become canonical block-sparse matrices.
+    U gets the damping lam * Dp^T Dp with Jacobi Dp (clamped), V the
+    analogous landmark damping in ``both`` mode, and W and W^T become
+    canonical block-sparse matrices. A V^+ carried by the sums is used in
+    pose-only mode.
     """
-    plan = rows.plan
-    u, b_p, w_blocks, v, b_l, v_pinv = rows.block_sums()
-    w_indices, w_ptr = plan.row_landmark, plan.camera_ptr
-    starts = plan.pair_starts
-    if len(starts) < len(w_indices):  # some camera observes a landmark more than once
-        w_indices, w_ptr = w_indices[starts], np.searchsorted(starts, w_ptr)
-    shape = (plan.num_cameras * u.shape[1], plan.num_landmarks * v.shape[1])
-    w = scipy.sparse.bsr_array((w_blocks, w_indices, w_ptr), shape=shape)
+    plan = sums.plan
+    starts = plan.pair_starts  # one block per distinct pair
+    w_indices, w_ptr = plan.row_landmark[starts], np.searchsorted(starts, plan.camera_ptr)
+    shape = (plan.num_cameras * sums.u.shape[1], plan.num_landmarks * sums.v.shape[1])
+    w = scipy.sparse.bsr_array((sums.w_blocks, w_indices, w_ptr), shape=shape)
     # Transposing keeps W's block order within each landmark: cameras increasing.
-    return SchurSystem(u, v, w, w.T, b_p, b_l, lam, damping_mode,
-                       v_pinv if damping_mode == POSE_ONLY else None)
+    return SchurSystem(sums.u, sums.v, w, w.T, sums.b_p, sums.b_l, lam, damping_mode,
+                       sums.v_pinv if damping_mode == POSE_ONLY else None)
 
 
 # ---------------------------------------------------------------------------

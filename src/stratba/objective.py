@@ -1,4 +1,4 @@
-"""Residuals, Jacobians, and the closed-form landmark solve for both stages.
+"""Residuals, the Gram bases of their Jacobians, and the closed-form landmark solve.
 
 Stage 1 blends an object-space term with an affine term, weighted by eta:
 for camera P (3x4), homogeneous landmark x (last coordinate 1) and
@@ -21,6 +21,9 @@ same way.
 
 Stage 2 is the plain projective reprojection error pi(P x) - m with
 pi([x, y, z]) = [x/z, y/z], evaluated on unit-norm homogeneous parameters.
+Its pose Jacobian is D (x) x^T with D the derivative of pi at u = P x, and
+D^T D is the sum over the stage-1 bases at eta = 0 weighted by
+(1, p0, p1, |p|^2) / z^2, so ``normal_eq`` linearizes both stages alike.
 
 Cameras are vectorized row-major (12 entries) everywhere.
 """
@@ -103,7 +106,8 @@ def stage1_gram_basis(eta: float) -> tuple[np.ndarray, np.ndarray]:
 def stage1_gram_apply(v: np.ndarray, weights: np.ndarray, eta: float) -> np.ndarray:
     """B^T B v for stacks v (3, ..., n) of 3-vectors, with B^T B from the weights (4, n).
 
-    B^T B = sum_k w_k C_k of ``stage1_gram_basis``, written out.
+    B^T B = sum_k w_k C_k of ``stage1_gram_basis``, written out; at eta = 0
+    with the stage-2 weights it is D^T D v.
     """
     s = 1.0 - eta
     _, m0, m1, q = weights
@@ -127,27 +131,6 @@ def stage2_residuals(cameras: np.ndarray, landmarks: np.ndarray, measurements: n
     zsafe = np.where(valid, z, 1.0)
     out = u[:, :2] / zsafe[:, None] - measurements
     return out, valid
-
-
-def stage2_jacobians(cameras: np.ndarray, landmarks: np.ndarray, measurements: np.ndarray
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pose (n,2,12) and landmark (n,2,4) Jacobians plus validity mask."""
-    n = len(cameras)
-    u = np.einsum("nij,nj->ni", cameras, landmarks)
-    z = u[:, 2]
-    valid = np.abs(z) > Z_EPSILON
-    zsafe = np.where(valid, z, 1.0)
-    inv_z = 1.0 / zsafe
-    # d pi / d u, rows for x and y
-    dpi = np.zeros((n, 2, 3))
-    dpi[:, 0, 0] = inv_z
-    dpi[:, 1, 1] = inv_z
-    dpi[:, 0, 2] = -u[:, 0] * inv_z**2
-    dpi[:, 1, 2] = -u[:, 1] * inv_z**2
-    jl = np.einsum("nrc,ncj->nrj", dpi, cameras)
-    # d u_c / d vec(P) is the landmark repeated in column band c
-    jp = np.einsum("nrc,nj->nrcj", dpi, landmarks).reshape(n, 2, 12)
-    return jp, jl, valid
 
 
 def _gather(state: ProjectiveState, problem: BaProblem):
@@ -192,13 +175,6 @@ def pinv_psd(blocks: np.ndarray, rel_tol: float) -> tuple[np.ndarray, np.ndarray
     inv_w = np.where(ok, 1.0 / np.where(ok, w, 1.0), 0.0)
     pinv = np.matmul(q * inv_w[:, None, :], q.transpose(0, 2, 1))
     return pinv, ~ok.all(axis=1)
-
-
-def block_gram(a: np.ndarray) -> np.ndarray:
-    """A^T A for every block of a batch: (n, r, d) -> (n, d, d)."""
-    # np.matmul takes a slow strided path for a transposed view; a contiguous
-    # copy of A^T gives the same products faster.
-    return np.matmul(np.ascontiguousarray(a.transpose(0, 2, 1)), a)
 
 
 def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -277,9 +277,9 @@ class _Stage1:
         return total_cost(state, self.problem, STAGE1, self.pose)
 
     def linearize(self, state: ProjectiveState, lam: float) -> SchurSystem:
-        rows = build_stage1_blocks(self.problem, state, self.pose, self.resolved)
+        sums = build_stage1_blocks(self.problem, state, self.pose, self.resolved)
         self.resolved = None  # the system now holds its V and V^+
-        return assemble(rows, lam, POSE_ONLY if self.varpro else BOTH)
+        return assemble(sums, lam, POSE_ONLY if self.varpro else BOTH)
 
     def trial(self, state: ProjectiveState, report: StepReport) -> ProjectiveState:
         cams = state.cameras + report.pose_update.reshape(state.cameras.shape)

@@ -8,15 +8,16 @@ share no code with the batched/blocked production paths they check.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from stratba.bal_io import BaProblem, ProjectiveState
+from stratba.bal_io import BaProblem, ObservationPlan, ProjectiveState
 from stratba.normal_eq import (
     BOTH,
     POSE_ONLY,
-    JacobianRows,
+    BlockSums,
     assemble,
     build_stage1_blocks,
     build_stage2_blocks,
@@ -24,16 +25,58 @@ from stratba.normal_eq import (
 from stratba.objective import (
     STAGE1,
     STAGE2,
+    Z_EPSILON,
     PoseConfig,
     stage1_residuals,
-    stage2_jacobians,
     stage2_residuals,
 )
-from stratba.riemannian import project_blocks, retract, state_tangent_bases
+from stratba.riemannian import TangentBasis, project_blocks, retract, state_tangent_bases
 
 
 # ---------------------------------------------------------------------------
-# per-observation stage-1 Jacobians (the oracle of the moment-form linearization)
+# per-observation Jacobians (the oracle of the moment-form linearization)
+
+
+@dataclass
+class OracleRows:
+    """Per-observation Jacobian row bands in the plan's camera-major row order."""
+
+    plan: ObservationPlan
+    pose_jac: np.ndarray  # (n_obs, r, d_p)
+    lm_jac: np.ndarray  # (n_obs, r, d_l)
+    residual: np.ndarray  # (n_obs, r)
+
+    @property
+    def pose_width(self) -> int:
+        return self.pose_jac.shape[2]
+
+    @property
+    def lm_width(self) -> int:
+        return self.lm_jac.shape[2]
+
+    def sums(self) -> BlockSums:
+        """U, b_p, one W block per distinct pair, V and b_l, summed row by row."""
+        plan, jp, jl, res = self.plan, self.pose_jac, self.lm_jac, self.residual
+        d_p, d_l = self.pose_width, self.lm_width
+        u = np.zeros((plan.num_cameras, d_p, d_p))
+        b_p = np.zeros((plan.num_cameras, d_p))
+        v = np.zeros((plan.num_landmarks, d_l, d_l))
+        b_l = np.zeros((plan.num_landmarks, d_l))
+        pair = np.searchsorted(plan.pair_starts, np.arange(len(res)), side="right") - 1
+        w = np.zeros((len(plan.pair_starts), d_p, d_l))
+        for k, (c, lm) in enumerate(zip(plan.row_camera, plan.row_landmark)):
+            u[c] += jp[k].T @ jp[k]
+            b_p[c] += jp[k].T @ res[k]
+            v[lm] += jl[k].T @ jl[k]
+            b_l[lm] += jl[k].T @ res[k]
+            w[pair[k]] += jp[k].T @ jl[k]
+        return BlockSums(plan, u, b_p, w, v, b_l)
+
+    def project(self, bases: TangentBasis) -> OracleRows:
+        """Each row band right-multiplied by its parameter's tangent basis."""
+        plan = self.plan
+        return OracleRows(plan, self.pose_jac @ bases.camera_bases[plan.row_camera],
+                          self.lm_jac @ bases.landmark_bases[plan.row_landmark], self.residual)
 
 
 def stage1_landmark_jacobian(cameras: np.ndarray, measurements: np.ndarray,
@@ -69,16 +112,40 @@ def stage1_pose_jacobian(landmarks: np.ndarray, measurements: np.ndarray,
     return jp
 
 
-def stage1_oracle_rows(problem: BaProblem, state: ProjectiveState, eta: float = 0.1
-                       ) -> JacobianRows:
-    """Stage-1 per-observation Jacobian rows in the plan's camera-major order."""
+def stage2_jacobians(cameras: np.ndarray, landmarks: np.ndarray, measurements: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pose (n,2,12) and landmark (n,2,4) Jacobians plus validity mask."""
+    n = len(cameras)
+    u = np.einsum("nij,nj->ni", cameras, landmarks)
+    z = u[:, 2]
+    valid = np.abs(z) > Z_EPSILON
+    inv_z = 1.0 / np.where(valid, z, 1.0)
+    # d pi / d u, rows for x and y
+    dpi = np.zeros((n, 2, 3))
+    dpi[:, 0, 0] = inv_z
+    dpi[:, 1, 1] = inv_z
+    dpi[:, 0, 2] = -u[:, 0] * inv_z**2
+    dpi[:, 1, 2] = -u[:, 1] * inv_z**2
+    jl = np.einsum("nrc,ncj->nrj", dpi, cameras)
+    # d u_c / d vec(P) is the landmark repeated in column band c
+    jp = np.einsum("nrc,nj->nrcj", dpi, landmarks).reshape(n, 2, 12)
+    return jp, jl, valid
+
+
+def oracle_rows(problem: BaProblem, state: ProjectiveState, stage: int, eta: float = 0.1
+                ) -> OracleRows:
+    """Per-observation Jacobian rows of either stage in the plan's camera-major order."""
     plan = problem.plan
     cams = state.cameras[plan.row_camera]
     lms = state.landmarks[plan.row_landmark]
     meas = problem.measurements[plan.rows]
-    return JacobianRows(plan, stage1_pose_jacobian(lms, meas, eta),
-                        stage1_landmark_jacobian(cams, meas, eta),
-                        stage1_residuals(cams, lms, meas, eta))
+    if stage == STAGE1:
+        return OracleRows(plan, stage1_pose_jacobian(lms, meas, eta),
+                          stage1_landmark_jacobian(cams, meas, eta),
+                          stage1_residuals(cams, lms, meas, eta))
+    jp, jl, valid = stage2_jacobians(cams, lms, meas)
+    assert valid.all()
+    return OracleRows(plan, jp, jl, stage2_residuals(cams, lms, meas)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ from stratba.bal_io import BaProblem, ProjectiveState, load_bal, prune_underobse
 from stratba.normal_eq import (
     BOTH,
     POSE_ONLY,
-    JacobianRows,
     apply_schur,
     assemble,
     back_substitute,
@@ -27,13 +26,14 @@ from stratba.objective import (
 )
 from stratba.riemannian import project_blocks, state_tangent_bases
 from tests.conftest import (
+    OracleRows,
     dense_damped_hessian,
     dense_jacobian,
     dense_uwv,
     make_random_problem,
     make_random_state,
     make_varpro_system,
-    stage1_oracle_rows,
+    oracle_rows,
     with_repeated_observations,
 )
 
@@ -41,7 +41,7 @@ from tests.conftest import (
 def single_observation_store(jp, jl, res, n_cameras=1, n_landmarks=1, cam=0, lm=0):
     problem = BaProblem(n_cameras, n_landmarks, 1, np.array([cam]), np.array([lm]),
                         np.zeros((1, 2)))
-    return JacobianRows(problem.plan, jp[None], jl[None], res[None])
+    return OracleRows(problem.plan, jp[None], jl[None], res[None]).sums()
 
 
 def test_assemble_single_observation_direct_products():
@@ -293,17 +293,26 @@ def problem_with_unobserved(seed):
         measurements=base.measurements)
 
 
-@pytest.mark.parametrize("mode", [POSE_ONLY, BOTH])
+@pytest.mark.parametrize("mode", [POSE_ONLY, BOTH, "stage2"])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_unobserved_camera_and_landmark_match_dense_oracle(mode, seed):
     problem = problem_with_unobserved(seed)
-    state = make_random_state(problem, seed + 70, STAGE1)
     lam = 0.3
-    system = assemble(build_stage1_blocks(problem, state, PoseConfig(0.1)), lam, mode)
+    if mode == "stage2":
+        # the projected tangent-space system, against the projected per-observation rows
+        mode = BOTH
+        state = make_random_state(problem, seed + 70, STAGE2)
+        bases = state_tangent_bases(state)
+        system = assemble(project_blocks(build_stage2_blocks(problem, state), bases), lam, mode)
+        rows = oracle_rows(problem, state, STAGE2).project(bases)
+        jac, res, d_p, d_l = dense_rows_jacobian(rows, problem.num_cameras, problem.num_landmarks)
+    else:
+        state = make_random_state(problem, seed + 70, STAGE1)
+        system = assemble(build_stage1_blocks(problem, state, PoseConfig(0.1)), lam, mode)
+        jac, res, d_p, d_l = dense_jacobian(problem, state, STAGE1, eta=0.1)
     assert list(np.diff(problem.plan.camera_ptr) == 0) == [True, False, False, False]
     assert list(np.nonzero(np.diff(problem.plan.landmark_ptr) == 0)[0]) == [2, 6]
 
-    jac, res, d_p, d_l = dense_jacobian(problem, state, STAGE1, eta=0.1)
     h, g = dense_damped_hessian(jac, res, problem.num_cameras, d_p, lam, mode)
     pc = problem.num_cameras * d_p
     u, v, w, b_p, b_l = h[:pc, :pc], h[pc:, pc:], h[:pc, pc:], g[:pc], g[pc:]
@@ -367,10 +376,10 @@ def test_dense_schur_over_many_landmark_chunks_matches_dense_oracle(mode, path, 
     problem = BaProblem(4, 61, base.num_observations, base.camera_indices + 1,
                         base.landmark_indices, base.measurements)
     state = make_random_state(problem, 32, STAGE1)
-    rows = stage1_oracle_rows(problem, state)
+    rows = oracle_rows(problem, state, STAGE1)
     rows.lm_jac[problem.plan.row_landmark == 5, :, 2] = 0.0
     lam = 0.3
-    system = assemble(rows, lam, mode)
+    system = assemble(rows.sums(), lam, mode)
     assert system.n_landmarks * system.lm_width > 3 * system.pose_dim
     assert system.v_degenerate[5]
     assert np.diff(system.w.indptr)[0] == 0
@@ -413,7 +422,7 @@ def test_dense_schur_sums_repeated_observations(mode, path, monkeypatch):
     system = assemble(rows, lam, mode)
     assert system.w.data.shape[0] == n_pairs
 
-    s_dense, scale = dense_oracle_schur(stage1_oracle_rows(problem, state), problem, lam, mode)
+    s_dense, scale = dense_oracle_schur(oracle_rows(problem, state, STAGE1), problem, lam, mode)
     s = dense_schur(system)
     np.testing.assert_allclose(s, s_dense, atol=1e-11 * scale)
     assert np.abs(s - s.T).max() <= 1e-12 * np.abs(s).max()
@@ -437,13 +446,14 @@ def test_schur_diag_blocks_exact_on_repeated_observations(mode):
 def test_w_holds_one_canonical_block_per_distinct_pair(stage):
     problem, n_pairs = repeated_observation_problem()
     state = make_random_state(problem, 44, stage)
+    oracle = oracle_rows(problem, state, stage)
     if stage == STAGE1:
-        rows = build_stage1_blocks(problem, state, PoseConfig(0.1))
-        oracle = stage1_oracle_rows(problem, state)
+        sums = build_stage1_blocks(problem, state, PoseConfig(0.1))
     else:
-        rows = oracle = project_blocks(build_stage2_blocks(problem, state),
-                                       state_tangent_bases(state))
-    system = assemble(rows, 0.1, BOTH)
+        bases = state_tangent_bases(state)
+        sums = project_blocks(build_stage2_blocks(problem, state), bases)
+        oracle = oracle.project(bases)
+    system = assemble(sums, 0.1, BOTH)
     w, wt = system.w, system.wt
     assert w.has_canonical_format and wt.has_canonical_format
     assert len(w.data) == len(wt.data) == n_pairs
@@ -578,7 +588,7 @@ def test_stage1_system_matches_dense_oracle_at_raw_pixel_scale(mode):
 def test_landmark_normals_match_oracle_rows_at_raw_pixel_scale():
     problem, state = raw_pixel_problem()
     eta = 0.3
-    rows = stage1_oracle_rows(problem, state, eta)
+    rows = oracle_rows(problem, state, STAGE1, eta)
     plan = problem.plan
     cams = state.cameras[plan.row_camera]
     origin = np.broadcast_to([0.0, 0.0, 0.0, 1.0], (len(cams), 4))

@@ -7,7 +7,16 @@ from hypothesis import strategies as st
 
 from stratba.bal_io import BaProblem, ProjectiveState
 from stratba.normal_eq import BOTH, SchurSystem, assemble, build_stage1_blocks
-from stratba.objective import STAGE1, STAGE2, PoseConfig, solve_landmarks, total_cost
+from stratba.objective import (
+    STAGE1,
+    STAGE2,
+    PoseConfig,
+    solve_landmarks,
+    stage1_gram_apply,
+    stage1_gram_basis,
+    stage1_weights,
+    total_cost,
+)
 from tests.conftest import (
     ProjectionDegenerateError,
     central_difference_jacobian,
@@ -215,6 +224,30 @@ def test_projective_homogeneity(rng):
     np.testing.assert_allclose(jl2, jl1 / 2.0, atol=1e-12)
 
 
+def test_projection_gram_is_weighted_stage1_basis_at_eta_zero(rng):
+    # The stage-2 pose Jacobian is D (x) x^T with D the derivative of the
+    # perspective division at u = P x, and D^T D = sum_k w_k C_k over the
+    # stage-1 bases at eta = 0 with w = (1, p0, p1, |p|^2) / z^2.
+    basis, _ = stage1_gram_basis(0.0)
+    for _ in range(20):
+        camera = rng.standard_normal((3, 4))
+        landmark = rng.standard_normal(4)
+        u = camera @ landmark
+        p = u[:2] / u[2]
+        d = np.array([[1.0, 0.0, -p[0]], [0.0, 1.0, -p[1]]]) / u[2]
+        jp, _ = projective_jacobians(camera, landmark, rng.standard_normal(2))
+        np.testing.assert_allclose(jp, np.kron(d, landmark), rtol=0,
+                                   atol=1e-14 * np.abs(jp).max())
+        weights = stage1_weights(p[None]) / u[2] ** 2
+        gram = d.T @ d
+        np.testing.assert_allclose(np.einsum("kn,kij->ij", weights, basis), gram, rtol=0,
+                                   atol=1e-14 * np.abs(gram).max())
+        v = rng.standard_normal((3, 1))
+        np.testing.assert_allclose(stage1_gram_apply(v, weights * u[2] ** 2, 0.0) / u[2] ** 2,
+                                   gram @ v, rtol=0,
+                                   atol=1e-14 * np.abs(gram).max() * np.abs(v).sum())
+
+
 # ---------------------------------------------------------------------------
 # total cost
 
@@ -395,7 +428,7 @@ def test_linearization_from_resolve_equals_fresh(lam):
     at = ProjectiveState(state.cameras, resolved.landmarks)
     rows = build_stage1_blocks(problem, at, cfg, resolved)
     fresh_rows = build_stage1_blocks(problem, at, cfg)
-    np.testing.assert_array_equal(rows.hessian_v, fresh_rows.hessian_v)
+    np.testing.assert_array_equal(rows.v, fresh_rows.v)
     np.testing.assert_array_equal(rows.b_l, fresh_rows.b_l)
     reused, fresh = assemble(rows, lam), assemble(fresh_rows, lam)
     # the unobserved and the rank-deficient landmark are both covered

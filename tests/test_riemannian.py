@@ -22,7 +22,7 @@ from stratba.solvers import (
     solve_reduced,
 )
 from stratba.synth import ground_truth_state, make_ring_problem
-from tests.conftest import dense_uwv, make_random_problem, make_random_state
+from tests.conftest import dense_uwv, make_random_problem, make_random_state, oracle_rows
 
 
 def test_tangent_basis_axis_case():
@@ -59,15 +59,15 @@ def test_retraction_along_basis_stays_on_sphere(rng):
 def test_project_blocks_kills_normal_directions():
     problem = make_random_problem(3, 5, seed=1)
     state = make_random_state(problem, 2, STAGE2)
-    blocks = build_stage2_blocks(problem, state)
+    rows = oracle_rows(problem, state, STAGE2)
     bases = state_tangent_bases(state)
     # rows proportional to the parameter vector lie in the basis null space
     cams_vec = state.cameras.reshape(-1, 12)
-    blocks.pose_jac[...] = cams_vec[blocks.plan.row_camera][:, None, :]
-    blocks.lm_jac[...] = state.landmarks[blocks.plan.row_landmark][:, None, :]
-    projected = project_blocks(blocks, bases)
-    np.testing.assert_allclose(projected.pose_jac, 0.0, atol=1e-12)
-    np.testing.assert_allclose(projected.lm_jac, 0.0, atol=1e-12)
+    rows.pose_jac[...] = cams_vec[rows.plan.row_camera][:, None, :]
+    rows.lm_jac[...] = state.landmarks[rows.plan.row_landmark][:, None, :]
+    projected = project_blocks(rows.sums(), bases)
+    for name in ("u", "b_p", "w_blocks", "v", "b_l"):
+        np.testing.assert_allclose(getattr(projected, name), 0.0, atol=1e-12)
 
 
 def test_tangent_basis_axis_projection_selects_columns(rng):
@@ -80,18 +80,14 @@ def test_tangent_basis_axis_projection_selects_columns(rng):
 def test_project_blocks_matches_dense_products():
     problem = make_random_problem(3, 6, seed=3)
     state = make_random_state(problem, 4, STAGE2)
-    blocks = build_stage2_blocks(problem, state)
     bases = state_tangent_bases(state)
-    projected = project_blocks(blocks, bases)
-    plan = blocks.plan
-    for row in range(problem.num_observations):
-        cam, lm = plan.row_camera[row], plan.row_landmark[row]
-        np.testing.assert_allclose(
-            projected.pose_jac[row], blocks.pose_jac[row] @ bases.camera_bases[cam], atol=1e-13)
-        np.testing.assert_allclose(
-            projected.lm_jac[row], blocks.lm_jac[row] @ bases.landmark_bases[lm], atol=1e-13)
-        np.testing.assert_array_equal(projected.residual[row], blocks.residual[row])
-    assert projected.pose_width == 11 and projected.lm_width == 3
+    projected = project_blocks(build_stage2_blocks(problem, state), bases)
+    # the sums of the per-observation rows, each right-multiplied by its tangent basis
+    oracle = oracle_rows(problem, state, STAGE2).project(bases).sums()
+    for name in ("u", "b_p", "w_blocks", "v", "b_l"):
+        np.testing.assert_allclose(getattr(projected, name), getattr(oracle, name), atol=1e-13)
+    assert projected.u.shape[1:] == (11, 11) and projected.v.shape[1:] == (3, 3)
+    assert projected.w_blocks.shape[1:] == (11, 3)
 
 
 def test_unprojected_system_rank_deficient_projected_spd():

@@ -1,3 +1,4 @@
+import gzip
 import io
 import json
 
@@ -212,6 +213,38 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
 def test_cli_missing_file_exit_code(tmp_path):
     code = main(["solve", "--stage1", str(tmp_path / "nope.txt")])
     assert code == 2
+
+
+def _unreadable_input(tmp_path, kind):
+    """An input that cannot be read or decoded, of the given kind."""
+    text = b"1 1 1\n0 0 1.0 2.0\n" + b"0.0\n" * 12
+    path = tmp_path / f"bad.{kind}"
+    if kind == "dir":
+        path.mkdir()
+    elif kind == "gz":
+        path.write_bytes(b"\x1f\x8b\x08\x00" + b"not deflate data" * 4)
+    elif kind == "truncated.gz":
+        data = gzip.compress(text)
+        path.write_bytes(data[:len(data) // 2])
+    elif kind == "bz2":
+        path.write_bytes(b"BZh9" + bytes(40))
+    else:
+        path.write_bytes(text.replace(b"1.0 2.0", b"1.0 2.0\xff"))
+    return path
+
+
+@pytest.mark.parametrize("kind", ["dir", "gz", "truncated.gz", "bz2", "latin1.txt"])
+def test_cli_unreadable_input_exit_code(synth_file, tmp_path, capsys, kind):
+    # each is one stderr line and exit 2; with --jobs the other input still runs
+    bad = _unreadable_input(tmp_path, kind)
+    out = tmp_path / "out"
+    code = main(["solve", "--stage1", "--jobs", "2", "--out-dir", str(out),
+                 str(bad), str(synth_file)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith(f"error: cannot read {bad}")
+    assert (out / "ring_trace.csv").exists()
 
 
 def test_cli_config_error_exit_code(synth_file, capsys):
