@@ -159,11 +159,11 @@ def run_problem(path: str | Path, spec: RunSpec) -> dict:
     """
     path = Path(path)
     out_dir = Path(spec.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     stem = problem_id = artifact_stem(path)
 
     raw = load_bal(path)
     problem = prune_underobserved(raw)
+    out_dir.mkdir(parents=True, exist_ok=True)  # only once the input has parsed
     summary = {
         "schema_version": SCHEMA_VERSION,
         "problem": str(path),

@@ -5,10 +5,11 @@ series of the inverse reduced matrix, preconditioned conjugate gradients with
 the exact block-diagonal (Schur-Jacobi) preconditioner, and a direct
 factorization baseline that materializes the reduced matrix.
 
-The eliminated-landmark flavor (``varpro`` mode) damps only the pose blocks
-and re-solves landmarks in closed form after every accepted step; ``joint``
-mode damps both parameter groups and keeps the back-substituted landmark
-update. The power series is justified whenever the eigenvalues of
+The eliminated-landmark flavor (``varpro`` mode) damps only the pose blocks,
+and each trial re-solves the landmarks in closed form at the trial cameras,
+so every step is judged by the reduced cost min_v f(P, v) (Golub & Pereyra);
+``joint`` mode damps both parameter groups and keeps the back-substituted
+landmark update. The power series is justified whenever the eigenvalues of
 U^{-1} W V^{-1} W^T lie in [0, 1), which holds structurally for both flavors
 with damped positive-definite pose blocks; ``spectral_check`` computes the
 largest such eigenvalue exactly.
@@ -265,33 +266,40 @@ def solver_label(stage: int, config: SolverConfig) -> str:
 
 
 class _Stage1:
-    """Stage 1: the pOSE blend; varpro mode re-solves landmarks after each accepted step."""
+    """Stage 1: the pOSE blend.
+
+    In varpro mode a trial moves the cameras only and re-solves the landmarks
+    at the trial cameras, so each step is judged by the reduced cost
+    min_v f(P, v); an accepted trial's re-solve supplies V, V^+ and A^T c to
+    the next linearization. Joint mode keeps the back-substituted landmarks.
+    """
 
     def __init__(self, problem: BaProblem, config: SolverConfig):
         self.problem = problem
         self.pose = config.pose
         self.varpro = config.mode == VARPRO
-        self.resolved = None  # varpro: the landmark re-solve at the current cameras
+        self.latest = None  # varpro: the latest trial and its landmark re-solve
 
     def cost(self, state: ProjectiveState) -> float:
         return total_cost(state, self.problem, STAGE1, self.pose)
 
     def linearize(self, state: ProjectiveState, lam: float) -> SchurSystem:
-        sums = build_stage1_blocks(self.problem, state, self.pose, self.resolved)
-        self.resolved = None  # the system now holds its V and V^+
+        trial, resolved = self.latest or (None, None)
+        if trial is not state:  # the starting state
+            resolved = None
+        sums = build_stage1_blocks(self.problem, state, self.pose, resolved)
         return assemble(sums, lam, POSE_ONLY if self.varpro else BOTH)
 
     def trial(self, state: ProjectiveState, report: StepReport) -> ProjectiveState:
         cams = state.cameras + report.pose_update.reshape(state.cameras.shape)
+        if self.varpro:
+            resolved = solve_landmarks(ProjectiveState(cams, state.landmarks), self.problem,
+                                       self.pose)
+            self.latest = ProjectiveState(cams, resolved.landmarks), resolved
+            return self.latest[0]
         lms = np.array(state.landmarks, copy=True)
         lms[:, :3] += report.landmark_update.reshape(-1, 3)
         return ProjectiveState(cams, lms)
-
-    def on_accept(self, trial: ProjectiveState) -> ProjectiveState:
-        if not self.varpro:
-            return trial
-        self.resolved = solve_landmarks(trial, self.problem, self.pose)
-        return ProjectiveState(trial.cameras, self.resolved.landmarks)
 
 
 class _Stage2:
@@ -311,9 +319,6 @@ class _Stage2:
     def trial(self, state: ProjectiveState, report: StepReport) -> ProjectiveState | None:
         return apply_tangent_step(state, self.bases, report)
 
-    def on_accept(self, trial: ProjectiveState) -> ProjectiveState:
-        return trial
-
 
 _STAGES = {STAGE1: _Stage1, STAGE2: _Stage2}
 
@@ -325,13 +330,14 @@ def lm_minimize(problem: BaProblem, state: ProjectiveState, stage: int,
 
     A stage object supplies the cost, the linearization into a damped
     ``SchurSystem`` (stage 1: pose blocks only in varpro mode, both groups in
-    joint mode; stage 2: both groups of the tangent-space system), the trial
-    state of an inner solve (stage 2 retracts it onto the spheres), and the
-    state kept after an accepted step (stage-1 varpro: the closed-form
-    landmark re-solve, which hands its V, V^+ and A^T c to the next
-    linearization). Each point is linearized once; after a rejected
-    step the kept system is re-damped, which equals linearizing again bit for
-    bit. Steps are accepted only on strict cost decrease; the damping halves
+    joint mode; stage 2: both groups of the tangent-space system), and the
+    trial state of an inner solve (stage-1 varpro: the trial cameras with the
+    landmarks re-solved in closed form at them, whose V, V^+ and A^T c the
+    next linearization reuses if the trial is accepted; stage 2 retracts the
+    step onto the spheres). An accepted trial becomes the current state.
+    Each point is linearized once; after a rejected step the kept system is
+    re-damped, which equals linearizing again bit for bit. Steps are
+    accepted only on strict cost decrease; the damping halves
     on success and quadruples on failure. Terminates on the iteration cap or
     when a finite trial changes the cost by at most the relative function
     tolerance (a stagnant rejected trial also counts). Every iteration appends
@@ -364,10 +370,7 @@ def lm_minimize(problem: BaProblem, state: ProjectiveState, stage: int,
         f_trial = math.inf if trial is None else ops.cost(trial)
         accepted = f_trial < f
         if accepted:
-            kept = ops.on_accept(trial)
-            if kept is not trial:
-                f_trial = ops.cost(kept)
-            state, system = kept, None
+            state, system = trial, None
         denom = f if f > 0 else 1.0
         converged = math.isfinite(f_trial) and abs(f - f_trial) / denom <= config.function_tolerance
         if accepted:

@@ -7,10 +7,13 @@ from hypothesis import strategies as st
 
 from stratba.bal_io import BaProblem, ProjectiveState
 from stratba.normal_eq import BOTH, SchurSystem, assemble, build_stage1_blocks
+from stratba import objective
 from stratba.objective import (
     STAGE1,
     STAGE2,
+    V_PINV_TOL,
     PoseConfig,
+    pinv_psd,
     solve_landmarks,
     stage1_gram_apply,
     stage1_gram_basis,
@@ -466,3 +469,56 @@ def test_solve_landmarks_gradient_small(rng):
         r = np.concatenate(rows_c)
         grad = 2 * a.T @ r
         assert np.linalg.norm(grad) <= 1e-8 * max(1.0, np.linalg.norm(r) ** 2)
+
+
+# ---------------------------------------------------------------------------
+# pseudo-inverse of the landmark blocks
+
+
+def psd_blocks_with_spectra(rng, spectra):
+    """Symmetric blocks Q diag(s) Q^T with random rotations Q and random scales."""
+    blocks = []
+    for s in spectra:
+        q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        b = (q * (np.asarray(s) * 10.0 ** rng.uniform(-6, 6))) @ q.T
+        blocks.append(0.5 * (b + b.T))
+    return np.array(blocks)
+
+
+def eigh_pinv_oracle(block, rel_tol):
+    """One block at a time: eigenvalues at or below rel_tol * trace are dropped."""
+    w, q = np.linalg.eigh(block)
+    keep = w > rel_tol * max(np.trace(block), 0.0)
+    return (q[:, keep] / w[keep]) @ q[:, keep].T, not keep.all()
+
+
+def test_pinv_psd_3x3_matches_eigh_oracle():
+    rng = np.random.default_rng(17)
+    spectra = (
+        [rng.uniform(0.1, 1.0, 3) for _ in range(40)]  # well conditioned
+        + [[10.0 ** -rng.uniform(0, 5), 1.0, rng.uniform(1, 2)] for _ in range(200)]  # to 1e5
+        + [[10.0 ** -rng.uniform(6, 9), 1.0, 2.0] for _ in range(20)]  # near-singular
+        + [[10.0 ** -rng.uniform(13, 16), 1.0, 2.0] for _ in range(20)]  # below the cutoff
+        + [[0.0, 0.0, 1.0]] * 20 + [[0.0, 1.0, 3.0]] * 20  # rank 1 and 2
+    )
+    blocks = np.concatenate([psd_blocks_with_spectra(rng, spectra), np.zeros((2, 3, 3))])
+    # rank-deficient blocks as products, as the normal equations form them
+    a = rng.standard_normal((20, 3, 2))
+    blocks = np.concatenate([blocks, a @ a.transpose(0, 2, 1), a[:, :, :1] * a[:, None, :, 0]])
+    certified = objective._closed_form_inverse_3x3(blocks)[1]
+    assert 0 < certified.sum() < len(blocks)  # both paths are exercised
+
+    pinv, degenerate = pinv_psd(blocks, V_PINV_TOL)
+    for k, block in enumerate(blocks):
+        want, want_degenerate = eigh_pinv_oracle(block, V_PINV_TOL)
+        assert degenerate[k] == want_degenerate, k
+        err = np.linalg.norm(pinv[k] - want)
+        assert err <= 1e-12 * np.linalg.norm(want), (k, err)
+    # looser tolerances and larger blocks take the eigendecomposition alone
+    b4 = rng.standard_normal((30, 4, 3))
+    for rel_tol, batch in ((1e-2, blocks), (0.5, blocks), (V_PINV_TOL, b4 @ b4.transpose(0, 2, 1))):
+        pinv, degenerate = pinv_psd(batch, rel_tol)
+        for k, block in enumerate(batch):
+            want, want_degenerate = eigh_pinv_oracle(block, rel_tol)
+            assert degenerate[k] == want_degenerate
+            np.testing.assert_allclose(pinv[k], want, rtol=0, atol=1e-12 * np.abs(want).max())

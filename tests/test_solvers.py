@@ -32,6 +32,8 @@ from tests.conftest import (
     make_random_state,
     make_riemannian_system,
     make_varpro_system,
+    pose_jacobians,
+    pose_residual,
     with_repeated_observations,
 )
 
@@ -352,7 +354,7 @@ def test_lm_linearizes_only_at_new_points(monkeypatch, stage, cfg):
         return real_pinv(*args, **kwargs)
 
     problem = make_random_problem(4, 20, seed=9)
-    state = random_init(problem, 4)
+    state = random_init(problem, 1)  # every configuration rejects some steps from here
     if stage == STAGE2:
         state = lift_stage1_to_stage2(state)
     monkeypatch.setattr(solvers_mod, linearize, counting)
@@ -366,12 +368,68 @@ def test_lm_linearizes_only_at_new_points(monkeypatch, stage, cfg):
     # is followed by another iteration
     assert len(calls) == 1 + sum(accepted[:-1])
     if stage == STAGE1 and cfg.mode == "varpro":
-        # V^+ of the first linearization, then one per landmark re-solve,
-        # which hands it to the next linearization
-        assert len(pinv_calls) == 1 + sum(accepted)
+        # V^+ of the first linearization, then one per trial: each trial
+        # re-solves the landmarks, and an accepted one hands its V^+ to the
+        # next linearization
+        assert len(pinv_calls) == 1 + len(accepted)
     else:
         # the damped V of every iteration, fresh or re-damped
         assert len(pinv_calls) == len(accepted)
+
+
+def oracle_landmarks(problem, cameras, cfg):
+    """Each landmark's least-squares optimum from its stacked dense rows."""
+    origin = np.array([0.0, 0.0, 0.0, 1.0])
+    out = np.ones((problem.num_landmarks, 4))
+    for j in range(problem.num_landmarks):
+        rows_a, rows_c = [], []
+        for k in np.flatnonzero(problem.landmark_indices == j):
+            cam, m = cameras[problem.camera_indices[k]], problem.measurements[k]
+            rows_a.append(pose_jacobians(cam, origin, m, cfg)[1])
+            rows_c.append(pose_residual(cam, origin, m, cfg))
+        out[j, :3] = np.linalg.lstsq(np.vstack(rows_a), -np.concatenate(rows_c), rcond=None)[0]
+    return out
+
+
+def oracle_cost(problem, cameras, landmarks, cfg):
+    """Sum of per-observation squared residuals."""
+    return sum(float(np.sum(pose_residual(cameras[c], landmarks[j], m, cfg) ** 2))
+               for c, j, m in zip(problem.camera_indices, problem.landmark_indices,
+                                  problem.measurements))
+
+
+@pytest.mark.parametrize("inner", ["power", "direct"])
+def test_varpro_trial_cost_is_reduced_cost_at_trial_cameras(monkeypatch, inner):
+    # every varpro trial, accepted or not, is judged by min_v f(P, v): its
+    # cost is the cost at the closed-form landmarks of the trial cameras
+    judged = []
+
+    def recording_cost(state, *args, **kwargs):
+        judged.append((state, total_cost(state, *args, **kwargs)))
+        return judged[-1][1]
+
+    monkeypatch.setattr(solvers, "total_cost", recording_cost)
+    problem = make_ring_problem(5, 20, 0.5, seed=4)
+    cfg = SolverConfig(inner_solver=inner, max_outer_iterations=4)
+    _, trace = lm_minimize(problem, random_init(problem, 2), STAGE1, cfg)
+    trials = judged[1:]  # after the starting cost
+    assert len(trials) == len(trace.records) - 1
+    assert [r.cost for r in trace.records[1:]] == list(np.minimum.accumulate(
+        [judged[0][1]] + [c for _, c in trials])[1:])
+    rng = np.random.default_rng(5)
+    for state, cost in trials:
+        best = oracle_landmarks(problem, state.cameras, cfg.pose)
+        np.testing.assert_allclose(state.landmarks, best, rtol=1e-9, atol=1e-9)
+        assert cost == pytest.approx(oracle_cost(problem, state.cameras, best, cfg.pose),
+                                     rel=1e-12)
+        for scale in (1e-4, 1e-2, 1.0):
+            perturbed = best.copy()
+            perturbed[:, :3] += scale * rng.standard_normal((problem.num_landmarks, 3))
+            assert oracle_cost(problem, state.cameras, perturbed, cfg.pose) > cost
+            j = int(rng.integers(problem.num_landmarks))
+            one = best.copy()
+            one[j, :3] += scale * rng.standard_normal(3)
+            assert oracle_cost(problem, state.cameras, one, cfg.pose) > cost
 
 
 def test_lm_stage2_rejects_infinite_trials():

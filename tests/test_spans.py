@@ -49,10 +49,10 @@ def test_direct_solve_reaches_dense_schur_through_module_name(monkeypatch):
 
 def test_traced_povar_stage1_keeps_its_spans():
     # the benchmark's tracer counts the stage-1 re-solve and linearization by
-    # name: one re-solve per accepted step, and one linearization at the
-    # start and after every accepted step that another iteration follows
+    # name: one re-solve per trial, accepted or not, and one linearization at
+    # the start and after every accepted step that another iteration follows
     problem = make_random_problem(4, 20, seed=9)
-    state = random_init(problem, 4)
+    state = random_init(problem, 1)
     tracer = load_spans_module().Tracer()
     tracer.install()
     try:
@@ -63,8 +63,8 @@ def test_traced_povar_stage1_keeps_its_spans():
     report = tracer.report()
     costs = [r.cost for r in trace.records]
     accepted = [b < a for a, b in zip(costs, costs[1:])]
-    assert sum(accepted) >= 2
-    assert report["objective.solve_landmarks.calls"] == sum(accepted)
+    assert sum(accepted) >= 2 and not all(accepted)
+    assert report["objective.solve_landmarks.calls"] == len(accepted)
     assert report["normal_eq.build_stage1_blocks.calls"] == 1 + sum(accepted[:-1])
     assert report["normal_eq.assemble.stage1.calls"] == 1 + sum(accepted[:-1])
     assert report["solvers.lm_iterations.stage1"] == len(accepted)

@@ -205,9 +205,11 @@ def test_cli_solve_metric_stage(synth_file, tmp_path):
 def test_cli_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("1 1\n")
-    code = main(["solve", "--stage1", str(bad)])
+    out = tmp_path / "out"
+    code = main(["solve", "--stage1", "--out-dir", str(out), str(bad)])
     assert code == 2
     assert "parse error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_missing_file_exit_code(tmp_path):
@@ -231,6 +233,14 @@ def _unreadable_input(tmp_path, kind):
     else:
         path.write_bytes(text.replace(b"1.0 2.0", b"1.0 2.0\xff"))
     return path
+
+
+@pytest.mark.parametrize("kind", ["dir", "gz", "latin1.txt"])
+def test_cli_unreadable_input_creates_no_out_dir(tmp_path, capsys, kind):
+    bad = _unreadable_input(tmp_path, kind)
+    out = tmp_path / "out"
+    assert main(["solve", "--stage1", "--out-dir", str(out), str(bad)]) == 2
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("kind", ["dir", "gz", "truncated.gz", "bz2", "latin1.txt"])

@@ -27,7 +27,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
 
 
-def _bench():
+def bench_module():
     spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses look their module up
@@ -35,7 +35,8 @@ def _bench():
     return module
 
 
-def _env(src: Path) -> dict:
+def solver_env(src: Path) -> dict:
+    """The environment of a solve: SRC on the path, one BLAS thread."""
     env = dict(os.environ, PYTHONPATH=str(src))
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
@@ -68,7 +69,7 @@ def main() -> int:
         if not (tree / "stratba" / "__init__.py").is_file():
             print(f"{tree}: no stratba package", file=sys.stderr)
             return 2
-    bench = _bench()
+    bench = bench_module()
     print(f"{'pair':<22} {'stage':<7} {'iters old':>9} {'iters new':>9} {'max rel diff':>13}")
     with tempfile.TemporaryDirectory(prefix="panel_diff-") as tmp:
         work = Path(tmp)
@@ -76,7 +77,7 @@ def main() -> int:
             inputs = work / name / "inputs"
             seeds = sorted({p for p, _ in wl.panel})
             _run([sys.executable, str(PERFBENCH / "gen.py"), wl.kind, *wl.gen_args,
-                  "--seeds", *map(str, seeds), "--out", str(inputs)], _env(trees[0]))
+                  "--seeds", *map(str, seeds), "--out", str(inputs)], solver_env(trees[0]))
             for problem_seed, start_seed in wl.panel:
                 stem = f"{wl.kind}-{problem_seed}"
                 outs = []
@@ -84,7 +85,7 @@ def main() -> int:
                     out = work / name / f"{problem_seed}-{start_seed}-{side}"
                     _run([sys.executable, "-m", "stratba.cli", "solve", *wl.solve_args,
                           "--seed", str(start_seed), "--out-dir", str(out),
-                          str(inputs / f"{stem}.txt")], _env(tree))
+                          str(inputs / f"{stem}.txt")], solver_env(tree))
                     outs.append(out)
                 traces = [bench.read_trace(out / f"{stem}_trace.csv") for out in outs]
                 label = f"{name} {problem_seed}/{start_seed}"
