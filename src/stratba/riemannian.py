@@ -105,11 +105,12 @@ def lift_stage1_to_stage2(state: ProjectiveState) -> ProjectiveState:
     return retract(state)
 
 
-def apply_tangent_step(state: ProjectiveState, bases: TangentBasis, report) -> ProjectiveState | None:
+def apply_tangent_step(state: ProjectiveState, bases: TangentBasis, pose_update: np.ndarray,
+                       landmark_update: np.ndarray) -> ProjectiveState | None:
     """Back-project tangent updates, add, and retract; None if a norm collapses."""
     n_p = len(bases.camera_bases)
-    dp = report.pose_update.reshape(n_p, 11)
-    dl = report.landmark_update.reshape(-1, 3)
+    dp = pose_update.reshape(n_p, 11)
+    dl = landmark_update.reshape(-1, 3)
     cams = state.cameras.reshape(n_p, 12) + np.einsum("nij,nj->ni", bases.camera_bases, dp)
     lms = state.landmarks + np.einsum("nij,nj->ni", bases.landmark_bases, dl)
     try:

@@ -109,10 +109,13 @@ class SolverConfig:
 
 @dataclass
 class StepReport:
-    """One inner solve: updates plus how much work the solver did."""
+    """One inner solve: the pose update plus how much work the solver did.
+
+    The landmark update is left to the trials that use it
+    (``back_substitute``); varpro trials re-solve the landmarks instead.
+    """
 
     pose_update: np.ndarray  # flattened pose dimension
-    landmark_update: np.ndarray  # flattened landmark dimension
     inner_iterations_used: int
     power_order_used: int
     truncation_estimate: float
@@ -152,7 +155,7 @@ def power_schur_solve(system: SchurSystem, config: SolverConfig) -> StepReport:
             order_used = i - 1
             break
         order_used = i
-    return StepReport(x, back_substitute(system, x), order_used, order_used, trunc)
+    return StepReport(x, order_used, order_used, trunc)
 
 
 def pcg_schur_solve(system: SchurSystem, config: SolverConfig) -> StepReport:
@@ -162,8 +165,7 @@ def pcg_schur_solve(system: SchurSystem, config: SolverConfig) -> StepReport:
     rhs = schur_rhs(system)
     rhs_norm = np.linalg.norm(rhs)
     if rhs_norm == 0:
-        zero = np.zeros_like(rhs)
-        return StepReport(zero, back_substitute(system, zero), 0, 0, 0.0)
+        return StepReport(np.zeros_like(rhs), 0, 0, 0.0)
     diag = schur_diag_blocks(system)
     try:
         m_inv = np.linalg.inv(diag)
@@ -194,7 +196,7 @@ def pcg_schur_solve(system: SchurSystem, config: SolverConfig) -> StepReport:
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new
-    return StepReport(x, back_substitute(system, x), iterations, 0, rel, flag)
+    return StepReport(x, iterations, 0, rel, flag)
 
 
 def direct_schur_solve(system: SchurSystem, config: SolverConfig) -> StepReport:
@@ -227,7 +229,7 @@ def direct_schur_solve(system: SchurSystem, config: SolverConfig) -> StepReport:
     if flag is None and not np.isfinite(x).all():
         x = np.zeros_like(rhs)
         flag = "singular"
-    return StepReport(x, back_substitute(system, x), 1, 0, 0.0, flag)
+    return StepReport(x, 1, 0, 0.0, flag)
 
 
 _INNER_SOLVERS = {
@@ -271,7 +273,8 @@ class _Stage1:
     In varpro mode a trial moves the cameras only and re-solves the landmarks
     at the trial cameras, so each step is judged by the reduced cost
     min_v f(P, v); an accepted trial's re-solve supplies V, V^+ and A^T c to
-    the next linearization. Joint mode keeps the back-substituted landmarks.
+    the next linearization. Joint mode adds the landmark update
+    back-substituted from the solved system.
     """
 
     def __init__(self, problem: BaProblem, config: SolverConfig):
@@ -290,7 +293,8 @@ class _Stage1:
         sums = build_stage1_blocks(self.problem, state, self.pose, resolved)
         return assemble(sums, lam, POSE_ONLY if self.varpro else BOTH)
 
-    def trial(self, state: ProjectiveState, report: StepReport) -> ProjectiveState:
+    def trial(self, state: ProjectiveState, system: SchurSystem,
+              report: StepReport) -> ProjectiveState:
         cams = state.cameras + report.pose_update.reshape(state.cameras.shape)
         if self.varpro:
             resolved = solve_landmarks(ProjectiveState(cams, state.landmarks), self.problem,
@@ -298,7 +302,7 @@ class _Stage1:
             self.latest = ProjectiveState(cams, resolved.landmarks), resolved
             return self.latest[0]
         lms = np.array(state.landmarks, copy=True)
-        lms[:, :3] += report.landmark_update.reshape(-1, 3)
+        lms[:, :3] += back_substitute(system, report.pose_update).reshape(-1, 3)
         return ProjectiveState(cams, lms)
 
 
@@ -316,8 +320,10 @@ class _Stage2:
         self.bases = state_tangent_bases(state)
         return riemannian_step(self.problem, state, lam, self.bases)
 
-    def trial(self, state: ProjectiveState, report: StepReport) -> ProjectiveState | None:
-        return apply_tangent_step(state, self.bases, report)
+    def trial(self, state: ProjectiveState, system: SchurSystem,
+              report: StepReport) -> ProjectiveState | None:
+        return apply_tangent_step(state, self.bases, report.pose_update,
+                                  back_substitute(system, report.pose_update))
 
 
 _STAGES = {STAGE1: _Stage1, STAGE2: _Stage2}
@@ -331,10 +337,12 @@ def lm_minimize(problem: BaProblem, state: ProjectiveState, stage: int,
     A stage object supplies the cost, the linearization into a damped
     ``SchurSystem`` (stage 1: pose blocks only in varpro mode, both groups in
     joint mode; stage 2: both groups of the tangent-space system), and the
-    trial state of an inner solve (stage-1 varpro: the trial cameras with the
-    landmarks re-solved in closed form at them, whose V, V^+ and A^T c the
-    next linearization reuses if the trial is accepted; stage 2 retracts the
-    step onto the spheres). An accepted trial becomes the current state.
+    trial state of an inner solve of that system (stage-1 varpro: the trial
+    cameras with the landmarks re-solved in closed form at them, whose V, V^+
+    and A^T c the next linearization reuses if the trial is accepted; joint
+    mode and stage 2 back-substitute the landmark update, and stage 2
+    retracts the step onto the spheres). An accepted trial becomes the
+    current state.
     Each point is linearized once; after a rejected step the kept system is
     re-damped, which equals linearizing again bit for bit. Steps are
     accepted only on strict cost decrease; the damping halves
@@ -363,7 +371,7 @@ def lm_minimize(problem: BaProblem, state: ProjectiveState, stage: int,
         try:
             system = ops.linearize(state, lam) if system is None else system.redamped(lam)
             report = solve_reduced(system, config)
-            trial = None if report.flag == "singular" else ops.trial(state, report)
+            trial = None if report.flag == "singular" else ops.trial(state, system, report)
         except (np.linalg.LinAlgError, FloatingPointError) as exc:
             raise NumericFailureError(f"stage {stage} iteration {it}: {exc}") from exc
 

@@ -353,11 +353,19 @@ def test_lm_linearizes_only_at_new_points(monkeypatch, stage, cfg):
         pinv_calls.append(1)
         return real_pinv(*args, **kwargs)
 
+    substitutions = []
+    real_substitute = solvers_mod.back_substitute
+
+    def counting_substitute(*args, **kwargs):
+        substitutions.append(1)
+        return real_substitute(*args, **kwargs)
+
     problem = make_random_problem(4, 20, seed=9)
     state = random_init(problem, 1)  # every configuration rejects some steps from here
     if stage == STAGE2:
         state = lift_stage1_to_stage2(state)
     monkeypatch.setattr(solvers_mod, linearize, counting)
+    monkeypatch.setattr(solvers_mod, "back_substitute", counting_substitute)
     for mod in (objective_mod, normal_eq_mod, solvers_mod):
         monkeypatch.setattr(mod, "pinv_psd", counting_pinv)
     _, trace = lm_minimize(problem, state, stage, cfg)
@@ -372,9 +380,12 @@ def test_lm_linearizes_only_at_new_points(monkeypatch, stage, cfg):
         # re-solves the landmarks, and an accepted one hands its V^+ to the
         # next linearization
         assert len(pinv_calls) == 1 + len(accepted)
+        assert not substitutions  # the re-solve replaces the landmark update
     else:
         # the damped V of every iteration, fresh or re-damped
         assert len(pinv_calls) == len(accepted)
+        # one back-substituted landmark update per trial
+        assert len(substitutions) == len(accepted)
 
 
 def oracle_landmarks(problem, cameras, cfg):

@@ -68,3 +68,5 @@ def test_traced_povar_stage1_keeps_its_spans():
     assert report["normal_eq.build_stage1_blocks.calls"] == 1 + sum(accepted[:-1])
     assert report["normal_eq.assemble.stage1.calls"] == 1 + sum(accepted[:-1])
     assert report["solvers.lm_iterations.stage1"] == len(accepted)
+    # varpro trials re-solve the landmarks, so no landmark update is back-substituted
+    assert report["normal_eq.back_substitute.calls"] == 0

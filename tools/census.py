@@ -1,6 +1,6 @@
 """Stage-1 stall census: solve a fixed set of hard generated problems and count failures.
 
-    python3 tools/census.py SRC [--jobs N]
+    python3 tools/census.py SRC
 
 Run from the repository root; SRC is a directory that holds a ``stratba``
 package (for example ``src``). The problems come from ``perfbench/gen.py bal``
@@ -8,9 +8,10 @@ with 30 cameras, 1500 landmarks and Zipf(1.8) track lengths: seeds 10-15 and
 the stall-prone seeds 3 and 4 with tracks of at least 3 views, and seed 1 with
 tracks of at least 2 views. Each is solved from starts 0-3 with povar in
 stage 1 and ripoba in stage 2, 50 iterations per stage (36 solves), every
-solve in a fresh process with one BLAS thread. A solve is *capped* when
-stage 1 stops at its iteration cap, and *fails* when stage 2 ends more than
-1 % above the ground-truth cost of the generating cameras and points.
+solve in a fresh process with one BLAS thread, a few at a time. A solve is
+*capped* when stage 1 stops at its iteration cap, and *fails* when stage 2
+ends more than 1 % above the ground-truth cost of the generating cameras and
+points, or when the solve stops on a numeric failure.
 
 It prints one line per solve (stage-1 iterations, the ratio of the final
 stage-2 cost to the ground-truth cost, and the verdicts), then the capped and
@@ -21,6 +22,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import os
 import statistics
 import subprocess
 import sys
@@ -35,6 +38,9 @@ from panel_diff import PERFBENCH, bench_module, solver_env
 GEN = PERFBENCH / "gen.py"
 
 MAX_ITERATIONS = 50
+# The counts do not depend on how many solves run at once; this only bounds
+# wall time and memory (about 100 MB per solve).
+WORKERS = min(4, os.cpu_count() or 1)
 FAIL_RATIO = 1.01
 STARTS = (0, 1, 2, 3)
 COMMON = ("--cameras", "30", "--landmarks", "1500", "--zipf", "1.8")
@@ -59,7 +65,6 @@ def _solve(src: Path, problem: Path, start: int, out: Path) -> dict:
 def main() -> int:
     ap = argparse.ArgumentParser(description="count stage-1 stalls on hard generated problems")
     ap.add_argument("src", type=Path, help="directory holding the stratba package")
-    ap.add_argument("--jobs", type=int, default=1, help="solves run at once")
     args = ap.parse_args()
     src = args.src.resolve()
     if not (src / "stratba" / "__init__.py").is_file():
@@ -85,7 +90,7 @@ def main() -> int:
             out = work / "out" / f"{name.replace('/', '-')}-{start}"
             return _solve(src, problem, start, out)
 
-        with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
+        with ThreadPoolExecutor(max_workers=WORKERS) as pool:
             summaries = list(pool.map(run, jobs))
 
     capped = failed = 0
@@ -93,20 +98,24 @@ def main() -> int:
     print(f"{'problem':<16} {'start':>5} {'stage-1 its':>11} {'final/gt':>10}  verdict")
     for (name, _, start, gt_cost), summary in zip(jobs, summaries):
         stages = summary["stages"]
-        its = stages["stage1"]["iterations"]
+        its = stages.get("stage1", {}).get("iterations")  # absent if stage 1 failed
         final = stages.get("stage2", {}).get("final_cost", float("inf"))
         ratio = final / gt_cost
-        verdict = []
-        if its >= MAX_ITERATIONS:
-            capped += 1
-            verdict.append("capped")
-        if not ratio <= FAIL_RATIO:
+        error = "error" in summary  # a numeric failure; the summary is partial
+        verdict = ["numeric failure"] if error else []
+        if its is not None:
+            iterations.append(its)
+            if its >= MAX_ITERATIONS:
+                capped += 1
+                verdict.append("capped")
+        if error or not ratio <= FAIL_RATIO:
             failed += 1
             verdict.append("FAILED")
-        iterations.append(its)
-        print(f"{name:<16} {start:>5} {its:>11} {ratio:>10.4g}  {' '.join(verdict) or 'ok'}")
+        shown = "-" if its is None else its
+        print(f"{name:<16} {start:>5} {shown:>11} {ratio:>10.4g}  {' '.join(verdict) or 'ok'}")
+    median = statistics.median(iterations) if iterations else math.nan
     print(f"capped {capped} / failed {failed} of {len(jobs)}; "
-          f"median stage-1 iterations {statistics.median(iterations):g}")
+          f"median stage-1 iterations {median:g}")
     return 0
 
 
