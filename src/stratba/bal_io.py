@@ -34,6 +34,8 @@ logger = logging.getLogger(__name__)
 
 CAMERA_FIELDS = 9
 POINT_FIELDS = 3
+# Landmarks seen by fewer distinct cameras are pruned (``prune_underobserved``).
+MIN_CAMERAS = 2
 
 
 class BalParseError(ValueError):
@@ -96,19 +98,28 @@ class BaProblem:
         return ObservationPlan.build(self)
 
     @functools.cached_property
+    def row_weights(self) -> np.ndarray:
+        """Per-observation measurement weights, built on first use.
+
+        The read-only (4, n_obs) weights (1, m0, m1, |m|^2) of
+        ``objective.stage1_weights`` in the plan's camera-major row order;
+        rows 1-2 are the measurements in that order.
+        """
+        return _frozen(stage1_weights(self.measurements[self.plan.rows]))
+
+    @functools.cached_property
     def measurement_weights(self) -> scipy.sparse.csr_array:
         """Per-pair measurement weights, built on first use.
 
         A (num_landmarks, 4 num_cameras) CSR matrix: row l, columns 4c..4c+3
-        hold the weights (1, m0, m1, |m|^2) of ``objective.stage1_weights``
-        summed over landmark l's observations by camera c. Its product with a
-        per-camera table gives the stage-1 landmark normal equations. Built
-        from the plan's landmark-major rows, in which the rows of a pair are
-        adjacent.
+        hold the ``row_weights`` summed over landmark l's observations by
+        camera c. Its product with a per-camera table gives the stage-1
+        landmark normal equations. Built from the plan's landmark-major rows,
+        in which the rows of a pair are adjacent.
         """
         plan = self.plan
         rows = plan.landmark_rows
-        weights = stage1_weights(self.measurements[plan.rows[rows]])
+        weights = self.row_weights[:, rows]
         keys = plan.row_landmark[rows] * self.num_cameras + plan.row_camera[rows]
         starts = np.flatnonzero(np.diff(keys, prepend=-1))  # one per distinct pair
         if len(starts) < len(rows):
@@ -400,8 +411,8 @@ def load_bal(path: str | Path) -> BaProblem:
         raise BalReadError(f"cannot read {path}: {exc}") from exc
 
 
-def prune_underobserved(problem: BaProblem, min_cameras: int = 2) -> BaProblem:
-    """Drop landmarks seen by fewer than ``min_cameras`` distinct cameras.
+def prune_underobserved(problem: BaProblem) -> BaProblem:
+    """Drop landmarks seen by fewer than ``MIN_CAMERAS`` distinct cameras.
 
     Cameras left without observations are dropped as well; surviving cameras
     and landmarks are reindexed densely and metric blocks follow. Landmarks
@@ -411,7 +422,7 @@ def prune_underobserved(problem: BaProblem, min_cameras: int = 2) -> BaProblem:
     n_lm = problem.num_landmarks
     pairs = np.unique(problem.camera_indices * n_lm + problem.landmark_indices)
     n_distinct = np.bincount(pairs % max(n_lm, 1), minlength=n_lm)
-    keep_lm = n_distinct >= min_cameras
+    keep_lm = n_distinct >= MIN_CAMERAS
     obs_keep = keep_lm[problem.landmark_indices]
     cam_seen = np.zeros(problem.num_cameras, dtype=bool)
     cam_seen[problem.camera_indices[obs_keep]] = True

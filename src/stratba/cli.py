@@ -13,7 +13,7 @@ from pathlib import Path
 from .bal_io import BalParseError, BalReadError, write_bal
 from .evaluation import performance_profile, read_trace_csv, write_profile_csv
 from .pipeline import SOLVER_SETTINGS, RunSpec, run_problem, solver_config
-from .solvers import NumericFailureError, SolverConfig
+from .solvers import STAGE1_SOLVERS, STAGE2_SOLVERS, NumericFailureError, SolverConfig
 from .synth import make_ring_problem
 
 EXIT_OK = 0
@@ -39,15 +39,13 @@ def _build_parser() -> argparse.ArgumentParser:
     stage.add_argument("--metric", dest="stage", action="store_const", const="metric",
                        help="full pipeline plus metric upgrade")
     solve.set_defaults(stage="full")
-    solve.add_argument("--solver", default="povar",
-                       help="stage-1 solver: povar | poba | iterative | direct")
-    solve.add_argument("--stage2-solver", default="ripoba",
-                       help="stage-2 solver: ripoba | ripcg")
     solve.add_argument("--seed", type=int, default=0)
     defaults = SolverConfig()
+    names = {"stage1_solver": STAGE1_SOLVERS, "stage2_solver": STAGE2_SOLVERS}
     for key, flag, attr in SOLVER_SETTINGS:
         default = attrgetter(attr)(defaults)
-        solve.add_argument(flag, dest=key, type=type(default), default=default)
+        solve.add_argument(flag, dest=key, type=type(default), default=default,
+                           help=" | ".join(names[key]) if key in names else None)
     solve.add_argument("--out-dir", default=None,
                        help="artifact directory (default: $STRATBA_OUT_DIR or .)")
     solve.add_argument("--jobs", type=int, default=1,
@@ -78,8 +76,6 @@ def _cmd_solve(args) -> int:
             inputs=args.inputs,
             seed=args.seed,
             stage=args.stage,
-            stage1_solver=args.solver,
-            stage2_solver=args.stage2_solver,
             solver=solver_config(**{key: getattr(args, key) for key, _, _ in SOLVER_SETTINGS}),
             out_dir=out_dir,
         )

@@ -145,7 +145,8 @@ def build_stage1_blocks(problem: BaProblem, state: ProjectiveState,
     """Linearize the stage-1 objective (widths 12/3).
 
     The pose Jacobian is B (x) x^T with B the 4x3 measurement matrix, whose
-    B^T B has the weights (1, m0, m1, |m|^2); the landmark Jacobian is
+    B^T B has the weights (1, m0, m1, |m|^2) of ``problem.row_weights``,
+    computed once per problem; the landmark Jacobian is
     A = B P[:, :3], so G^T = B^T B P[:, :3] and a = B^T (B P x - d).
     ``resolved``, the landmark re-solve at ``state.cameras``, supplies A^T A,
     A^T c and V^+, which depend on the cameras alone; without it they are
@@ -156,7 +157,7 @@ def build_stage1_blocks(problem: BaProblem, state: ProjectiveState,
     eta = config.eta
     basis, offsets = stage1_gram_basis(eta)
     cams, x = _gather_rows(problem, state)
-    weights = stage1_weights(problem.measurements[problem.plan.rows])
+    weights = problem.row_weights
     px = np.einsum("ian,an->in", cams, x)
     a = stage1_gram_apply(px, weights, eta) - offsets.T @ weights
     if resolved is None:
@@ -196,7 +197,7 @@ def build_stage2_blocks(problem: BaProblem, state: ProjectiveState) -> BlockSums
     gt *= inv_z2
     weights *= inv_z2
     a = np.empty((3, len(inv_z)))
-    a[:2] = (p - problem.measurements[plan.rows].T) * inv_z
+    a[:2] = (p - problem.row_weights[1:3]) * inv_z
     a[2] = -np.einsum("rn,rn->n", p, a[:2])
     # (D P)^T (D P) = P^T G^T and (D P)^T r = P^T a
     v = plan.landmark_sums(np.einsum("ijn,ikn->njk", cams, gt))

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import logging
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
 
@@ -16,14 +16,7 @@ from .evaluation import ConvergenceTrace, TraceRecord, write_trace_csv
 from .metric_upgrade import upgrade
 from .objective import STAGE1, STAGE2, PoseConfig, total_cost
 from .riemannian import lift_stage1_to_stage2
-from .solvers import (
-    JOINT,
-    STAGE1_SOLVERS,
-    STAGE2_SOLVERS,
-    NumericFailureError,
-    SolverConfig,
-    lm_minimize,
-)
+from .solvers import NumericFailureError, SolverConfig, lm_minimize
 
 logger = logging.getLogger(__name__)
 
@@ -34,6 +27,8 @@ STAGES = ("stage1", "stage2", "full", "metric")
 # The solver settings a run exposes, in summary order: summary key, command-line
 # flag, and the SolverConfig attribute that holds the value and its default.
 SOLVER_SETTINGS = (
+    ("stage1_solver", "--solver", "stage1_solver"),
+    ("stage2_solver", "--stage2-solver", "stage2_solver"),
     ("eta", "--eta", "pose.eta"),
     ("initial_lambda", "--lambda0", "initial_lambda"),
     ("max_iterations", "--max-iterations", "max_outer_iterations"),
@@ -55,27 +50,18 @@ def solver_config(**settings) -> SolverConfig:
 
 @dataclass
 class RunSpec:
-    """One solve invocation: inputs, stage selection, solver names, solver settings."""
+    """One solve invocation: inputs, random-start seed, stage selection, and the
+    ``SolverConfig`` (solver names and settings) that drives every stage."""
 
     inputs: list[str]
     seed: int = 0
     stage: str = "full"
-    stage1_solver: str = "povar"
-    stage2_solver: str = "ripoba"
     solver: SolverConfig = field(default_factory=SolverConfig)
     out_dir: str = "."
 
     def validate(self) -> None:
         if self.stage not in STAGES:
             raise ValueError(f"unknown stage {self.stage!r}; choose from {STAGES}")
-        if self.stage1_solver not in STAGE1_SOLVERS:
-            raise ValueError(
-                f"unknown stage-1 solver {self.stage1_solver!r}; choose from "
-                f"{sorted(STAGE1_SOLVERS)}")
-        if self.stage2_solver not in STAGE2_SOLVERS:
-            raise ValueError(
-                f"unknown stage-2 solver {self.stage2_solver!r}; choose from "
-                f"{sorted(STAGE2_SOLVERS)}")
         by_stem: dict[str, list[str]] = {}
         for path in self.inputs:
             by_stem.setdefault(artifact_stem(path), []).append(str(path))
@@ -85,19 +71,10 @@ class RunSpec:
             raise ValueError("inputs would overwrite each other's artifacts: "
                              + "; ".join(clashes))
 
-    def stage1_config(self) -> SolverConfig:
-        mode, inner = STAGE1_SOLVERS[self.stage1_solver]
-        return replace(self.solver, mode=mode, inner_solver=inner)
-
-    def stage2_config(self) -> SolverConfig:
-        return replace(self.solver, mode=JOINT, inner_solver=STAGE2_SOLVERS[self.stage2_solver])
-
     def config_echo(self) -> dict:
         return {
             "seed": self.seed,
             "stage": self.stage,
-            "stage1_solver": self.stage1_solver,
-            "stage2_solver": self.stage2_solver,
             **{key: attrgetter(attr)(self.solver) for key, _, attr in SOLVER_SETTINGS},
         }
 
@@ -193,13 +170,12 @@ def run_problem(path: str | Path, spec: RunSpec) -> dict:
                 pre_cost_projective = float("inf")
 
         if run_stage1:
-            cfg = spec.stage1_config()
             t0 = time.perf_counter()
-            state, trace = lm_minimize(problem, state, STAGE1, cfg, problem_id=problem_id)
+            state, trace = lm_minimize(problem, state, STAGE1, spec.solver, problem_id=problem_id)
             stage1_runtime = time.perf_counter() - t0
             traces.append(trace)
             summary["stages"]["stage1"] = {
-                "solver": spec.stage1_solver,
+                "solver": trace.solver_id,
                 "initial_cost": trace.initial_cost,
                 "final_cost": trace.records[-1].cost,
                 "iterations": trace.records[-1].iteration,
@@ -211,14 +187,13 @@ def run_problem(path: str | Path, spec: RunSpec) -> dict:
                 state = lift_stage1_to_stage2(state)
             except ValueError as exc:
                 raise NumericFailureError(f"cannot lift state to stage 2: {exc}") from exc
-            cfg = spec.stage2_config()
             t0 = time.perf_counter()
-            state, trace = lm_minimize(problem, state, STAGE2, cfg, problem_id=problem_id)
+            state, trace = lm_minimize(problem, state, STAGE2, spec.solver, problem_id=problem_id)
             stage2_runtime = time.perf_counter() - t0
             traces.append(trace)
             traces.append(full_trace(pre_cost_projective, stage1_runtime, trace))
             summary["stages"]["stage2"] = {
-                "solver": spec.stage2_solver,
+                "solver": trace.solver_id,
                 "initial_cost": trace.initial_cost,
                 "pre_stage1_cost": pre_cost_projective,
                 "final_cost": trace.records[-1].cost,

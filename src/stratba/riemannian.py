@@ -64,16 +64,13 @@ def project_blocks(sums: BlockSums, bases: TangentBasis) -> BlockSums:
 
     With camera bases B_c (12 -> 11) and landmark bases B_l (4 -> 3):
     U -> B_c^T U B_c, b_p -> B_c^T b_p, V -> B_l^T V B_l, b_l -> B_l^T b_l,
-    and each W block -> B_c^T W B_l, one camera at a time, written over the
-    unprojected blocks, so ``sums`` is spent.
+    and each W block -> B_c^T W B_l, one camera at a time.
     """
     plan = sums.plan
     cam_b, lm_b = bases.camera_bases, bases.landmark_bases
     starts = plan.pair_starts
     ptr, pair_lm = np.searchsorted(starts, plan.camera_ptr), plan.row_landmark[starts]
-    # In place (a new array often left peak RSS 1 MB higher at 13.8k observations):
-    # 11x3 < 12x4 values, so camera c's output ends before camera c + 1's input starts.
-    w = sums.w_blocks.reshape(-1)[:len(starts) * 33].reshape(-1, 11, 3)
+    w = np.empty((len(starts), 11, 3))
     for c, basis in enumerate(cam_b):
         sl = slice(ptr[c], ptr[c + 1])
         w[sl] = np.matmul(basis.T, sums.w_blocks[sl]) @ lm_b[pair_lm[sl]]

@@ -60,9 +60,9 @@ LAMBDA_INCREASE = 4.0
 LAMBDA_MIN = 1e-12
 LAMBDA_MAX = 1e8
 
-# Conventional solver names, used in traces and on the command line, and the
-# settings each selects: (mode, inner solver) in stage 1, the inner solver in
-# stage 2.
+# The solver names of each stage, as set in SolverConfig and written to traces
+# and summaries, and what each selects: (mode, inner solver) in stage 1, the
+# inner solver in stage 2.
 STAGE1_SOLVERS = {
     "povar": (VARPRO, "power"),
     "poba": (JOINT, "power"),
@@ -78,8 +78,14 @@ class NumericFailureError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Outer-loop and inner-solver settings; defaults match the evaluated setup."""
+    """Solver names and settings of both stages; defaults match the evaluated setup.
 
+    ``lm_minimize`` reads the solver name of its stage, a key of
+    ``STAGE1_SOLVERS`` or ``STAGE2_SOLVERS``, so one config drives both stages.
+    """
+
+    stage1_solver: str = "povar"
+    stage2_solver: str = "ripoba"
     max_outer_iterations: int = 50
     function_tolerance: float = 1e-6
     initial_lambda: float = 1e-4
@@ -89,16 +95,16 @@ class SolverConfig:
     # "series threshold"; exposed so callers can pick another).
     power_threshold: float = 0.01
     max_inner_iterations: int = 500
-    inner_solver: str = "power"  # power | pcg | direct
-    mode: str = VARPRO  # varpro | joint
     pcg_tolerance: float = 1e-6
     pose: PoseConfig = field(default_factory=PoseConfig)
 
     def __post_init__(self):
-        if self.inner_solver not in ("power", "pcg", "direct"):
-            raise ValueError(f"unknown inner solver {self.inner_solver!r}")
-        if self.mode not in (VARPRO, JOINT):
-            raise ValueError(f"unknown mode {self.mode!r}")
+        if self.stage1_solver not in STAGE1_SOLVERS:
+            raise ValueError(f"unknown stage-1 solver {self.stage1_solver!r}; "
+                             f"choose from {sorted(STAGE1_SOLVERS)}")
+        if self.stage2_solver not in STAGE2_SOLVERS:
+            raise ValueError(f"unknown stage-2 solver {self.stage2_solver!r}; "
+                             f"choose from {sorted(STAGE2_SOLVERS)}")
         for name in ("max_outer_iterations", "function_tolerance", "initial_lambda",
                      "max_inner_iterations", "pcg_tolerance"):
             if getattr(self, name) <= 0:
@@ -239,11 +245,6 @@ _INNER_SOLVERS = {
 }
 
 
-def solve_reduced(system: SchurSystem, config: SolverConfig) -> StepReport:
-    """Dispatch to the configured inner solver."""
-    return _INNER_SOLVERS[config.inner_solver](system, config)
-
-
 def spectral_check(system: SchurSystem) -> float:
     """Largest eigenvalue of U^{-1} W V^{-1} W^T, computed exactly.
 
@@ -256,15 +257,6 @@ def spectral_check(system: SchurSystem) -> float:
         raise ValueError("pose blocks must be positive-definite")
     u = scipy.linalg.block_diag(*system.u_blocks)
     return float(scipy.linalg.eigh(dense_coupling(system), u, eigvals_only=True)[-1])
-
-
-def solver_label(stage: int, config: SolverConfig) -> str:
-    """The conventional name of a stage's solver: the inverse of the name tables."""
-    if stage == STAGE1:
-        names, key, fallback = STAGE1_SOLVERS, (config.mode, config.inner_solver), config.mode
-    else:
-        names, key, fallback = STAGE2_SOLVERS, config.inner_solver, "riemannian"
-    return next((n for n, v in names.items() if v == key), f"{fallback}-{config.inner_solver}")
 
 
 class _Stage1:
@@ -280,7 +272,9 @@ class _Stage1:
     def __init__(self, problem: BaProblem, config: SolverConfig):
         self.problem = problem
         self.pose = config.pose
-        self.varpro = config.mode == VARPRO
+        self.name = config.stage1_solver
+        mode, self.inner = STAGE1_SOLVERS[self.name]
+        self.varpro = mode == VARPRO
         self.latest = None  # varpro: the latest trial and its landmark re-solve
 
     def cost(self, state: ProjectiveState) -> float:
@@ -311,6 +305,8 @@ class _Stage2:
 
     def __init__(self, problem: BaProblem, config: SolverConfig):
         self.problem = problem
+        self.name = config.stage2_solver
+        self.inner = STAGE2_SOLVERS[self.name]
         self.bases = None  # tangent bases at the current linearization point
 
     def cost(self, state: ProjectiveState) -> float:
@@ -334,7 +330,10 @@ def lm_minimize(problem: BaProblem, state: ProjectiveState, stage: int,
                 ) -> tuple[ProjectiveState, ConvergenceTrace]:
     """Damped least-squares outer loop, the same for both stages.
 
-    A stage object supplies the cost, the linearization into a damped
+    ``config`` names the solver of each stage; the one of ``stage`` selects
+    the inner solver of ``_INNER_SOLVERS`` that solves every damped system,
+    the stage-1 mode, and the trace's ``solver_id``. A stage object supplies
+    the cost, the linearization into a damped
     ``SchurSystem`` (stage 1: pose blocks only in varpro mode, both groups in
     joint mode; stage 2: both groups of the tangent-space system), and the
     trial state of an inner solve of that system (stage-1 varpro: the trial
@@ -370,7 +369,7 @@ def lm_minimize(problem: BaProblem, state: ProjectiveState, stage: int,
     for it in range(1, config.max_outer_iterations + 1):
         try:
             system = ops.linearize(state, lam) if system is None else system.redamped(lam)
-            report = solve_reduced(system, config)
+            report = _INNER_SOLVERS[ops.inner](system, config)
             trial = None if report.flag == "singular" else ops.trial(state, system, report)
         except (np.linalg.LinAlgError, FloatingPointError) as exc:
             raise NumericFailureError(f"stage {stage} iteration {it}: {exc}") from exc
@@ -393,6 +392,5 @@ def lm_minimize(problem: BaProblem, state: ProjectiveState, stage: int,
         if converged:
             break
 
-    trace = ConvergenceTrace(solver_label(stage, config), problem_id, f"stage{stage}", records,
-                             records[0].cost)
+    trace = ConvergenceTrace(ops.name, problem_id, f"stage{stage}", records, records[0].cost)
     return state, trace

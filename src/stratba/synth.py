@@ -26,9 +26,7 @@ CLOUD_SIGMA = 1.0
 FOCAL_LENGTH = 2_000_000.0
 
 
-def make_ring_problem(n_cameras: int, n_landmarks: int, noise: float, seed: int, *,
-                      ring_radius: float = RING_RADIUS, cloud_sigma: float = CLOUD_SIGMA,
-                      focal: float = FOCAL_LENGTH) -> BaProblem:
+def make_ring_problem(n_cameras: int, n_landmarks: int, noise: float, seed: int) -> BaProblem:
     """Generate a fully-observed ring problem; raises for fewer than 2 cameras."""
     if n_cameras < 2:
         raise ValueError("need at least 2 cameras")
@@ -38,12 +36,12 @@ def make_ring_problem(n_cameras: int, n_landmarks: int, noise: float, seed: int,
         raise ValueError("noise must be non-negative")
     rng = np.random.Generator(np.random.Philox(int(seed) & 0xFFFFFFFFFFFFFFFF))
 
-    points = rng.standard_normal((n_landmarks, 3)) * cloud_sigma
+    points = rng.standard_normal((n_landmarks, 3)) * CLOUD_SIGMA
     angles = 2.0 * np.pi * np.arange(n_cameras) / n_cameras
     centers = np.stack([
-        ring_radius * np.cos(angles),
-        ring_radius * np.sin(angles),
-        ring_radius * 0.05 * rng.standard_normal(n_cameras),
+        RING_RADIUS * np.cos(angles),
+        RING_RADIUS * np.sin(angles),
+        RING_RADIUS * 0.05 * rng.standard_normal(n_cameras),
     ], axis=1)
 
     rotations = np.empty((n_cameras, 3, 3))
@@ -66,14 +64,14 @@ def make_ring_problem(n_cameras: int, n_landmarks: int, noise: float, seed: int,
     if (depths >= 0).any():
         raise ValueError("geometry places landmarks behind a camera")
     proj = -p_cam[..., :2] / depths[..., None]
-    meas = focal * proj.reshape(-1, 2)
+    meas = FOCAL_LENGTH * proj.reshape(-1, 2)
     if noise > 0:
         meas = meas + noise * rng.standard_normal(meas.shape)
 
     metric_cameras = np.zeros((n_cameras, 9))
     metric_cameras[:, :3] = Rotation.from_matrix(rotations).as_rotvec()
     metric_cameras[:, 3:6] = translations
-    metric_cameras[:, 6] = focal
+    metric_cameras[:, 6] = FOCAL_LENGTH
 
     return BaProblem(
         num_cameras=n_cameras,

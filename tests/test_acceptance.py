@@ -289,13 +289,8 @@ def test_criterion_06_ladybug_family_threshold():
     problem = prune_underobserved(raw)
     state = random_init(problem, 1)
     traces = []
-    for solver, kwargs in [
-        ("povar", dict(mode="varpro", inner_solver="power")),
-        ("poba", dict(mode="joint", inner_solver="power")),
-        ("iterative", dict(mode="varpro", inner_solver="pcg")),
-        ("direct", dict(mode="varpro", inner_solver="direct")),
-    ]:
-        _, trace = lm_minimize(problem, state, STAGE1, SolverConfig(**kwargs),
+    for solver in ("povar", "poba", "iterative", "direct"):
+        _, trace = lm_minimize(problem, state, STAGE1, SolverConfig(stage1_solver=solver),
                                problem_id="ladybug49")
         assert trace.solver_id == solver
         traces.append(trace)
@@ -451,9 +446,9 @@ def test_criterion_10_determinism():
     state = random_init(problem, 11)
     stage1_cfgs = [
         SolverConfig(),
-        SolverConfig(mode="joint"),
-        SolverConfig(inner_solver="pcg"),
-        SolverConfig(inner_solver="direct"),
+        SolverConfig(stage1_solver="poba"),
+        SolverConfig(stage1_solver="iterative"),
+        SolverConfig(stage1_solver="direct"),
     ]
     for cfg in stage1_cfgs:
         _, t1 = lm_minimize(problem, state, STAGE1, cfg)
@@ -462,7 +457,7 @@ def test_criterion_10_determinism():
     s1, _ = lm_minimize(problem, state, STAGE1, SolverConfig(max_outer_iterations=10))
     lifted = lift_stage1_to_stage2(s1)
     for cfg in (SolverConfig(max_outer_iterations=10),
-                SolverConfig(inner_solver="pcg", max_outer_iterations=10)):
+                SolverConfig(stage2_solver="ripcg", max_outer_iterations=10)):
         _, t1 = lm_minimize(problem, lifted, STAGE2, cfg)
         _, t2 = lm_minimize(problem, lifted, STAGE2, cfg)
         assert [r.cost for r in t1.records] == [r.cost for r in t2.records]

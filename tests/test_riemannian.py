@@ -19,7 +19,6 @@ from stratba.solvers import (
     lm_minimize,
     pcg_schur_solve,
     power_schur_solve,
-    solve_reduced,
 )
 from stratba.synth import ground_truth_state, make_ring_problem
 from tests.conftest import dense_uwv, make_random_problem, make_random_state, oracle_rows
@@ -115,7 +114,7 @@ def test_riemannian_step_zero_gradient_zero_update():
     assert total_cost(state, problem, STAGE2) <= 1e-18
     cfg = SolverConfig()
     system = riemannian_step(problem, state, cfg.initial_lambda, state_tangent_bases(state))
-    rep = solve_reduced(system, cfg)
+    rep = power_schur_solve(system, cfg)
     np.testing.assert_allclose(rep.pose_update, 0.0, atol=1e-12)
     np.testing.assert_allclose(back_substitute(system, rep.pose_update), 0.0, atol=1e-12)
 
@@ -128,7 +127,7 @@ def test_riemannian_step_matches_dense_solve(seed):
     cfg = SolverConfig(max_power_order=20, power_threshold=0.0)
     bases = state_tangent_bases(state)
     step = riemannian_step(problem, state, lam, bases)
-    rep = solve_reduced(step, cfg)
+    rep = power_schur_solve(step, cfg)
 
     system = assemble(project_blocks(build_stage2_blocks(problem, state), bases), lam, BOTH)
     u, w, v = dense_uwv(system)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from stratba import normal_eq, solvers
+from stratba import bal_io, normal_eq, objective, solvers
 from stratba.bal_io import ProjectiveState
 from stratba.normal_eq import (
     POSE_ONLY,
@@ -21,7 +21,6 @@ from stratba.solvers import (
     lm_minimize,
     pcg_schur_solve,
     power_schur_solve,
-    solver_label,
     spectral_check,
 )
 from stratba.synth import make_ring_problem
@@ -318,8 +317,8 @@ def test_lm_synthetic_noise_free_converges():
 def test_lm_bit_reproducible():
     problem = make_ring_problem(5, 25, 0.0, seed=2)
     state = random_init(problem, 3)
-    for cfg in (SolverConfig(), SolverConfig(mode="joint"),
-                SolverConfig(inner_solver="pcg")):
+    for cfg in (SolverConfig(), SolverConfig(stage1_solver="poba"),
+                SolverConfig(stage1_solver="iterative")):
         _, t1 = lm_minimize(problem, state, STAGE1, cfg)
         _, t2 = lm_minimize(problem, state, STAGE1, cfg)
         assert [r.cost for r in t1.records] == [r.cost for r in t2.records]
@@ -327,8 +326,8 @@ def test_lm_bit_reproducible():
 
 @pytest.mark.parametrize("stage, cfg", [
     pytest.param(STAGE1, SolverConfig(), id="cfg0"),
-    pytest.param(STAGE1, SolverConfig(mode="joint"), id="cfg1"),
-    pytest.param(STAGE1, SolverConfig(inner_solver="direct"), id="cfg2"),
+    pytest.param(STAGE1, SolverConfig(stage1_solver="poba"), id="cfg1"),
+    pytest.param(STAGE1, SolverConfig(stage1_solver="direct"), id="cfg2"),
     pytest.param(STAGE2, SolverConfig(), id="stage2"),
 ])
 def test_lm_linearizes_only_at_new_points(monkeypatch, stage, cfg):
@@ -375,7 +374,7 @@ def test_lm_linearizes_only_at_new_points(monkeypatch, stage, cfg):
     # one linearization at the start, one after every accepted step that
     # is followed by another iteration
     assert len(calls) == 1 + sum(accepted[:-1])
-    if stage == STAGE1 and cfg.mode == "varpro":
+    if stage == STAGE1 and cfg.stage1_solver != "poba":
         # V^+ of the first linearization, then one per trial: each trial
         # re-solves the landmarks, and an accepted one hands its V^+ to the
         # next linearization
@@ -386,6 +385,30 @@ def test_lm_linearizes_only_at_new_points(monkeypatch, stage, cfg):
         assert len(pinv_calls) == len(accepted)
         # one back-substituted landmark update per trial
         assert len(substitutions) == len(accepted)
+
+
+def test_stage1_weights_computed_once_per_problem(monkeypatch):
+    # the measurement weights depend on the problem alone: one computation
+    # serves the random start and every stage-1 linearization
+    weights, linearizations = [], []
+    real_weights = objective.stage1_weights
+    real_build = solvers.build_stage1_blocks
+
+    def counting_weights(*args, **kwargs):
+        weights.append(1)
+        return real_weights(*args, **kwargs)
+
+    def counting_build(*args, **kwargs):
+        linearizations.append(1)
+        return real_build(*args, **kwargs)
+
+    for mod in (bal_io, normal_eq, objective):
+        monkeypatch.setattr(mod, "stage1_weights", counting_weights)
+    monkeypatch.setattr(solvers, "build_stage1_blocks", counting_build)
+    problem = make_random_problem(4, 20, seed=9)
+    lm_minimize(problem, random_init(problem, 1), STAGE1, SolverConfig())
+    assert len(linearizations) > 1
+    assert len(weights) == 1
 
 
 def oracle_landmarks(problem, cameras, cfg):
@@ -409,8 +432,8 @@ def oracle_cost(problem, cameras, landmarks, cfg):
                                   problem.measurements))
 
 
-@pytest.mark.parametrize("inner", ["power", "direct"])
-def test_varpro_trial_cost_is_reduced_cost_at_trial_cameras(monkeypatch, inner):
+@pytest.mark.parametrize("solver", [pytest.param("povar", id="power"), "direct"])
+def test_varpro_trial_cost_is_reduced_cost_at_trial_cameras(monkeypatch, solver):
     # every varpro trial, accepted or not, is judged by min_v f(P, v): its
     # cost is the cost at the closed-form landmarks of the trial cameras
     judged = []
@@ -421,7 +444,7 @@ def test_varpro_trial_cost_is_reduced_cost_at_trial_cameras(monkeypatch, inner):
 
     monkeypatch.setattr(solvers, "total_cost", recording_cost)
     problem = make_ring_problem(5, 20, 0.5, seed=4)
-    cfg = SolverConfig(inner_solver=inner, max_outer_iterations=4)
+    cfg = SolverConfig(stage1_solver=solver, max_outer_iterations=4)
     _, trace = lm_minimize(problem, random_init(problem, 2), STAGE1, cfg)
     trials = judged[1:]  # after the starting cost
     assert len(trials) == len(trace.records) - 1
@@ -470,15 +493,6 @@ def test_lm_trace_times_non_decreasing():
     assert all(b >= a for a, b in zip(times, times[1:]))
 
 
-def test_solver_labels():
-    assert solver_label(STAGE1, SolverConfig()) == "povar"
-    assert solver_label(STAGE1, SolverConfig(mode="joint")) == "poba"
-    assert solver_label(STAGE1, SolverConfig(inner_solver="pcg")) == "iterative"
-    assert solver_label(STAGE1, SolverConfig(inner_solver="direct")) == "direct"
-    assert solver_label(STAGE2, SolverConfig()) == "ripoba"
-    assert solver_label(STAGE2, SolverConfig(inner_solver="pcg")) == "ripcg"
-
-
 def test_config_defaults_are_canonical():
     cfg = SolverConfig()
     assert cfg.max_outer_iterations == 50
@@ -488,12 +502,18 @@ def test_config_defaults_are_canonical():
     assert cfg.power_threshold == 0.01
     assert cfg.max_inner_iterations == 500
     assert cfg.pose.eta == 0.1
+    assert cfg.stage1_solver == "povar"
+    assert cfg.stage2_solver == "ripoba"
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(inner_solver="magic")
-    with pytest.raises(ValueError):
-        SolverConfig(mode="alternation")
+    with pytest.raises(ValueError, match="stage-1 solver"):
+        SolverConfig(stage1_solver="magic")
+    with pytest.raises(ValueError, match="stage-2 solver"):
+        SolverConfig(stage2_solver="alternation")
+    with pytest.raises(ValueError, match="stage-1 solver"):
+        SolverConfig(stage1_solver="ripoba")
+    with pytest.raises(ValueError, match="stage-2 solver"):
+        SolverConfig(stage2_solver="povar")
     with pytest.raises(ValueError):
         SolverConfig(initial_lambda=0.0)

@@ -152,6 +152,29 @@ def test_cli_solve_stage1_artifacts(synth_file, tmp_path):
     assert state.cameras.shape == (6, 3, 4)
 
 
+def test_solver_names_label_traces_and_summaries(synth_file, tmp_path):
+    # every solver name comes back unchanged as its stage's trace solver_id,
+    # summary "solver" and config echo
+    for stage1, stage2 in (("povar", "ripoba"), ("poba", "ripcg"),
+                           ("iterative", "ripoba"), ("direct", "ripcg")):
+        out = tmp_path / stage1
+        code = main(["solve", "--full", "--solver", stage1, "--stage2-solver", stage2,
+                     "--max-iterations", "3", "--seed", "1", "--out-dir", str(out),
+                     str(synth_file)])
+        assert code == 0
+        traces = {t.stage: t.solver_id for t in read_trace_csv(out / "ring_trace.csv")}
+        assert traces == {"stage1": stage1, "stage2": stage2, "full": stage2}
+        summary = json.loads((out / "ring_summary.json").read_text())
+        assert summary["stages"]["stage1"]["solver"] == stage1
+        assert summary["stages"]["stage2"]["solver"] == stage2
+        assert list(summary["config"]) == [
+            "seed", "stage", "stage1_solver", "stage2_solver", "eta", "initial_lambda",
+            "max_iterations", "function_tolerance", "power_order", "power_threshold",
+            "inner_iterations"]
+        assert (summary["config"]["stage1_solver"], summary["config"]["stage2_solver"]) == (
+            stage1, stage2)
+
+
 def test_cli_solve_deterministic_costs(synth_file, tmp_path):
     outs = []
     for name in ("a", "b"):
@@ -258,9 +281,12 @@ def test_cli_unreadable_input_exit_code(synth_file, tmp_path, capsys, kind):
 
 
 def test_cli_config_error_exit_code(synth_file, capsys):
-    code = main(["solve", "--solver", "magic", str(synth_file)])
-    assert code == 3
-    assert "config error" in capsys.readouterr().err
+    # unknown names, and names of the other stage's solvers
+    for flag, name in (("--solver", "magic"), ("--solver", "ripoba"),
+                       ("--stage2-solver", "povar")):
+        code = main(["solve", flag, name, str(synth_file)])
+        assert code == 3
+        assert "config error" in capsys.readouterr().err
 
 
 

@@ -10,7 +10,9 @@ once with OLD_SRC so that both trees solve the same files. Every solve runs in
 a fresh process with one BLAS thread. For each pair and trace stage it prints
 both iteration counts and the largest relative difference of the trace costs
 over the iterations both runs reached (0 means bit-identical), and for each
-pair whether the two state files are byte-identical.
+pair whether the two state files are byte-identical. The last line counts the
+traces that are bit-identical (the same costs over the same iterations) and
+the byte-identical states; like ``cmp``, it exits 1 when anything differs.
 """
 
 from __future__ import annotations
@@ -71,6 +73,7 @@ def main() -> int:
             return 2
     bench = bench_module()
     print(f"{'pair':<22} {'stage':<7} {'iters old':>9} {'iters new':>9} {'max rel diff':>13}")
+    same_traces, n_traces, same_states, n_states = 0, 0, 0, 0
     with tempfile.TemporaryDirectory(prefix="panel_diff-") as tmp:
         work = Path(tmp)
         for name, wl in bench.WORKLOADS.items():
@@ -89,15 +92,21 @@ def main() -> int:
                     outs.append(out)
                 traces = [bench.read_trace(out / f"{stem}_trace.csv") for out in outs]
                 label = f"{name} {problem_seed}/{start_seed}"
-                for stage in traces[0]:
+                for stage in traces[0] | traces[1]:  # a stage on one side only differs
                     old, new = ([r[1] for r in t.get(stage, [])] for t in traces)
                     its = [len(old) - 1, len(new) - 1]
                     print(f"{label:<22} {stage:<7} {its[0]:>9} {its[1]:>9} "
                           f"{max_rel_diff(old, new):>13.1e}")
+                    same_traces += old == new
+                    n_traces += 1
                 states = [(out / f"{stem}_state.txt").read_bytes() for out in outs]
                 identical = "byte-identical" if states[0] == states[1] else "different"
                 print(f"{label:<22} state   {identical}")
-    return 0
+                same_states += states[0] == states[1]
+                n_states += 1
+    print(f"{same_traces}/{n_traces} traces bit-identical, "
+          f"{same_states}/{n_states} states byte-identical")
+    return 0 if (same_traces, same_states) == (n_traces, n_states) else 1
 
 
 if __name__ == "__main__":
