@@ -84,15 +84,20 @@ def artifact_stem(path: str | Path) -> str:
     return Path(path).name.split(".")[0]
 
 
+def _write_section(fh, tag: str, rows: np.ndarray) -> None:
+    """A '<tag> <count>' line, then each row as space-separated '%.17g' numbers."""
+    fh.write(f"{tag} {len(rows)}\n")
+    # One % over the whole section: a tuple per row would be thousands of
+    # collector-tracked allocations, enough to set off a full collection.
+    line = " ".join(["%.17g"] * rows.shape[1]) + "\n"
+    fh.write(line * len(rows) % tuple(rows.ravel().tolist()))
+
+
 def write_state(state: ProjectiveState, path: str | Path) -> None:
     """Plain-text state: one camera (12 numbers, row-major) or landmark (4) per line."""
     with open(path, "w") as fh:
-        fh.write(f"cameras {len(state.cameras)}\n")
-        for cam in state.cameras.reshape(-1, 12):
-            fh.write(" ".join(format(v, ".17g") for v in cam) + "\n")
-        fh.write(f"landmarks {len(state.landmarks)}\n")
-        for lm in state.landmarks:
-            fh.write(" ".join(format(v, ".17g") for v in lm) + "\n")
+        _write_section(fh, "cameras", state.cameras.reshape(-1, 12))
+        _write_section(fh, "landmarks", state.landmarks)
 
 
 def read_state(path: str | Path) -> ProjectiveState:
@@ -211,10 +216,8 @@ def run_problem(path: str | Path, spec: RunSpec) -> dict:
                 "runtime_seconds": time.perf_counter() - t0,
             }
             with open(out_dir / f"{stem}_metric.txt", "w") as fh:
-                fh.write(f"cameras {len(result.rotations)}\n")
-                for r, t in zip(result.rotations, result.translations):
-                    vals = np.concatenate([r.ravel(), t])
-                    fh.write(" ".join(format(v, ".17g") for v in vals) + "\n")
+                _write_section(fh, "cameras", np.concatenate(
+                    [result.rotations.reshape(-1, 9), result.translations], axis=1))
     except NumericFailureError as exc:
         failure = exc
         summary["error"] = str(exc)

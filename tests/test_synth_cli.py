@@ -1,11 +1,19 @@
+import ctypes
 import gzip
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from stratba.bal_io import load_bal, parse_bal, write_bal
+import stratba
+from stratba import cli
+from stratba.bal_io import ProjectiveState, load_bal, parse_bal, write_bal
 from stratba.cli import main
 from stratba.evaluation import read_trace_csv
 from stratba.objective import STAGE2, total_cost
@@ -78,12 +86,27 @@ def test_synth_noise_changes_measurements():
     np.testing.assert_array_equal(clean.metric_points, noisy.metric_points)
 
 
+def _reference_state_bytes(state):
+    """The state file written with one format(v, ".17g") per value."""
+    lines = [f"cameras {len(state.cameras)}"]
+    lines += [" ".join(format(v, ".17g") for v in cam) for cam in state.cameras.reshape(-1, 12)]
+    lines.append(f"landmarks {len(state.landmarks)}")
+    lines += [" ".join(format(v, ".17g") for v in lm) for lm in state.landmarks]
+    return ("\n".join(lines) + "\n").encode()
+
+
 def test_state_file_round_trip(tmp_path):
     problem = make_ring_problem(3, 7, 0.0, seed=6)
-    state = ground_truth_state(problem)
+    gt = ground_truth_state(problem)
+    landmarks = gt.landmarks.copy()
+    landmarks[0] = [-0.0, np.nan, np.inf, -np.inf]
+    landmarks[1, :2] = [1e-300, -5e-324]
+    state = ProjectiveState(gt.cameras, landmarks)
     path = tmp_path / "state.txt"
     write_state(state, path)
+    assert path.read_bytes() == _reference_state_bytes(state)
     again = read_state(path)
+    assert np.signbit(again.landmarks[0, 0])
     np.testing.assert_array_equal(state.cameras, again.cameras)
     np.testing.assert_array_equal(state.landmarks, again.landmarks)
 
@@ -222,7 +245,85 @@ def test_cli_solve_metric_stage(synth_file, tmp_path):
     assert code == 0
     summary = json.loads((out / "ring_summary.json").read_text())
     assert "metric" in summary["stages"]
-    assert (out / "ring_metric.txt").exists()
+    lines = (out / "ring_metric.txt").read_text().splitlines()
+    assert lines[0] == "cameras 6"
+    for line in lines[1:]:
+        # 9 rotation and 3 translation numbers, each as format(v, ".17g") writes it
+        values = [float(v) for v in line.split()]
+        assert len(values) == 12
+        assert line == " ".join(format(v, ".17g") for v in values)
+
+
+def _has_mallopt():
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except OSError:
+        return False
+
+
+# Solves the ring twice in a fresh interpreter, so that the allocator state
+# left by earlier tests does not decide the count, and prints the minor page
+# faults of the second solve.
+_SECOND_SOLVE_FAULTS = """
+import contextlib, io, resource, sys
+from stratba.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["solve", "--full", "--out-dir", sys.argv[2], sys.argv[1]]) == 0
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert main(["solve", "--full", "--out-dir", sys.argv[3], sys.argv[1]]) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="glibc mallopt not available")
+def test_cli_solve_keeps_freed_memory_mapped(tmp_path):
+    # With glibc's default policy every linearization trims the heap and
+    # faults the same pages in again: about 26k minor faults per warm solve of
+    # this ring. With the policy that main sets, a warm solve takes at most a
+    # few hundred. (On a 16 x 200 ring the default policy's count ranges from
+    # 0 to 3.6k, too close to call.)
+    ring = tmp_path / "ring16.txt"
+    assert main(["synth", "--cameras", "16", "--landmarks", "800", "--noise", "0.5",
+                 "--seed", "0", "-o", str(ring)]) == 0
+    src = str(Path(stratba.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(
+        [sys.executable, "-c", _SECOND_SOLVE_FAULTS, str(ring),
+         str(tmp_path / "warm"), str(tmp_path / "measured")],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert int(run.stdout) < 2000
+
+
+def _solve_artifacts(path, out):
+    assert main(["solve", "--full", "--out-dir", str(out), str(path)]) == 0
+    traces = read_trace_csv(out / "ring_trace.csv")
+    return ((out / "ring_state.txt").read_bytes(),
+            [(t.stage, [(r.iteration, r.cost) for r in t.records]) for t in traces])
+
+
+def _raise_os_error(name):
+    raise OSError(f"cannot load {name!r}")
+
+
+@pytest.mark.parametrize("cdll", [_raise_os_error, lambda name: SimpleNamespace()],
+                         ids=["no-libc", "no-mallopt"])
+def test_cli_solve_without_mallopt(synth_file, tmp_path, monkeypatch, cdll):
+    reference = _solve_artifacts(synth_file, tmp_path / "reference")
+    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+    assert _solve_artifacts(synth_file, tmp_path / "fallback") == reference
+
+
+def test_keep_freed_memory_mapped_sets_both_thresholds(monkeypatch):
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+    cli.keep_freed_memory_mapped()
+    assert calls == [(-1, 256 << 20), (-3, 32 << 20)]
 
 
 def test_cli_parse_error_exit_code(tmp_path, capsys):
