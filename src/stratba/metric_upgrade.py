@@ -1,4 +1,4 @@
-"""Autocalibration: upgrade converged projective cameras to Euclidean ones.
+"""Autocalibration: upgrade converged projective cameras towards Euclidean ones.
 
 Searches a 4x4 ambiguity transform H = [[I, 0], [c^T, 1]] (gauge block fixed
 to the identity, plane-at-infinity vector c free) together with per-camera
@@ -8,10 +8,13 @@ orthonormal rotation part:
     alpha_i * (K_i^{-1} P_i) Htilde Htilde^T (K_i^{-1} P_i)^T ~= I,
 
 with Htilde the left 4x3 block of H. The scales are linear in this residual
-and are eliminated in closed form; the remaining 3-vector c is found with a
-small damped least-squares loop. Output quality is illustrative: rotations
-are always projected to the nearest proper orthogonal matrix and the
-remaining misfit is reported rather than raised.
+and are eliminated in closed form (variable projection); only the 3-vector c
+is searched, with a small damped least-squares loop. Because the gauge block
+stays I, this cannot remove the general projective ambiguity of a
+random-start reconstruction, and there the cameras do not come out metric.
+Output quality is illustrative: rotations are always projected to the
+nearest proper orthogonal matrix and the remaining misfit is reported
+(``orthogonality_error``, ``converged``) rather than raised.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bal_io import BaProblem, ProjectiveState
+from .solvers import LAMBDA_DECREASE, LAMBDA_INCREASE, LAMBDA_MAX, LAMBDA_MIN
 
 logger = logging.getLogger(__name__)
 
@@ -105,20 +109,24 @@ def metric_residual(camera: np.ndarray, intrinsics: np.ndarray, state: Ambiguity
     return _sym6(alpha * m - np.eye(3))
 
 
+def _scales(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form scales alpha = <M, I> / <M, M> and the zero-norm mask (alpha = 1 there)."""
+    num = np.trace(m, axis1=1, axis2=2)
+    den = np.einsum("nij,nij->n", m, m)
+    zero = den == 0
+    return np.where(zero, 1.0, num / np.where(zero, 1.0, den)), zero
+
+
 def optimal_alphas(cameras: np.ndarray, intrinsics: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Closed-form per-camera scales: alpha = <M, I> / <M, M>.
 
     Each alpha minimizes its camera's Frobenius misfit with c held fixed.
     Zero-norm M falls back to alpha = 1 with a log entry.
     """
-    q = _normalized_cameras(cameras, intrinsics)
-    m = _gram_terms(q, c)
-    num = np.trace(m, axis1=1, axis2=2)
-    den = np.einsum("nij,nij->n", m, m)
-    zero = den == 0
+    alphas, zero = _scales(_gram_terms(_normalized_cameras(cameras, intrinsics), c))
     if zero.any():
         logger.warning("%d cameras have zero-norm gram terms; scale set to 1", int(zero.sum()))
-    return np.where(zero, 1.0, num / np.where(zero, 1.0, den))
+    return alphas
 
 
 def vec_transpose_permutation(m: int, n: int) -> np.ndarray:
@@ -148,47 +156,21 @@ def gram_derivative(h: np.ndarray) -> np.ndarray:
 def _reduced_residual(q: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Residual stack (n, 6) and eliminated scales at the given c."""
     m = _gram_terms(q, c)
-    num = np.trace(m, axis1=1, axis2=2)
-    den = np.einsum("nij,nij->n", m, m)
-    zero = den == 0
-    alphas = np.where(zero, 1.0, num / np.where(zero, 1.0, den))
-    res = _sym6(alphas[:, None, None] * m - np.eye(3))
-    return res, alphas
-
-
-def _sym6_matrix() -> np.ndarray:
-    """6x9 map from vec (column-major) of a symmetric 3x3 to the weighted triangle."""
-    s = np.zeros((6, 9))
-    row = 0
-    for i in range(3):
-        for j in range(i, 3):
-            w = 1.0 if i == j else _SQRT2
-            s[row, i + 3 * j] += w / 2.0
-            s[row, j + 3 * i] += w / 2.0
-            row += 1
-    return s
-
-
-_S6 = _sym6_matrix()
-_DVEC_H_DC = np.zeros((12, 3))
-for _k in range(3):
-    _DVEC_H_DC[3 + 4 * _k, _k] = 1.0
+    alphas, _ = _scales(m)
+    return _sym6(alphas[:, None, None] * m - np.eye(3)), alphas
 
 
 def _reduced_jacobian(q: np.ndarray, c: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     """d residual / d c with scales frozen at their optimum (n, 6, 3).
 
     At the eliminated optimum the scale gradients vanish, so freezing them
-    still yields the exact reduced gradient.
+    still yields the exact reduced gradient. c_k is entry (3, k) of Htilde,
+    column-major position 3 + 4k, so d(HH^T)/dc_k is that column of
+    gram_derivative as a 4x4 matrix S_k, and dM_i/dc_k = q_i S_k q_i^T.
     """
-    d_hht = gram_derivative(ambiguity_columns(c))  # (16, 12)
-    chain = d_hht @ _DVEC_H_DC  # (16, 3)
-    n = len(q)
-    jac = np.empty((n, 6, 3))
-    for i in range(n):
-        qq = np.kron(q[i], q[i])  # (9, 16), vec(Q S Q^T) = (Q kron Q) vec(S)
-        jac[i] = alphas[i] * (_S6 @ qq @ chain)
-    return jac
+    ds = gram_derivative(ambiguity_columns(c))[:, 3::4].reshape(4, 4, 3, order="F")
+    dm = np.einsum("nia,abk,njb->nkij", q, ds, q)  # (n, 3, 3, 3)
+    return alphas[:, None, None] * _sym6(dm).transpose(0, 2, 1)
 
 
 def upgrade(problem: BaProblem, state: ProjectiveState) -> MetricUpgradeResult:
@@ -215,25 +197,22 @@ def upgrade(problem: BaProblem, state: ProjectiveState) -> MetricUpgradeResult:
         try:
             delta = np.linalg.solve(damped, -jtr)
         except np.linalg.LinAlgError:
-            lam *= 4.0
+            lam = min(LAMBDA_MAX, lam * LAMBDA_INCREASE)
             continue
         res_t, alphas_t = _reduced_residual(q, c + delta)
         cost_t = float(np.sum(res_t * res_t))
         if cost_t < cost:
             rel = abs(cost - cost_t) / cost if cost > 0 else 0.0
             c, res, alphas, cost = c + delta, res_t, alphas_t, cost_t
-            lam = max(1e-12, lam * 0.5)
+            lam = max(LAMBDA_MIN, lam * LAMBDA_DECREASE)
             if rel <= _FUNCTION_TOLERANCE:
                 break
         else:
-            lam = min(1e8, lam * 4.0)
+            lam = min(LAMBDA_MAX, lam * LAMBDA_INCREASE)
             if math.isfinite(cost_t) and cost > 0 and abs(cost - cost_t) / cost <= _FUNCTION_TOLERANCE:
                 break
 
-    h = np.zeros((4, 4))
-    h[:3, :3] = np.eye(3)
-    h[3, :3] = c
-    h[3, 3] = 1.0
+    h = np.column_stack([ambiguity_columns(c), [0.0, 0.0, 0.0, 1.0]])
     upgraded = q @ h  # (n, 3, 4) in normalized coordinates
     scale = np.sqrt(np.abs(alphas))
     metric = scale[:, None, None] * upgraded

@@ -128,10 +128,15 @@ class StepReport:
     flag: str | None = None  # "breakdown" | "singular"
 
 
+# The two one-line wrappers below are kept on purpose. _u_inverse is the seam
+# where tests/test_synth_cli.py injects a singular pose block.
 def _u_inverse(system: SchurSystem) -> np.ndarray:
     return np.linalg.inv(system.u_blocks)
 
 
+# _coupling_round_trip is the solve benchmark's solvers.coupling_round_trip
+# span: perfbench/spans.py wraps it by name, tests/test_spans.py pins the name,
+# and a traced run that records no call of it exits non-zero.
 def _coupling_round_trip(system: SchurSystem, vec: np.ndarray) -> np.ndarray:
     """W V^{-1} W^T vec for a flattened pose-dimension vector."""
     return system.coupling(vec)

@@ -7,8 +7,13 @@ from scipy.spatial.transform import Rotation
 from stratba.bal_io import BaProblem, ProjectiveState
 from stratba.metric_upgrade import (
     AmbiguityState,
+    _gram_terms,
+    _reduced_jacobian,
+    _reduced_residual,
+    _sym6,
     ambiguity_columns,
     gram_derivative,
+    intrinsics_from_problem,
     metric_residual,
     optimal_alphas,
     upgrade,
@@ -175,6 +180,30 @@ def test_gram_derivative_matches_finite_differences():
         assert rel <= 1e-6
 
 
+@pytest.mark.parametrize("n, zero_camera", [(1, False), (6, False), (6, True)])
+def test_reduced_jacobian_matches_finite_differences(n, zero_camera):
+    rng = np.random.default_rng(41 + n + zero_camera)
+    for _ in range(20):
+        q = rng.standard_normal((n, 3, 4))
+        if zero_camera:
+            q[2] = 0.0
+        c = rng.standard_normal(3)
+        _, alphas = _reduced_residual(q, c)
+        if zero_camera:
+            assert alphas[2] == 1.0  # zero gram falls back to scale 1
+        jac = _reduced_jacobian(q, c, alphas)
+        assert jac.shape == (n, 6, 3)
+
+        def residual(cc):  # scales held fixed
+            return _sym6(alphas[:, None, None] * _gram_terms(q, cc) - np.eye(3))
+
+        fd = central_difference_jacobian(residual, c).reshape(n, 6, 3)
+        rel = np.abs(fd - jac).max() / max(1.0, np.abs(jac).max())
+        assert rel <= 1e-6
+        if zero_camera:
+            np.testing.assert_array_equal(jac[2], 0.0)
+
+
 # ---------------------------------------------------------------------------
 # full upgrade
 
@@ -188,6 +217,14 @@ def test_upgrade_recovers_known_ambiguity():
     assert result.converged
     np.testing.assert_allclose(result.rotations, r_true, atol=1e-6)
     np.testing.assert_allclose(result.translations, t_true, atol=1e-6)
+
+
+def test_upgrade_scales_are_the_closed_form_ones():
+    # the search and optimal_alphas share one scale formula: equal bit for bit
+    problem, state, _, _, _ = warped_problem(np.array([0.1, -0.2, 0.3]), n=6, seed=0)
+    result = upgrade(problem, state)
+    expected = optimal_alphas(state.cameras, intrinsics_from_problem(problem), result.state.c)
+    np.testing.assert_array_equal(result.state.alphas, expected)
 
 
 def test_upgrade_fixed_point_on_metric_input():

@@ -9,10 +9,13 @@ arguments of every pair) and the inputs from ``perfbench/gen.py``, generated
 once with OLD_SRC so that both trees solve the same files. Every solve runs in
 a fresh process with one BLAS thread. For each pair and trace stage it prints
 both iteration counts and the largest relative difference of the trace costs
-over the iterations both runs reached (0 means bit-identical), and for each
-pair whether the two state files are byte-identical. The last line counts the
-traces that are bit-identical (the same costs over the same iterations) and
-the byte-identical states; like ``cmp``, it exits 1 when anything differs.
+over the iterations both runs reached (0 means bit-identical). For each pair's
+state file, and its metric-upgrade file where it writes one
+(``<stem>_metric.txt``, the ``--metric`` solves), it prints "byte-identical"
+or the largest relative difference of the two files' numbers. The last line
+counts the traces that are bit-identical (the same costs over the same
+iterations), the byte-identical states and the byte-identical metric files;
+like ``cmp``, it exits 1 when anything differs.
 """
 
 from __future__ import annotations
@@ -61,6 +64,28 @@ def max_rel_diff(old: list[float], new: list[float]) -> float:
     return worst
 
 
+def file_numbers(text: str) -> list[float]:
+    """Every number of an artifact's text; section tags are skipped."""
+    numbers = []
+    for token in text.split():
+        try:
+            numbers.append(float(token))
+        except ValueError:
+            pass
+    return numbers
+
+
+def compare_files(paths: list[Path]) -> str:
+    """"byte-identical", or the largest relative difference of the two files' numbers."""
+    data = [path.read_bytes() for path in paths]
+    if data[0] == data[1]:
+        return "byte-identical"
+    old, new = (file_numbers(d.decode()) for d in data)
+    if len(old) != len(new):
+        return f"different ({len(old)} vs {len(new)} numbers)"
+    return f"max rel diff {max_rel_diff(old, new):.1e}"
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description="compare the benchmark panels solved by two trees")
     ap.add_argument("old_src", type=Path, help="directory holding the reference stratba")
@@ -73,7 +98,7 @@ def main() -> int:
             return 2
     bench = bench_module()
     print(f"{'pair':<22} {'stage':<7} {'iters old':>9} {'iters new':>9} {'max rel diff':>13}")
-    same_traces, n_traces, same_states, n_states = 0, 0, 0, 0
+    same_traces, n_traces, same_states, n_states, same_metrics, n_metrics = 0, 0, 0, 0, 0, 0
     with tempfile.TemporaryDirectory(prefix="panel_diff-") as tmp:
         work = Path(tmp)
         for name, wl in bench.WORKLOADS.items():
@@ -99,14 +124,22 @@ def main() -> int:
                           f"{max_rel_diff(old, new):>13.1e}")
                     same_traces += old == new
                     n_traces += 1
-                states = [(out / f"{stem}_state.txt").read_bytes() for out in outs]
-                identical = "byte-identical" if states[0] == states[1] else "different"
-                print(f"{label:<22} state   {identical}")
-                same_states += states[0] == states[1]
+                verdict = compare_files([out / f"{stem}_state.txt" for out in outs])
+                print(f"{label:<22} state   {verdict}")
+                same_states += verdict == "byte-identical"
                 n_states += 1
+                metrics = [out / f"{stem}_metric.txt" for out in outs]
+                if any(path.exists() for path in metrics):  # a file on one side only differs
+                    verdict = (compare_files(metrics) if all(path.exists() for path in metrics)
+                               else "on one side only")
+                    print(f"{label:<22} metric  {verdict}")
+                    same_metrics += verdict == "byte-identical"
+                    n_metrics += 1
     print(f"{same_traces}/{n_traces} traces bit-identical, "
-          f"{same_states}/{n_states} states byte-identical")
-    return 0 if (same_traces, same_states) == (n_traces, n_states) else 1
+          f"{same_states}/{n_states} states byte-identical, "
+          f"{same_metrics}/{n_metrics} metric files byte-identical")
+    same = (same_traces, same_states, same_metrics) == (n_traces, n_states, n_metrics)
+    return 0 if same else 1
 
 
 if __name__ == "__main__":
