@@ -21,7 +21,7 @@ import logging
 import math
 import warnings
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import IO, Iterator
 
@@ -96,6 +96,16 @@ class BaProblem:
     def plan(self) -> ObservationPlan:
         """Observation orders of the block-sparse normal equations, built on first use."""
         return ObservationPlan.build(self)
+
+    def rescaled(self, scale: float) -> BaProblem:
+        """The same observation graph with every measurement divided by ``scale``.
+
+        The plan depends on the indices only, so the new problem shares this
+        problem's plan instead of building its own.
+        """
+        out = replace(self, measurements=self.measurements / scale)
+        out.__dict__["plan"] = self.plan  # fill the cached property
+        return out
 
     @functools.cached_property
     def row_weights(self) -> np.ndarray:

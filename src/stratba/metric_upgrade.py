@@ -53,6 +53,10 @@ class MetricUpgradeResult:
     state: AmbiguityState
     orthogonality_error: float  # max over cameras of ||alpha B B^T - I||_F
     converged: bool
+    iterations: int  # passes of the damped least-squares loop over c
+    # why the loop stopped: "ftol" (an accepted step changed the cost by at most
+    # the tolerance), "stagnant" (a rejected step did) or "cap" (iteration cap)
+    stop_reason: str
 
 
 def ambiguity_columns(c: np.ndarray) -> np.ndarray:
@@ -138,6 +142,10 @@ def vec_transpose_permutation(m: int, n: int) -> np.ndarray:
     return k
 
 
+_VEC_TRANSPOSE_4X3 = vec_transpose_permutation(4, 3)
+_VEC_TRANSPOSE_4X3.setflags(write=False)
+
+
 def gram_derivative(h: np.ndarray) -> np.ndarray:
     """Derivative of vec(h h^T) with respect to vec(h) for a 4x3 block, column-major.
 
@@ -146,8 +154,7 @@ def gram_derivative(h: np.ndarray) -> np.ndarray:
     """
     h = np.asarray(h, dtype=float)
     eye = np.eye(4)
-    k = vec_transpose_permutation(4, 3)
-    return np.kron(h, eye) + np.kron(eye, h) @ k
+    return np.kron(h, eye) + np.kron(eye, h) @ _VEC_TRANSPOSE_4X3
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +195,9 @@ def upgrade(problem: BaProblem, state: ProjectiveState) -> MetricUpgradeResult:
     res, alphas = _reduced_residual(q, c)
     cost = float(np.sum(res * res))
     lam = 1e-4
-    for _ in range(_MAX_ITERATIONS):
+    iterations, stop_reason = 0, "cap"
+    while iterations < _MAX_ITERATIONS:
+        iterations += 1
         jac = _reduced_jacobian(q, c, alphas).reshape(-1, 3)
         r = res.reshape(-1)
         jtj = jac.T @ jac
@@ -206,11 +215,14 @@ def upgrade(problem: BaProblem, state: ProjectiveState) -> MetricUpgradeResult:
             c, res, alphas, cost = c + delta, res_t, alphas_t, cost_t
             lam = max(LAMBDA_MIN, lam * LAMBDA_DECREASE)
             if rel <= _FUNCTION_TOLERANCE:
+                stop_reason = "ftol"
                 break
         else:
             lam = min(LAMBDA_MAX, lam * LAMBDA_INCREASE)
             if math.isfinite(cost_t) and cost > 0 and abs(cost - cost_t) / cost <= _FUNCTION_TOLERANCE:
+                stop_reason = "stagnant"
                 break
+    logger.info("metric upgrade: %d iterations, stopped on %s", iterations, stop_reason)
 
     h = np.column_stack([ambiguity_columns(c), [0.0, 0.0, 0.0, 1.0]])
     upgraded = q @ h  # (n, 3, 4) in normalized coordinates
@@ -234,4 +246,6 @@ def upgrade(problem: BaProblem, state: ProjectiveState) -> MetricUpgradeResult:
         state=AmbiguityState(c=c, alphas=alphas),
         orthogonality_error=float(ortho),
         converged=bool(ortho <= _ORTHOGONALITY_FLAG),
+        iterations=iterations,
+        stop_reason=stop_reason,
     )

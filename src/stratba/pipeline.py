@@ -1,9 +1,22 @@
-"""End-to-end orchestration: init, stages, artifact files, run summaries."""
+"""End-to-end orchestration: init, stages, artifact files, run summaries.
+
+The random start and stage 1 run on measurements divided by one isotropic
+scale s, their RMS over both coordinates (``measurement_scale``, recorded in
+the summary). The pOSE cost is equivariant under m -> m / s,
+P -> diag(1/s, 1/s, 1) P: the cost scales by 1/s^2 and the optimal landmarks
+stay the same. So the normalization changes only the start (N(0, 1) camera
+entries in normalized coordinates) and the inner solvers' norm-based stop
+tests. The cameras go back to pixels with diag(s, s, 1) before anything reads
+pixels: the pre-stage-1 cost, the lift to stage 2 and the state file. The
+``stage1`` trace and summary costs are in normalized units (the pixel cost
+divided by s^2); ``stage2``, ``full`` and the metric stage are in pixels.
+"""
 
 from __future__ import annotations
 
 import json
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -11,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bal_io import ProjectiveState, load_bal, prune_underobserved, random_init
+from .bal_io import BaProblem, ProjectiveState, load_bal, prune_underobserved, random_init
 from .evaluation import ConvergenceTrace, TraceRecord, write_trace_csv
 from .metric_upgrade import upgrade
 from .objective import STAGE1, STAGE2, PoseConfig, total_cost
@@ -131,6 +144,20 @@ def full_trace(pre_stage1_cost: float, stage1_runtime: float, stage2_trace: Conv
                             records, pre_stage1_cost)
 
 
+def measurement_scale(problem: BaProblem) -> float:
+    """RMS of the measurements over both coordinates, or 1 where that is 0 or not finite."""
+    m = problem.measurements
+    rms = float(np.sqrt(np.mean(m * m))) if m.size else 0.0
+    return rms if 0.0 < rms < math.inf else 1.0
+
+
+def _to_pixels(state: ProjectiveState, scale: float) -> ProjectiveState:
+    """A state of ``problem.rescaled(scale)`` with its cameras back in pixels,
+    P -> diag(s, s, 1) P; landmarks are unchanged."""
+    return ProjectiveState(state.cameras * np.array([scale, scale, 1.0])[:, None],
+                           state.landmarks)
+
+
 def run_problem(path: str | Path, spec: RunSpec) -> dict:
     """Run the selected stages on one problem file; returns the summary dict.
 
@@ -145,6 +172,8 @@ def run_problem(path: str | Path, spec: RunSpec) -> dict:
 
     raw = load_bal(path)
     problem = prune_underobserved(raw)
+    scale = measurement_scale(problem)
+    normalized = problem.rescaled(scale)
     out_dir.mkdir(parents=True, exist_ok=True)  # only once the input has parsed
     summary = {
         "schema_version": SCHEMA_VERSION,
@@ -154,11 +183,13 @@ def run_problem(path: str | Path, spec: RunSpec) -> dict:
         "num_landmarks": problem.num_landmarks,
         "num_observations": problem.num_observations,
         "pruned_landmarks": raw.num_landmarks - problem.num_landmarks,
+        "measurement_scale": scale,
         "config": spec.config_echo(),
         "stages": {},
     }
     traces: list[ConvergenceTrace] = []
-    state = random_init(problem, spec.seed, spec.solver.pose)
+    start = random_init(normalized, spec.seed, spec.solver.pose)
+    state = _to_pixels(start, scale)
     failure: NumericFailureError | None = None
 
     try:
@@ -176,8 +207,10 @@ def run_problem(path: str | Path, spec: RunSpec) -> dict:
 
         if run_stage1:
             t0 = time.perf_counter()
-            state, trace = lm_minimize(problem, state, STAGE1, spec.solver, problem_id=problem_id)
+            stage1_state, trace = lm_minimize(normalized, start, STAGE1, spec.solver,
+                                              problem_id=problem_id)
             stage1_runtime = time.perf_counter() - t0
+            state = _to_pixels(stage1_state, scale)
             traces.append(trace)
             summary["stages"]["stage1"] = {
                 "solver": trace.solver_id,
@@ -213,6 +246,8 @@ def run_problem(path: str | Path, spec: RunSpec) -> dict:
                 "plane_at_infinity": result.state.c.tolist(),
                 "orthogonality_error": result.orthogonality_error,
                 "converged": result.converged,
+                "iterations": result.iterations,
+                "stop_reason": result.stop_reason,
                 "runtime_seconds": time.perf_counter() - t0,
             }
             with open(out_dir / f"{stem}_metric.txt", "w") as fh:

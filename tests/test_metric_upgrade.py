@@ -1,10 +1,12 @@
+import logging
 import math
 
 import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
-from stratba.bal_io import BaProblem, ProjectiveState
+from stratba import metric_upgrade
+from stratba.bal_io import BaProblem, ProjectiveState, load_bal, prune_underobserved, write_bal
 from stratba.metric_upgrade import (
     AmbiguityState,
     _gram_terms,
@@ -19,6 +21,8 @@ from stratba.metric_upgrade import (
     upgrade,
     vec_transpose_permutation,
 )
+from stratba.pipeline import RunSpec, read_state, run_problem
+from stratba.synth import make_ring_problem
 from tests.conftest import central_difference_jacobian
 
 
@@ -249,6 +253,46 @@ def test_upgrade_rotations_always_orthonormal(rng):
     for rot in result.rotations:
         assert np.linalg.norm(rot.T @ rot - np.eye(3)) <= 1e-9
         assert np.linalg.det(rot) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.fixture(scope="module")
+def solved_ring(tmp_path_factory):
+    """A ring solved through the metric stage: its problem, stage-2 state and summary."""
+    path = tmp_path_factory.mktemp("ring") / "ring.txt"
+    with open(path, "w") as fh:
+        write_bal(make_ring_problem(8, 60, 0.5, seed=2), fh)
+    out = path.parent / "out"
+    summary = run_problem(path, RunSpec(inputs=[str(path)], seed=1, stage="metric",
+                                        out_dir=str(out)))
+    return prune_underobserved(load_bal(path)), read_state(out / "ring_state.txt"), summary
+
+
+def test_upgrade_reports_iterations_and_stop_reason(solved_ring, caplog):
+    problem, state, summary = solved_ring
+    with caplog.at_level(logging.INFO, logger="stratba.metric_upgrade"):
+        result = upgrade(problem, state)
+    assert result.stop_reason in ("ftol", "stagnant", "cap")
+    assert 1 <= result.iterations <= 100
+    assert (f"metric upgrade: {result.iterations} iterations, stopped on {result.stop_reason}"
+            in caplog.text)
+    metric = summary["stages"]["metric"]
+    assert (metric["iterations"], metric["stop_reason"]) == (result.iterations,
+                                                              result.stop_reason)
+
+
+def test_upgrade_stop_reason_cap(solved_ring, monkeypatch):
+    problem, state, _ = solved_ring
+    monkeypatch.setattr(metric_upgrade, "_MAX_ITERATIONS", 1)
+    result = upgrade(problem, state)
+    assert (result.iterations, result.stop_reason) == (1, "cap")
+
+
+def test_gram_derivative_uses_the_permutation_bit_for_bit():
+    rng = np.random.default_rng(7)
+    h = rng.standard_normal((4, 3))
+    eye = np.eye(4)
+    expected = np.kron(h, eye) + np.kron(eye, h) @ vec_transpose_permutation(4, 3)
+    np.testing.assert_array_equal(gram_derivative(h), expected)
 
 
 def test_upgrade_requires_metric_block():

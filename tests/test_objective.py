@@ -289,6 +289,27 @@ def test_total_cost_decomposes_over_observations(rng):
     assert total == pytest.approx(parts, rel=1e-12)
 
 
+@pytest.mark.parametrize("s", [0.01, 37.5])
+def test_stage1_equivariant_under_measurement_scaling(s):
+    # m -> m / s, P -> diag(1/s, 1/s, 1) P scales every stage-1 residual by 1/s
+    # and leaves the landmark optimum alone: measurement normalization moves
+    # the start and the stop tests, not the stage-1 minimizers
+    rng = np.random.default_rng(17)
+    problem = make_random_problem(5, 12, seed=18)
+    state = make_random_state(problem, 19, STAGE1)
+    cfg = PoseConfig(rng.uniform(0.05, 0.95))
+    scaled = problem.rescaled(s)
+    assert scaled.plan is problem.plan
+    scaled_state = ProjectiveState(state.cameras * np.array([1 / s, 1 / s, 1.0])[:, None],
+                                   state.landmarks)
+    pixel_cost = total_cost(state, problem, STAGE1, cfg)
+    assert total_cost(scaled_state, scaled, STAGE1, cfg) * s**2 == pytest.approx(
+        pixel_cost, rel=1e-12)
+    landmarks = solve_landmarks(state, problem, cfg).landmarks
+    np.testing.assert_allclose(solve_landmarks(scaled_state, scaled, cfg).landmarks,
+                               landmarks, rtol=0, atol=1e-10)
+
+
 def test_total_cost_stage2_infinite_on_degenerate():
     cam = np.zeros((1, 3, 4))
     cam[0, 0, 0] = 1.0

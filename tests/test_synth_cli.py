@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -13,11 +14,19 @@ import pytest
 
 import stratba
 from stratba import cli
-from stratba.bal_io import ProjectiveState, load_bal, parse_bal, write_bal
+from stratba.bal_io import (
+    ProjectiveState,
+    load_bal,
+    parse_bal,
+    prune_underobserved,
+    random_init,
+    write_bal,
+)
 from stratba.cli import main
 from stratba.evaluation import read_trace_csv
-from stratba.objective import STAGE2, total_cost
+from stratba.objective import STAGE1, STAGE2, total_cost
 from stratba.pipeline import read_state, write_state
+from stratba.riemannian import lift_stage1_to_stage2
 from stratba.synth import ground_truth_state, make_ring_problem
 
 
@@ -252,6 +261,59 @@ def test_cli_solve_metric_stage(synth_file, tmp_path):
         values = [float(v) for v in line.split()]
         assert len(values) == 12
         assert line == " ".join(format(v, ".17g") for v in values)
+
+
+def test_summary_records_measurement_scale(synth_file, tmp_path):
+    out = tmp_path / "scale"
+    assert main(["solve", "--stage1", "--max-iterations", "2", "--out-dir", str(out),
+                 str(synth_file)]) == 0
+    summary = json.loads((out / "ring_summary.json").read_text())
+    m = prune_underobserved(load_bal(synth_file)).measurements
+    assert summary["measurement_scale"] == pytest.approx(np.sqrt(np.mean(m**2)), rel=1e-15)
+    assert summary["measurement_scale"] > 10  # the ring's pixels are far from unit scale
+
+
+def test_stage1_trace_is_in_normalized_units(synth_file, tmp_path):
+    # the trace holds the cost at the normalized measurements; the state file
+    # holds pixel cameras, whose pixel cost is s^2 times that
+    out = tmp_path / "s1"
+    assert main(["solve", "--stage1", "--seed", "3", "--out-dir", str(out),
+                 str(synth_file)]) == 0
+    s = json.loads((out / "ring_summary.json").read_text())["measurement_scale"]
+    final = read_trace_csv(out / "ring_trace.csv")[0].records[-1].cost
+    problem = prune_underobserved(load_bal(synth_file))
+    pixel_cost = total_cost(read_state(out / "ring_state.txt"), problem, STAGE1)
+    assert pixel_cost == pytest.approx(s**2 * final, rel=1e-10)
+
+
+def test_full_trace_starts_at_the_pixel_cost_of_the_lifted_start(synth_file, tmp_path):
+    out = tmp_path / "full"
+    assert main(["solve", "--full", "--seed", "4", "--out-dir", str(out),
+                 str(synth_file)]) == 0
+    full = {t.stage: t for t in read_trace_csv(out / "ring_trace.csv")}["full"]
+    problem = prune_underobserved(load_bal(synth_file))
+    s = json.loads((out / "ring_summary.json").read_text())["measurement_scale"]
+    start = random_init(problem.rescaled(s), 4)
+    pixel_start = ProjectiveState(start.cameras * np.array([s, s, 1.0])[:, None],
+                                  start.landmarks)
+    expected = total_cost(lift_stage1_to_stage2(pixel_start), problem, STAGE2)
+    assert full.records[0].cost == pytest.approx(expected, rel=1e-12)
+    # not the cost of the same draw taken as pixel cameras
+    assert full.records[0].cost != pytest.approx(
+        total_cost(lift_stage1_to_stage2(start), problem, STAGE2), rel=1e-3)
+
+
+def test_all_zero_measurements_get_scale_one(tmp_path):
+    ring = make_ring_problem(6, 30, 0.0, seed=1)
+    path = tmp_path / "zero.txt"
+    with open(path, "w") as fh:
+        write_bal(replace(ring, measurements=np.zeros_like(ring.measurements)), fh)
+    out = tmp_path / "zero"
+    assert main(["solve", "--full", "--seed", "1", "--out-dir", str(out), str(path)]) == 0
+    summary = json.loads((out / "zero_summary.json").read_text())
+    assert summary["measurement_scale"] == 1.0
+    costs = [r.cost for t in read_trace_csv(out / "zero_trace.csv") for r in t.records]
+    assert np.isfinite(costs).all()
 
 
 def _has_mallopt():

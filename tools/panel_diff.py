@@ -9,7 +9,9 @@ arguments of every pair) and the inputs from ``perfbench/gen.py``, generated
 once with OLD_SRC so that both trees solve the same files. Every solve runs in
 a fresh process with one BLAS thread. For each pair and trace stage it prints
 both iteration counts and the largest relative difference of the trace costs
-over the iterations both runs reached (0 means bit-identical). For each pair's
+over the iterations both runs reached (0 means bit-identical), and that of
+their final costs (where the iteration counts or the units of a stage differ,
+the final costs are what is left to compare). For each pair's
 state file, and its metric-upgrade file where it writes one
 (``<stem>_metric.txt``, the ``--metric`` solves), it prints "byte-identical"
 or the largest relative difference of the two files' numbers. The last line
@@ -97,7 +99,8 @@ def main() -> int:
             print(f"{tree}: no stratba package", file=sys.stderr)
             return 2
     bench = bench_module()
-    print(f"{'pair':<22} {'stage':<7} {'iters old':>9} {'iters new':>9} {'max rel diff':>13}")
+    print(f"{'pair':<22} {'stage':<7} {'iters old':>9} {'iters new':>9} {'max rel diff':>13} "
+          f"{'final rel diff':>15}")
     same_traces, n_traces, same_states, n_states, same_metrics, n_metrics = 0, 0, 0, 0, 0, 0
     with tempfile.TemporaryDirectory(prefix="panel_diff-") as tmp:
         work = Path(tmp)
@@ -120,8 +123,9 @@ def main() -> int:
                 for stage in traces[0] | traces[1]:  # a stage on one side only differs
                     old, new = ([r[1] for r in t.get(stage, [])] for t in traces)
                     its = [len(old) - 1, len(new) - 1]
+                    final = max_rel_diff(old[-1:], new[-1:])
                     print(f"{label:<22} {stage:<7} {its[0]:>9} {its[1]:>9} "
-                          f"{max_rel_diff(old, new):>13.1e}")
+                          f"{max_rel_diff(old, new):>13.1e} {final:>15.1e}")
                     same_traces += old == new
                     n_traces += 1
                 verdict = compare_files([out / f"{stem}_state.txt" for out in outs])
