@@ -151,8 +151,11 @@ class ObservationPlan:
     owning ``landmark_ptr[l]:landmark_ptr[l + 1]`` of it. Unobserved cameras
     and landmarks get empty segments. The rows of a (camera, landmark) pair
     observed more than once are adjacent; ``pair_starts`` holds the first row
-    of each distinct pair, where the linearization sums the pair's coupling blocks.
-    The arrays are read-only, since one plan serves every linearization.
+    of each distinct pair, where the linearization sums the pair's coupling factors.
+    The pair-level arrays (each pair's camera and landmark, the camera pointers
+    over pairs, the landmark-major pair order and the sparse index structure
+    of the coupling factors) are built on first use. All arrays are read-only, since
+    one plan serves every linearization.
     """
 
     rows: np.ndarray  # (n_obs,) observation index of each camera-major row
@@ -192,6 +195,50 @@ class ObservationPlan:
         return len(self.landmark_ptr) - 1
 
     @functools.cached_property
+    def pair_camera(self) -> np.ndarray:
+        """(n_pairs,) camera of each distinct pair, non-decreasing (the plan's pair order)."""
+        return _frozen(self.row_camera[self.pair_starts], np.int64)
+
+    @functools.cached_property
+    def pair_landmark(self) -> np.ndarray:
+        """(n_pairs,) landmark of each distinct pair, increasing within a camera."""
+        return _frozen(self.row_landmark[self.pair_starts], np.int64)
+
+    @functools.cached_property
+    def pair_camera_ptr(self) -> np.ndarray:
+        """(n_cameras + 1,) camera c owns pairs ``pair_camera_ptr[c]:pair_camera_ptr[c + 1]``."""
+        return _frozen(np.searchsorted(self.pair_starts, self.camera_ptr), np.int64)
+
+    @functools.cached_property
+    def landmark_pairs(self) -> np.ndarray:
+        """(n_pairs,) the pairs landmark-major, cameras increasing within a landmark."""
+        return _frozen(np.argsort(self.pair_landmark, kind="stable"), np.int64)
+
+    @functools.cached_property
+    def landmark_pair_ptr(self) -> np.ndarray:
+        """(n_landmarks + 1,) landmark l owns ``landmark_pairs[landmark_pair_ptr[l]:...[l + 1]]``."""
+        return _frozen(_segment_pointers(self.pair_landmark, self.num_landmarks), np.int64)
+
+    def factor_matrices(self, width: int) -> tuple[scipy.sparse.sparray, ...]:
+        """Templates of the sparse matrices that wrap the coupling factors, cached per width.
+
+        X (n_pairs x 4 n_cameras): row p holds four entries, at columns
+        4c..4c+3 of its camera c. Psi (3 n_pairs x width n_landmarks): rows
+        3p..3p+2 each hold ``width`` entries, at the columns of pair p's
+        landmark. Returns X and Psi in CSR form and X^T and Psi^T as their CSC
+        views. Their indices are read-only and their data a zero placeholder;
+        each linearization takes shallow copies that hold its own factors.
+        """
+        cache = self.__dict__.setdefault("_factor_matrices", {})
+        if width not in cache:
+            n_pairs, n_cameras, n_landmarks = len(self.pair_starts), self.num_cameras, self.num_landmarks
+            cols = width * self.pair_landmark[:, None, None] + np.arange(width)
+            xi = _index_only_csr(4 * self.pair_camera[:, None] + np.arange(4), 4 * n_cameras)
+            psi = _index_only_csr(np.broadcast_to(cols, (n_pairs, 3, width)), width * n_landmarks)
+            cache[width] = xi, psi, xi.T, psi.T
+        return cache[width]
+
+    @functools.cached_property
     def landmark_segments(self) -> scipy.sparse.csr_array:
         """(n_landmarks, n_obs) CSR of ones: row l picks landmark l's camera-major rows."""
         return scipy.sparse.csr_array(
@@ -206,6 +253,18 @@ class ObservationPlan:
         """
         sums = self.landmark_segments @ values.reshape(len(values), math.prod(values.shape[1:]))
         return sums.reshape((self.num_landmarks,) + values.shape[1:])
+
+
+def _index_only_csr(columns: np.ndarray, n_columns: int) -> scipy.sparse.csr_array:
+    """A CSR matrix whose rows hold ``columns.shape[-1]`` entries each, at ``columns``
+    (..., row width), with read-only indices (32-bit where they fit, as scipy
+    prefers) and zero-stride placeholder data."""
+    width, size = columns.shape[-1], columns.size
+    dtype = np.int32 if max(size, n_columns) < 2**31 else np.int64
+    return scipy.sparse.csr_array(
+        (np.broadcast_to(0.0, size), _frozen(columns.ravel(), dtype),
+         _frozen(np.arange(0, size + 1, width), dtype)),
+        shape=(size // width, n_columns))
 
 
 def _segment_pointers(keys: np.ndarray, n: int) -> np.ndarray:

@@ -8,32 +8,40 @@ stage 1, the 2x3 derivative of the perspective division in stage 2. D^T D is
 a weighted sum sum_k w_k C_k over the four 3x3 bases of
 ``objective.stage1_gram_basis`` (stage 2 at eta = 0). So a stage supplies per
 observation only its weights, a = D^T r and the 3 x d_l block G^T = D^T Jl,
-and one helper forms U and b_p from one (19 x 4) moment GEMM per camera and
-each W block as G^T (x) x; no per-observation pose Jacobian is formed. V and
-b_l come from the landmark normal equations of ``objective`` (stage 1) or,
-with landmark Jacobian D P, as P^T G^T and P^T a (stage 2). The sums
-(``BlockSums``) hold one W block per distinct (camera, landmark) pair: the
-blocks of a pair that a camera observes more than once are summed once, so
-nothing downstream treats repeats specially. ``assemble`` damps them into the reduced-camera
-operator: the pose blocks U, the landmark blocks V and gradients b_l, and
-the coupling W = Jp^T Jl as a canonical block-sparse row matrix, together
-with one copy of W^T. The reduced right-hand side, the matrix-free
-products, back-substitution, the exact block diagonal and the explicit
-reduced matrix all read these pieces. The last two use the blockwise product
-Y = W V^+, which has W's block structure: the block diagonal sums
-Y_o W_o^T over each camera's blocks with one GEMM, and the dense reduced
-matrix is U - Y W^T. On densely observed graphs Y W^T is summed with dense
-GEMMs over chunks of landmarks, in slabs no larger than the result; on
-sparse graphs, where the GEMMs would mostly multiply zeros, and in the
-sparse direct solve above the dense limit, it is a block-sparse product.
-The pose Hessian blocks are damped with Jacobi scaling; the landmark blocks
-are damped only in ``both`` mode (joint / tangent-space optimization), never
-in ``pose_only`` mode (eliminated-landmark optimization).
+and one helper forms U and b_p from one (19 x 4) moment GEMM per camera; no
+per-observation pose Jacobian is formed. V and b_l come from the landmark
+normal equations of ``objective`` (stage 1) or, with landmark Jacobian D P,
+as P^T G^T and P^T a (stage 2).
+
+No W = Jp^T Jl or W^T matrix is formed either. The W block of a distinct
+(camera, landmark) pair is G^T (x) x, so the sums (``BlockSums``) keep W as
+its Kronecker factors (``CouplingFactors``): per pair, G^T summed over the
+pair's observations, and x; stage 2's tangent projection multiplies G^T by
+the landmark basis and keeps the camera bases, which are applied to
+vectors. Two CSR matrices with the plan's pair indices wrap the factors
+without copying them and give the products W v and W^T t of the reduced
+right-hand side, the matrix-free coupling round trip and back-substitution.
+``assemble`` damps the sums into the reduced-camera operator
+(``SchurSystem``).
+
+The explicit paths read W's blocks from the factors through one function,
+``CouplingFactors.blocks``, except the exact block diagonal, which sums
+(G^T V^+ G) (x) (x x^T) over each camera's pairs with one GEMM per camera.
+The dense reduced matrix U - W V^+ W^T is summed with dense GEMMs over chunks
+of landmarks, in slabs no larger than the result, on densely observed
+graphs; on sparse graphs, where the GEMMs would mostly multiply zeros, and
+in the sparse direct solve above the dense limit, W V^+ W^T is a
+block-sparse product. The pose Hessian blocks are damped with Jacobi
+scaling; the landmark blocks are damped only in ``both`` mode (joint /
+tangent-space optimization), never in ``pose_only`` mode
+(eliminated-landmark optimization).
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import functools
 import logging
 from dataclasses import dataclass
 
@@ -69,24 +77,110 @@ DAMPING_CLAMP = (1e-6, 1e6)
 # 20-100 cameras with tracks of 4-25 views, 37-50x at 138-300 cameras.
 _GEMM_SPEEDUP = 20
 
-# Pairs per product writing W's blocks G^T (x) x: over all 13.8k pairs of a
-# 30-camera problem one product took 5.6 ms at landmark width 4 and chunks of
-# 256 took 2.6 ms, 1.8 ms either way at width 3 (2-vCPU x86-64, one thread).
-_W_CHUNK = 256
+
+def _holding(template: scipy.sparse.sparray, data: np.ndarray) -> scipy.sparse.sparray:
+    """A shallow copy of one of the plan's template matrices that holds ``data``.
+
+    It shares the template's read-only indices and skips a constructor's
+    format checks, which took 0.1-0.15 ms per matrix between other work on a
+    2-vCPU x86-64 host, more than a product with a 1000-pair matrix.
+    """
+    out = copy.copy(template)
+    out.data = data
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class CouplingFactors:
+    """The coupling W = Jp^T Jl of one linearization, kept as its Kronecker factors.
+
+    The block of the plan's distinct (camera c, landmark l) pair p is
+    B_c^T (G^T_p (x) x_p): the landmark-side factor G^T_p (3 x d_l), the
+    landmark x_p (4) and, in stage 2, the camera's tangent basis B_c
+    (12 x d_p; without bases B_c is the identity and d_p = 12). A pose
+    vector t maps to 3x4 blocks T_c = B_c t_c, so W^T t sums G_p T_c x_p
+    over each landmark's pairs, and W v adds (G^T_p v_l) x_p^T into each
+    camera's block before B_c^T. Both are products with two CSR matrices
+    that wrap the factors without copying them: X, one row per pair holding
+    x_p at its camera's four columns, and Psi, three rows per pair holding
+    G^T_p at its landmark's d_l columns. Then W^T t = Psi^T (X T) and
+    W v = X^T (Psi v), with T the stacked T_c^T; the transposes are CSC
+    views. The matrices of each product are made on its first use, from the
+    plan's templates (``ObservationPlan.factor_matrices``), and shared by
+    every system of the linearization.
+    """
+
+    plan: ObservationPlan
+    gt: np.ndarray  # (n_pairs, 3, d_l), C-contiguous
+    x: np.ndarray  # (n_pairs, 4), C-contiguous
+    camera_bases: np.ndarray | None = None  # (n_p, 12, d_p)
+
+    @functools.cached_property
+    def _forward(self) -> tuple[scipy.sparse.csr_array, scipy.sparse.csc_array]:
+        """Psi and X^T, the matrices of W v."""
+        _, psi, xi_t, _ = self.plan.factor_matrices(self.gt.shape[2])
+        return _holding(psi, self.gt.reshape(-1)), _holding(xi_t, self.x.reshape(-1))
+
+    @functools.cached_property
+    def _adjoint(self) -> tuple[scipy.sparse.csr_array, scipy.sparse.csc_array]:
+        """X and Psi^T, the matrices of W^T t."""
+        xi, _, _, psi_t = self.plan.factor_matrices(self.gt.shape[2])
+        return _holding(xi, self.x.reshape(-1)), _holding(psi_t, self.gt.reshape(-1))
+
+    @functools.cached_property
+    def _bases_ai(self) -> np.ndarray:
+        """The camera bases with their rows reordered from (i, a) to (a, i), the
+        order in which X reads a camera's 3x4 block."""
+        n_p, _, d_p = self.camera_bases.shape
+        return np.ascontiguousarray(
+            self.camera_bases.reshape(n_p, 3, 4, d_p).transpose(0, 2, 1, 3)).reshape(n_p, 12, d_p)
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        """W v for a flattened landmark-dimension vector, flattened to pose dimension."""
+        psi, xi_t = self._forward
+        n_p = self.plan.num_cameras
+        out = xi_t @ (psi @ v.reshape(-1)).reshape(-1, 3)  # rows (c, a), columns i
+        if self.camera_bases is None:
+            return out.reshape(n_p, 4, 3).transpose(0, 2, 1).reshape(-1)
+        return np.matmul(out.reshape(n_p, 1, 12), self._bases_ai).reshape(-1)
+
+    def rmatvec(self, t: np.ndarray) -> np.ndarray:
+        """W^T t for a flattened pose-dimension vector, flattened to landmark dimension."""
+        xi, psi_t = self._adjoint
+        n_p = self.plan.num_cameras
+        if self.camera_bases is None:
+            t = t.reshape(n_p, 3, 4).transpose(0, 2, 1)
+        else:
+            t = np.matmul(self._bases_ai, t.reshape(n_p, -1, 1))
+        return psi_t @ (xi @ t.reshape(4 * n_p, 3)).reshape(-1)
+
+    def blocks(self, pairs: np.ndarray | None = None) -> np.ndarray:
+        """W's (d_p, d_l) blocks of ``pairs`` (by default all, in the plan's pair order)."""
+        gt, x = self.gt, self.x
+        if pairs is not None:
+            gt, x = np.take(gt, pairs, axis=0), np.take(x, pairs, axis=0)
+        n, _, d_l = gt.shape
+        w = np.empty((d_l, 3, 4, n))  # pairs last, so that one product runs over all of them
+        np.multiply(gt.transpose(2, 1, 0)[:, :, None], x.T[None, None], out=w)
+        w = w.reshape(d_l, 12, n).transpose(2, 1, 0)
+        if self.camera_bases is None:
+            return w
+        cams = self.plan.pair_camera if pairs is None else self.plan.pair_camera[pairs]
+        return np.matmul(self.camera_bases[cams].transpose(0, 2, 1), w)
 
 
 @dataclass
 class BlockSums:
     """The undamped sums of one linearization: U = Jp^T Jp and b_p = Jp^T r per
-    camera, one W = Jp^T Jl block per distinct (camera, landmark) pair in the
-    plan's pair order, V = Jl^T Jl and b_l = Jl^T r per landmark, and V^+ with
-    its degenerate mask when a landmark re-solve already holds them.
+    camera, the factors of W = Jp^T Jl, V = Jl^T Jl and b_l = Jl^T r per
+    landmark, and V^+ with its degenerate mask when a landmark re-solve
+    already holds them.
     """
 
     plan: ObservationPlan
     u: np.ndarray  # (n_p, d_p, d_p)
     b_p: np.ndarray  # (n_p, d_p)
-    w_blocks: np.ndarray  # (n_pairs, d_p, d_l)
+    factors: CouplingFactors
     v: np.ndarray  # (n_l, d_l, d_l)
     b_l: np.ndarray  # (n_l, d_l)
     v_pinv: tuple[np.ndarray, np.ndarray] | None = None
@@ -103,8 +197,8 @@ def _kronecker_sums(plan: ObservationPlan, basis: np.ndarray, weights: np.ndarra
     x (4, n), a = D^T r (3, n) and G^T = D^T Jl (3, d_l, n). A camera's U is
     sum_k C_k (x) M_k over the moments M_k = sum w_k x x^T of its
     observations and its b_p is sum a (x) x, both from one (19 x 4) moment
-    GEMM per camera; each W block is G^T (x) x, a repeated pair summing its
-    G^T first, since x is shared.
+    GEMM per camera. W is kept as its factors, pair-major: a repeated pair
+    sums its G^T, since x is shared.
     """
     n_p, n = plan.num_cameras, x.shape[1]
     lhs = np.empty((19, n))  # rows w_k x, then a
@@ -114,21 +208,14 @@ def _kronecker_sums(plan: ObservationPlan, basis: np.ndarray, weights: np.ndarra
     for c in range(n_p):
         sl = slice(plan.camera_ptr[c], plan.camera_ptr[c + 1])
         moments[c] = lhs[:, sl] @ x[:, sl].T
-    del lhs  # before W, the largest array
     u = np.einsum("kjJ,ckaA->cjaJA", basis,
                   moments[:, :16].reshape(n_p, 4, 4, 4)).reshape(n_p, 12, 12)
     b_p = moments[:, 16:].reshape(n_p, 12)
     starts = plan.pair_starts
     if len(starts) < n:  # some camera observes a landmark more than once
         gt = np.add.reduceat(gt, starts, axis=2)
-    x = np.take(x, starts, axis=1)
-    d_l = gt.shape[1]
-    w_blocks = np.empty((len(starts), 3, 4, d_l))
-    w_t = w_blocks.transpose(1, 2, 3, 0)
-    for first in range(0, len(starts), _W_CHUNK):
-        sl = slice(first, first + _W_CHUNK)
-        np.multiply(gt[:, None, :, sl], x[None, :, None, sl], out=w_t[..., sl])
-    return BlockSums(plan, u, b_p, w_blocks.reshape(-1, 12, d_l), v, b_l, v_pinv)
+    factors = CouplingFactors(plan, np.ascontiguousarray(gt.transpose(2, 0, 1)), x.T[starts])
+    return BlockSums(plan, u, b_p, factors, v, b_l, v_pinv)
 
 
 def _gather_rows(problem: BaProblem, state: ProjectiveState) -> tuple[np.ndarray, np.ndarray]:
@@ -231,8 +318,7 @@ class SchurSystem:
 
     hessian_u: np.ndarray  # (n_p, d_p, d_p) undamped
     hessian_v: np.ndarray  # (n_l, d_l, d_l) undamped
-    w: scipy.sparse.bsr_array  # (n_p d_p, n_l d_l), one (d_p, d_l) block per distinct pair
-    wt: scipy.sparse.bsr_array  # W^T, one (d_l, d_p) block per distinct pair
+    factors: CouplingFactors  # W, one block per distinct pair
     b_p: np.ndarray  # (n_p, d_p)
     b_l: np.ndarray  # (n_l, d_l)
     lam: float
@@ -265,8 +351,9 @@ class SchurSystem:
     def redamped(self, lam: float) -> SchurSystem:
         """The same linearization at another damping.
 
-        W, W^T and the gradients are shared; in pose-only mode so are V and
-        its pseudo-inverse. The result equals a fresh ``assemble`` bit for bit.
+        W's factors with their CSR matrices and the gradients are shared; in
+        pose-only mode so are V and its pseudo-inverse. The result equals a
+        fresh ``assemble`` bit for bit.
         """
         return dataclasses.replace(self, lam=lam, v_pinv=None if self.damping_mode == BOTH
                                    else (self.v_inv, self.v_degenerate))
@@ -293,24 +380,17 @@ class SchurSystem:
 
     def coupling(self, x: np.ndarray) -> np.ndarray:
         """W V^+ W^T x for a flattened pose-dimension vector."""
-        return self.w @ block_apply(self.v_inv, self.wt @ x)
+        return self.factors.matvec(block_apply(self.v_inv, self.factors.rmatvec(x)))
 
 
 def assemble(sums: BlockSums, lam: float, damping_mode: str = POSE_ONLY) -> SchurSystem:
     """Form the damped system of one linearization's block sums.
 
     U gets the damping lam * Dp^T Dp with Jacobi Dp (clamped), V the
-    analogous landmark damping in ``both`` mode, and W and W^T become
-    canonical block-sparse matrices. A V^+ carried by the sums is used in
-    pose-only mode.
+    analogous landmark damping in ``both`` mode; W stays as its factors. A
+    V^+ carried by the sums is used in pose-only mode.
     """
-    plan = sums.plan
-    starts = plan.pair_starts  # one block per distinct pair
-    w_indices, w_ptr = plan.row_landmark[starts], np.searchsorted(starts, plan.camera_ptr)
-    shape = (plan.num_cameras * sums.u.shape[1], plan.num_landmarks * sums.v.shape[1])
-    w = scipy.sparse.bsr_array((sums.w_blocks, w_indices, w_ptr), shape=shape)
-    # Transposing keeps W's block order within each landmark: cameras increasing.
-    return SchurSystem(sums.u, sums.v, w, w.T, sums.b_p, sums.b_l, lam, damping_mode,
+    return SchurSystem(sums.u, sums.v, sums.factors, sums.b_p, sums.b_l, lam, damping_mode,
                        sums.v_pinv if damping_mode == POSE_ONLY else None)
 
 
@@ -320,7 +400,7 @@ def assemble(sums: BlockSums, lam: float, damping_mode: str = POSE_ONLY) -> Schu
 
 def schur_rhs(system: SchurSystem) -> np.ndarray:
     """Reduced right-hand side -(b_p - W V^{-1} b_l), flattened to pose dimension."""
-    return -(system.b_p.ravel() - system.w @ block_apply(system.v_inv, system.b_l))
+    return -(system.b_p.ravel() - system.factors.matvec(block_apply(system.v_inv, system.b_l)))
 
 
 def apply_schur(system: SchurSystem, x: np.ndarray) -> np.ndarray:
@@ -330,7 +410,7 @@ def apply_schur(system: SchurSystem, x: np.ndarray) -> np.ndarray:
 
 def back_substitute(system: SchurSystem, pose_update: np.ndarray) -> np.ndarray:
     """Landmark updates -V^{-1}(b_l + W^T dx_p); degenerate blocks get zero."""
-    upd = -block_apply(system.v_inv, system.b_l.ravel() + system.wt @ pose_update)
+    upd = -block_apply(system.v_inv, system.b_l.ravel() + system.factors.rmatvec(pose_update))
     if system.v_degenerate.any():
         upd.reshape(system.n_landmarks, system.lm_width)[system.v_degenerate] = 0.0
         logger.debug("zeroed updates of %d degenerate landmark blocks",
@@ -338,62 +418,70 @@ def back_substitute(system: SchurSystem, pose_update: np.ndarray) -> np.ndarray:
     return upd
 
 
-def coupling_blocks(system: SchurSystem) -> np.ndarray:
-    """The blockwise product Y = W V^+: Y_o = W_o V^+_l(o) for every block o of W.
-
-    Y has W's block structure and block order, so ``W V^+ W^T = Y W^T``.
-    """
-    w = system.w
-    return np.matmul(w.data, system.v_inv[w.indices])
-
-
 def schur_diag_blocks(system: SchurSystem) -> np.ndarray:
-    """Exact block diagonal of the reduced system: U_c minus the sum of Y_o W_o^T
-    over camera c's blocks, one GEMM per camera. Repeated (camera, landmark)
-    pairs need no care: ``assemble`` summed each pair's blocks into one.
+    """Exact block diagonal of the reduced system.
 
-    A single segment sum of the per-block products would hold d_p x d_p
-    doubles per observation, and ran about three times slower on 80k
-    observations.
+    A pair's share W_o V^+ W_o^T of its camera's block is
+    B_c^T ((G^T V^+ G) (x) (x x^T)) B_c, so camera c's block is U_c minus
+    sum_o K_o (x) (x x^T)_o with K_o = G^T_o V^+_l(o) G_o, summed with one
+    (9 x n_c) (n_c x 16) GEMM over its n_c pairs, then projected. Repeated
+    (camera, landmark) pairs need no care: each pair's G^T is already summed.
     """
-    w = system.w
-    y = coupling_blocks(system)
-    out = system.u_blocks.copy()
+    f, plan = system.factors, system.factors.plan
+    d_l = system.lm_width
+    # pairs last, so that each product runs over all of them
+    gt = np.ascontiguousarray(f.gt.transpose(1, 2, 0))
+    v_inv = np.take(system.v_inv.reshape(-1, d_l * d_l).T, plan.pair_landmark, axis=1)
+    k = np.einsum("ikn,lkn->iln", np.einsum("ijn,jkn->ikn", gt, v_inv.reshape(d_l, d_l, -1)),
+                  gt).reshape(9, -1)
+    x = f.x.T
+    xx = (x[:, None] * x[None, :]).reshape(16, -1)
+    ptr = plan.pair_camera_ptr
+    m = np.empty((system.n_cameras, 9, 16))
     for c in range(system.n_cameras):
-        sl = slice(w.indptr[c], w.indptr[c + 1])
-        out[c] -= np.tensordot(y[sl], w.data[sl], axes=([0, 2], [0, 2]))
-    return out
+        sl = slice(ptr[c], ptr[c + 1])
+        m[c] = k[:, sl] @ xx[:, sl].T
+    m = m.reshape(-1, 3, 3, 4, 4).transpose(0, 1, 3, 2, 4).reshape(-1, 12, 12)
+    if f.camera_bases is not None:
+        m = f.camera_bases.transpose(0, 2, 1) @ m @ f.camera_bases
+    return system.u_blocks - m
 
 
 def _sparse_coupling(system: SchurSystem) -> scipy.sparse.bsr_array:
-    """W V^+ W^T as the block-sparse product (Y as BSR) @ W^T."""
-    w = system.w
-    y = scipy.sparse.bsr_array((coupling_blocks(system), w.indices, w.indptr), shape=w.shape)
-    return y @ system.wt
+    """W V^+ W^T as the block-sparse product (W V^+ as BSR) @ W^T, both from W's blocks."""
+    plan = system.factors.plan
+    w = system.factors.blocks()
+    shape = (system.pose_dim, system.n_landmarks * system.lm_width)
+    y = scipy.sparse.bsr_array((np.matmul(w, system.v_inv[plan.pair_landmark]),
+                                plan.pair_landmark, plan.pair_camera_ptr), shape=shape)
+    order = plan.landmark_pairs
+    wt = scipy.sparse.bsr_array((w[order].transpose(0, 2, 1), plan.pair_camera[order],
+                                 plan.landmark_pair_ptr), shape=shape[::-1])
+    return y @ wt
 
 
 def dense_coupling(system: SchurSystem) -> np.ndarray:
     """W V^+ W^T as a dense array.
 
     On densely observed graphs it is a sum of GEMMs over chunks of landmarks:
-    each chunk scatters its blocks of W^T into a dense slab with pose_dim
+    each chunk scatters the transposed W blocks of its pairs, formed from the
+    factors in landmark-major pair order, into a dense slab with pose_dim
     columns and at most pose_dim rows, multiplies that by the chunk's V^+
     blocks into Y^T = V^+ W^T, and adds Y_chunk W_chunk^T into the result in
-    place, so no slab is larger than the result. W^T holds one block per
-    distinct (camera, landmark) pair, so the scatter sets each slab entry at
-    most once. The GEMMs cost n_cameras^2 multiply-adds per landmark against
-    track_length^2 for the block-sparse product (Y as BSR) @ W^T, which is
-    taken instead on graphs too sparse for GEMM speed to make up the
+    place, so no slab is larger than the result. W has one block per distinct
+    (camera, landmark) pair, so the scatter sets each slab entry at most once.
+    The GEMMs cost n_cameras^2 multiply-adds per landmark against
+    track_length^2 for the block-sparse product of ``_sparse_coupling``,
+    which is taken instead on graphs too sparse for GEMM speed to make up the
     difference.
     """
     n_p, n_l = system.n_cameras, system.n_landmarks
     d_p, d_l, dim = system.pose_width, system.lm_width, system.pose_dim
-    wt = system.wt
-    ptr, cams, wt_blocks = wt.indptr, wt.indices, wt.data
+    plan = system.factors.plan
+    ptr, order = plan.landmark_pair_ptr, plan.landmark_pairs
     tracks = np.diff(ptr)
     if n_p * n_p * n_l > _GEMM_SPEEDUP * np.dot(tracks, tracks):
         return _sparse_coupling(system).toarray()
-    block_lm = np.repeat(np.arange(n_l), tracks)
     chunk = max(1, dim // d_l)
     # (Y W^T)^T, Fortran-ordered so that each GEMM adds into it in place
     out_t = np.zeros((dim, dim), order="F")
@@ -402,8 +490,10 @@ def dense_coupling(system: SchurSystem) -> np.ndarray:
         lo, hi = ptr[first], ptr[last]
         if lo == hi:
             continue
+        pairs = order[lo:hi]
         wt_slab = np.zeros((last - first, d_l, n_p, d_p))
-        wt_slab[block_lm[lo:hi] - first, :, cams[lo:hi], :] = wt_blocks[lo:hi]
+        wt_slab[plan.pair_landmark[pairs] - first, :, plan.pair_camera[pairs], :] = \
+            system.factors.blocks(pairs).transpose(0, 2, 1)
         wt_2d = wt_slab.reshape(-1, dim)
         yt_2d = np.matmul(system.v_inv[first:last], wt_2d.reshape(last - first, d_l, dim))
         scipy.linalg.blas.dgemm(1.0, wt_2d.T, yt_2d.reshape(-1, dim).T, beta=1.0, c=out_t,

@@ -4,9 +4,11 @@ Homogeneous cameras (12-vectors) and landmarks (4-vectors) carry a per-vector
 scale freedom, so the stage-2 normal equations are solved in the orthogonal
 complement of each parameter vector: the Jacobian is right-multiplied by
 orthonormal complement bases (12->11 and 4->3 columns), applied to its
-summed normal-equation blocks; updates are solved in those coordinates,
-back-projected, and the state is retracted to the sphere by plain
-normalization.
+summed normal-equation blocks. The coupling stays in its Kronecker factors:
+the landmark bases multiply its landmark-side factor, and the camera bases
+are applied to the vectors it multiplies, so no projected coupling block is
+written. Updates are solved in those coordinates, back-projected, and the
+state is retracted to the sphere by plain normalization.
 """
 
 from __future__ import annotations
@@ -16,7 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bal_io import ProjectiveState
-from .normal_eq import BOTH, BlockSums, SchurSystem, assemble, build_stage2_blocks
+from .normal_eq import (
+    BOTH,
+    BlockSums,
+    CouplingFactors,
+    SchurSystem,
+    assemble,
+    build_stage2_blocks,
+)
 
 _UNIT_TOL = 1e-9
 
@@ -63,19 +72,17 @@ def project_blocks(sums: BlockSums, bases: TangentBasis) -> BlockSums:
     """The block sums of the Jacobian right-multiplied by the tangent bases.
 
     With camera bases B_c (12 -> 11) and landmark bases B_l (4 -> 3):
-    U -> B_c^T U B_c, b_p -> B_c^T b_p, V -> B_l^T V B_l, b_l -> B_l^T b_l,
-    and each W block -> B_c^T W B_l, one camera at a time.
+    U -> B_c^T U B_c, b_p -> B_c^T b_p, V -> B_l^T V B_l, b_l -> B_l^T b_l.
+    A W block B_c^T (G^T (x) x) B_l is B_c^T ((G^T B_l) (x) x), so only the
+    landmark-side factor is projected, G^T -> G^T B_l, and the camera bases
+    go with the factors, to be applied to vectors.
     """
-    plan = sums.plan
+    plan, factors = sums.plan, sums.factors
     cam_b, lm_b = bases.camera_bases, bases.landmark_bases
-    starts = plan.pair_starts
-    ptr, pair_lm = np.searchsorted(starts, plan.camera_ptr), plan.row_landmark[starts]
-    w = np.empty((len(starts), 11, 3))
-    for c, basis in enumerate(cam_b):
-        sl = slice(ptr[c], ptr[c + 1])
-        w[sl] = np.matmul(basis.T, sums.w_blocks[sl]) @ lm_b[pair_lm[sl]]
+    gt = np.matmul(factors.gt, lm_b[plan.pair_landmark])
     return BlockSums(plan, cam_b.transpose(0, 2, 1) @ sums.u @ cam_b,
-                     np.einsum("nji,nj->ni", cam_b, sums.b_p), w,
+                     np.einsum("nji,nj->ni", cam_b, sums.b_p),
+                     CouplingFactors(plan, gt, factors.x, cam_b),
                      lm_b.transpose(0, 2, 1) @ sums.v @ lm_b,
                      np.einsum("nji,nj->ni", lm_b, sums.b_l))
 

@@ -7,6 +7,7 @@ share no code with the batched/blocked production paths they check.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -18,6 +19,7 @@ from stratba.normal_eq import (
     BOTH,
     POSE_ONLY,
     BlockSums,
+    CouplingFactors,
     assemble,
     build_stage1_blocks,
     build_stage2_blocks,
@@ -39,12 +41,27 @@ from stratba.riemannian import TangentBasis, project_blocks, retract, state_tang
 
 @dataclass
 class OracleRows:
-    """Per-observation Jacobian row bands in the plan's camera-major row order."""
+    """Per-observation Jacobian row bands in the plan's camera-major row order.
+
+    Each pose Jacobian is D (x) x^T, held as its two factors, then
+    right-multiplied by its camera's tangent basis when ``camera_bases`` is set.
+    """
 
     plan: ObservationPlan
-    pose_jac: np.ndarray  # (n_obs, r, d_p)
+    pose_factor: np.ndarray  # (n_obs, r, 3) D = dr/du
+    pose_landmark: np.ndarray  # (n_obs, 4) x
     lm_jac: np.ndarray  # (n_obs, r, d_l)
     residual: np.ndarray  # (n_obs, r)
+    camera_bases: np.ndarray | None = None  # (n_cameras, 12, d_p)
+
+    @property
+    def pose_jac(self) -> np.ndarray:
+        """(n_obs, r, d_p) row bands D (x) x^T, times the camera bases if set."""
+        d, x = self.pose_factor, self.pose_landmark
+        jp = (d[:, :, :, None] * x[:, None, None, :]).reshape(len(d), d.shape[1], 12)
+        if self.camera_bases is not None:
+            jp = jp @ self.camera_bases[self.plan.row_camera]
+        return jp
 
     @property
     def pose_width(self) -> int:
@@ -55,7 +72,11 @@ class OracleRows:
         return self.lm_jac.shape[2]
 
     def sums(self) -> BlockSums:
-        """U, b_p, one W block per distinct pair, V and b_l, summed row by row."""
+        """U, b_p, W's factors per distinct pair, V and b_l, summed row by row.
+
+        A pair's landmark-side factor is the sum of D^T Jl over its rows, and
+        its x is that of its first row (the rows of a pair share the landmark).
+        """
         plan, jp, jl, res = self.plan, self.pose_jac, self.lm_jac, self.residual
         d_p, d_l = self.pose_width, self.lm_width
         u = np.zeros((plan.num_cameras, d_p, d_p))
@@ -63,20 +84,21 @@ class OracleRows:
         v = np.zeros((plan.num_landmarks, d_l, d_l))
         b_l = np.zeros((plan.num_landmarks, d_l))
         pair = np.searchsorted(plan.pair_starts, np.arange(len(res)), side="right") - 1
-        w = np.zeros((len(plan.pair_starts), d_p, d_l))
+        gt = np.zeros((len(plan.pair_starts), 3, d_l))
         for k, (c, lm) in enumerate(zip(plan.row_camera, plan.row_landmark)):
             u[c] += jp[k].T @ jp[k]
             b_p[c] += jp[k].T @ res[k]
             v[lm] += jl[k].T @ jl[k]
             b_l[lm] += jl[k].T @ res[k]
-            w[pair[k]] += jp[k].T @ jl[k]
-        return BlockSums(plan, u, b_p, w, v, b_l)
+            gt[pair[k]] += self.pose_factor[k].T @ jl[k]
+        factors = CouplingFactors(plan, gt, self.pose_landmark[plan.pair_starts],
+                                  self.camera_bases)
+        return BlockSums(plan, u, b_p, factors, v, b_l)
 
     def project(self, bases: TangentBasis) -> OracleRows:
         """Each row band right-multiplied by its parameter's tangent basis."""
-        plan = self.plan
-        return OracleRows(plan, self.pose_jac @ bases.camera_bases[plan.row_camera],
-                          self.lm_jac @ bases.landmark_bases[plan.row_landmark], self.residual)
+        return dataclasses.replace(self, lm_jac=self.lm_jac @ bases.landmark_bases[
+            self.plan.row_landmark], camera_bases=bases.camera_bases)
 
 
 def stage1_landmark_jacobian(cameras: np.ndarray, measurements: np.ndarray,
@@ -112,9 +134,21 @@ def stage1_pose_jacobian(landmarks: np.ndarray, measurements: np.ndarray,
     return jp
 
 
-def stage2_jacobians(cameras: np.ndarray, landmarks: np.ndarray, measurements: np.ndarray
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pose (n,2,12) and landmark (n,2,4) Jacobians plus validity mask."""
+def stage1_measurement_matrix(measurements: np.ndarray, eta: float) -> np.ndarray:
+    """The (n,4,3) matrices B of a batch of observations: the pose Jacobian is B (x) x^T."""
+    s1 = math.sqrt(1.0 - eta)
+    s2 = math.sqrt(eta)
+    b = np.zeros((len(measurements), 4, 3))
+    b[:, 0, 0] = b[:, 1, 1] = s1
+    b[:, 0, 2] = -s1 * measurements[:, 0]
+    b[:, 1, 2] = -s1 * measurements[:, 1]
+    b[:, 2, 0] = b[:, 3, 1] = s2
+    return b
+
+
+def stage2_factors(cameras: np.ndarray, landmarks: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """d pi / d u (n,2,3), the landmark Jacobian (n,2,4) and the validity mask."""
     n = len(cameras)
     u = np.einsum("nij,nj->ni", cameras, landmarks)
     z = u[:, 2]
@@ -126,9 +160,15 @@ def stage2_jacobians(cameras: np.ndarray, landmarks: np.ndarray, measurements: n
     dpi[:, 1, 1] = inv_z
     dpi[:, 0, 2] = -u[:, 0] * inv_z**2
     dpi[:, 1, 2] = -u[:, 1] * inv_z**2
-    jl = np.einsum("nrc,ncj->nrj", dpi, cameras)
+    return dpi, np.einsum("nrc,ncj->nrj", dpi, cameras), valid
+
+
+def stage2_jacobians(cameras: np.ndarray, landmarks: np.ndarray, measurements: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pose (n,2,12) and landmark (n,2,4) Jacobians plus validity mask."""
+    dpi, jl, valid = stage2_factors(cameras, landmarks)
     # d u_c / d vec(P) is the landmark repeated in column band c
-    jp = np.einsum("nrc,nj->nrcj", dpi, landmarks).reshape(n, 2, 12)
+    jp = np.einsum("nrc,nj->nrcj", dpi, landmarks).reshape(len(cameras), 2, 12)
     return jp, jl, valid
 
 
@@ -140,12 +180,12 @@ def oracle_rows(problem: BaProblem, state: ProjectiveState, stage: int, eta: flo
     lms = state.landmarks[plan.row_landmark]
     meas = problem.measurements[plan.rows]
     if stage == STAGE1:
-        return OracleRows(plan, stage1_pose_jacobian(lms, meas, eta),
+        return OracleRows(plan, stage1_measurement_matrix(meas, eta), lms,
                           stage1_landmark_jacobian(cams, meas, eta),
                           stage1_residuals(cams, lms, meas, eta))
-    jp, jl, valid = stage2_jacobians(cams, lms, meas)
+    dpi, jl, valid = stage2_factors(cams, lms)
     assert valid.all()
-    return OracleRows(plan, jp, jl, stage2_residuals(cams, lms, meas)[0])
+    return OracleRows(plan, dpi, lms, jl, stage2_residuals(cams, lms, meas)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +369,7 @@ def make_riemannian_system(n_cameras: int, n_landmarks: int, seed: int, lam: flo
 
 
 def dense_uwv(system):
-    """Dense U, W, V straight from the stored blocks (no apply operators)."""
+    """Dense U, W, V from the stored blocks, W's blocks read from its factors."""
     d, e = system.pose_width, system.lm_width
     n_p, n_l = system.n_cameras, system.n_landmarks
     u = np.zeros((n_p * d, n_p * d))
@@ -338,12 +378,16 @@ def dense_uwv(system):
     v = np.zeros((n_l * e, n_l * e))
     for j in range(n_l):
         v[j * e:(j + 1) * e, j * e:(j + 1) * e] = system.v_blocks[j]
-    w = np.zeros((n_p * d, n_l * e))
-    for cam in range(n_p):
-        for k in range(system.w.indptr[cam], system.w.indptr[cam + 1]):
-            lm = system.w.indices[k]
-            w[cam * d:(cam + 1) * d, lm * e:(lm + 1) * e] += system.w.data[k]
-    return u, w, v
+    return u, dense_w(system), v
+
+
+def dense_w(system) -> np.ndarray:
+    """W as a dense matrix, one block per distinct pair from ``factors.blocks``."""
+    d, e, plan = system.pose_width, system.lm_width, system.factors.plan
+    w = np.zeros((system.pose_dim, system.n_landmarks * e))
+    for block, cam, lm in zip(system.factors.blocks(), plan.pair_camera, plan.pair_landmark):
+        w[cam * d:(cam + 1) * d, lm * e:(lm + 1) * e] += block
+    return w
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from stratba import normal_eq
 from stratba.bal_io import BaProblem, ProjectiveState, load_bal, prune_underobserved, write_bal
@@ -30,6 +31,7 @@ from tests.conftest import (
     dense_damped_hessian,
     dense_jacobian,
     dense_uwv,
+    dense_w,
     make_random_problem,
     make_random_state,
     make_varpro_system,
@@ -38,23 +40,27 @@ from tests.conftest import (
 )
 
 
-def single_observation_store(jp, jl, res, n_cameras=1, n_landmarks=1, cam=0, lm=0):
+# the landmark x = e_0: a pose Jacobian D (x) x^T puts D's column i into pose column 4 i
+E0 = np.array([1.0, 0.0, 0.0, 0.0])
+
+
+def single_observation_store(d, x, jl, res, n_cameras=1, n_landmarks=1, cam=0, lm=0):
+    """Block sums of one observation with pose Jacobian d (x) x^T and landmark Jacobian jl."""
     problem = BaProblem(n_cameras, n_landmarks, 1, np.array([cam]), np.array([lm]),
                         np.zeros((1, 2)))
-    return OracleRows(problem.plan, jp[None], jl[None], res[None]).sums()
+    return OracleRows(problem.plan, d[None], x[None], jl[None], res[None]).sums()
 
 
 def test_assemble_single_observation_direct_products():
-    jp = np.zeros((4, 12))
-    jp[:4, :4] = np.eye(4)  # identity rows into the first pose columns
+    d = np.eye(4, 3)  # rows 0-2 of the pose Jacobian hit pose columns 0, 4 and 8
     jl = np.zeros((4, 3))
     res = np.array([1.0, 0.0, 0.0, 0.0])
-    system = assemble(single_observation_store(jp, jl, res), 0.0, POSE_ONLY)
+    system = assemble(single_observation_store(d, E0, jl, res), 0.0, POSE_ONLY)
     expected_u = np.zeros((12, 12))
-    expected_u[:4, :4] = np.eye(4)
+    expected_u[[0, 4, 8], [0, 4, 8]] = 1.0
     np.testing.assert_array_equal(system.u_blocks[0], expected_u)
     np.testing.assert_array_equal(system.v_blocks[0], np.zeros((3, 3)))
-    np.testing.assert_array_equal(system.w.data[0], np.zeros((12, 3)))
+    np.testing.assert_array_equal(system.factors.blocks()[0], np.zeros((12, 3)))
     expected_bp = np.zeros(12)
     expected_bp[0] = 1.0
     np.testing.assert_array_equal(system.b_p[0], expected_bp)
@@ -105,15 +111,21 @@ def test_assemble_matches_dense_oracle(mode, seed):
                                    atol=1e-12 * max(1, np.abs(h).max()))
         np.testing.assert_allclose(system.b_l[j], g[pc + j * d_l:pc + (j + 1) * d_l],
                                    atol=1e-12 * max(1, np.abs(g).max()))
-    # coupling blocks: one per observation (no pair repeats), and W^T holds them transposed
-    assert len(system.w.data) == problem.num_observations
-    for cam in range(problem.num_cameras):
-        for k in range(system.w.indptr[cam], system.w.indptr[cam + 1]):
-            lm = system.w.indices[k]
-            expected = h[cam * d_p:(cam + 1) * d_p, pc + lm * d_l:pc + (lm + 1) * d_l]
-            np.testing.assert_allclose(system.w.data[k], expected,
-                                       atol=1e-12 * max(1, np.abs(h).max()))
-    np.testing.assert_array_equal(system.wt.toarray(), system.w.toarray().T)
+    # coupling blocks from W's factors: one per observation (no pair repeats)
+    plan = problem.plan
+    blocks = system.factors.blocks()
+    assert len(blocks) == problem.num_observations
+    for block, cam, lm in zip(blocks, plan.pair_camera, plan.pair_landmark):
+        expected = h[cam * d_p:(cam + 1) * d_p, pc + lm * d_l:pc + (lm + 1) * d_l]
+        np.testing.assert_allclose(block, expected, atol=1e-12 * max(1, np.abs(h).max()))
+    # W v and W^T t are the products with those blocks
+    w = h[:pc, pc:]
+    rng = np.random.default_rng(seed)
+    t, v = rng.standard_normal(pc), rng.standard_normal(w.shape[1])
+    np.testing.assert_allclose(system.factors.matvec(v), w @ v,
+                               atol=1e-12 * max(1, np.abs(w).sum(axis=1).max()))
+    np.testing.assert_allclose(system.factors.rmatvec(t), w.T @ t,
+                               atol=1e-12 * max(1, np.abs(w).sum(axis=0).max()))
 
 
 def dense_blocks_from_oracle(problem, state, lam, mode, eta=0.1):
@@ -163,11 +175,11 @@ def test_full_normal_equations_satisfied_on_small_instance():
 
 
 def test_schur_rhs_trivial_cases():
-    jp = np.zeros((4, 12))
-    jp[0, 0] = 1.0
+    d = np.zeros((4, 3))
+    d[0, 0] = 1.0  # the pose Jacobian's only nonzero entry is (0, 0)
     res = np.array([2.0, 0, 0, 0])
     # W = 0 since Jl = 0
-    system = assemble(single_observation_store(jp, np.zeros((4, 3)), res), 0.0, POSE_ONLY)
+    system = assemble(single_observation_store(d, E0, np.zeros((4, 3)), res), 0.0, POSE_ONLY)
     np.testing.assert_array_equal(schur_rhs(system), -system.b_p.ravel())
     x = np.arange(12.0)
     np.testing.assert_allclose(apply_schur(system, x),
@@ -187,7 +199,7 @@ def test_back_substitute_decoupled_nonzero_gradient(rng):
     # J_p = 0 rows: W = 0 and the landmark update is -V^{-1} b_l exactly
     jl = rng.standard_normal((4, 3))
     res = rng.standard_normal(4)
-    system = assemble(single_observation_store(np.zeros((4, 12)), jl, res), 0.0, POSE_ONLY)
+    system = assemble(single_observation_store(np.zeros((4, 3)), E0, jl, res), 0.0, POSE_ONLY)
     upd = back_substitute(system, np.zeros(12))
     expected = -np.linalg.solve(jl.T @ jl, jl.T @ res)
     np.testing.assert_allclose(upd, expected, atol=1e-10)
@@ -253,10 +265,10 @@ def test_schur_diag_matches_dense():
 def test_degenerate_v_block_zero_update():
     # landmark block with Jl = 0 is singular: pinv contributes nothing and the
     # back-substituted update is exactly zero
-    jp = np.zeros((4, 12))
-    jp[0, 0] = 3.0
+    d = np.zeros((4, 3))
+    d[0, 0] = 3.0  # the pose Jacobian's only nonzero entry is (0, 0)
     res = np.ones(4)
-    system = assemble(single_observation_store(jp, np.zeros((4, 3)), res), 1e-4, POSE_ONLY)
+    system = assemble(single_observation_store(d, E0, np.zeros((4, 3)), res), 1e-4, POSE_ONLY)
     assert system.v_degenerate[0]
     upd = back_substitute(system, np.ones(12))
     np.testing.assert_array_equal(upd, np.zeros(3))
@@ -382,7 +394,7 @@ def test_dense_schur_over_many_landmark_chunks_matches_dense_oracle(mode, path, 
     system = assemble(rows.sums(), lam, mode)
     assert system.n_landmarks * system.lm_width > 3 * system.pose_dim
     assert system.v_degenerate[5]
-    assert np.diff(system.w.indptr)[0] == 0
+    assert np.diff(problem.plan.pair_camera_ptr)[0] == 0
 
     s_dense, scale = dense_oracle_schur(rows, problem, lam, mode)
     d_p = system.pose_width
@@ -420,7 +432,7 @@ def test_dense_schur_sums_repeated_observations(mode, path, monkeypatch):
     rows = build_stage1_blocks(problem, state, PoseConfig(0.1))
     lam = 0.2
     system = assemble(rows, lam, mode)
-    assert system.w.data.shape[0] == n_pairs
+    assert len(system.factors.blocks()) == n_pairs
 
     s_dense, scale = dense_oracle_schur(oracle_rows(problem, state, STAGE1), problem, lam, mode)
     s = dense_schur(system)
@@ -454,14 +466,15 @@ def test_w_holds_one_canonical_block_per_distinct_pair(stage):
         sums = project_blocks(build_stage2_blocks(problem, state), bases)
         oracle = oracle.project(bases)
     system = assemble(sums, 0.1, BOTH)
-    w, wt = system.w, system.wt
-    assert w.has_canonical_format and wt.has_canonical_format
-    assert len(w.data) == len(wt.data) == n_pairs
+    plan = problem.plan
+    assert len(system.factors.blocks()) == len(plan.pair_camera) == n_pairs
+    keys = plan.pair_camera * problem.num_landmarks + plan.pair_landmark
+    assert (np.diff(keys) > 0).all()  # distinct pairs, camera-major
     jac, _, d_p, _ = dense_rows_jacobian(oracle, problem.num_cameras, problem.num_landmarks)
     pc = problem.num_cameras * d_p
     w_dense = jac[:, :pc].T @ jac[:, pc:]
-    np.testing.assert_allclose(w.toarray(), w_dense, rtol=0, atol=1e-12 * np.abs(w_dense).max())
-    np.testing.assert_array_equal(wt.toarray(), w.toarray().T)
+    np.testing.assert_allclose(dense_w(system), w_dense, rtol=0,
+                               atol=1e-12 * np.abs(w_dense).max())
 
 
 def test_dense_coupling_takes_sparse_product_on_sparse_graphs(monkeypatch):
@@ -498,14 +511,22 @@ def test_wt_equals_gathered_transposed_blocks(stage):
         rows = project_blocks(build_stage2_blocks(problem, state), state_tangent_bases(state))
     system = assemble(rows, 0.1, BOTH)
     # reference: W's blocks gathered landmark-major and transposed one by one
-    plan, w = problem.plan, system.w
-    lm_rows = plan.landmark_rows
-    ref_data = np.ascontiguousarray(w.data[lm_rows].transpose(0, 2, 1))
-    ref_indices = plan.row_camera[lm_rows]
-    assert system.wt.shape == (w.shape[1], w.shape[0])
-    np.testing.assert_array_equal(system.wt.indptr, plan.landmark_ptr)
-    np.testing.assert_array_equal(system.wt.indices, ref_indices)
-    np.testing.assert_array_equal(system.wt.data, ref_data)
+    plan = problem.plan
+    order = plan.landmark_pairs
+    lm_of = plan.pair_landmark[order]
+    assert (np.diff(lm_of) >= 0).all()
+    np.testing.assert_array_equal(plan.landmark_pair_ptr, np.searchsorted(
+        lm_of, np.arange(problem.num_landmarks + 1)))
+    for lm in range(problem.num_landmarks):
+        seg = order[plan.landmark_pair_ptr[lm]:plan.landmark_pair_ptr[lm + 1]]
+        assert (np.diff(plan.pair_camera[seg]) > 0).all()
+    d_p, d_l = system.pose_width, system.lm_width
+    t = np.random.default_rng(81).standard_normal(system.pose_dim).reshape(-1, d_p)
+    ref = np.zeros((problem.num_landmarks, d_l))
+    for block, pair in zip(system.factors.blocks(order), order):
+        ref[plan.pair_landmark[pair]] += block.T @ t[plan.pair_camera[pair]]
+    np.testing.assert_allclose(system.factors.rmatvec(t.ravel()), ref.ravel(), rtol=0,
+                               atol=1e-12 * np.abs(ref).max())
 
 
 def test_plan_built_lazily_and_cached(tmp_path):
@@ -521,6 +542,11 @@ def test_plan_built_lazily_and_cached(tmp_path):
     np.testing.assert_array_equal(plan.camera_ptr, [0, *np.cumsum(np.bincount(
         loaded.camera_indices, minlength=4))])
     assert "landmark_segments" not in vars(plan)
+    for name in ("pair_camera", "pair_landmark", "pair_camera_ptr", "landmark_pairs",
+                 "landmark_pair_ptr"):
+        assert name not in vars(plan)
+        assert getattr(plan, name) is getattr(plan, name)
+    assert plan.factor_matrices(3) is plan.factor_matrices(3)
     assert "measurement_weights" not in vars(loaded)
     segments = plan.landmark_segments
     assert plan.landmark_segments is segments
@@ -582,7 +608,7 @@ def test_stage1_system_matches_dense_oracle_at_raw_pixel_scale(mode):
     gscale = 1e-12 * np.abs(g).max()
     np.testing.assert_allclose(system.b_p.ravel(), g[:pc], rtol=0, atol=gscale)
     np.testing.assert_allclose(system.b_l.ravel(), g[pc:], rtol=0, atol=gscale)
-    assert len(system.w.data) == len(plan.pair_starts)
+    assert len(system.factors.blocks()) == len(plan.pair_starts)
 
 
 def test_landmark_normals_match_oracle_rows_at_raw_pixel_scale():
@@ -606,3 +632,51 @@ def test_landmark_normals_match_oracle_rows_at_raw_pixel_scale():
     np.testing.assert_array_equal(resolved.hessian, got_ata)
     np.testing.assert_array_equal(resolved.origin_gradient, got_atc)
     np.testing.assert_array_equal(resolved.degenerate, np.arange(8) >= 6)
+
+
+@pytest.mark.parametrize("path", COUPLING_PATHS)
+@pytest.mark.parametrize("stage", [STAGE1, STAGE2])
+def test_coupling_factors_match_dense_oracle(stage, path, monkeypatch):
+    # W kept as its Kronecker factors, against a dense W from the per-observation
+    # Jacobians: a graph with repeated (camera, landmark) pairs and camera 0 unobserved.
+    monkeypatch.setattr(normal_eq, "_GEMM_SPEEDUP", COUPLING_PATHS[path])
+    base, _ = repeated_observation_problem()
+    problem = BaProblem(base.num_cameras + 1, base.num_landmarks, base.num_observations,
+                        base.camera_indices + 1, base.landmark_indices, base.measurements)
+    state = make_random_state(problem, 46, stage)
+    lam = 0.2
+    jac, res, d_p, d_l = dense_jacobian(problem, state, stage, eta=0.1)
+    if stage == STAGE1:
+        mode = POSE_ONLY
+        system = assemble(build_stage1_blocks(problem, state, PoseConfig(0.1)), lam, mode)
+    else:
+        mode = BOTH
+        bases = state_tangent_bases(state)
+        system = assemble(project_blocks(build_stage2_blocks(problem, state), bases), lam, mode)
+        jac = jac @ scipy.linalg.block_diag(*bases.camera_bases, *bases.landmark_bases)
+        d_p, d_l = 11, 3
+    n_c, n_l = problem.num_cameras, problem.num_landmarks
+    pc = n_c * d_p
+    h, g = dense_damped_hessian(jac, res, n_c, d_p, lam, mode)
+    u, v, w = h[:pc, :pc], h[pc:, pc:], jac[:, :pc].T @ jac[:, pc:]
+    b_p, b_l = g[:pc], g[pc:]
+    v_pinv = np.linalg.pinv(v, hermitian=True)
+    s_dense = u - w @ v_pinv @ w.T
+    assert not w[:d_p].any()  # the unobserved camera
+    np.testing.assert_allclose(dense_w(system), w, rtol=0, atol=1e-12 * np.abs(w).max())
+
+    rng = np.random.default_rng(47)
+    t, y = rng.standard_normal(pc), rng.standard_normal(n_l * d_l)
+    factors = system.factors
+    for got, want in ((factors.matvec(y), w @ y), (factors.rmatvec(t), w.T @ t),
+                      (system.coupling(t), w @ v_pinv @ w.T @ t),
+                      (schur_rhs(system), -(b_p - w @ v_pinv @ b_l)),
+                      (back_substitute(system, t), -v_pinv @ (b_l + w.T @ t))):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-11 * max(1, np.abs(want).max()))
+    scale = max(1, np.abs(s_dense).max())
+    np.testing.assert_allclose(dense_schur(system), s_dense, rtol=0, atol=1e-11 * scale)
+    diag = schur_diag_blocks(system)
+    for c in range(n_c):
+        np.testing.assert_allclose(diag[c], s_dense[c * d_p:(c + 1) * d_p, c * d_p:(c + 1) * d_p],
+                                   rtol=0, atol=1e-11 * scale)
+    np.testing.assert_array_equal(diag[0], system.u_blocks[0])

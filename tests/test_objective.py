@@ -460,13 +460,11 @@ def test_linearization_from_resolve_equals_fresh(lam):
     for got, want in ((reused, fresh), (assemble(rows, 1e-4).redamped(lam), fresh)):
         for name in ("u_blocks", "v_blocks", "v_inv", "v_degenerate", "b_p", "b_l"):
             np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
-        for m in ("w", "wt"):
-            for part in ("indptr", "indices", "data"):
-                np.testing.assert_array_equal(getattr(getattr(got, m), part),
-                                              getattr(getattr(want, m), part))
+        for name in ("gt", "x"):
+            np.testing.assert_array_equal(getattr(got.factors, name), getattr(want.factors, name))
     # a damped V has no use for the undamped V's pseudo-inverse
     with pytest.raises(ValueError, match="undamped"):
-        SchurSystem(fresh.hessian_u, fresh.hessian_v, fresh.w, fresh.wt, fresh.b_p, fresh.b_l,
+        SchurSystem(fresh.hessian_u, fresh.hessian_v, fresh.factors, fresh.b_p, fresh.b_l,
                     lam, BOTH, (resolved.pinv, resolved.degenerate))
 
 

@@ -58,15 +58,26 @@ def test_retraction_along_basis_stays_on_sphere(rng):
 def test_project_blocks_kills_normal_directions():
     problem = make_random_problem(3, 5, seed=1)
     state = make_random_state(problem, 2, STAGE2)
+    # rank-one cameras P_c = g_c h_c^T: a pose Jacobian row g_c (x) h_c^T is vec(P_c)
+    rng = np.random.default_rng(3)
+    g, h = rng.standard_normal((3, 3)), rng.standard_normal((3, 4))
+    state = retract(ProjectiveState(g[:, :, None] * h[:, None, :], state.landmarks))
     rows = oracle_rows(problem, state, STAGE2)
     bases = state_tangent_bases(state)
     # rows proportional to the parameter vector lie in the basis null space
-    cams_vec = state.cameras.reshape(-1, 12)
-    rows.pose_jac[...] = cams_vec[rows.plan.row_camera][:, None, :]
+    cams = rows.plan.row_camera
+    rows.pose_factor[...] = g[cams][:, None, :]
+    rows.pose_landmark[...] = h[cams]
+    scaled = state.cameras.reshape(-1, 12) * (np.linalg.norm(g, axis=1)
+                                               * np.linalg.norm(h, axis=1))[:, None]
+    np.testing.assert_allclose(rows.pose_jac, np.broadcast_to(
+        scaled[cams][:, None, :], rows.pose_jac.shape), rtol=1e-12)
     rows.lm_jac[...] = state.landmarks[rows.plan.row_landmark][:, None, :]
     projected = project_blocks(rows.sums(), bases)
-    for name in ("u", "b_p", "w_blocks", "v", "b_l"):
+    for name in ("u", "b_p", "v", "b_l"):
         np.testing.assert_allclose(getattr(projected, name), 0.0, atol=1e-12)
+    np.testing.assert_allclose(projected.factors.gt, 0.0, atol=1e-12)
+    np.testing.assert_allclose(projected.factors.blocks(), 0.0, atol=1e-12)
 
 
 def test_tangent_basis_axis_projection_selects_columns(rng):
@@ -83,10 +94,16 @@ def test_project_blocks_matches_dense_products():
     projected = project_blocks(build_stage2_blocks(problem, state), bases)
     # the sums of the per-observation rows, each right-multiplied by its tangent basis
     oracle = oracle_rows(problem, state, STAGE2).project(bases).sums()
-    for name in ("u", "b_p", "w_blocks", "v", "b_l"):
+    for name in ("u", "b_p", "v", "b_l"):
         np.testing.assert_allclose(getattr(projected, name), getattr(oracle, name), atol=1e-13)
+    # the projected coupling: the landmark-side factor G^T B_l, x, and the camera bases
+    for name in ("gt", "x", "camera_bases"):
+        np.testing.assert_allclose(getattr(projected.factors, name),
+                                   getattr(oracle.factors, name), atol=1e-13)
+    np.testing.assert_allclose(projected.factors.blocks(), oracle.factors.blocks(), atol=1e-13)
     assert projected.u.shape[1:] == (11, 11) and projected.v.shape[1:] == (3, 3)
-    assert projected.w_blocks.shape[1:] == (11, 3)
+    assert projected.factors.gt.shape[1:] == (3, 3)
+    assert projected.factors.blocks().shape[1:] == (11, 3)
 
 
 def test_unprojected_system_rank_deficient_projected_spd():

@@ -1,13 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-import scipy.sparse
 
 from stratba import bal_io, normal_eq, objective, solvers
-from stratba.bal_io import ProjectiveState
+from stratba.bal_io import BaProblem, ProjectiveState
 from stratba.normal_eq import (
     POSE_ONLY,
+    CouplingFactors,
     SchurSystem,
     assemble,
     build_stage1_blocks,
@@ -39,10 +40,11 @@ from tests.conftest import (
 
 def decoupled_system():
     """Single camera, W = 0: the reduced matrix equals the damped pose block."""
-    system, _, _ = make_varpro_system(1, 4, seed=0, cameras_per_landmark=1, lam=0.3)
-    system.w.data[...] = 0.0
-    system.wt.data[...] = 0.0
-    return system
+    problem = make_random_problem(1, 4, seed=0, cameras_per_landmark=1)
+    state = make_random_state(problem, 1000, STAGE1)
+    sums = build_stage1_blocks(problem, state, PoseConfig(0.1))
+    zero = dataclasses.replace(sums.factors, gt=np.zeros_like(sums.factors.gt))
+    return assemble(dataclasses.replace(sums, factors=zero), 0.3, POSE_ONLY)
 
 
 def test_power_collapses_when_uncoupled():
@@ -153,10 +155,11 @@ def identity_system(dim_blocks=2):
     v = np.ones((1, 3))[:, :, None] * np.eye(3)[None]
     rng = np.random.default_rng(0)
     b_p = rng.standard_normal((dim_blocks, d))
+    # no observations: W has no blocks
+    plan = BaProblem(dim_blocks, 1, 0, np.zeros(0, int), np.zeros(0, int), np.zeros((0, 2))).plan
     system = SchurSystem(
         hessian_u=u, hessian_v=v,
-        w=scipy.sparse.bsr_array((dim_blocks * d, 3), blocksize=(d, 3)),
-        wt=scipy.sparse.bsr_array((3, dim_blocks * d), blocksize=(3, d)),
+        factors=CouplingFactors(plan, np.zeros((0, 3, 3)), np.zeros((0, 4))),
         b_p=b_p, b_l=np.zeros((1, 3)), lam=0.0, damping_mode=POSE_ONLY)
     np.testing.assert_array_equal(system.u_blocks, u)
     np.testing.assert_array_equal(system.v_inv, v)
