@@ -124,19 +124,22 @@ class BaProblem:
         A (num_landmarks, 4 num_cameras) CSR matrix: row l, columns 4c..4c+3
         hold the ``row_weights`` summed over landmark l's observations by
         camera c. Its product with a per-camera table gives the stage-1
-        landmark normal equations. Built from the plan's landmark-major rows,
-        in which the rows of a pair are adjacent.
+        landmark normal equations. Built from the plan's ``pair_starts``: the
+        weights are summed over each distinct pair's adjacent rows and laid
+        out in landmark-major pair order. It sorts that order itself: reading
+        the plan's cached pair arrays here, before the first linearization,
+        raised the peak RSS of the ``bal-povar`` benchmark solve.
         """
         plan = self.plan
-        rows = plan.landmark_rows
-        weights = self.row_weights[:, rows]
-        keys = plan.row_landmark[rows] * self.num_cameras + plan.row_camera[rows]
-        starts = np.flatnonzero(np.diff(keys, prepend=-1))  # one per distinct pair
-        if len(starts) < len(rows):
+        weights = self.row_weights
+        starts = plan.pair_starts
+        if len(starts) < len(plan.rows):  # some pair is observed more than once
             weights = np.add.reduceat(weights, starts, axis=1)
-        ptr = 4 * _segment_pointers(plan.row_landmark[rows[starts]], self.num_landmarks)
-        cols = 4 * plan.row_camera[rows[starts], None] + np.arange(4)
-        return scipy.sparse.csr_array((weights.T.ravel(), cols.ravel(), ptr),
+        landmarks = plan.row_landmark[starts]
+        order = np.argsort(landmarks, kind="stable")
+        cols = 4 * plan.row_camera[starts][order, None] + np.arange(4)
+        return scipy.sparse.csr_array((weights.T[order].ravel(), cols.ravel(),
+                                       4 * _segment_pointers(landmarks, self.num_landmarks)),
                                       shape=(self.num_landmarks, 4 * self.num_cameras))
 
 

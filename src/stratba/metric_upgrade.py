@@ -104,33 +104,13 @@ def _gram_terms(q: np.ndarray, c: np.ndarray) -> np.ndarray:
     return qh @ qh.transpose(0, 2, 1)
 
 
-def metric_residual(camera: np.ndarray, intrinsics: np.ndarray, state: AmbiguityState,
-                    camera_index: int = 0) -> np.ndarray:
-    """Weighted upper-triangle 6-vector of alpha * (K^{-1}P) HH^T (K^{-1}P)^T - I."""
-    q = _normalized_cameras(camera[None], intrinsics[None])
-    m = _gram_terms(q, state.c)[0]
-    alpha = state.alphas[camera_index]
-    return _sym6(alpha * m - np.eye(3))
-
-
-def _scales(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form scales alpha = <M, I> / <M, M> and the zero-norm mask (alpha = 1 there)."""
+def _scales(m: np.ndarray) -> np.ndarray:
+    """Closed-form scales alpha = <M, I> / <M, M>, each minimizing its camera's
+    Frobenius misfit with c held fixed; alpha = 1 where M has zero norm."""
     num = np.trace(m, axis1=1, axis2=2)
     den = np.einsum("nij,nij->n", m, m)
     zero = den == 0
-    return np.where(zero, 1.0, num / np.where(zero, 1.0, den)), zero
-
-
-def optimal_alphas(cameras: np.ndarray, intrinsics: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Closed-form per-camera scales: alpha = <M, I> / <M, M>.
-
-    Each alpha minimizes its camera's Frobenius misfit with c held fixed.
-    Zero-norm M falls back to alpha = 1 with a log entry.
-    """
-    alphas, zero = _scales(_gram_terms(_normalized_cameras(cameras, intrinsics), c))
-    if zero.any():
-        logger.warning("%d cameras have zero-norm gram terms; scale set to 1", int(zero.sum()))
-    return alphas
+    return np.where(zero, 1.0, num / np.where(zero, 1.0, den))
 
 
 def vec_transpose_permutation(m: int, n: int) -> np.ndarray:
@@ -163,7 +143,7 @@ def gram_derivative(h: np.ndarray) -> np.ndarray:
 def _reduced_residual(q: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Residual stack (n, 6) and eliminated scales at the given c."""
     m = _gram_terms(q, c)
-    alphas, _ = _scales(m)
+    alphas = _scales(m)
     return _sym6(alphas[:, None, None] * m - np.eye(3)), alphas
 
 

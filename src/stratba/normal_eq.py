@@ -21,8 +21,9 @@ the landmark basis and keeps the camera bases, which are applied to
 vectors. Two CSR matrices with the plan's pair indices wrap the factors
 without copying them and give the products W v and W^T t of the reduced
 right-hand side, the matrix-free coupling round trip and back-substitution.
-``assemble`` damps the sums into the reduced-camera operator
-(``SchurSystem``).
+``assemble`` damps the sums into the reduced-camera operator, a
+``SchurSystem`` that extends them: the same fields, plus the damping, the
+damped blocks and the landmark pseudo-inverses.
 
 The explicit paths read W's blocks from the factors through one function,
 ``CouplingFactors.blocks``, except the exact block diagonal, which sums
@@ -34,7 +35,8 @@ in the sparse direct solve above the dense limit, W V^+ W^T is a
 block-sparse product. The pose Hessian blocks are damped with Jacobi
 scaling; the landmark blocks are damped only in ``both`` mode (joint /
 tangent-space optimization), never in ``pose_only`` mode
-(eliminated-landmark optimization).
+(eliminated-landmark optimization), where every re-damped system shares the
+pseudo-inverse of the undamped V (``v_pinv``).
 """
 
 from __future__ import annotations
@@ -173,11 +175,10 @@ class CouplingFactors:
 class BlockSums:
     """The undamped sums of one linearization: U = Jp^T Jp and b_p = Jp^T r per
     camera, the factors of W = Jp^T Jl, V = Jl^T Jl and b_l = Jl^T r per
-    landmark, and V^+ with its degenerate mask when a landmark re-solve
-    already holds them.
+    landmark, and the pseudo-inverses of the undamped V with their degenerate
+    mask when a landmark re-solve already holds them.
     """
 
-    plan: ObservationPlan
     u: np.ndarray  # (n_p, d_p, d_p)
     b_p: np.ndarray  # (n_p, d_p)
     factors: CouplingFactors
@@ -215,7 +216,7 @@ def _kronecker_sums(plan: ObservationPlan, basis: np.ndarray, weights: np.ndarra
     if len(starts) < n:  # some camera observes a landmark more than once
         gt = np.add.reduceat(gt, starts, axis=2)
     factors = CouplingFactors(plan, np.ascontiguousarray(gt.transpose(2, 0, 1)), x.T[starts])
-    return BlockSums(plan, u, b_p, factors, v, b_l, v_pinv)
+    return BlockSums(u, b_p, factors, v, b_l, v_pinv)
 
 
 def _gather_rows(problem: BaProblem, state: ProjectiveState) -> tuple[np.ndarray, np.ndarray]:
@@ -307,43 +308,38 @@ def block_apply(blocks: np.ndarray, vec: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class SchurSystem:
+class SchurSystem(BlockSums):
     """Damped block normal equations: the reduced-camera operator of one linearization.
 
-    Constructed from the undamped Hessian blocks; the damped ``u_blocks`` and
-    ``v_blocks`` and the landmark-block pseudo-inverses follow from ``lam``
-    and ``damping_mode``. In pose-only mode ``v_pinv`` may pass the
-    pseudo-inverses and degenerate mask of ``hessian_v`` when already known.
+    It extends the undamped sums with ``lam`` and ``damping_mode``; the damped
+    ``u_blocks`` and ``v_blocks`` and the landmark-block pseudo-inverses
+    follow from them. In pose-only mode V is not damped, so ``v_pinv`` is
+    filled when the sums do not carry it and is the ``v_inv`` of every
+    re-damped system; both mode damps V and ignores it.
     """
 
-    hessian_u: np.ndarray  # (n_p, d_p, d_p) undamped
-    hessian_v: np.ndarray  # (n_l, d_l, d_l) undamped
-    factors: CouplingFactors  # W, one block per distinct pair
-    b_p: np.ndarray  # (n_p, d_p)
-    b_l: np.ndarray  # (n_l, d_l)
+    _: dataclasses.KW_ONLY
     lam: float
     damping_mode: str
     u_blocks: np.ndarray = dataclasses.field(init=False)  # damped
     v_blocks: np.ndarray = dataclasses.field(init=False)  # damped only in BOTH mode
     v_inv: np.ndarray = dataclasses.field(init=False)  # pseudo-inverses
     v_degenerate: np.ndarray = dataclasses.field(init=False)  # (n_l,) bool
-    v_pinv: dataclasses.InitVar[tuple[np.ndarray, np.ndarray] | None] = None
 
-    def __post_init__(self, v_pinv):
+    def __post_init__(self):
         if self.lam < 0:
             raise ValueError("damping must be non-negative")
         if self.damping_mode not in (POSE_ONLY, BOTH):
             raise ValueError(f"unknown damping mode {self.damping_mode!r}")
-        self.u_blocks = _jacobi_damped(self.hessian_u, self.lam)
+        self.u_blocks = _jacobi_damped(self.u, self.lam)
         if self.damping_mode == BOTH:
-            if v_pinv is not None:
-                raise ValueError("v_pinv is the pseudo-inverse of the undamped V")
-            self.v_blocks = _jacobi_damped(self.hessian_v, self.lam)
+            self.v_blocks = _jacobi_damped(self.v, self.lam)
+            self.v_inv, self.v_degenerate = pinv_psd(self.v_blocks, V_PINV_TOL)
         else:
-            self.v_blocks = self.hessian_v
-        if v_pinv is None:
-            v_pinv = pinv_psd(self.v_blocks, V_PINV_TOL)
-        self.v_inv, self.v_degenerate = v_pinv
+            self.v_blocks = self.v
+            if self.v_pinv is None:
+                self.v_pinv = pinv_psd(self.v, V_PINV_TOL)
+            self.v_inv, self.v_degenerate = self.v_pinv
         if self.v_degenerate.any():
             logger.debug("%d landmark blocks are singular at tolerance",
                          int(self.v_degenerate.sum()))
@@ -351,12 +347,11 @@ class SchurSystem:
     def redamped(self, lam: float) -> SchurSystem:
         """The same linearization at another damping.
 
-        W's factors with their CSR matrices and the gradients are shared; in
-        pose-only mode so are V and its pseudo-inverse. The result equals a
-        fresh ``assemble`` bit for bit.
+        The sums, W's factors with their CSR matrices and, in pose-only mode,
+        V's pseudo-inverse are shared. The result equals a fresh ``assemble``
+        bit for bit.
         """
-        return dataclasses.replace(self, lam=lam, v_pinv=None if self.damping_mode == BOTH
-                                   else (self.v_inv, self.v_degenerate))
+        return dataclasses.replace(self, lam=lam)
 
     @property
     def n_cameras(self) -> int:
@@ -384,14 +379,13 @@ class SchurSystem:
 
 
 def assemble(sums: BlockSums, lam: float, damping_mode: str = POSE_ONLY) -> SchurSystem:
-    """Form the damped system of one linearization's block sums.
+    """Damp one linearization's block sums into the system that extends them.
 
     U gets the damping lam * Dp^T Dp with Jacobi Dp (clamped), V the
-    analogous landmark damping in ``both`` mode; W stays as its factors. A
-    V^+ carried by the sums is used in pose-only mode.
+    analogous landmark damping in ``both`` mode; W stays as its factors.
     """
-    return SchurSystem(sums.u, sums.v, sums.factors, sums.b_p, sums.b_l, lam, damping_mode,
-                       sums.v_pinv if damping_mode == POSE_ONLY else None)
+    return SchurSystem(sums.u, sums.b_p, sums.factors, sums.v, sums.b_l, sums.v_pinv,
+                       lam=lam, damping_mode=damping_mode)
 
 
 # ---------------------------------------------------------------------------

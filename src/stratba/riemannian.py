@@ -77,12 +77,12 @@ def project_blocks(sums: BlockSums, bases: TangentBasis) -> BlockSums:
     landmark-side factor is projected, G^T -> G^T B_l, and the camera bases
     go with the factors, to be applied to vectors.
     """
-    plan, factors = sums.plan, sums.factors
+    factors = sums.factors
     cam_b, lm_b = bases.camera_bases, bases.landmark_bases
-    gt = np.matmul(factors.gt, lm_b[plan.pair_landmark])
-    return BlockSums(plan, cam_b.transpose(0, 2, 1) @ sums.u @ cam_b,
+    gt = np.matmul(factors.gt, lm_b[factors.plan.pair_landmark])
+    return BlockSums(cam_b.transpose(0, 2, 1) @ sums.u @ cam_b,
                      np.einsum("nji,nj->ni", cam_b, sums.b_p),
-                     CouplingFactors(plan, gt, factors.x, cam_b),
+                     CouplingFactors(factors.plan, gt, factors.x, cam_b),
                      lm_b.transpose(0, 2, 1) @ sums.v @ lm_b,
                      np.einsum("nji,nj->ni", lm_b, sums.b_l))
 

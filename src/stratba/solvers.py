@@ -5,14 +5,14 @@ series of the inverse reduced matrix, preconditioned conjugate gradients with
 the exact block-diagonal (Schur-Jacobi) preconditioner, and a direct
 factorization baseline that materializes the reduced matrix.
 
-The eliminated-landmark flavor (``varpro`` mode) damps only the pose blocks,
-and each trial re-solves the landmarks in closed form at the trial cameras,
-so every step is judged by the reduced cost min_v f(P, v) (Golub & Pereyra);
-``joint`` mode damps both parameter groups and keeps the back-substituted
-landmark update. The power series is justified whenever the eigenvalues of
-U^{-1} W V^{-1} W^T lie in [0, 1), which holds structurally for both flavors
-with damped positive-definite pose blocks; ``spectral_check`` computes the
-largest such eigenvalue exactly.
+The eliminated-landmark flavor (VarPro, ``pose_only`` damping) damps only
+the pose blocks, and each trial re-solves the landmarks in closed form at the
+trial cameras, so every step is judged by the reduced cost min_v f(P, v)
+(Golub & Pereyra); joint (``both``) damping covers both parameter groups and
+keeps the back-substituted landmark update. The power series is justified
+whenever the eigenvalues of U^{-1} W V^{-1} W^T lie in [0, 1), which holds
+structurally for both flavors with damped positive-definite pose blocks;
+``spectral_check`` computes the largest such eigenvalue exactly.
 """
 
 from __future__ import annotations
@@ -48,9 +48,6 @@ from .riemannian import apply_tangent_step, riemannian_step, state_tangent_bases
 
 logger = logging.getLogger(__name__)
 
-VARPRO = "varpro"
-JOINT = "joint"
-
 _DENSE_DIRECT_LIMIT = 6000
 
 # Damping update of the outer loop: halved after an accepted step, quadrupled
@@ -61,13 +58,13 @@ LAMBDA_MIN = 1e-12
 LAMBDA_MAX = 1e8
 
 # The solver names of each stage, as set in SolverConfig and written to traces
-# and summaries, and what each selects: (mode, inner solver) in stage 1, the
-# inner solver in stage 2.
+# and summaries, and what each selects: (damping mode of ``assemble``, inner
+# solver) in stage 1, the inner solver in stage 2.
 STAGE1_SOLVERS = {
-    "povar": (VARPRO, "power"),
-    "poba": (JOINT, "power"),
-    "iterative": (VARPRO, "pcg"),
-    "direct": (VARPRO, "direct"),
+    "povar": (POSE_ONLY, "power"),
+    "poba": (BOTH, "power"),
+    "iterative": (POSE_ONLY, "pcg"),
+    "direct": (POSE_ONLY, "direct"),
 }
 STAGE2_SOLVERS = {"ripoba": "power", "ripcg": "pcg"}
 
@@ -118,7 +115,7 @@ class StepReport:
     """One inner solve: the pose update plus how much work the solver did.
 
     The landmark update is left to the trials that use it
-    (``back_substitute``); varpro trials re-solve the landmarks instead.
+    (``back_substitute``); pose-only trials re-solve the landmarks instead.
     """
 
     pose_update: np.ndarray  # flattened pose dimension
@@ -267,20 +264,19 @@ def spectral_check(system: SchurSystem) -> float:
 class _Stage1:
     """Stage 1: the pOSE blend.
 
-    In varpro mode a trial moves the cameras only and re-solves the landmarks
-    at the trial cameras, so each step is judged by the reduced cost
-    min_v f(P, v); an accepted trial's re-solve supplies V, V^+ and A^T c to
-    the next linearization. Joint mode adds the landmark update
-    back-substituted from the solved system.
+    With pose-only damping a trial moves the cameras only and re-solves the
+    landmarks at the trial cameras, so each step is judged by the reduced
+    cost min_v f(P, v); an accepted trial's re-solve supplies V, V^+ and A^T c
+    to the next linearization. With joint damping a trial adds the landmark
+    update back-substituted from the solved system.
     """
 
     def __init__(self, problem: BaProblem, config: SolverConfig):
         self.problem = problem
         self.pose = config.pose
         self.name = config.stage1_solver
-        mode, self.inner = STAGE1_SOLVERS[self.name]
-        self.varpro = mode == VARPRO
-        self.latest = None  # varpro: the latest trial and its landmark re-solve
+        self.damping_mode, self.inner = STAGE1_SOLVERS[self.name]
+        self.latest = None  # pose-only: the latest trial and its landmark re-solve
 
     def cost(self, state: ProjectiveState) -> float:
         return total_cost(state, self.problem, STAGE1, self.pose)
@@ -290,12 +286,12 @@ class _Stage1:
         if trial is not state:  # the starting state
             resolved = None
         sums = build_stage1_blocks(self.problem, state, self.pose, resolved)
-        return assemble(sums, lam, POSE_ONLY if self.varpro else BOTH)
+        return assemble(sums, lam, self.damping_mode)
 
     def trial(self, state: ProjectiveState, system: SchurSystem,
               report: StepReport) -> ProjectiveState:
         cams = state.cameras + report.pose_update.reshape(state.cameras.shape)
-        if self.varpro:
+        if self.damping_mode == POSE_ONLY:
             resolved = solve_landmarks(ProjectiveState(cams, state.landmarks), self.problem,
                                        self.pose)
             self.latest = ProjectiveState(cams, resolved.landmarks), resolved
@@ -331,20 +327,20 @@ _STAGES = {STAGE1: _Stage1, STAGE2: _Stage2}
 
 
 def lm_minimize(problem: BaProblem, state: ProjectiveState, stage: int,
-                config: SolverConfig, trace_sink=None, *, problem_id: str = ""
+                config: SolverConfig, *, problem_id: str = ""
                 ) -> tuple[ProjectiveState, ConvergenceTrace]:
     """Damped least-squares outer loop, the same for both stages.
 
     ``config`` names the solver of each stage; the one of ``stage`` selects
     the inner solver of ``_INNER_SOLVERS`` that solves every damped system,
-    the stage-1 mode, and the trace's ``solver_id``. A stage object supplies
-    the cost, the linearization into a damped
-    ``SchurSystem`` (stage 1: pose blocks only in varpro mode, both groups in
-    joint mode; stage 2: both groups of the tangent-space system), and the
-    trial state of an inner solve of that system (stage-1 varpro: the trial
+    the stage-1 damping mode, and the trace's ``solver_id``. A stage object
+    supplies the cost, the linearization into a damped
+    ``SchurSystem`` (stage 1: the damping mode of its solver, pose blocks only
+    or both groups; stage 2: both groups of the tangent-space system), and the
+    trial state of an inner solve of that system (stage-1 pose-only: the trial
     cameras with the landmarks re-solved in closed form at them, whose V, V^+
     and A^T c the next linearization reuses if the trial is accepted; joint
-    mode and stage 2 back-substitute the landmark update, and stage 2
+    damping and stage 2 back-substitute the landmark update, and stage 2
     retracts the step onto the spheres). An accepted trial becomes the
     current state.
     Each point is linearized once; after a rejected step the kept system is
@@ -366,8 +362,6 @@ def lm_minimize(problem: BaProblem, state: ProjectiveState, stage: int,
 
     t_start = time.perf_counter()
     records = [TraceRecord(0, f, 0.0)]
-    if trace_sink is not None:
-        trace_sink(records[0])
     lam = config.initial_lambda
     system = None  # the linearization at the current state
 
@@ -390,10 +384,7 @@ def lm_minimize(problem: BaProblem, state: ProjectiveState, stage: int,
         else:
             lam = min(LAMBDA_MAX, lam * LAMBDA_INCREASE)
 
-        rec = TraceRecord(it, f, time.perf_counter() - t_start)
-        records.append(rec)
-        if trace_sink is not None:
-            trace_sink(rec)
+        records.append(TraceRecord(it, f, time.perf_counter() - t_start))
         if converged:
             break
 

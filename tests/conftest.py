@@ -93,7 +93,7 @@ class OracleRows:
             gt[pair[k]] += self.pose_factor[k].T @ jl[k]
         factors = CouplingFactors(plan, gt, self.pose_landmark[plan.pair_starts],
                                   self.camera_bases)
-        return BlockSums(plan, u, b_p, factors, v, b_l)
+        return BlockSums(u, b_p, factors, v, b_l)
 
     def project(self, bases: TangentBasis) -> OracleRows:
         """Each row band right-multiplied by its parameter's tangent basis."""

@@ -1,5 +1,5 @@
+import dataclasses
 import logging
-import math
 
 import numpy as np
 import pytest
@@ -8,16 +8,14 @@ from scipy.spatial.transform import Rotation
 from stratba import metric_upgrade
 from stratba.bal_io import BaProblem, ProjectiveState, load_bal, prune_underobserved, write_bal
 from stratba.metric_upgrade import (
-    AmbiguityState,
     _gram_terms,
     _reduced_jacobian,
     _reduced_residual,
+    _scales,
     _sym6,
     ambiguity_columns,
     gram_derivative,
     intrinsics_from_problem,
-    metric_residual,
-    optimal_alphas,
     upgrade,
     vec_transpose_permutation,
 )
@@ -57,91 +55,31 @@ def warped_problem(c_true, n=6, seed=0, scales=True):
     return problem, state, k, r, t
 
 
-def test_metric_residual_zero_at_metric_camera(rng):
-    r = rotation_stack(rng, 1)[0]
-    t = rng.standard_normal(3)
-    k = np.diag([1.4, 1.4, 1.0])
-    camera = k @ np.concatenate([r, t[:, None]], axis=1)
-    state = AmbiguityState(c=np.zeros(3), alphas=np.ones(1))
-    res = metric_residual(camera, k, state)
-    np.testing.assert_allclose(res, 0.0, atol=1e-12)
+def test_scales_fall_back_to_one_at_zero_norm():
+    m = np.zeros((2, 3, 3))
+    m[1] = 2.0 * np.eye(3)  # <M, I> / <M, M> = 6 / 12
+    np.testing.assert_array_equal(_scales(m), [1.0, 0.5])
 
 
-def test_metric_residual_alpha_zero(rng):
-    camera = rng.standard_normal((3, 4))
-    state = AmbiguityState(c=rng.standard_normal(3), alphas=np.zeros(1))
-    res = metric_residual(camera, np.eye(3), state)
-    # residual is -I: weighted triangle (-1, 0, 0, -1, 0, -1), squared norm 3
-    np.testing.assert_allclose(res, [-1, 0, 0, -1, 0, -1], atol=1e-15)
-    assert float(res @ res) == pytest.approx(3.0)
+def test_scales_minimize_the_misfit(rng):
+    q = rng.standard_normal((4, 3, 3))
+    m = q @ q.transpose(0, 2, 1)
+    alphas = _scales(m)
 
+    def misfit(a):
+        return np.linalg.norm(a[:, None, None] * m - np.eye(3), axis=(1, 2))
 
-def test_metric_residual_matches_naive(rng):
-    for _ in range(10):
-        camera = rng.standard_normal((3, 4))
-        k = np.diag([rng.uniform(0.5, 2.0)] * 2 + [1.0])
-        c = rng.standard_normal(3)
-        alpha = rng.uniform(0.1, 3.0)
-        state = AmbiguityState(c=c, alphas=np.array([alpha]))
-        got = metric_residual(camera, k, state)
-        # independent transcription
-        q = np.linalg.inv(k) @ camera
-        h = np.vstack([np.eye(3), c])
-        m3 = alpha * (q @ h) @ (q @ h).T - np.eye(3)
-        s2 = math.sqrt(2.0)
-        naive = np.array([m3[0, 0], s2 * m3[0, 1], s2 * m3[0, 2],
-                          m3[1, 1], s2 * m3[1, 2], m3[2, 2]])
-        np.testing.assert_allclose(got, naive, atol=1e-12)
-        assert float(got @ got) == pytest.approx(np.linalg.norm(m3) ** 2, rel=1e-12)
-
-
-def test_metric_residual_singular_intrinsics():
-    with pytest.raises(ValueError, match="singular"):
-        metric_residual(np.ones((3, 4)), np.zeros((3, 3)),
-                        AmbiguityState(np.zeros(3), np.ones(1)))
-
-
-def test_optimal_alphas_identity_and_double(rng):
-    r = rotation_stack(rng, 1)[0]
-    t = rng.standard_normal(3)
-    camera = np.concatenate([r, t[:, None]], axis=1)  # M = R R^T = I
-    k = np.eye(3)[None]
-    a = optimal_alphas(camera[None], k, np.zeros(3))
-    np.testing.assert_allclose(a, [1.0], atol=1e-12)
-    doubled = np.concatenate([math.sqrt(2.0) * r, t[:, None]], axis=1)  # M = 2 I
-    a2 = optimal_alphas(doubled[None], k, np.zeros(3))
-    np.testing.assert_allclose(a2, [0.5], atol=1e-12)
-
-
-def test_optimal_alphas_scale_equivariant(rng):
-    camera = rng.standard_normal((1, 3, 4))
-    k = np.eye(3)[None]
-    c = rng.standard_normal(3)
-    a1 = optimal_alphas(camera, k, c)
-    s = 1.7
-    a2 = optimal_alphas(math.sqrt(s) * camera, k, c)  # scales M by s
-    np.testing.assert_allclose(a2, a1 / s, rtol=1e-12)
-
-
-def test_optimal_alphas_are_minimizers(rng):
-    camera = rng.standard_normal((1, 3, 4))
-    k = np.eye(3)[None]
-    c = rng.standard_normal(3)
-    alpha = optimal_alphas(camera, k, c)[0]
-
-    def term(a):
-        res = metric_residual(camera[0], k[0], AmbiguityState(c, np.array([a])))
-        return float(res @ res)
-
-    base = term(alpha)
     for delta in (-0.1, -1e-3, 1e-3, 0.1):
-        assert term(alpha + delta) >= base
+        assert (misfit(alphas + delta) >= misfit(alphas)).all()
+    np.testing.assert_allclose(_scales(1.7 * m), alphas / 1.7, rtol=1e-12)
 
 
-def test_optimal_alphas_zero_gram_falls_back(caplog):
-    with caplog.at_level("WARNING"):
-        a = optimal_alphas(np.zeros((1, 3, 4)), np.eye(3)[None], np.zeros(3))
-    np.testing.assert_array_equal(a, [1.0])
+def test_upgrade_rejects_singular_intrinsics():
+    problem, state, _, _, _ = warped_problem(np.zeros(3), n=3, seed=1)
+    metric_cameras = problem.metric_cameras.copy()
+    metric_cameras[1, 6] = 0.0  # K = diag(0, 0, 1)
+    with pytest.raises(ValueError, match="singular"):
+        upgrade(dataclasses.replace(problem, metric_cameras=metric_cameras), state)
 
 
 # ---------------------------------------------------------------------------
@@ -224,10 +162,13 @@ def test_upgrade_recovers_known_ambiguity():
 
 
 def test_upgrade_scales_are_the_closed_form_ones():
-    # the search and optimal_alphas share one scale formula: equal bit for bit
+    # each scale is <M, I> / <M, M> of its camera's M at the final c, bit for bit
     problem, state, _, _, _ = warped_problem(np.array([0.1, -0.2, 0.3]), n=6, seed=0)
     result = upgrade(problem, state)
-    expected = optimal_alphas(state.cameras, intrinsics_from_problem(problem), result.state.c)
+    qh = np.linalg.solve(intrinsics_from_problem(problem), state.cameras) @ \
+        ambiguity_columns(result.state.c)
+    m = qh @ qh.transpose(0, 2, 1)
+    expected = np.trace(m, axis1=1, axis2=2) / np.einsum("nij,nij->n", m, m)
     np.testing.assert_array_equal(result.state.alphas, expected)
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -21,6 +23,7 @@ from stratba.objective import (
     STAGE1,
     STAGE2,
     PoseConfig,
+    pinv_psd,
     solve_landmarks,
     stage1_landmark_normals,
     stage1_residuals,
@@ -234,8 +237,7 @@ def test_v_blocks_positive_definite_in_both_mode():
 def test_blocks_reference_strictly_increasing_cameras():
     problem = make_random_problem(6, 9, seed=4)
     state = make_random_state(problem, 5, STAGE1)
-    blocks = build_stage1_blocks(problem, state, PoseConfig(0.1))
-    plan = blocks.plan
+    plan = problem.plan
     # camera-major rows: cameras non-decreasing, landmarks strictly increasing per camera
     assert (np.diff(plan.row_camera) >= 0).all()
     for c in range(problem.num_cameras):
@@ -292,6 +294,53 @@ def test_redamped_equals_fresh_assembly(mode):
         np.testing.assert_array_equal(getattr(redamped, name), getattr(fresh, name))
     np.testing.assert_array_equal(schur_rhs(redamped), schur_rhs(fresh))
     np.testing.assert_array_equal(dense_schur(redamped), dense_schur(fresh))
+
+
+def test_pose_only_system_computes_v_pinv_once(monkeypatch):
+    # V is not damped in pose-only mode: its pseudo-inverse is formed by the
+    # first system and shared, array for array, by every re-damped one
+    problem = make_random_problem(4, 9, seed=21)
+    sums = build_stage1_blocks(problem, make_random_state(problem, 22, STAGE1), PoseConfig(0.1))
+    assert sums.v_pinv is None
+    calls = []
+
+    def counting_pinv(blocks, tol):
+        calls.append(blocks)
+        return pinv_psd(blocks, tol)
+
+    monkeypatch.setattr(normal_eq, "pinv_psd", counting_pinv)
+    system = assemble(sums, 1e-4, POSE_ONLY)
+    redamped = [system.redamped(0.37), system.redamped(0.37).redamped(1.5)]
+    assert len(calls) == 1 and calls[0] is sums.v
+    assert sums.v_pinv is None
+    assert system.v_pinv == (system.v_inv, system.v_degenerate)
+    for other in redamped:
+        assert other.v_blocks is sums.v
+        assert other.v_inv is system.v_inv
+        assert other.v_degenerate is system.v_degenerate
+
+
+@pytest.mark.parametrize("lam", [1e-4, 0.37])
+def test_both_mode_ignores_a_carried_v_pinv(lam):
+    # a re-solve's V^+ is that of the undamped V: a both-mode system damps V
+    # and forms its own, bit-equal to a system built from sums without it
+    problem = make_random_problem(5, 12, seed=8)
+    cfg = PoseConfig(0.1)
+    state = make_random_state(problem, 9, STAGE1)
+    resolved = solve_landmarks(state, problem, cfg)
+    carried = build_stage1_blocks(problem, ProjectiveState(state.cameras, resolved.landmarks),
+                                  cfg, resolved)
+    assert carried.v_pinv is not None
+    plain = dataclasses.replace(carried, v_pinv=None)
+    got, want = assemble(carried, lam, BOTH), assemble(plain, lam, BOTH)
+    assert not np.array_equal(got.v_inv, carried.v_pinv[0])
+    for system in (got, got.redamped(0.5 * lam).redamped(lam)):
+        for name in ("u_blocks", "v_blocks", "v_inv", "v_degenerate"):
+            np.testing.assert_array_equal(getattr(system, name), getattr(want, name))
+        t = np.linspace(-1.0, 1.0, want.pose_dim)
+        np.testing.assert_array_equal(schur_rhs(system), schur_rhs(want))
+        np.testing.assert_array_equal(back_substitute(system, t), back_substitute(want, t))
+        np.testing.assert_array_equal(dense_schur(system), dense_schur(want))
 
 
 def problem_with_unobserved(seed):
@@ -563,6 +612,20 @@ def test_plan_built_lazily_and_cached(tmp_path):
     values = np.arange(loaded.num_observations, dtype=float)
     expected_sums = np.bincount(plan.row_landmark, weights=values, minlength=6)
     np.testing.assert_array_equal(plan.landmark_sums(values), expected_sums)
+    # on a graph with repeated (camera, landmark) pairs, each distinct pair
+    # holds the sum of its observations' weights in one set of four columns
+    # (quarter-integer measurements, so that every sum is exact)
+    rng = np.random.default_rng(5)
+    cams, lms = rng.integers(0, 7, 600), rng.integers(0, 40, 600)
+    repeated = BaProblem(7, 40, 600, cams, lms, rng.integers(-8, 9, (600, 2)) / 4.0)
+    n_pairs = len(repeated.plan.pair_starts)
+    assert n_pairs < 600
+    weights = repeated.measurement_weights
+    assert weights.nnz == 4 * n_pairs and weights.has_canonical_format
+    expected = np.zeros((40, 4 * 7))
+    for c, lm, (m0, m1) in zip(cams, lms, repeated.measurements):
+        expected[lm, 4 * c:4 * c + 4] += [1.0, m0, m1, m0 * m0 + m1 * m1]
+    np.testing.assert_array_equal(weights.toarray(), expected)
 
 
 def raw_pixel_problem():

@@ -158,9 +158,8 @@ def identity_system(dim_blocks=2):
     # no observations: W has no blocks
     plan = BaProblem(dim_blocks, 1, 0, np.zeros(0, int), np.zeros(0, int), np.zeros((0, 2))).plan
     system = SchurSystem(
-        hessian_u=u, hessian_v=v,
-        factors=CouplingFactors(plan, np.zeros((0, 3, 3)), np.zeros((0, 4))),
-        b_p=b_p, b_l=np.zeros((1, 3)), lam=0.0, damping_mode=POSE_ONLY)
+        u=u, b_p=b_p, factors=CouplingFactors(plan, np.zeros((0, 3, 3)), np.zeros((0, 4))),
+        v=v, b_l=np.zeros((1, 3)), lam=0.0, damping_mode=POSE_ONLY)
     np.testing.assert_array_equal(system.u_blocks, u)
     np.testing.assert_array_equal(system.v_inv, v)
     assert not system.v_degenerate.any()

@@ -8,7 +8,8 @@ import pytest
 
 from stratba import solvers
 from stratba.bal_io import random_init
-from stratba.objective import STAGE1
+from stratba.objective import STAGE1, STAGE2
+from stratba.riemannian import lift_stage1_to_stage2
 from stratba.solvers import SolverConfig, direct_schur_solve
 from tests.conftest import make_random_problem, make_varpro_system
 
@@ -68,5 +69,34 @@ def test_traced_povar_stage1_keeps_its_spans():
     assert report["normal_eq.build_stage1_blocks.calls"] == 1 + sum(accepted[:-1])
     assert report["normal_eq.assemble.stage1.calls"] == 1 + sum(accepted[:-1])
     assert report["solvers.lm_iterations.stage1"] == len(accepted)
-    # varpro trials re-solve the landmarks, so no landmark update is back-substituted
+    # pose-only trials re-solve the landmarks, so no landmark update is back-substituted
     assert report["normal_eq.back_substitute.calls"] == 0
+
+
+def test_traced_ripoba_stage2_keeps_its_spans():
+    # perfbench requires the stage-2 spans to record calls: one tangent-space
+    # linearization (riemannian_step, which projects the sums and assembles
+    # them) at the start and after every accepted step that another iteration
+    # follows; a rejected step re-damps the kept system instead
+    problem = make_random_problem(4, 20, seed=9)
+    stage1, _ = solvers.lm_minimize(problem, random_init(problem, 1), STAGE1,
+                                    SolverConfig(max_outer_iterations=5))
+    tracer = load_spans_module().Tracer()
+    tracer.install()
+    try:
+        _, trace = solvers.lm_minimize(problem, lift_stage1_to_stage2(stage1), STAGE2,
+                                       SolverConfig(stage2_solver="ripoba",
+                                                    max_outer_iterations=10))
+    finally:
+        tracer.uninstall()
+    report = tracer.report()
+    costs = [r.cost for r in trace.records]
+    accepted = [b < a for a, b in zip(costs, costs[1:])]
+    assert sum(accepted) >= 2 and not all(accepted[:-1])
+    linearizations = 1 + sum(accepted[:-1])
+    for span in ("riemannian.riemannian_step", "riemannian.project_blocks",
+                 "normal_eq.build_stage2_blocks", "normal_eq.assemble.stage2"):
+        assert report[f"{span}.calls"] == linearizations, span
+    assert report["normal_eq.assemble.stage1.calls"] == 0
+    assert report["solvers.power_schur_solve.calls"] == len(accepted)
+    assert report["solvers.lm_iterations.stage2"] == len(accepted)
