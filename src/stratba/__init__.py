@@ -39,7 +39,6 @@ from .objective import LandmarkSolve, PoseConfig, solve_landmarks, total_cost
 from .pipeline import RunSpec, run_problem
 from .riemannian import (
     TangentBasis,
-    lift_stage1_to_stage2,
     project_blocks,
     retract,
     riemannian_step,

@@ -94,7 +94,7 @@ class BaProblem:
 
     @functools.cached_property
     def plan(self) -> ObservationPlan:
-        """Observation orders of the block-sparse normal equations, built on first use."""
+        """The distinct (camera, landmark) pairs the normal equations sum over, built on first use."""
         return ObservationPlan.build(self)
 
     def rescaled(self, scale: float) -> BaProblem:
@@ -108,66 +108,65 @@ class BaProblem:
         return out
 
     @functools.cached_property
-    def row_weights(self) -> np.ndarray:
-        """Per-observation measurement weights, built on first use.
+    def pair_weights(self) -> np.ndarray:
+        """Per-pair measurement weights, built on first use.
 
-        The read-only (4, n_obs) weights (1, m0, m1, |m|^2) of
-        ``objective.stage1_weights`` in the plan's camera-major row order;
-        rows 1-2 are the measurements in that order.
+        The read-only (4, n_pairs) sums, over each of the plan's distinct
+        pairs, of the weights (1, m0, m1, |m|^2) of ``objective.stage1_weights``:
+        row 0 counts the pair's observations, rows 1-2 sum its measurements
+        and row 3 their squared norms. Every observation of a pair shares its
+        camera and landmark, and each linearization is linear in these weights,
+        so it sums over pairs instead of observations.
         """
-        return _frozen(stage1_weights(self.measurements[self.plan.rows]))
+        pairs = self.plan.observation_pair
+        weights = stage1_weights(self.measurements)
+        out = np.zeros((4, len(self.plan.pair_camera)))
+        if out.shape[1] == len(pairs):  # each pair observed once: keep every bit, -0.0 too
+            out[:, pairs] = weights
+        else:
+            np.add.at(out.T, pairs, weights.T)
+        return _frozen(out)
 
     @functools.cached_property
     def measurement_weights(self) -> scipy.sparse.csr_array:
-        """Per-pair measurement weights, built on first use.
+        """Per-pair measurement weights as a sparse matrix, built on first use.
 
         A (num_landmarks, 4 num_cameras) CSR matrix: row l, columns 4c..4c+3
-        hold the ``row_weights`` summed over landmark l's observations by
-        camera c. Its product with a per-camera table gives the stage-1
-        landmark normal equations. Built from the plan's ``pair_starts``: the
-        weights are summed over each distinct pair's adjacent rows and laid
-        out in landmark-major pair order. It sorts that order itself: reading
-        the plan's cached pair arrays here, before the first linearization,
-        raised the peak RSS of the ``bal-povar`` benchmark solve.
+        hold the ``pair_weights`` of the pair (c, l), laid out in the plan's
+        landmark-major pair order. Its product with a per-camera table gives
+        the stage-1 landmark normal equations.
         """
         plan = self.plan
-        weights = self.row_weights
-        starts = plan.pair_starts
-        if len(starts) < len(plan.rows):  # some pair is observed more than once
-            weights = np.add.reduceat(weights, starts, axis=1)
-        landmarks = plan.row_landmark[starts]
-        order = np.argsort(landmarks, kind="stable")
-        cols = 4 * plan.row_camera[starts][order, None] + np.arange(4)
-        return scipy.sparse.csr_array((weights.T[order].ravel(), cols.ravel(),
-                                       4 * _segment_pointers(landmarks, self.num_landmarks)),
+        order = plan.landmark_pairs
+        cols = 4 * plan.pair_camera[order, None] + np.arange(4)
+        return scipy.sparse.csr_array((self.pair_weights.T[order].ravel(), cols.ravel(),
+                                       4 * plan.landmark_pair_ptr),
                                       shape=(self.num_landmarks, 4 * self.num_cameras))
 
 
 @dataclass(frozen=True)
 class ObservationPlan:
-    """Camera-major and landmark-major observation orders with segment pointers.
+    """The distinct (camera, landmark) pairs of a problem, camera-major and landmark-major.
 
-    Linearized rows are stored in camera-major order (landmarks increasing
-    within a camera), so each camera owns the contiguous rows
-    ``camera_ptr[c]:camera_ptr[c + 1]``. ``landmark_rows`` lists those rows
-    landmark-major (cameras increasing within a landmark), each landmark
-    owning ``landmark_ptr[l]:landmark_ptr[l + 1]`` of it. Unobserved cameras
-    and landmarks get empty segments. The rows of a (camera, landmark) pair
-    observed more than once are adjacent; ``pair_starts`` holds the first row
-    of each distinct pair, where the linearization sums the pair's coupling factors.
-    The pair-level arrays (each pair's camera and landmark, the camera pointers
-    over pairs, the landmark-major pair order and the sparse index structure
-    of the coupling factors) are built on first use. All arrays are read-only, since
+    The linearization works per distinct pair: every observation of a pair
+    shares its camera and landmark, so the pair's measurement weights are
+    summed once (``BaProblem.pair_weights``) and each pair is linearized
+    once. Pairs are stored camera-major (landmarks increasing within a
+    camera), so camera c owns the contiguous pairs
+    ``pair_camera_ptr[c]:pair_camera_ptr[c + 1]``. ``landmark_pairs`` lists
+    the pairs landmark-major (cameras increasing within a landmark), landmark
+    l owning ``landmark_pair_ptr[l]:landmark_pair_ptr[l + 1]`` of it.
+    ``observation_pair`` maps each observation to its pair. Unobserved
+    cameras and landmarks get empty segments. All arrays are read-only, since
     one plan serves every linearization.
     """
 
-    rows: np.ndarray  # (n_obs,) observation index of each camera-major row
-    row_camera: np.ndarray  # (n_obs,) camera of each row, non-decreasing
-    row_landmark: np.ndarray  # (n_obs,) landmark of each row
-    camera_ptr: np.ndarray  # (n_cameras + 1,)
-    landmark_rows: np.ndarray  # (n_obs,) rows in landmark-major order
-    landmark_ptr: np.ndarray  # (n_landmarks + 1,)
-    pair_starts: np.ndarray  # (n_pairs,) first row of each distinct (camera, landmark) pair
+    observation_pair: np.ndarray  # (n_obs,) pair of each observation
+    pair_camera: np.ndarray  # (n_pairs,) camera of each pair, non-decreasing
+    pair_landmark: np.ndarray  # (n_pairs,) landmark of each pair, increasing within a camera
+    pair_camera_ptr: np.ndarray  # (n_cameras + 1,)
+    landmark_pairs: np.ndarray  # (n_pairs,) pairs in landmark-major order
+    landmark_pair_ptr: np.ndarray  # (n_landmarks + 1,)
 
     def __post_init__(self):
         for name, value in vars(self).items():
@@ -175,52 +174,26 @@ class ObservationPlan:
 
     @classmethod
     def build(cls, problem: BaProblem) -> ObservationPlan:
-        cams, lms = problem.camera_indices, problem.landmark_indices
-        keys = cams * problem.num_landmarks + lms
-        rows = np.argsort(keys, kind="stable")
-        row_keys, row_landmark = keys[rows], lms[rows]
+        n_l = max(problem.num_landmarks, 1)
+        keys, observation_pair = np.unique(problem.camera_indices * n_l + problem.landmark_indices,
+                                           return_inverse=True)
+        pair_camera, pair_landmark = np.divmod(keys, n_l)
         return cls(
-            rows=rows,
-            row_camera=cams[rows],
-            row_landmark=row_landmark,
-            camera_ptr=_segment_pointers(cams, problem.num_cameras),
-            landmark_rows=np.argsort(row_landmark, kind="stable"),
-            landmark_ptr=_segment_pointers(lms, problem.num_landmarks),
-            pair_starts=np.flatnonzero(np.diff(row_keys, prepend=-1)),
+            observation_pair=observation_pair,
+            pair_camera=pair_camera,
+            pair_landmark=pair_landmark,
+            pair_camera_ptr=_segment_pointers(pair_camera, problem.num_cameras),
+            landmark_pairs=np.argsort(pair_landmark, kind="stable"),
+            landmark_pair_ptr=_segment_pointers(pair_landmark, problem.num_landmarks),
         )
 
     @property
     def num_cameras(self) -> int:
-        return len(self.camera_ptr) - 1
+        return len(self.pair_camera_ptr) - 1
 
     @property
     def num_landmarks(self) -> int:
-        return len(self.landmark_ptr) - 1
-
-    @functools.cached_property
-    def pair_camera(self) -> np.ndarray:
-        """(n_pairs,) camera of each distinct pair, non-decreasing (the plan's pair order)."""
-        return _frozen(self.row_camera[self.pair_starts], np.int64)
-
-    @functools.cached_property
-    def pair_landmark(self) -> np.ndarray:
-        """(n_pairs,) landmark of each distinct pair, increasing within a camera."""
-        return _frozen(self.row_landmark[self.pair_starts], np.int64)
-
-    @functools.cached_property
-    def pair_camera_ptr(self) -> np.ndarray:
-        """(n_cameras + 1,) camera c owns pairs ``pair_camera_ptr[c]:pair_camera_ptr[c + 1]``."""
-        return _frozen(np.searchsorted(self.pair_starts, self.camera_ptr), np.int64)
-
-    @functools.cached_property
-    def landmark_pairs(self) -> np.ndarray:
-        """(n_pairs,) the pairs landmark-major, cameras increasing within a landmark."""
-        return _frozen(np.argsort(self.pair_landmark, kind="stable"), np.int64)
-
-    @functools.cached_property
-    def landmark_pair_ptr(self) -> np.ndarray:
-        """(n_landmarks + 1,) landmark l owns ``landmark_pairs[landmark_pair_ptr[l]:...[l + 1]]``."""
-        return _frozen(_segment_pointers(self.pair_landmark, self.num_landmarks), np.int64)
+        return len(self.landmark_pair_ptr) - 1
 
     def factor_matrices(self, width: int) -> tuple[scipy.sparse.sparray, ...]:
         """Templates of the sparse matrices that wrap the coupling factors, cached per width.
@@ -234,24 +207,26 @@ class ObservationPlan:
         """
         cache = self.__dict__.setdefault("_factor_matrices", {})
         if width not in cache:
-            n_pairs, n_cameras, n_landmarks = len(self.pair_starts), self.num_cameras, self.num_landmarks
+            n_pairs, n_cameras = len(self.pair_camera), self.num_cameras
             cols = width * self.pair_landmark[:, None, None] + np.arange(width)
             xi = _index_only_csr(4 * self.pair_camera[:, None] + np.arange(4), 4 * n_cameras)
-            psi = _index_only_csr(np.broadcast_to(cols, (n_pairs, 3, width)), width * n_landmarks)
+            psi = _index_only_csr(np.broadcast_to(cols, (n_pairs, 3, width)),
+                                  width * self.num_landmarks)
             cache[width] = xi, psi, xi.T, psi.T
         return cache[width]
 
     @functools.cached_property
     def landmark_segments(self) -> scipy.sparse.csr_array:
-        """(n_landmarks, n_obs) CSR of ones: row l picks landmark l's camera-major rows."""
+        """(n_landmarks, n_pairs) CSR of ones: row l picks landmark l's pairs."""
+        n_pairs = len(self.pair_camera)
         return scipy.sparse.csr_array(
-            (np.ones(len(self.rows)), self.landmark_rows, self.landmark_ptr),
-            shape=(self.num_landmarks, len(self.rows)))
+            (np.ones(n_pairs), self.landmark_pairs, self.landmark_pair_ptr),
+            shape=(self.num_landmarks, n_pairs))
 
     def landmark_sums(self, values: np.ndarray) -> np.ndarray:
-        """Per-landmark sums of values listed in camera-major row order; zero if unobserved.
+        """Per-landmark sums of values listed in the plan's pair order; zero if unobserved.
 
-        Each landmark's rows are summed in ``landmark_rows`` order (cameras
+        Each landmark's pairs are summed in ``landmark_pairs`` order (cameras
         increasing) by one product with ``landmark_segments``.
         """
         sums = self.landmark_segments @ values.reshape(len(values), math.prod(values.shape[1:]))

@@ -55,8 +55,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="first stage then refinement (default)")
     stage.add_argument("--metric", dest="stage", action="store_const", const="metric",
                        help="full pipeline plus metric upgrade")
-    solve.set_defaults(stage="full")
-    solve.add_argument("--seed", type=int, default=0)
+    solve.set_defaults(stage=RunSpec.stage)
+    solve.add_argument("--seed", type=int, default=RunSpec.seed)
     defaults = SolverConfig()
     names = {"stage1_solver": STAGE1_SOLVERS, "stage2_solver": STAGE2_SOLVERS}
     for key, flag, attr in SOLVER_SETTINGS:
@@ -64,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
         solve.add_argument(flag, dest=key, type=type(default), default=default,
                            help=" | ".join(names[key]) if key in names else None)
     solve.add_argument("--out-dir", default=None,
-                       help="artifact directory (default: $STRATBA_OUT_DIR or .)")
+                       help=f"artifact directory (default: $STRATBA_OUT_DIR or {RunSpec.out_dir})")
     solve.add_argument("--jobs", type=int, default=1,
                        help="worker threads across independent input files")
     solve.add_argument("inputs", nargs="+", help="BAL problem files (plain, .gz, or .bz2)")
@@ -87,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_solve(args) -> int:
-    out_dir = args.out_dir or os.environ.get("STRATBA_OUT_DIR", ".")
+    out_dir = args.out_dir or os.environ.get("STRATBA_OUT_DIR", RunSpec.out_dir)
     try:
         spec = RunSpec(
             inputs=args.inputs,

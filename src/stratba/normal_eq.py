@@ -1,26 +1,28 @@
 """Block-sparse damped normal equations and their Schur reduction.
 
-Both stages linearize the same way, in the camera-major row order of the
-problem's observation plan (``BaProblem.plan``). An observation's residual
-depends on its camera P only through u = P x, so its pose Jacobian has the
-Kronecker form D (x) x^T, with D = dr/du: the 4x3 measurement matrix B in
-stage 1, the 2x3 derivative of the perspective division in stage 2. D^T D is
-a weighted sum sum_k w_k C_k over the four 3x3 bases of
-``objective.stage1_gram_basis`` (stage 2 at eta = 0). So a stage supplies per
-observation only its weights, a = D^T r and the 3 x d_l block G^T = D^T Jl,
-and one helper forms U and b_p from one (19 x 4) moment GEMM per camera; no
+Both stages linearize the same way, once per distinct (camera, landmark)
+pair of the problem's observation plan (``BaProblem.plan``), in its
+camera-major pair order. An observation's residual depends on its camera P
+only through u = P x, so its pose Jacobian has the Kronecker form
+D (x) x^T, with D = dr/du: the 4x3 measurement matrix B in stage 1, the 2x3
+derivative of the perspective division in stage 2. D^T D is a weighted sum
+sum_k w_k C_k over the four 3x3 bases of ``objective.stage1_gram_basis``
+(stage 2 at eta = 0). So a stage supplies per pair only its weights, a = D^T r
+and the 3 x d_l block G^T = D^T Jl, each summed over the pair's observations
+(all linear in the measurement weights, ``BaProblem.pair_weights``), and one
+helper forms U and b_p from one (19 x 4) moment GEMM per camera; no
 per-observation pose Jacobian is formed. V and b_l come from the landmark
 normal equations of ``objective`` (stage 1) or, with landmark Jacobian D P,
 as P^T G^T and P^T a (stage 2).
 
 No W = Jp^T Jl or W^T matrix is formed either. The W block of a distinct
 (camera, landmark) pair is G^T (x) x, so the sums (``BlockSums``) keep W as
-its Kronecker factors (``CouplingFactors``): per pair, G^T summed over the
-pair's observations, and x; stage 2's tangent projection multiplies G^T by
-the landmark basis and keeps the camera bases, which are applied to
-vectors. Two CSR matrices with the plan's pair indices wrap the factors
-without copying them and give the products W v and W^T t of the reduced
-right-hand side, the matrix-free coupling round trip and back-substitution.
+its Kronecker factors (``CouplingFactors``): per pair, G^T and x; stage 2's
+tangent projection multiplies G^T by the landmark basis and keeps the camera
+bases, which are applied to vectors. Two CSR matrices with the plan's pair
+indices wrap the factors without copying them and give the products W v and
+W^T t of the reduced right-hand side, the matrix-free coupling round trip and
+back-substitution.
 ``assemble`` damps the sums into the reduced-camera operator, a
 ``SchurSystem`` that extends them: the same fields, plus the damping, the
 damped blocks and the landmark pseudo-inverses.
@@ -193,38 +195,37 @@ def _kronecker_sums(plan: ObservationPlan, basis: np.ndarray, weights: np.ndarra
                     ) -> BlockSums:
     """Block sums of a pose Jacobian in the Kronecker form D (x) x^T.
 
-    Per camera-major observation, with the observation axis last: the weights
-    w (4, n) of D^T D = sum_k w_k C_k over ``basis`` (4, 3, 3), the landmark
-    x (4, n), a = D^T r (3, n) and G^T = D^T Jl (3, d_l, n). A camera's U is
-    sum_k C_k (x) M_k over the moments M_k = sum w_k x x^T of its
-    observations and its b_p is sum a (x) x, both from one (19 x 4) moment
-    GEMM per camera. W is kept as its factors, pair-major: a repeated pair
-    sums its G^T, since x is shared.
+    Per distinct pair, in the plan's pair order with the pair axis last, each
+    summed over the pair's observations: the weights w (4, n) of
+    D^T D = sum_k w_k C_k over ``basis`` (4, 3, 3), a = D^T r (3, n) and
+    G^T = D^T Jl (3, d_l, n); and the pair's landmark x (4, n). A camera's U
+    is sum_k C_k (x) M_k over the moments M_k = sum w_k x x^T of its pairs
+    and its b_p is sum a (x) x, both from one (19 x 4) moment GEMM per
+    camera. W is kept as its factors G^T and x.
     """
     n_p, n = plan.num_cameras, x.shape[1]
     lhs = np.empty((19, n))  # rows w_k x, then a
     lhs[:16].reshape(4, 4, n)[...] = weights[:, None] * x
     lhs[16:] = a
     moments = np.empty((n_p, 19, 4))
+    ptr = plan.pair_camera_ptr
     for c in range(n_p):
-        sl = slice(plan.camera_ptr[c], plan.camera_ptr[c + 1])
+        sl = slice(ptr[c], ptr[c + 1])
         moments[c] = lhs[:, sl] @ x[:, sl].T
     u = np.einsum("kjJ,ckaA->cjaJA", basis,
                   moments[:, :16].reshape(n_p, 4, 4, 4)).reshape(n_p, 12, 12)
     b_p = moments[:, 16:].reshape(n_p, 12)
-    starts = plan.pair_starts
-    if len(starts) < n:  # some camera observes a landmark more than once
-        gt = np.add.reduceat(gt, starts, axis=2)
-    factors = CouplingFactors(plan, np.ascontiguousarray(gt.transpose(2, 0, 1)), x.T[starts])
+    factors = CouplingFactors(plan, np.ascontiguousarray(gt.transpose(2, 0, 1)),
+                              np.ascontiguousarray(x.T))
     return BlockSums(u, b_p, factors, v, b_l, v_pinv)
 
 
-def _gather_rows(problem: BaProblem, state: ProjectiveState) -> tuple[np.ndarray, np.ndarray]:
-    """Cameras (3, 4, n) and landmarks (4, n) of the camera-major rows, observation axis last."""
+def _gather_pairs(problem: BaProblem, state: ProjectiveState) -> tuple[np.ndarray, np.ndarray]:
+    """Cameras (3, 4, n) and landmarks (4, n) of the plan's distinct pairs, pair axis last."""
     plan = problem.plan
-    n = len(plan.rows)
-    cams = np.take(state.cameras.reshape(-1, 12).T, plan.row_camera, axis=1).reshape(3, 4, n)
-    return cams, np.take(state.landmarks.T, plan.row_landmark, axis=1)
+    n = len(plan.pair_camera)
+    cams = np.take(state.cameras.reshape(-1, 12).T, plan.pair_camera, axis=1).reshape(3, 4, n)
+    return cams, np.take(state.landmarks.T, plan.pair_landmark, axis=1)
 
 
 def build_stage1_blocks(problem: BaProblem, state: ProjectiveState,
@@ -233,9 +234,10 @@ def build_stage1_blocks(problem: BaProblem, state: ProjectiveState,
     """Linearize the stage-1 objective (widths 12/3).
 
     The pose Jacobian is B (x) x^T with B the 4x3 measurement matrix, whose
-    B^T B has the weights (1, m0, m1, |m|^2) of ``problem.row_weights``,
-    computed once per problem; the landmark Jacobian is
-    A = B P[:, :3], so G^T = B^T B P[:, :3] and a = B^T (B P x - d).
+    B^T B has the weights (1, m0, m1, |m|^2); the landmark Jacobian is
+    A = B P[:, :3], so G^T = B^T B P[:, :3] and a = B^T (B P x - d). All
+    three are linear in the weights, so a pair's sums come from its summed
+    weights (``problem.pair_weights``, computed once per problem).
     ``resolved``, the landmark re-solve at ``state.cameras``, supplies A^T A,
     A^T c and V^+, which depend on the cameras alone; without it they are
     formed here by ``stage1_landmark_normals``. The landmark gradient is
@@ -244,8 +246,8 @@ def build_stage1_blocks(problem: BaProblem, state: ProjectiveState,
     """
     eta = config.eta
     basis, offsets = stage1_gram_basis(eta)
-    cams, x = _gather_rows(problem, state)
-    weights = problem.row_weights
+    cams, x = _gather_pairs(problem, state)
+    weights = problem.pair_weights
     px = np.einsum("ian,an->in", cams, x)
     a = stage1_gram_apply(px, weights, eta) - offsets.T @ weights
     if resolved is None:
@@ -266,13 +268,15 @@ def build_stage2_blocks(problem: BaProblem, state: ProjectiveState) -> BlockSums
     Jacobian is D (x) x^T, D^T D has the weights (1, p0, p1, |p|^2) / u[2]^2
     over the stage-1 basis at eta = 0, and the landmark Jacobian is D P, so
     G^T = D^T D P, a = D^T r, V = P^T G^T and b_l = P^T a per observation.
+    D does not depend on the measurement, so a pair of k observations has
+    k times those weights and G^T, and a[:2] = (k p - sum m) / u[2].
     ``riemannian.project_blocks`` projects the sums onto the tangent spaces.
 
     Degenerate observations (depth within the guard) must be excluded by the
     caller rejecting the state; here they would poison the step, so we raise.
     """
     plan = problem.plan
-    cams, x = _gather_rows(problem, state)
+    cams, x = _gather_pairs(problem, state)
     u = np.einsum("ian,an->in", cams, x)
     if not (np.abs(u[2]) > Z_EPSILON).all():
         raise FloatingPointError("degenerate projection while linearizing stage 2")
@@ -280,12 +284,14 @@ def build_stage2_blocks(problem: BaProblem, state: ProjectiveState) -> BlockSums
     p = u[:2]
     p *= inv_z
     weights = stage1_weights(p.T)  # z^2 D^T D = sum_k w_k C_k
+    pair_weights = problem.pair_weights
+    weights *= pair_weights[0]
     inv_z2 = inv_z * inv_z
     gt = stage1_gram_apply(cams, weights, 0.0)
     gt *= inv_z2
-    weights *= inv_z2
     a = np.empty((3, len(inv_z)))
-    a[:2] = (p - problem.row_weights[1:3]) * inv_z
+    a[:2] = (weights[1:3] - pair_weights[1:3]) * inv_z
+    weights *= inv_z2
     a[2] = -np.einsum("rn,rn->n", p, a[:2])
     # (D P)^T (D P) = P^T G^T and (D P)^T r = P^T a
     v = plan.landmark_sums(np.einsum("ijn,ikn->njk", cams, gt))

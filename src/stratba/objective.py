@@ -104,16 +104,18 @@ def stage1_gram_basis(eta: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def stage1_gram_apply(v: np.ndarray, weights: np.ndarray, eta: float) -> np.ndarray:
-    """B^T B v for stacks v (3, ..., n) of 3-vectors, with B^T B from the weights (4, n).
+    """sum_k w_k C_k v for stacks v (3, ..., n) of 3-vectors and weights w (4, n).
 
-    B^T B = sum_k w_k C_k of ``stage1_gram_basis``, written out; at eta = 0
-    with the stage-2 weights it is D^T D v.
+    The sum over the bases C_k of ``stage1_gram_basis``, written out and
+    linear in all four weights, so that weights summed over a pair's
+    observations give the pair's sum: B^T B v for the weights of one
+    measurement, and at eta = 0 with the stage-2 weights D^T D v.
     """
     s = 1.0 - eta
-    _, m0, m1, q = weights
+    w0, m0, m1, q = weights
     out = np.empty_like(v)
-    out[0] = v[0] - (s * m0) * v[2]
-    out[1] = v[1] - (s * m1) * v[2]
+    out[0] = w0 * v[0] - (s * m0) * v[2]
+    out[1] = w0 * v[1] - (s * m1) * v[2]
     out[2] = -s * (m0 * v[0] + m1 * v[1] - q * v[2])
     return out
 

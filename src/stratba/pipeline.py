@@ -28,7 +28,7 @@ from .bal_io import BaProblem, ProjectiveState, load_bal, prune_underobserved, r
 from .evaluation import ConvergenceTrace, TraceRecord, write_trace_csv
 from .metric_upgrade import upgrade
 from .objective import STAGE1, STAGE2, PoseConfig, total_cost
-from .riemannian import lift_stage1_to_stage2
+from .riemannian import retract
 from .solvers import NumericFailureError, SolverConfig, lm_minimize
 
 logger = logging.getLogger(__name__)
@@ -201,7 +201,7 @@ def run_problem(path: str | Path, spec: RunSpec) -> dict:
 
         if run_stage2:
             try:
-                pre_cost_projective = total_cost(lift_stage1_to_stage2(state), problem, STAGE2)
+                pre_cost_projective = total_cost(retract(state), problem, STAGE2)
             except ValueError:
                 pre_cost_projective = float("inf")
 
@@ -221,8 +221,8 @@ def run_problem(path: str | Path, spec: RunSpec) -> dict:
             }
 
         if run_stage2:
-            try:
-                state = lift_stage1_to_stage2(state)
+            try:  # the projective cost is scale-invariant: lifting keeps the residuals
+                state = retract(state)
             except ValueError as exc:
                 raise NumericFailureError(f"cannot lift state to stage 2: {exc}") from exc
             t0 = time.perf_counter()

@@ -100,15 +100,6 @@ def retract(state: ProjectiveState) -> ProjectiveState:
     )
 
 
-def lift_stage1_to_stage2(state: ProjectiveState) -> ProjectiveState:
-    """Bridge a stage-1 state (landmark last coordinate 1) to stage-2 form.
-
-    Pure renormalization: the projective cost is scale-invariant, so residuals
-    are unchanged.
-    """
-    return retract(state)
-
-
 def apply_tangent_step(state: ProjectiveState, bases: TangentBasis, pose_update: np.ndarray,
                        landmark_update: np.ndarray) -> ProjectiveState | None:
     """Back-project tangent updates, add, and retract; None if a norm collapses."""

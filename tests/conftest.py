@@ -41,13 +41,17 @@ from stratba.riemannian import TangentBasis, project_blocks, retract, state_tang
 
 @dataclass
 class OracleRows:
-    """Per-observation Jacobian row bands in the plan's camera-major row order.
+    """Per-observation Jacobian row bands in the problem's own observation order.
 
     Each pose Jacobian is D (x) x^T, held as its two factors, then
     right-multiplied by its camera's tangent basis when ``camera_bases`` is set.
+    ``plan`` only fixes the pair order of the coupling factors that ``sums``
+    returns.
     """
 
     plan: ObservationPlan
+    camera: np.ndarray  # (n_obs,) camera of each observation
+    landmark: np.ndarray  # (n_obs,) landmark of each observation
     pose_factor: np.ndarray  # (n_obs, r, 3) D = dr/du
     pose_landmark: np.ndarray  # (n_obs, 4) x
     lm_jac: np.ndarray  # (n_obs, r, d_l)
@@ -60,7 +64,7 @@ class OracleRows:
         d, x = self.pose_factor, self.pose_landmark
         jp = (d[:, :, :, None] * x[:, None, None, :]).reshape(len(d), d.shape[1], 12)
         if self.camera_bases is not None:
-            jp = jp @ self.camera_bases[self.plan.row_camera]
+            jp = jp @ self.camera_bases[self.camera]
         return jp
 
     @property
@@ -74,31 +78,34 @@ class OracleRows:
     def sums(self) -> BlockSums:
         """U, b_p, W's factors per distinct pair, V and b_l, summed row by row.
 
-        A pair's landmark-side factor is the sum of D^T Jl over its rows, and
-        its x is that of its first row (the rows of a pair share the landmark).
+        The distinct pairs are listed camera-major, landmarks increasing
+        within a camera. A pair's landmark-side factor is the sum of D^T Jl
+        over its rows, and its x is that of any of its rows (the rows of a
+        pair share the landmark).
         """
-        plan, jp, jl, res = self.plan, self.pose_jac, self.lm_jac, self.residual
+        jp, jl, res = self.pose_jac, self.lm_jac, self.residual
         d_p, d_l = self.pose_width, self.lm_width
-        u = np.zeros((plan.num_cameras, d_p, d_p))
-        b_p = np.zeros((plan.num_cameras, d_p))
-        v = np.zeros((plan.num_landmarks, d_l, d_l))
-        b_l = np.zeros((plan.num_landmarks, d_l))
-        pair = np.searchsorted(plan.pair_starts, np.arange(len(res)), side="right") - 1
-        gt = np.zeros((len(plan.pair_starts), 3, d_l))
-        for k, (c, lm) in enumerate(zip(plan.row_camera, plan.row_landmark)):
+        u = np.zeros((self.plan.num_cameras, d_p, d_p))
+        b_p = np.zeros((self.plan.num_cameras, d_p))
+        v = np.zeros((self.plan.num_landmarks, d_l, d_l))
+        b_l = np.zeros((self.plan.num_landmarks, d_l))
+        observed = list(zip(self.camera.tolist(), self.landmark.tolist()))
+        pair_of = {pair: p for p, pair in enumerate(sorted(set(observed)))}
+        gt = np.zeros((len(pair_of), 3, d_l))
+        x = np.zeros((len(pair_of), 4))
+        for k, (c, lm) in enumerate(observed):
             u[c] += jp[k].T @ jp[k]
             b_p[c] += jp[k].T @ res[k]
             v[lm] += jl[k].T @ jl[k]
             b_l[lm] += jl[k].T @ res[k]
-            gt[pair[k]] += self.pose_factor[k].T @ jl[k]
-        factors = CouplingFactors(plan, gt, self.pose_landmark[plan.pair_starts],
-                                  self.camera_bases)
-        return BlockSums(u, b_p, factors, v, b_l)
+            gt[pair_of[c, lm]] += self.pose_factor[k].T @ jl[k]
+            x[pair_of[c, lm]] = self.pose_landmark[k]
+        return BlockSums(u, b_p, CouplingFactors(self.plan, gt, x, self.camera_bases), v, b_l)
 
     def project(self, bases: TangentBasis) -> OracleRows:
         """Each row band right-multiplied by its parameter's tangent basis."""
-        return dataclasses.replace(self, lm_jac=self.lm_jac @ bases.landmark_bases[
-            self.plan.row_landmark], camera_bases=bases.camera_bases)
+        return dataclasses.replace(self, lm_jac=self.lm_jac @ bases.landmark_bases[self.landmark],
+                                   camera_bases=bases.camera_bases)
 
 
 def stage1_landmark_jacobian(cameras: np.ndarray, measurements: np.ndarray,
@@ -174,18 +181,17 @@ def stage2_jacobians(cameras: np.ndarray, landmarks: np.ndarray, measurements: n
 
 def oracle_rows(problem: BaProblem, state: ProjectiveState, stage: int, eta: float = 0.1
                 ) -> OracleRows:
-    """Per-observation Jacobian rows of either stage in the plan's camera-major order."""
-    plan = problem.plan
-    cams = state.cameras[plan.row_camera]
-    lms = state.landmarks[plan.row_landmark]
-    meas = problem.measurements[plan.rows]
+    """Per-observation Jacobian rows of either stage in the problem's observation order."""
+    camera, landmark = problem.camera_indices, problem.landmark_indices
+    cams, lms, meas = state.cameras[camera], state.landmarks[landmark], problem.measurements
     if stage == STAGE1:
-        return OracleRows(plan, stage1_measurement_matrix(meas, eta), lms,
-                          stage1_landmark_jacobian(cams, meas, eta),
+        return OracleRows(problem.plan, camera, landmark, stage1_measurement_matrix(meas, eta),
+                          lms, stage1_landmark_jacobian(cams, meas, eta),
                           stage1_residuals(cams, lms, meas, eta))
     dpi, jl, valid = stage2_factors(cams, lms)
     assert valid.all()
-    return OracleRows(plan, dpi, lms, jl, stage2_residuals(cams, lms, meas)[0])
+    return OracleRows(problem.plan, camera, landmark, dpi, lms, jl,
+                      stage2_residuals(cams, lms, meas)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from stratba.normal_eq import (
     schur_rhs,
 )
 from stratba.objective import STAGE1, STAGE2, PoseConfig, solve_landmarks
-from stratba.riemannian import lift_stage1_to_stage2, project_blocks, state_tangent_bases
+from stratba.riemannian import project_blocks, retract, state_tangent_bases
 from stratba.solvers import (
     SolverConfig,
     direct_schur_solve,
@@ -241,7 +241,7 @@ def test_criterion_05_end_to_end_desk_scale():
         ratio = trace1.records[-1].cost / trace1.initial_cost
         assert trace1.records[-1].iteration <= 50
         assert ratio <= 1e-8
-        s2, trace2 = lm_minimize(problem, lift_stage1_to_stage2(s1), STAGE2, cfg)
+        s2, trace2 = lm_minimize(problem, retract(s1), STAGE2, cfg)
         final2 = trace2.records[-1].cost
         assert final2 <= 1e-6
         ratios.append(ratio)
@@ -323,7 +323,7 @@ def test_criterion_07_riemannian_structure():
     ring = make_ring_problem(5, 25, 0.0, seed=2)
     start = random_init(ring, 0)
     s1, _ = lm_minimize(ring, start, STAGE1, SolverConfig())
-    final, _ = lm_minimize(ring, lift_stage1_to_stage2(s1), STAGE2, SolverConfig())
+    final, _ = lm_minimize(ring, retract(s1), STAGE2, SolverConfig())
     cam_norms = np.linalg.norm(final.cameras.reshape(-1, 12), axis=1)
     lm_norms = np.linalg.norm(final.landmarks, axis=1)
     assert np.abs(cam_norms - 1.0).max() <= 1e-12
@@ -455,7 +455,7 @@ def test_criterion_10_determinism():
         _, t2 = lm_minimize(problem, state, STAGE1, cfg)
         assert [r.cost for r in t1.records] == [r.cost for r in t2.records]
     s1, _ = lm_minimize(problem, state, STAGE1, SolverConfig(max_outer_iterations=10))
-    lifted = lift_stage1_to_stage2(s1)
+    lifted = retract(s1)
     for cfg in (SolverConfig(max_outer_iterations=10),
                 SolverConfig(stage2_solver="ripcg", max_outer_iterations=10)):
         _, t1 = lm_minimize(problem, lifted, STAGE2, cfg)

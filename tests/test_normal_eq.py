@@ -51,7 +51,8 @@ def single_observation_store(d, x, jl, res, n_cameras=1, n_landmarks=1, cam=0, l
     """Block sums of one observation with pose Jacobian d (x) x^T and landmark Jacobian jl."""
     problem = BaProblem(n_cameras, n_landmarks, 1, np.array([cam]), np.array([lm]),
                         np.zeros((1, 2)))
-    return OracleRows(problem.plan, d[None], x[None], jl[None], res[None]).sums()
+    return OracleRows(problem.plan, np.array([cam]), np.array([lm]), d[None], x[None], jl[None],
+                      res[None]).sums()
 
 
 def test_assemble_single_observation_direct_products():
@@ -238,20 +239,22 @@ def test_blocks_reference_strictly_increasing_cameras():
     problem = make_random_problem(6, 9, seed=4)
     state = make_random_state(problem, 5, STAGE1)
     plan = problem.plan
-    # camera-major rows: cameras non-decreasing, landmarks strictly increasing per camera
-    assert (np.diff(plan.row_camera) >= 0).all()
+    # camera-major pairs: cameras non-decreasing, landmarks strictly increasing per camera
+    assert (np.diff(plan.pair_camera) >= 0).all()
     for c in range(problem.num_cameras):
-        seg = plan.row_landmark[plan.camera_ptr[c]:plan.camera_ptr[c + 1]]
+        seg = plan.pair_landmark[plan.pair_camera_ptr[c]:plan.pair_camera_ptr[c + 1]]
         assert (np.diff(seg) > 0).all()
-        assert (plan.row_camera[plan.camera_ptr[c]:plan.camera_ptr[c + 1]] == c).all()
-    # landmark-major rows: strictly increasing cameras within each landmark
+        assert (plan.pair_camera[plan.pair_camera_ptr[c]:plan.pair_camera_ptr[c + 1]] == c).all()
+    # landmark-major pairs: strictly increasing cameras within each landmark
     for lm in range(problem.num_landmarks):
-        seg = plan.landmark_rows[plan.landmark_ptr[lm]:plan.landmark_ptr[lm + 1]]
-        assert (plan.row_landmark[seg] == lm).all()
-        assert (np.diff(plan.row_camera[seg]) > 0).all()
-    np.testing.assert_array_equal(problem.camera_indices[plan.rows], plan.row_camera)
-    np.testing.assert_array_equal(problem.landmark_indices[plan.rows], plan.row_landmark)
-    assert sorted(plan.rows) == list(range(problem.num_observations))
+        seg = plan.landmark_pairs[plan.landmark_pair_ptr[lm]:plan.landmark_pair_ptr[lm + 1]]
+        assert (plan.pair_landmark[seg] == lm).all()
+        assert (np.diff(plan.pair_camera[seg]) > 0).all()
+    # each observation maps to its pair, and every pair is observed
+    np.testing.assert_array_equal(plan.pair_camera[plan.observation_pair], problem.camera_indices)
+    np.testing.assert_array_equal(plan.pair_landmark[plan.observation_pair],
+                                  problem.landmark_indices)
+    assert sorted(plan.observation_pair) == list(range(problem.num_observations))
 
 
 def test_schur_diag_matches_dense():
@@ -371,8 +374,8 @@ def test_unobserved_camera_and_landmark_match_dense_oracle(mode, seed):
         state = make_random_state(problem, seed + 70, STAGE1)
         system = assemble(build_stage1_blocks(problem, state, PoseConfig(0.1)), lam, mode)
         jac, res, d_p, d_l = dense_jacobian(problem, state, STAGE1, eta=0.1)
-    assert list(np.diff(problem.plan.camera_ptr) == 0) == [True, False, False, False]
-    assert list(np.nonzero(np.diff(problem.plan.landmark_ptr) == 0)[0]) == [2, 6]
+    assert list(np.diff(problem.plan.pair_camera_ptr) == 0) == [True, False, False, False]
+    assert list(np.nonzero(np.diff(problem.plan.landmark_pair_ptr) == 0)[0]) == [2, 6]
 
     h, g = dense_damped_hessian(jac, res, problem.num_cameras, d_p, lam, mode)
     pc = problem.num_cameras * d_p
@@ -400,13 +403,12 @@ def test_unobserved_camera_and_landmark_match_dense_oracle(mode, seed):
 
 def dense_rows_jacobian(rows, n_cameras, n_landmarks):
     """The stacked Jacobian and residual of per-observation rows, one row band at a time."""
-    plan = rows.plan
     n_obs, r, d_p = rows.pose_jac.shape
     d_l = rows.lm_width
     pc = n_cameras * d_p
     jac = np.zeros((n_obs * r, pc + n_landmarks * d_l))
     for k in range(n_obs):
-        c, lm = plan.row_camera[k], plan.row_landmark[k]
+        c, lm = rows.camera[k], rows.landmark[k]
         jac[k * r:(k + 1) * r, c * d_p:(c + 1) * d_p] = rows.pose_jac[k]
         jac[k * r:(k + 1) * r, pc + lm * d_l:pc + (lm + 1) * d_l] = rows.lm_jac[k]
     return jac, rows.residual.ravel(), d_p, d_l
@@ -438,7 +440,7 @@ def test_dense_schur_over_many_landmark_chunks_matches_dense_oracle(mode, path, 
                         base.landmark_indices, base.measurements)
     state = make_random_state(problem, 32, STAGE1)
     rows = oracle_rows(problem, state, STAGE1)
-    rows.lm_jac[problem.plan.row_landmark == 5, :, 2] = 0.0
+    rows.lm_jac[rows.landmark == 5, :, 2] = 0.0
     lam = 0.3
     system = assemble(rows.sums(), lam, mode)
     assert system.n_landmarks * system.lm_width > 3 * system.pose_dim
@@ -526,6 +528,27 @@ def test_w_holds_one_canonical_block_per_distinct_pair(stage):
                                atol=1e-12 * np.abs(w_dense).max())
 
 
+@pytest.mark.parametrize("stage", [STAGE1, STAGE2])
+def test_block_sums_of_repeated_pairs_match_oracle_rows(stage):
+    # Every sum comes from the weights summed over each pair's observations;
+    # the oracle sums the per-observation row bands one at a time.
+    problem, _ = repeated_observation_problem()
+    state = make_random_state(problem, 45, stage)
+    if stage == STAGE1:
+        sums = build_stage1_blocks(problem, state, PoseConfig(0.1))
+    else:
+        sums = build_stage2_blocks(problem, state)
+    oracle = oracle_rows(problem, state, stage).sums()
+    for name in ("u", "b_p", "v", "b_l"):
+        want = getattr(oracle, name)
+        np.testing.assert_allclose(getattr(sums, name), want, rtol=0,
+                                   atol=1e-12 * np.abs(want).max())
+    for name in ("gt", "x"):
+        want = getattr(oracle.factors, name)
+        np.testing.assert_allclose(getattr(sums.factors, name), want, rtol=0,
+                                   atol=1e-12 * np.abs(want).max())
+
+
 def test_dense_coupling_takes_sparse_product_on_sparse_graphs(monkeypatch):
     # 40 cameras, every landmark seen by 2: the GEMMs would do 400 times the
     # block-sparse product's multiply-adds; a fully observed graph does 1.
@@ -588,14 +611,15 @@ def test_plan_built_lazily_and_cached(tmp_path):
     assert "measurement_weights" not in vars(loaded)
     plan = loaded.plan
     assert loaded.plan is plan
-    np.testing.assert_array_equal(plan.camera_ptr, [0, *np.cumsum(np.bincount(
+    np.testing.assert_array_equal(plan.pair_camera_ptr, [0, *np.cumsum(np.bincount(
         loaded.camera_indices, minlength=4))])
     assert "landmark_segments" not in vars(plan)
-    for name in ("pair_camera", "pair_landmark", "pair_camera_ptr", "landmark_pairs",
-                 "landmark_pair_ptr"):
-        assert name not in vars(plan)
-        assert getattr(plan, name) is getattr(plan, name)
+    for name in ("observation_pair", "pair_camera", "pair_landmark", "pair_camera_ptr",
+                 "landmark_pairs", "landmark_pair_ptr"):
+        array = getattr(plan, name)
+        assert array.dtype == np.int64 and not array.flags.writeable
     assert plan.factor_matrices(3) is plan.factor_matrices(3)
+    assert "pair_weights" not in vars(loaded)
     assert "measurement_weights" not in vars(loaded)
     segments = plan.landmark_segments
     assert plan.landmark_segments is segments
@@ -608,9 +632,9 @@ def test_plan_built_lazily_and_cached(tmp_path):
     for c, lm, (m0, m1) in zip(loaded.camera_indices, loaded.landmark_indices, m):
         expected[lm, 4 * c:4 * c + 4] += [1.0, m0, m1, m0 * m0 + m1 * m1]
     np.testing.assert_allclose(weights.toarray(), expected, rtol=1e-15)
-    # the segment matrix sums camera-major rows per landmark
-    values = np.arange(loaded.num_observations, dtype=float)
-    expected_sums = np.bincount(plan.row_landmark, weights=values, minlength=6)
+    # the segment matrix sums camera-major pairs per landmark
+    values = np.arange(len(plan.pair_camera), dtype=float)
+    expected_sums = np.bincount(plan.pair_landmark, weights=values, minlength=6)
     np.testing.assert_array_equal(plan.landmark_sums(values), expected_sums)
     # on a graph with repeated (camera, landmark) pairs, each distinct pair
     # holds the sum of its observations' weights in one set of four columns
@@ -618,8 +642,16 @@ def test_plan_built_lazily_and_cached(tmp_path):
     rng = np.random.default_rng(5)
     cams, lms = rng.integers(0, 7, 600), rng.integers(0, 40, 600)
     repeated = BaProblem(7, 40, 600, cams, lms, rng.integers(-8, 9, (600, 2)) / 4.0)
-    n_pairs = len(repeated.plan.pair_starts)
+    plan = repeated.plan
+    n_pairs = len(plan.pair_camera)
     assert n_pairs < 600
+    # the pair weights: each pair's observation count and its sums of m and |m|^2
+    expected = np.zeros((4, n_pairs))
+    pair_of = {(c, lm): p for p, (c, lm) in enumerate(zip(plan.pair_camera, plan.pair_landmark))}
+    for c, lm, (m0, m1) in zip(cams, lms, repeated.measurements):
+        expected[:, pair_of[c, lm]] += [1.0, m0, m1, m0 * m0 + m1 * m1]
+    assert expected[0].max() > 1
+    np.testing.assert_array_equal(repeated.pair_weights, expected)
     weights = repeated.measurement_weights
     assert weights.nnz == 4 * n_pairs and weights.has_canonical_format
     expected = np.zeros((40, 4 * 7))
@@ -655,9 +687,9 @@ def raw_pixel_problem():
 def test_stage1_system_matches_dense_oracle_at_raw_pixel_scale(mode):
     problem, state = raw_pixel_problem()
     plan = problem.plan
-    assert list(np.diff(plan.camera_ptr) == 0) == [True] + [False] * 5
-    assert list(np.nonzero(np.diff(plan.landmark_ptr) == 0)[0]) == [7]
-    assert len(plan.pair_starts) == problem.num_observations - 2
+    assert list(np.diff(plan.pair_camera_ptr) == 0) == [True] + [False] * 5
+    assert list(np.nonzero(np.diff(plan.landmark_pair_ptr) == 0)[0]) == [7]
+    assert len(plan.pair_camera) == problem.num_observations - 2
     eta, lam = 0.1, 0.3
     system = assemble(build_stage1_blocks(problem, state, PoseConfig(eta)), lam, mode)
     assert system.v_degenerate[6]
@@ -671,20 +703,19 @@ def test_stage1_system_matches_dense_oracle_at_raw_pixel_scale(mode):
     gscale = 1e-12 * np.abs(g).max()
     np.testing.assert_allclose(system.b_p.ravel(), g[:pc], rtol=0, atol=gscale)
     np.testing.assert_allclose(system.b_l.ravel(), g[pc:], rtol=0, atol=gscale)
-    assert len(system.factors.blocks()) == len(plan.pair_starts)
+    assert len(system.factors.blocks()) == len(plan.pair_camera)
 
 
 def test_landmark_normals_match_oracle_rows_at_raw_pixel_scale():
     problem, state = raw_pixel_problem()
     eta = 0.3
     rows = oracle_rows(problem, state, STAGE1, eta)
-    plan = problem.plan
-    cams = state.cameras[plan.row_camera]
+    cams = state.cameras[rows.camera]
     origin = np.broadcast_to([0.0, 0.0, 0.0, 1.0], (len(cams), 4))
-    c = stage1_residuals(cams, origin, problem.measurements[plan.rows], eta)
+    c = stage1_residuals(cams, origin, problem.measurements, eta)
     ata = np.zeros((problem.num_landmarks, 3, 3))
     atc = np.zeros((problem.num_landmarks, 3))
-    for k, lm in enumerate(plan.row_landmark):
+    for k, lm in enumerate(rows.landmark):
         ata[lm] += rows.lm_jac[k].T @ rows.lm_jac[k]
         atc[lm] += rows.lm_jac[k].T @ c[k]
     got_ata, got_atc = stage1_landmark_normals(state.cameras, problem, eta)

@@ -251,6 +251,20 @@ def test_projection_gram_is_weighted_stage1_basis_at_eta_zero(rng):
                                    atol=1e-14 * np.abs(gram).max() * np.abs(v).sum())
 
 
+@pytest.mark.parametrize("eta", [0.0, 0.25])
+def test_gram_apply_is_linear_in_all_four_weights(eta):
+    # Summed weights (w0 counting a pair's observations) give the summed
+    # product sum_k w_k C_k v; quarter-integers keep every product and sum exact.
+    rng = np.random.default_rng(21)
+    basis, _ = stage1_gram_basis(eta)
+    weights = rng.integers(-8, 9, (4, 30)) / 4.0
+    weights[0] = rng.integers(1, 5, 30)
+    assert (weights[0] != 1.0).any()
+    v = rng.integers(-8, 9, (3, 5, 30)) / 4.0
+    np.testing.assert_array_equal(stage1_gram_apply(v, weights, eta),
+                                  np.einsum("kn,kij,jan->ian", weights, basis, v))
+
+
 # ---------------------------------------------------------------------------
 # total cost
 

@@ -7,7 +7,6 @@ from stratba.bal_io import ProjectiveState, random_init
 from stratba.normal_eq import BOTH, assemble, back_substitute, build_stage2_blocks
 from stratba.objective import STAGE1, STAGE2, total_cost
 from stratba.riemannian import (
-    lift_stage1_to_stage2,
     project_blocks,
     retract,
     riemannian_step,
@@ -65,14 +64,14 @@ def test_project_blocks_kills_normal_directions():
     rows = oracle_rows(problem, state, STAGE2)
     bases = state_tangent_bases(state)
     # rows proportional to the parameter vector lie in the basis null space
-    cams = rows.plan.row_camera
+    cams = rows.camera
     rows.pose_factor[...] = g[cams][:, None, :]
     rows.pose_landmark[...] = h[cams]
     scaled = state.cameras.reshape(-1, 12) * (np.linalg.norm(g, axis=1)
                                                * np.linalg.norm(h, axis=1))[:, None]
     np.testing.assert_allclose(rows.pose_jac, np.broadcast_to(
         scaled[cams][:, None, :], rows.pose_jac.shape), rtol=1e-12)
-    rows.lm_jac[...] = state.landmarks[rows.plan.row_landmark][:, None, :]
+    rows.lm_jac[...] = state.landmarks[rows.landmark][:, None, :]
     projected = project_blocks(rows.sums(), bases)
     for name in ("u", "b_p", "v", "b_l"):
         np.testing.assert_allclose(getattr(projected, name), 0.0, atol=1e-12)
@@ -193,7 +192,7 @@ def test_retract_zero_norm_errors():
 def test_lift_preserves_directions_and_residuals():
     problem = make_ring_problem(4, 10, 0.0, seed=4)
     state = random_init(problem, 1)
-    lifted = lift_stage1_to_stage2(state)
+    lifted = retract(state)
     norms_c = np.linalg.norm(lifted.cameras.reshape(-1, 12), axis=1)
     norms_l = np.linalg.norm(lifted.landmarks, axis=1)
     np.testing.assert_allclose(norms_c, 1.0, atol=1e-15)
@@ -214,7 +213,7 @@ def test_lift_single_landmark_example():
     cams = np.zeros((1, 3, 4))
     cams[0, 0, 0] = 1.0
     state = ProjectiveState(cams, np.array([[3.0, 0.0, 0.0, 1.0]]))
-    lifted = lift_stage1_to_stage2(state)
+    lifted = retract(state)
     np.testing.assert_allclose(lifted.landmarks[0],
                                np.array([3.0, 0, 0, 1.0]) / np.sqrt(10.0), atol=1e-15)
 
@@ -245,7 +244,7 @@ def test_stage2_accepted_steps_keep_unit_norms():
     problem = make_ring_problem(4, 12, 0.0, seed=6)
     state = random_init(problem, 2)
     s1, _ = lm_minimize(problem, state, STAGE1, SolverConfig())
-    lifted = lift_stage1_to_stage2(s1)
+    lifted = retract(s1)
     final, _ = lm_minimize(problem, lifted, STAGE2, SolverConfig(max_outer_iterations=10))
     np.testing.assert_allclose(np.linalg.norm(final.cameras.reshape(-1, 12), axis=1), 1.0,
                                atol=1e-12)

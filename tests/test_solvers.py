@@ -337,7 +337,7 @@ def test_lm_linearizes_only_at_new_points(monkeypatch, stage, cfg):
     import stratba.normal_eq as normal_eq_mod
     import stratba.objective as objective_mod
     import stratba.solvers as solvers_mod
-    from stratba.riemannian import lift_stage1_to_stage2
+    from stratba.riemannian import retract
 
     calls = []
     linearize = "build_stage1_blocks" if stage == STAGE1 else "riemannian_step"
@@ -364,7 +364,7 @@ def test_lm_linearizes_only_at_new_points(monkeypatch, stage, cfg):
     problem = make_random_problem(4, 20, seed=9)
     state = random_init(problem, 1)  # every configuration rejects some steps from here
     if stage == STAGE2:
-        state = lift_stage1_to_stage2(state)
+        state = retract(state)
     monkeypatch.setattr(solvers_mod, linearize, counting)
     monkeypatch.setattr(solvers_mod, "back_substitute", counting_substitute)
     for mod in (objective_mod, normal_eq_mod, solvers_mod):
@@ -474,9 +474,9 @@ def test_lm_stage2_rejects_infinite_trials():
     problem = make_ring_problem(4, 15, 0.0, seed=8)
     state = random_init(problem, 1)
     s1, _ = lm_minimize(problem, state, STAGE1, SolverConfig())
-    from stratba.riemannian import lift_stage1_to_stage2
+    from stratba.riemannian import retract
 
-    lifted = lift_stage1_to_stage2(s1)
+    lifted = retract(s1)
     final, trace = lm_minimize(problem, lifted, STAGE2, SolverConfig())
     costs = [r.cost for r in trace.records]
     assert all(math.isfinite(c) for c in costs)

@@ -9,7 +9,7 @@ import pytest
 from stratba import solvers
 from stratba.bal_io import random_init
 from stratba.objective import STAGE1, STAGE2
-from stratba.riemannian import lift_stage1_to_stage2
+from stratba.riemannian import retract
 from stratba.solvers import SolverConfig, direct_schur_solve
 from tests.conftest import make_random_problem, make_varpro_system
 
@@ -84,7 +84,7 @@ def test_traced_ripoba_stage2_keeps_its_spans():
     tracer = load_spans_module().Tracer()
     tracer.install()
     try:
-        _, trace = solvers.lm_minimize(problem, lift_stage1_to_stage2(stage1), STAGE2,
+        _, trace = solvers.lm_minimize(problem, retract(stage1), STAGE2,
                                        SolverConfig(stage2_solver="ripoba",
                                                     max_outer_iterations=10))
     finally:

@@ -25,8 +25,8 @@ from stratba.bal_io import (
 from stratba.cli import main
 from stratba.evaluation import read_trace_csv
 from stratba.objective import STAGE1, STAGE2, total_cost
-from stratba.pipeline import read_state, write_state
-from stratba.riemannian import lift_stage1_to_stage2
+from stratba.pipeline import RunSpec, read_state, write_state
+from stratba.riemannian import retract
 from stratba.synth import ground_truth_state, make_ring_problem
 
 
@@ -296,11 +296,11 @@ def test_full_trace_starts_at_the_pixel_cost_of_the_lifted_start(synth_file, tmp
     start = random_init(problem.rescaled(s), 4)
     pixel_start = ProjectiveState(start.cameras * np.array([s, s, 1.0])[:, None],
                                   start.landmarks)
-    expected = total_cost(lift_stage1_to_stage2(pixel_start), problem, STAGE2)
+    expected = total_cost(retract(pixel_start), problem, STAGE2)
     assert full.records[0].cost == pytest.approx(expected, rel=1e-12)
     # not the cost of the same draw taken as pixel cameras
     assert full.records[0].cost != pytest.approx(
-        total_cost(lift_stage1_to_stage2(start), problem, STAGE2), rel=1e-3)
+        total_cost(retract(start), problem, STAGE2), rel=1e-3)
 
 
 def test_all_zero_measurements_get_scale_one(tmp_path):
@@ -596,3 +596,14 @@ def test_cli_out_dir_env_override(synth_file, tmp_path, monkeypatch):
     code = main(["solve", "--stage1", "--seed", "1", str(synth_file)])
     assert code == 0
     assert (target / "ring_trace.csv").exists()
+
+
+def test_solve_defaults_are_run_spec_defaults(monkeypatch):
+    # seed, stage and artifact directory default to RunSpec's values
+    monkeypatch.delenv("STRATBA_OUT_DIR", raising=False)
+    specs = []
+    monkeypatch.setattr(cli, "run_problem", lambda path, spec: specs.append(spec) or {"stages": {}})
+    args = cli._build_parser().parse_args(["solve", "p.txt"])
+    assert (args.seed, args.stage) == (RunSpec.seed, RunSpec.stage)
+    assert cli._cmd_solve(args) == cli.EXIT_OK
+    assert specs == [RunSpec(inputs=["p.txt"])]

@@ -1,0 +1,39 @@
+"""The comparison tools under tools/ start, refuse a tree without stratba, and see the benchmark."""
+
+import importlib.util
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+TOOLS = ROOT / "tools"
+
+
+def run_tool(name: str, *args: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, str(TOOLS / name), *args], cwd=ROOT,
+                          capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("name", ["panel_diff.py", "census.py"])
+def test_tool_help_exits_0(name):
+    proc = run_tool(name, "--help")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage:")
+
+
+@pytest.mark.parametrize("name, n_trees", [("panel_diff.py", 2), ("census.py", 1)])
+def test_tool_exits_2_without_a_stratba_package(name, n_trees, tmp_path):
+    proc = run_tool(name, *[str(tmp_path)] * n_trees)
+    assert proc.returncode == 2
+    assert "no stratba package" in proc.stderr
+
+
+def test_panel_diff_solves_the_benchmark_workloads():
+    spec = importlib.util.spec_from_file_location("panel_diff", TOOLS / "panel_diff.py")
+    panel_diff = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(panel_diff)
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]
+    assert list(panel_diff.bench_module().WORKLOADS) == [wl["name"] for wl in declared]
