@@ -35,7 +35,7 @@ from .normal_eq import (
     build_stage2_blocks,
     schur_rhs,
 )
-from .objective import LandmarkSolve, PoseConfig, solve_landmarks, total_cost
+from .objective import LandmarkSolve, solve_landmarks, total_cost
 from .pipeline import RunSpec, run_problem
 from .riemannian import (
     TangentBasis,

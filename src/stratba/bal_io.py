@@ -28,7 +28,7 @@ from typing import IO, Iterator
 import numpy as np
 import scipy.sparse
 
-from .objective import PoseConfig, solve_landmarks, stage1_weights
+from .objective import ETA, solve_landmarks, stage1_weights
 
 logger = logging.getLogger(__name__)
 
@@ -116,16 +116,12 @@ class BaProblem:
         row 0 counts the pair's observations, rows 1-2 sum its measurements
         and row 3 their squared norms. Every observation of a pair shares its
         camera and landmark, and each linearization is linear in these weights,
-        so it sums over pairs instead of observations.
+        so it sums over pairs instead of observations. The sums start from
+        +0.0, so a -0.0 measurement gives the weight +0.0.
         """
-        pairs = self.plan.observation_pair
-        weights = stage1_weights(self.measurements)
-        out = np.zeros((4, len(self.plan.pair_camera)))
-        if out.shape[1] == len(pairs):  # each pair observed once: keep every bit, -0.0 too
-            out[:, pairs] = weights
-        else:
-            np.add.at(out.T, pairs, weights.T)
-        return _frozen(out)
+        pairs, n_pairs = self.plan.observation_pair, len(self.plan.pair_camera)
+        return _frozen(np.stack([np.bincount(pairs, row, n_pairs)
+                                 for row in stage1_weights(self.measurements)]))
 
     @functools.cached_property
     def measurement_weights(self) -> scipy.sparse.csr_array:
@@ -495,18 +491,18 @@ def prune_underobserved(problem: BaProblem) -> BaProblem:
     )
 
 
-def random_init(problem: BaProblem, seed: int, config: PoseConfig = PoseConfig()) -> ProjectiveState:
+def random_init(problem: BaProblem, seed: int, eta: float = ETA) -> ProjectiveState:
     """Build the randomized starting state for the first stage.
 
     Camera entries are i.i.d. standard normal from a Philox counter-based
     generator (stable across platforms for a given seed); landmarks are then
     set to their closed-form optimum given those cameras and normalized to a
-    last coordinate of exactly 1. A pure function of (problem, seed, config).
+    last coordinate of exactly 1. A pure function of (problem, seed, eta).
     """
     rng = np.random.Generator(np.random.Philox(int(seed) & 0xFFFFFFFFFFFFFFFF))
     cameras = rng.standard_normal((problem.num_cameras, 3, 4))
     zero_landmarks = np.zeros((problem.num_landmarks, 4))
     zero_landmarks[:, 3] = 1.0
     state = ProjectiveState(cameras=cameras, landmarks=zero_landmarks)
-    landmarks = solve_landmarks(state, problem, config).landmarks
+    landmarks = solve_landmarks(state, problem, eta).landmarks
     return ProjectiveState(cameras=cameras, landmarks=landmarks)

@@ -8,12 +8,11 @@ import logging
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from operator import attrgetter
 from pathlib import Path
 
 from .bal_io import BalParseError, BalReadError, write_bal
 from .evaluation import performance_profile, read_trace_csv, write_profile_csv
-from .pipeline import SOLVER_SETTINGS, RunSpec, run_problem, solver_config
+from .pipeline import SOLVER_SETTINGS, RunSpec, run_problem
 from .solvers import STAGE1_SOLVERS, STAGE2_SOLVERS, NumericFailureError, SolverConfig
 from .synth import make_ring_problem
 
@@ -21,6 +20,9 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_CONFIG = 3
 EXIT_NUMERIC = 4
+
+# Accuracy tolerance of `profile` when no --tau is given.
+PROFILE_TAU = 0.01
 
 # glibc mallopt parameters (malloc.h).
 M_TRIM_THRESHOLD = -1
@@ -59,10 +61,10 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--seed", type=int, default=RunSpec.seed)
     defaults = SolverConfig()
     names = {"stage1_solver": STAGE1_SOLVERS, "stage2_solver": STAGE2_SOLVERS}
-    for key, flag, attr in SOLVER_SETTINGS:
-        default = attrgetter(attr)(defaults)
-        solve.add_argument(flag, dest=key, type=type(default), default=default,
-                           help=" | ".join(names[key]) if key in names else None)
+    for name, flag in SOLVER_SETTINGS:
+        default = getattr(defaults, name)
+        solve.add_argument(flag, dest=name, type=type(default), default=default,
+                           help=" | ".join(names[name]) if name in names else None)
     solve.add_argument("--out-dir", default=None,
                        help=f"artifact directory (default: $STRATBA_OUT_DIR or {RunSpec.out_dir})")
     solve.add_argument("--jobs", type=int, default=1,
@@ -71,10 +73,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     profile = sub.add_parser("profile", help="performance profiles from trace CSVs")
     profile.add_argument("--tau", type=float, action="append",
-                         help="accuracy tolerance; repeatable (default 0.01)")
+                         help=f"accuracy tolerance; repeatable (default {PROFILE_TAU})")
     profile.add_argument("--stage", default="stage1",
                          help="trace stage to profile: stage1 | stage2 | full")
-    profile.add_argument("--out", default=None, help="output CSV (default: profile.csv)")
+    profile.add_argument("--out", default="profile.csv", help="output CSV (default: %(default)s)")
     profile.add_argument("traces", nargs="+", help="trace CSV files")
 
     synth = sub.add_parser("synth", help="write a synthetic BAL problem with ground truth")
@@ -93,7 +95,7 @@ def _cmd_solve(args) -> int:
             inputs=args.inputs,
             seed=args.seed,
             stage=args.stage,
-            solver=solver_config(**{key: getattr(args, key) for key, _, _ in SOLVER_SETTINGS}),
+            solver=SolverConfig(**{name: getattr(args, name) for name, _ in SOLVER_SETTINGS}),
             out_dir=out_dir,
         )
         spec.validate()
@@ -130,7 +132,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    taus = args.tau or [0.01]
+    taus = args.tau or [PROFILE_TAU]
     try:
         traces = []
         for path in args.traces:
@@ -143,11 +145,14 @@ def _cmd_profile(args) -> int:
         print(f"no traces for stage {args.stage!r}", file=sys.stderr)
         return EXIT_CONFIG
     profiles = []
-    for tau in taus:
-        profiles.extend(performance_profile(selected, tau).values())
-    out = args.out or "profile.csv"
-    write_profile_csv(profiles, out)
-    print(f"wrote {out}")
+    try:
+        for tau in taus:
+            profiles.extend(performance_profile(selected, tau).values())
+    except ValueError as exc:  # the traces of a problem disagree on the initial cost
+        print(f"cannot profile: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    write_profile_csv(profiles, args.out)
+    print(f"wrote {args.out}")
     return EXIT_OK
 
 

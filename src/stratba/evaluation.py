@@ -45,16 +45,17 @@ class ConvergenceTrace:
     problem_id: str
     stage: str
     records: list[TraceRecord]
-    initial_cost: float
 
     def __post_init__(self):
         if not self.records:
             raise ValueError("a trace needs at least one record")
-        if self.records[0].cost != self.initial_cost:
-            raise ValueError("first record must carry the initial cost")
         times = [r.elapsed_seconds for r in self.records]
         if any(b < a for a, b in zip(times, times[1:])):
             raise ValueError("elapsed seconds must be non-decreasing")
+
+    @property
+    def initial_cost(self) -> float:
+        return self.records[0].cost
 
     def best_cost(self) -> float:
         return min(r.cost for r in self.records)
@@ -188,7 +189,7 @@ def read_trace_csv(source: str | Path | IO[str]) -> list[ConvergenceTrace]:
             grouped.setdefault(key, []).append(
                 TraceRecord(int(it), float(cost), float(elapsed)))
         return [
-            ConvergenceTrace(solver, problem, stage, recs, recs[0].cost)
+            ConvergenceTrace(solver, problem, stage, recs)
             for (problem, solver, stage), recs in grouped.items()
         ]
 

@@ -55,10 +55,10 @@ import scipy.sparse
 
 from .bal_io import BaProblem, ObservationPlan, ProjectiveState
 from .objective import (
+    ETA,
     V_PINV_TOL,
     Z_EPSILON,
     LandmarkSolve,
-    PoseConfig,
     pinv_psd,
     stage1_gram_apply,
     stage1_gram_basis,
@@ -229,7 +229,7 @@ def _gather_pairs(problem: BaProblem, state: ProjectiveState) -> tuple[np.ndarra
 
 
 def build_stage1_blocks(problem: BaProblem, state: ProjectiveState,
-                        config: PoseConfig = PoseConfig(),
+                        eta: float = ETA,
                         resolved: LandmarkSolve | None = None) -> BlockSums:
     """Linearize the stage-1 objective (widths 12/3).
 
@@ -244,7 +244,6 @@ def build_stage1_blocks(problem: BaProblem, state: ProjectiveState,
     b_l = A^T A v + A^T c at the landmarks' free coordinates v, which holds
     for stage-1 landmarks (last coordinate 1).
     """
-    eta = config.eta
     basis, offsets = stage1_gram_basis(eta)
     cams, x = _gather_pairs(problem, state)
     weights = problem.pair_weights

@@ -49,16 +49,9 @@ Z_EPSILON = 1e-12
 STAGE1 = 1
 STAGE2 = 2
 
-
-@dataclass(frozen=True)
-class PoseConfig:
-    """Trade-off between the object-space rows and the affine rows of stage 1."""
-
-    eta: float = 0.1
-
-    def __post_init__(self):
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
+# Default trade-off eta in [0, 1] between the object-space rows and the affine
+# rows of stage 1.
+ETA = 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +85,12 @@ def stage1_weights(measurements: np.ndarray) -> np.ndarray:
 
 
 def stage1_gram_basis(eta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Bases (4,3,3) and (4,3) with B^T B = sum_k w_k C_k and B^T d = sum_k w_k e_k."""
+    """Bases (4,3,3) and (4,3) with B^T B = sum_k w_k C_k and B^T d = sum_k w_k e_k.
+
+    Raises ValueError for eta outside [0, 1].
+    """
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"eta must lie in [0, 1], got {eta}")
     s = 1.0 - eta
     c = np.zeros((4, 3, 3))
     c[0, 0, 0] = c[0, 1, 1] = 1.0
@@ -143,7 +141,7 @@ def _gather(state: ProjectiveState, problem: BaProblem):
 
 
 def total_cost(state: ProjectiveState, problem: BaProblem, stage: int,
-               config: PoseConfig = PoseConfig()) -> float:
+               eta: float = ETA) -> float:
     """Sum of squared residual norms over all observations.
 
     Stage-2 cost is +inf when any observation is degenerate. Summation is
@@ -152,7 +150,7 @@ def total_cost(state: ProjectiveState, problem: BaProblem, stage: int,
     """
     cams, lms = _gather(state, problem)
     if stage == STAGE1:
-        r = stage1_residuals(cams, lms, problem.measurements, config.eta)
+        r = stage1_residuals(cams, lms, problem.measurements, eta)
     elif stage == STAGE2:
         r, valid = stage2_residuals(cams, lms, problem.measurements)
         if not valid.all():
@@ -285,7 +283,7 @@ class LandmarkSolve:
 
 
 def solve_landmarks(state: ProjectiveState, problem: BaProblem,
-                    config: PoseConfig = PoseConfig()) -> LandmarkSolve:
+                    eta: float = ETA) -> LandmarkSolve:
     """Closed-form per-landmark optimum of the stage-1 cost with cameras fixed.
 
     Each landmark's stacked residual is affine in its three free coordinates,
@@ -302,7 +300,7 @@ def solve_landmarks(state: ProjectiveState, problem: BaProblem,
     cameras reuses.
     """
     out = np.array(state.landmarks, copy=True)
-    ata, atc = stage1_landmark_normals(state.cameras, problem, config.eta)
+    ata, atc = stage1_landmark_normals(state.cameras, problem, eta)
     ata_inv, skipped = pinv_psd(ata, V_PINV_TOL)
     v = -np.einsum("nij,nj->ni", ata_inv, atc)
 

@@ -19,7 +19,6 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field
-from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +26,7 @@ import numpy as np
 from .bal_io import BaProblem, ProjectiveState, load_bal, prune_underobserved, random_init
 from .evaluation import ConvergenceTrace, TraceRecord, write_trace_csv
 from .metric_upgrade import upgrade
-from .objective import STAGE1, STAGE2, PoseConfig, total_cost
+from .objective import STAGE1, STAGE2, total_cost
 from .riemannian import retract
 from .solvers import NumericFailureError, SolverConfig, lm_minimize
 
@@ -37,28 +36,19 @@ SCHEMA_VERSION = 1
 
 STAGES = ("stage1", "stage2", "full", "metric")
 
-# The solver settings a run exposes, in summary order: summary key, command-line
-# flag, and the SolverConfig attribute that holds the value and its default.
+# The solver settings a run exposes, in summary order: the SolverConfig field
+# (also the summary key and the flag's dest) and its command-line flag.
 SOLVER_SETTINGS = (
-    ("stage1_solver", "--solver", "stage1_solver"),
-    ("stage2_solver", "--stage2-solver", "stage2_solver"),
-    ("eta", "--eta", "pose.eta"),
-    ("initial_lambda", "--lambda0", "initial_lambda"),
-    ("max_iterations", "--max-iterations", "max_outer_iterations"),
-    ("function_tolerance", "--ftol", "function_tolerance"),
-    ("power_order", "--power-order", "max_power_order"),
-    ("power_threshold", "--power-threshold", "power_threshold"),
-    ("inner_iterations", "--inner-iterations", "max_inner_iterations"),
+    ("stage1_solver", "--solver"),
+    ("stage2_solver", "--stage2-solver"),
+    ("eta", "--eta"),
+    ("initial_lambda", "--lambda0"),
+    ("max_iterations", "--max-iterations"),
+    ("function_tolerance", "--ftol"),
+    ("power_order", "--power-order"),
+    ("power_threshold", "--power-threshold"),
+    ("inner_iterations", "--inner-iterations"),
 )
-
-
-def solver_config(**settings) -> SolverConfig:
-    """A SolverConfig from settings named by their summary keys; the rest keep
-    their defaults. Out-of-range values raise ValueError."""
-    kwargs = {attr: settings[key] for key, _, attr in SOLVER_SETTINGS if key in settings}
-    if "pose.eta" in kwargs:
-        kwargs["pose"] = PoseConfig(eta=kwargs.pop("pose.eta"))
-    return SolverConfig(**kwargs)
 
 
 @dataclass
@@ -88,7 +78,7 @@ class RunSpec:
         return {
             "seed": self.seed,
             "stage": self.stage,
-            **{key: attrgetter(attr)(self.solver) for key, _, attr in SOLVER_SETTINGS},
+            **{name: getattr(self.solver, name) for name, _ in SOLVER_SETTINGS},
         }
 
 
@@ -140,8 +130,7 @@ def full_trace(pre_stage1_cost: float, stage1_runtime: float, stage2_trace: Conv
     for rec in stage2_trace.records:
         records.append(TraceRecord(rec.iteration + 1, rec.cost,
                                    rec.elapsed_seconds + stage1_runtime))
-    return ConvergenceTrace(stage2_trace.solver_id, stage2_trace.problem_id, "full",
-                            records, pre_stage1_cost)
+    return ConvergenceTrace(stage2_trace.solver_id, stage2_trace.problem_id, "full", records)
 
 
 def measurement_scale(problem: BaProblem) -> float:
@@ -188,7 +177,7 @@ def run_problem(path: str | Path, spec: RunSpec) -> dict:
         "stages": {},
     }
     traces: list[ConvergenceTrace] = []
-    start = random_init(normalized, spec.seed, spec.solver.pose)
+    start = random_init(normalized, spec.seed, spec.solver.eta)
     state = _to_pixels(start, scale)
     failure: NumericFailureError | None = None
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -43,7 +43,7 @@ from .normal_eq import (
     schur_matrix,
     schur_rhs,
 )
-from .objective import STAGE1, STAGE2, PoseConfig, pinv_psd, solve_landmarks, total_cost
+from .objective import ETA, STAGE1, STAGE2, pinv_psd, solve_landmarks, total_cost
 from .riemannian import apply_tangent_step, riemannian_step, state_tangent_bases
 
 logger = logging.getLogger(__name__)
@@ -77,23 +77,25 @@ class NumericFailureError(RuntimeError):
 class SolverConfig:
     """Solver names and settings of both stages; defaults match the evaluated setup.
 
-    ``lm_minimize`` reads the solver name of its stage, a key of
-    ``STAGE1_SOLVERS`` or ``STAGE2_SOLVERS``, so one config drives both stages.
+    Each field is named by its key in a run summary's ``config`` echo, in
+    that order; ``pcg_tolerance`` alone is not echoed. ``lm_minimize`` reads
+    the solver name of its stage, a key of ``STAGE1_SOLVERS`` or
+    ``STAGE2_SOLVERS``, so one config drives both stages.
     """
 
     stage1_solver: str = "povar"
     stage2_solver: str = "ripoba"
-    max_outer_iterations: int = 50
-    function_tolerance: float = 1e-6
+    eta: float = ETA
     initial_lambda: float = 1e-4
-    max_power_order: int = 20
+    max_iterations: int = 50
+    function_tolerance: float = 1e-6
+    power_order: int = 20
     # Stops the series when the latest term's norm falls below this fraction of
     # the accumulated solution norm (one of several plausible readings of a
     # "series threshold"; exposed so callers can pick another).
     power_threshold: float = 0.01
-    max_inner_iterations: int = 500
+    inner_iterations: int = 500
     pcg_tolerance: float = 1e-6
-    pose: PoseConfig = field(default_factory=PoseConfig)
 
     def __post_init__(self):
         if self.stage1_solver not in STAGE1_SOLVERS:
@@ -102,11 +104,13 @@ class SolverConfig:
         if self.stage2_solver not in STAGE2_SOLVERS:
             raise ValueError(f"unknown stage-2 solver {self.stage2_solver!r}; "
                              f"choose from {sorted(STAGE2_SOLVERS)}")
-        for name in ("max_outer_iterations", "function_tolerance", "initial_lambda",
-                     "max_inner_iterations", "pcg_tolerance"):
+        if not 0.0 <= self.eta <= 1.0:
+            raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
+        for name in ("initial_lambda", "max_iterations", "function_tolerance",
+                     "inner_iterations", "pcg_tolerance"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.max_power_order < 0 or self.power_threshold < 0:
+        if self.power_order < 0 or self.power_threshold < 0:
             raise ValueError("power series settings must be non-negative")
 
 
@@ -153,7 +157,7 @@ def power_schur_solve(system: SchurSystem, config: SolverConfig) -> StepReport:
     x = t.copy()
     order_used = 0
     trunc = 1.0 if np.linalg.norm(x) > 0 else 0.0
-    for i in range(1, config.max_power_order + 1):
+    for i in range(1, config.power_order + 1):
         t = block_apply(u_inv, _coupling_round_trip(system, t))
         x += t
         xn = np.linalg.norm(x)
@@ -187,7 +191,7 @@ def pcg_schur_solve(system: SchurSystem, config: SolverConfig) -> StepReport:
     flag = None
     iterations = 0
     rel = 1.0
-    for it in range(1, config.max_inner_iterations + 1):
+    for it in range(1, config.inner_iterations + 1):
         iterations = it
         sp = apply_schur(system, p)
         curvature = float(p @ sp)
@@ -273,19 +277,19 @@ class _Stage1:
 
     def __init__(self, problem: BaProblem, config: SolverConfig):
         self.problem = problem
-        self.pose = config.pose
+        self.eta = config.eta
         self.name = config.stage1_solver
         self.damping_mode, self.inner = STAGE1_SOLVERS[self.name]
         self.latest = None  # pose-only: the latest trial and its landmark re-solve
 
     def cost(self, state: ProjectiveState) -> float:
-        return total_cost(state, self.problem, STAGE1, self.pose)
+        return total_cost(state, self.problem, STAGE1, self.eta)
 
     def linearize(self, state: ProjectiveState, lam: float) -> SchurSystem:
         trial, resolved = self.latest or (None, None)
         if trial is not state:  # the starting state
             resolved = None
-        sums = build_stage1_blocks(self.problem, state, self.pose, resolved)
+        sums = build_stage1_blocks(self.problem, state, self.eta, resolved)
         return assemble(sums, lam, self.damping_mode)
 
     def trial(self, state: ProjectiveState, system: SchurSystem,
@@ -293,7 +297,7 @@ class _Stage1:
         cams = state.cameras + report.pose_update.reshape(state.cameras.shape)
         if self.damping_mode == POSE_ONLY:
             resolved = solve_landmarks(ProjectiveState(cams, state.landmarks), self.problem,
-                                       self.pose)
+                                       self.eta)
             self.latest = ProjectiveState(cams, resolved.landmarks), resolved
             return self.latest[0]
         lms = np.array(state.landmarks, copy=True)
@@ -365,7 +369,7 @@ def lm_minimize(problem: BaProblem, state: ProjectiveState, stage: int,
     lam = config.initial_lambda
     system = None  # the linearization at the current state
 
-    for it in range(1, config.max_outer_iterations + 1):
+    for it in range(1, config.max_iterations + 1):
         try:
             system = ops.linearize(state, lam) if system is None else system.redamped(lam)
             report = _INNER_SOLVERS[ops.inner](system, config)
@@ -388,5 +392,5 @@ def lm_minimize(problem: BaProblem, state: ProjectiveState, stage: int,
         if converged:
             break
 
-    trace = ConvergenceTrace(ops.name, problem_id, f"stage{stage}", records, records[0].cost)
+    trace = ConvergenceTrace(ops.name, problem_id, f"stage{stage}", records)
     return state, trace

@@ -28,7 +28,6 @@ from stratba.objective import (
     STAGE1,
     STAGE2,
     Z_EPSILON,
-    PoseConfig,
     stage1_residuals,
     stage2_residuals,
 )
@@ -206,16 +205,16 @@ def _one(*arrays):
     return [np.asarray(a, dtype=float)[None] for a in arrays]
 
 
-def pose_residual(camera, landmark, measurement, config: PoseConfig) -> np.ndarray:
+def pose_residual(camera, landmark, measurement, eta: float) -> np.ndarray:
     """Stage-1 residual 4-vector for one observation."""
-    return stage1_residuals(*_one(camera, landmark, measurement), config.eta)[0]
+    return stage1_residuals(*_one(camera, landmark, measurement), eta)[0]
 
 
-def pose_jacobians(camera, landmark, measurement, config: PoseConfig):
+def pose_jacobians(camera, landmark, measurement, eta: float):
     """Stage-1 Jacobians (4x12 pose, 4x3 landmark) for one observation."""
     cam, lm, m = _one(camera, landmark, measurement)
-    return (stage1_pose_jacobian(lm, m, config.eta)[0],
-            stage1_landmark_jacobian(cam, m, config.eta)[0])
+    return (stage1_pose_jacobian(lm, m, eta)[0],
+            stage1_landmark_jacobian(cam, m, eta)[0])
 
 
 def projective_residual(camera, landmark, measurement) -> np.ndarray:
@@ -313,7 +312,6 @@ def dense_jacobian(problem: BaProblem, state: ProjectiveState, stage: int,
     landmark columns (d_l per landmark). Built from the scalar per-observation
     operations with explicit python loops.
     """
-    cfg = PoseConfig(eta)
     d_p = 12
     d_l = 3 if stage == STAGE1 else 4
     r_rows = 4 if stage == STAGE1 else 2
@@ -328,8 +326,8 @@ def dense_jacobian(problem: BaProblem, state: ProjectiveState, stage: int,
         lm = state.landmarks[l]
         m = problem.measurements[k]
         if stage == STAGE1:
-            r = pose_residual(cam, lm, m, cfg)
-            jp, jl = pose_jacobians(cam, lm, m, cfg)
+            r = pose_residual(cam, lm, m, eta)
+            jp, jl = pose_jacobians(cam, lm, m, eta)
         else:
             r = projective_residual(cam, lm, m)
             jp, jl = projective_jacobians(cam, lm, m)
@@ -361,7 +359,7 @@ def make_varpro_system(n_cameras: int, n_landmarks: int, seed: int, lam: float =
     """Random stage-1 system (pose-only damping) plus its problem and state."""
     problem = make_random_problem(n_cameras, n_landmarks, seed, cameras_per_landmark)
     state = make_random_state(problem, seed + 1000, STAGE1)
-    blocks = build_stage1_blocks(problem, state, PoseConfig(0.1))
+    blocks = build_stage1_blocks(problem, state, 0.1)
     return assemble(blocks, lam, POSE_ONLY), problem, state
 
 

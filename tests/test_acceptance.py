@@ -36,7 +36,7 @@ from stratba.normal_eq import (
     dense_schur,
     schur_rhs,
 )
-from stratba.objective import STAGE1, STAGE2, PoseConfig, solve_landmarks
+from stratba.objective import STAGE1, STAGE2, solve_landmarks
 from stratba.riemannian import project_blocks, retract, state_tangent_bases
 from stratba.solvers import (
     SolverConfig,
@@ -116,7 +116,7 @@ def test_criterion_02_power_series_correctness():
     worst = 0.0
     for seed in range(20):
         system, _, _ = make_varpro_system(3, 10, seed=seed + 100, lam=3.0)
-        rep = power_schur_solve(system, SolverConfig(max_power_order=20, power_threshold=0.0))
+        rep = power_schur_solve(system, SolverConfig(power_order=20, power_threshold=0.0))
         x_exact = np.linalg.solve(dense_schur(system), schur_rhs(system))
         rel = np.linalg.norm(rep.pose_update - x_exact) / np.linalg.norm(x_exact)
         worst = max(worst, rel)
@@ -152,12 +152,12 @@ def test_criterion_03_jacobian_suites():
         camera = rng.standard_normal((3, 4))
         landmark = np.append(rng.standard_normal(3), 1.0)
         measurement = rng.standard_normal(2)
-        cfg = PoseConfig(rng.uniform(0, 1))
-        jp, jl = pose_jacobians(camera, landmark, measurement, cfg)
+        eta = rng.uniform(0, 1)
+        jp, jl = pose_jacobians(camera, landmark, measurement, eta)
         fd_p = central_difference_jacobian(
-            lambda c: pose_residual(c, landmark, measurement, cfg), camera)
+            lambda c: pose_residual(c, landmark, measurement, eta), camera)
         fd_l = central_difference_jacobian(
-            lambda v: pose_residual(camera, np.append(v, 1.0), measurement, cfg),
+            lambda v: pose_residual(camera, np.append(v, 1.0), measurement, eta),
             landmark[:3])
         assert np.abs(fd_p - jp).max() / max(1.0, np.abs(jp).max()) <= cfg_rel
         assert np.abs(fd_l - jl).max() / max(1.0, np.abs(jl).max()) <= cfg_rel
@@ -193,8 +193,8 @@ def test_criterion_04_landmark_elimination():
     for seed in range(5):
         problem = make_random_problem(6, 10, seed=seed)
         state = make_random_state(problem, seed + 60, STAGE1)
-        cfg = PoseConfig(0.1)
-        lms = solve_landmarks(state, problem, cfg).landmarks
+        eta = 0.1
+        lms = solve_landmarks(state, problem, eta).landmarks
         for j in range(problem.num_landmarks):
             rows_a, rows_r = [], []
             for k in range(problem.num_observations):
@@ -202,9 +202,9 @@ def test_criterion_04_landmark_elimination():
                     continue
                 cam = state.cameras[problem.camera_indices[k]]
                 m = problem.measurements[k]
-                _, jl = pose_jacobians(cam, lms[j], m, cfg)
+                _, jl = pose_jacobians(cam, lms[j], m, eta)
                 rows_a.append(jl)
-                rows_r.append(pose_residual(cam, lms[j], m, cfg))
+                rows_r.append(pose_residual(cam, lms[j], m, eta))
             a = np.vstack(rows_a)
             r = np.concatenate(rows_r)
             grad = 2 * a.T @ r
@@ -224,7 +224,7 @@ def test_criterion_04_landmark_elimination():
             camera_indices=np.arange(n_cams), landmark_indices=np.zeros(n_cams, dtype=int),
             measurements=meas)
         state = ProjectiveState(cameras, np.array([[0.0, 0, 0, 1]]))
-        out = solve_landmarks(state, problem, PoseConfig(rng.uniform(0, 1))).landmarks
+        out = solve_landmarks(state, problem, rng.uniform(0, 1)).landmarks
         assert np.abs(out[0] - truth).max() <= 1e-10
     print("\nACCEPTANCE 4 PASS: landmark gradient <= 1e-8 relative at the closed-form "
           "solution; noise-free recovery within 1e-10")
@@ -258,18 +258,18 @@ def test_criterion_06_solver_agreement_small_instances():
     problem = make_ring_problem(6, 40, 0.0, seed=3)
     state = random_init(problem, 0)
     states = [state]
-    cfg = SolverConfig(max_outer_iterations=6)
+    cfg = SolverConfig(max_iterations=6)
     s_final, _ = lm_minimize(problem, state, STAGE1, cfg)
     states.append(s_final)
     for extra_seed in (4, 5):
         states.append(random_init(problem, extra_seed))
     pairwise_worst = 0.0
     for st in states:
-        blocks = build_stage1_blocks(problem, st, PoseConfig(0.1))
+        blocks = build_stage1_blocks(problem, st, 0.1)
         system = assemble(blocks, 3.0, "pose_only")
-        a = power_schur_solve(system, SolverConfig(max_power_order=20, power_threshold=0.0))
+        a = power_schur_solve(system, SolverConfig(power_order=20, power_threshold=0.0))
         b = pcg_schur_solve(system, SolverConfig(pcg_tolerance=1e-10,
-                                                 max_inner_iterations=5000))
+                                                 inner_iterations=5000))
         c = direct_schur_solve(system, SolverConfig())
         scale = np.linalg.norm(c.pose_update)
         for x, y in ((a, b), (a, c), (b, c)):
@@ -336,7 +336,7 @@ def test_criterion_07_riemannian_structure():
 def test_criterion_08_performance_profiles(tmp_path):
     def mk(solver, prob, costs, times):
         recs = [TraceRecord(i, c, t) for i, (c, t) in enumerate(zip(costs, times))]
-        return ConvergenceTrace(solver, prob, "stage1", recs, costs[0])
+        return ConvergenceTrace(solver, prob, "stage1", recs)
 
     # hand-computed 2 solvers x 2 problems
     traces = [
@@ -454,10 +454,10 @@ def test_criterion_10_determinism():
         _, t1 = lm_minimize(problem, state, STAGE1, cfg)
         _, t2 = lm_minimize(problem, state, STAGE1, cfg)
         assert [r.cost for r in t1.records] == [r.cost for r in t2.records]
-    s1, _ = lm_minimize(problem, state, STAGE1, SolverConfig(max_outer_iterations=10))
+    s1, _ = lm_minimize(problem, state, STAGE1, SolverConfig(max_iterations=10))
     lifted = retract(s1)
-    for cfg in (SolverConfig(max_outer_iterations=10),
-                SolverConfig(stage2_solver="ripcg", max_outer_iterations=10)):
+    for cfg in (SolverConfig(max_iterations=10),
+                SolverConfig(stage2_solver="ripcg", max_iterations=10)):
         _, t1 = lm_minimize(problem, lifted, STAGE2, cfg)
         _, t2 = lm_minimize(problem, lifted, STAGE2, cfg)
         assert [r.cost for r in t1.records] == [r.cost for r in t2.records]

@@ -17,7 +17,7 @@ from stratba.bal_io import (
     random_init,
     write_bal,
 )
-from stratba.objective import STAGE1, PoseConfig, total_cost
+from stratba.objective import STAGE1, total_cost
 
 
 def minimal_bal_text():
@@ -241,9 +241,8 @@ def test_random_init_landmarks_are_stationary():
 
     problem = make_random_problem(5, 8, seed=11)
     state = random_init(problem, 5)
-    cfg = PoseConfig()
     assert np.all(state.landmarks[:, 3] == 1.0)
-    f0 = total_cost(state, problem, STAGE1, cfg)
+    f0 = total_cost(state, problem, STAGE1)
     grad_scale = max(1.0, f0)
     for j in range(problem.num_landmarks):
         for axis in range(3):
@@ -252,8 +251,8 @@ def test_random_init_landmarks_are_stationary():
             minus = np.array(state.landmarks)
             plus[j, axis] += h
             minus[j, axis] -= h
-            fp = total_cost(ProjectiveState(state.cameras, plus), problem, STAGE1, cfg)
-            fm = total_cost(ProjectiveState(state.cameras, minus), problem, STAGE1, cfg)
+            fp = total_cost(ProjectiveState(state.cameras, plus), problem, STAGE1)
+            fm = total_cost(ProjectiveState(state.cameras, minus), problem, STAGE1)
             assert abs(fp - fm) / (2 * h) / grad_scale < 1e-8
 
 

@@ -23,17 +23,16 @@ from stratba.evaluation import (
 def trace(solver, problem, costs, times=None, stage="stage1"):
     times = times if times is not None else list(range(len(costs)))
     records = [TraceRecord(i, c, float(t)) for i, (c, t) in enumerate(zip(costs, times))]
-    return ConvergenceTrace(solver, problem, stage, records, costs[0])
+    return ConvergenceTrace(solver, problem, stage, records)
 
 
 def test_trace_invariants():
     with pytest.raises(ValueError, match="at least one"):
-        ConvergenceTrace("s", "p", "stage1", [], 0.0)
-    with pytest.raises(ValueError, match="initial cost"):
-        ConvergenceTrace("s", "p", "stage1", [TraceRecord(0, 1.0, 0.0)], 2.0)
+        ConvergenceTrace("s", "p", "stage1", [])
     with pytest.raises(ValueError, match="non-decreasing"):
         ConvergenceTrace("s", "p", "stage1",
-                         [TraceRecord(0, 1.0, 1.0), TraceRecord(1, 0.5, 0.5)], 1.0)
+                         [TraceRecord(0, 1.0, 1.0), TraceRecord(1, 0.5, 0.5)])
+    assert trace("s", "p", [2.0, 1.0]).initial_cost == 2.0
 
 
 def test_cost_threshold_direct():

@@ -22,7 +22,6 @@ from stratba.normal_eq import (
 from stratba.objective import (
     STAGE1,
     STAGE2,
-    PoseConfig,
     pinv_psd,
     solve_landmarks,
     stage1_landmark_normals,
@@ -74,7 +73,7 @@ def test_assemble_single_observation_direct_products():
 def test_damping_doubles_only_diagonal(rng):
     problem = make_random_problem(3, 5, seed=1)
     state = make_random_state(problem, 2, STAGE1)
-    blocks = build_stage1_blocks(problem, state, PoseConfig(0.1))
+    blocks = build_stage1_blocks(problem, state, 0.1)
     s1 = assemble(blocks, 0.5, POSE_ONLY)
     s2 = assemble(blocks, 1.0, POSE_ONLY)
     diff = s2.u_blocks - s1.u_blocks
@@ -96,7 +95,7 @@ def test_assemble_matches_dense_oracle(mode, seed):
     problem = make_random_problem(3, 5, seed=seed)
     state = make_random_state(problem, seed + 50, STAGE1)
     lam = 0.37
-    blocks = build_stage1_blocks(problem, state, PoseConfig(0.1))
+    blocks = build_stage1_blocks(problem, state, 0.1)
     system = assemble(blocks, lam, mode)
 
     jac, res, d_p, d_l = dense_jacobian(problem, state, STAGE1, eta=0.1)
@@ -230,7 +229,7 @@ def test_v_blocks_positive_semidefinite():
 def test_v_blocks_positive_definite_in_both_mode():
     problem = make_random_problem(4, 6, seed=2)
     state = make_random_state(problem, 3, STAGE1)
-    blocks = build_stage1_blocks(problem, state, PoseConfig(0.1))
+    blocks = build_stage1_blocks(problem, state, 0.1)
     system = assemble(blocks, 0.5, BOTH)
     assert (np.linalg.eigvalsh(system.v_blocks) > 0).all()
 
@@ -289,7 +288,7 @@ def test_redamped_equals_fresh_assembly(mode):
         mode = BOTH
     else:
         state = make_random_state(problem, 22, STAGE1)
-        blocks = build_stage1_blocks(problem, state, PoseConfig(0.1))
+        blocks = build_stage1_blocks(problem, state, 0.1)
     redamped = assemble(blocks, 1e-4, mode).redamped(0.37)
     fresh = assemble(blocks, 0.37, mode)
     assert redamped.lam == 0.37
@@ -303,7 +302,7 @@ def test_pose_only_system_computes_v_pinv_once(monkeypatch):
     # V is not damped in pose-only mode: its pseudo-inverse is formed by the
     # first system and shared, array for array, by every re-damped one
     problem = make_random_problem(4, 9, seed=21)
-    sums = build_stage1_blocks(problem, make_random_state(problem, 22, STAGE1), PoseConfig(0.1))
+    sums = build_stage1_blocks(problem, make_random_state(problem, 22, STAGE1), 0.1)
     assert sums.v_pinv is None
     calls = []
 
@@ -328,11 +327,11 @@ def test_both_mode_ignores_a_carried_v_pinv(lam):
     # a re-solve's V^+ is that of the undamped V: a both-mode system damps V
     # and forms its own, bit-equal to a system built from sums without it
     problem = make_random_problem(5, 12, seed=8)
-    cfg = PoseConfig(0.1)
+    eta = 0.1
     state = make_random_state(problem, 9, STAGE1)
-    resolved = solve_landmarks(state, problem, cfg)
+    resolved = solve_landmarks(state, problem, eta)
     carried = build_stage1_blocks(problem, ProjectiveState(state.cameras, resolved.landmarks),
-                                  cfg, resolved)
+                                  eta, resolved)
     assert carried.v_pinv is not None
     plain = dataclasses.replace(carried, v_pinv=None)
     got, want = assemble(carried, lam, BOTH), assemble(plain, lam, BOTH)
@@ -372,7 +371,7 @@ def test_unobserved_camera_and_landmark_match_dense_oracle(mode, seed):
         jac, res, d_p, d_l = dense_rows_jacobian(rows, problem.num_cameras, problem.num_landmarks)
     else:
         state = make_random_state(problem, seed + 70, STAGE1)
-        system = assemble(build_stage1_blocks(problem, state, PoseConfig(0.1)), lam, mode)
+        system = assemble(build_stage1_blocks(problem, state, 0.1), lam, mode)
         jac, res, d_p, d_l = dense_jacobian(problem, state, STAGE1, eta=0.1)
     assert list(np.diff(problem.plan.pair_camera_ptr) == 0) == [True, False, False, False]
     assert list(np.nonzero(np.diff(problem.plan.landmark_pair_ptr) == 0)[0]) == [2, 6]
@@ -480,7 +479,7 @@ def test_dense_schur_sums_repeated_observations(mode, path, monkeypatch):
     monkeypatch.setattr(normal_eq, "_GEMM_SPEEDUP", COUPLING_PATHS[path])
     problem, n_pairs = repeated_observation_problem()
     state = make_random_state(problem, 43, STAGE1)
-    rows = build_stage1_blocks(problem, state, PoseConfig(0.1))
+    rows = build_stage1_blocks(problem, state, 0.1)
     lam = 0.2
     system = assemble(rows, lam, mode)
     assert len(system.factors.blocks()) == n_pairs
@@ -497,7 +496,7 @@ def test_schur_diag_blocks_exact_on_repeated_observations(mode):
     # the blocks of a repeated pair.
     problem, _ = repeated_observation_problem()
     state = make_random_state(problem, 43, STAGE1)
-    system = assemble(build_stage1_blocks(problem, state, PoseConfig(0.1)), 0.2, mode)
+    system = assemble(build_stage1_blocks(problem, state, 0.1), 0.2, mode)
     s = dense_schur(system)
     n, d = system.n_cameras, system.pose_width
     cams = np.arange(n)
@@ -511,7 +510,7 @@ def test_w_holds_one_canonical_block_per_distinct_pair(stage):
     state = make_random_state(problem, 44, stage)
     oracle = oracle_rows(problem, state, stage)
     if stage == STAGE1:
-        sums = build_stage1_blocks(problem, state, PoseConfig(0.1))
+        sums = build_stage1_blocks(problem, state, 0.1)
     else:
         bases = state_tangent_bases(state)
         sums = project_blocks(build_stage2_blocks(problem, state), bases)
@@ -535,7 +534,7 @@ def test_block_sums_of_repeated_pairs_match_oracle_rows(stage):
     problem, _ = repeated_observation_problem()
     state = make_random_state(problem, 45, stage)
     if stage == STAGE1:
-        sums = build_stage1_blocks(problem, state, PoseConfig(0.1))
+        sums = build_stage1_blocks(problem, state, 0.1)
     else:
         sums = build_stage2_blocks(problem, state)
     oracle = oracle_rows(problem, state, stage).sums()
@@ -578,7 +577,7 @@ def test_wt_equals_gathered_transposed_blocks(stage):
     problem = problem_with_unobserved(2)
     state = make_random_state(problem, 80, stage)
     if stage == STAGE1:
-        rows = build_stage1_blocks(problem, state, PoseConfig(0.1))
+        rows = build_stage1_blocks(problem, state, 0.1)
     else:
         rows = project_blocks(build_stage2_blocks(problem, state), state_tangent_bases(state))
     system = assemble(rows, 0.1, BOTH)
@@ -691,7 +690,7 @@ def test_stage1_system_matches_dense_oracle_at_raw_pixel_scale(mode):
     assert list(np.nonzero(np.diff(plan.landmark_pair_ptr) == 0)[0]) == [7]
     assert len(plan.pair_camera) == problem.num_observations - 2
     eta, lam = 0.1, 0.3
-    system = assemble(build_stage1_blocks(problem, state, PoseConfig(eta)), lam, mode)
+    system = assemble(build_stage1_blocks(problem, state, eta), lam, mode)
     assert system.v_degenerate[6]
 
     jac, res, d_p, d_l = dense_jacobian(problem, state, STAGE1, eta)
@@ -722,7 +721,7 @@ def test_landmark_normals_match_oracle_rows_at_raw_pixel_scale():
     np.testing.assert_allclose(got_ata, ata, rtol=0, atol=1e-12 * np.abs(ata).max())
     np.testing.assert_allclose(got_atc, atc, rtol=0, atol=1e-12 * np.abs(atc).max())
     np.testing.assert_array_equal(got_ata, got_ata.transpose(0, 2, 1))
-    resolved = solve_landmarks(state, problem, PoseConfig(eta))
+    resolved = solve_landmarks(state, problem, eta)
     np.testing.assert_array_equal(resolved.hessian, got_ata)
     np.testing.assert_array_equal(resolved.origin_gradient, got_atc)
     np.testing.assert_array_equal(resolved.degenerate, np.arange(8) >= 6)
@@ -742,7 +741,7 @@ def test_coupling_factors_match_dense_oracle(stage, path, monkeypatch):
     jac, res, d_p, d_l = dense_jacobian(problem, state, stage, eta=0.1)
     if stage == STAGE1:
         mode = POSE_ONLY
-        system = assemble(build_stage1_blocks(problem, state, PoseConfig(0.1)), lam, mode)
+        system = assemble(build_stage1_blocks(problem, state, 0.1), lam, mode)
     else:
         mode = BOTH
         bases = state_tangent_bases(state)

@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stratba.bal_io import BaProblem, ProjectiveState
+from stratba.solvers import SolverConfig
 from stratba.normal_eq import assemble, build_stage1_blocks
 from stratba import objective
 from stratba.objective import (
     STAGE1,
     STAGE2,
     V_PINV_TOL,
-    PoseConfig,
     pinv_psd,
     solve_landmarks,
     stage1_gram_apply,
@@ -32,20 +32,29 @@ from tests.conftest import (
 )
 
 
-def test_pose_config_range():
-    PoseConfig(0.0)
-    PoseConfig(1.0)
+def test_eta_range():
+    SolverConfig(eta=0.0)
+    SolverConfig(eta=1.0)
     with pytest.raises(ValueError):
-        PoseConfig(1.5)
+        SolverConfig(eta=1.5)
     with pytest.raises(ValueError):
-        PoseConfig(-0.1)
+        SolverConfig(eta=-0.1)
+    problem = make_random_problem(3, 5, 0)
+    state = make_random_state(problem, 1, STAGE1)
+    for eta in (1.5, -0.1):
+        with pytest.raises(ValueError):
+            build_stage1_blocks(problem, state, eta)
+        with pytest.raises(ValueError):
+            solve_landmarks(state, problem, eta)
+        with pytest.raises(ValueError):
+            total_cost(state, problem, STAGE1, eta)
 
 
 def test_pose_residual_hand_value():
     camera = np.array([[1.0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
     landmark = np.array([1.0, 2.0, 4.0, 1.0])
     measurement = np.array([0.25, 0.5])
-    r = pose_residual(camera, landmark, measurement, PoseConfig(0.1))
+    r = pose_residual(camera, landmark, measurement, 0.1)
     expected = np.array([0.0, 0.0, math.sqrt(0.1) * 0.75, math.sqrt(0.1) * 1.5])
     np.testing.assert_allclose(r, expected, atol=1e-15)
 
@@ -56,7 +65,7 @@ def test_pose_residual_eta_zero_object_space_consistency(rng):
     landmark = np.append(rng.standard_normal(3), 1.0)
     z = camera[2] @ landmark
     measurement = (camera[:2] @ landmark) / z
-    r = pose_residual(camera, landmark, measurement, PoseConfig(0.0))
+    r = pose_residual(camera, landmark, measurement, 0.0)
     np.testing.assert_allclose(r, 0.0, atol=1e-12)
 
 
@@ -64,16 +73,16 @@ def test_pose_residual_eta_one_affine_consistency(rng):
     camera = rng.standard_normal((3, 4))
     landmark = np.append(rng.standard_normal(3), 1.0)
     measurement = camera[:2] @ landmark
-    r = pose_residual(camera, landmark, measurement, PoseConfig(1.0))
+    r = pose_residual(camera, landmark, measurement, 1.0)
     np.testing.assert_allclose(r, 0.0, atol=1e-12)
 
 
-def _fd_check_stage1(camera, landmark, measurement, cfg):
-    jp, jl = pose_jacobians(camera, landmark, measurement, cfg)
+def _fd_check_stage1(camera, landmark, measurement, eta):
+    jp, jl = pose_jacobians(camera, landmark, measurement, eta)
     fd_p = central_difference_jacobian(
-        lambda c: pose_residual(c, landmark, measurement, cfg), camera)
+        lambda c: pose_residual(c, landmark, measurement, eta), camera)
     fd_l = central_difference_jacobian(
-        lambda v: pose_residual(camera, np.append(v, 1.0), measurement, cfg), landmark[:3])
+        lambda v: pose_residual(camera, np.append(v, 1.0), measurement, eta), landmark[:3])
     scale_p = max(1.0, np.abs(jp).max())
     scale_l = max(1.0, np.abs(jl).max())
     assert np.abs(fd_p - jp).max() / scale_p <= 1e-6
@@ -86,15 +95,15 @@ def test_pose_jacobians_match_finite_differences():
         camera = rng.standard_normal((3, 4))
         landmark = np.append(rng.standard_normal(3), 1.0)
         measurement = rng.standard_normal(2)
-        _fd_check_stage1(camera, landmark, measurement, PoseConfig(rng.uniform(0, 1)))
+        _fd_check_stage1(camera, landmark, measurement, rng.uniform(0, 1))
 
 
 def test_pose_jacobian_zero_camera_case():
-    cfg = PoseConfig(0.1)
+    eta = 0.1
     camera = np.zeros((3, 4))
     landmark = np.array([0.0, 0.0, 0.0, 1.0])
     measurement = np.array([0.3, -0.7])
-    jp, jl = pose_jacobians(camera, landmark, measurement, cfg)
+    jp, jl = pose_jacobians(camera, landmark, measurement, eta)
     # landmark Jacobian vanishes with a zero camera
     np.testing.assert_allclose(jl, 0.0, atol=1e-15)
     # pose Jacobian columns multiplying the fixed homogeneous 1 are the only
@@ -102,25 +111,25 @@ def test_pose_jacobian_zero_camera_case():
     nonzero_cols = sorted(set(np.nonzero(np.abs(jp) > 0)[1]))
     assert nonzero_cols == [3, 7, 11]
     fd = central_difference_jacobian(
-        lambda c: pose_residual(c, landmark, measurement, cfg), camera)
+        lambda c: pose_residual(c, landmark, measurement, eta), camera)
     np.testing.assert_allclose(fd, jp, atol=1e-9)
 
 
 def test_landmark_jacobian_independent_of_landmark(rng):
-    cfg = PoseConfig(0.3)
+    eta = 0.3
     camera = rng.standard_normal((3, 4))
     measurement = rng.standard_normal(2)
-    _, jl_a = pose_jacobians(camera, np.array([1.0, 2, 3, 1]), measurement, cfg)
-    _, jl_b = pose_jacobians(camera, np.array([-5.0, 0, 7, 1]), measurement, cfg)
+    _, jl_a = pose_jacobians(camera, np.array([1.0, 2, 3, 1]), measurement, eta)
+    _, jl_b = pose_jacobians(camera, np.array([-5.0, 0, 7, 1]), measurement, eta)
     np.testing.assert_array_equal(jl_a, jl_b)
 
 
 def test_pose_jacobian_independent_of_camera(rng):
-    cfg = PoseConfig(0.3)
+    eta = 0.3
     landmark = np.append(rng.standard_normal(3), 1.0)
     measurement = rng.standard_normal(2)
-    jp_a, _ = pose_jacobians(rng.standard_normal((3, 4)), landmark, measurement, cfg)
-    jp_b, _ = pose_jacobians(rng.standard_normal((3, 4)), landmark, measurement, cfg)
+    jp_a, _ = pose_jacobians(rng.standard_normal((3, 4)), landmark, measurement, eta)
+    jp_b, _ = pose_jacobians(rng.standard_normal((3, 4)), landmark, measurement, eta)
     np.testing.assert_array_equal(jp_a, jp_b)
 
 
@@ -128,13 +137,13 @@ def test_pose_jacobian_independent_of_camera(rng):
 @given(st.integers(0, 2**32 - 1))
 def test_stage1_residual_affine_in_landmark(seed):
     rng = np.random.default_rng(seed)
-    cfg = PoseConfig(rng.uniform(0, 1))
+    eta = rng.uniform(0, 1)
     camera = rng.standard_normal((3, 4))
     measurement = rng.standard_normal(2)
     va, vb = rng.standard_normal(3), rng.standard_normal(3)
 
     def r(v):
-        return pose_residual(camera, np.append(v, 1.0), measurement, cfg)
+        return pose_residual(camera, np.append(v, 1.0), measurement, eta)
 
     lhs = r(va) + r(vb) - r(np.zeros(3))
     rhs = r(va + vb)
@@ -278,7 +287,7 @@ def test_total_cost_zero_and_pythagoras():
         num_cameras=2, num_landmarks=1, num_observations=2,
         camera_indices=problem.camera_indices, landmark_indices=problem.landmark_indices,
         measurements=np.zeros((2, 2)))
-    assert total_cost(state, problem_zero, STAGE1, PoseConfig(0.0)) == 0.0
+    assert total_cost(state, problem_zero, STAGE1, 0.0) == 0.0
     # single observation with stage-2 residual (3, 4) -> cost 25
     cam = np.concatenate([np.eye(3), np.zeros((3, 1))], axis=1)
     st2 = ProjectiveState(cam[None], np.array([[3.0, 4.0, 1.0, 0.0]]))
@@ -292,13 +301,13 @@ def test_total_cost_zero_and_pythagoras():
 def test_total_cost_decomposes_over_observations(rng):
     problem = make_random_problem(3, 6, seed=5)
     state = make_random_state(problem, 6, STAGE1)
-    cfg = PoseConfig(0.25)
-    total = total_cost(state, problem, STAGE1, cfg)
+    eta = 0.25
+    total = total_cost(state, problem, STAGE1, eta)
     parts = 0.0
     for k in range(problem.num_observations):
         r = pose_residual(state.cameras[problem.camera_indices[k]],
                           state.landmarks[problem.landmark_indices[k]],
-                          problem.measurements[k], cfg)
+                          problem.measurements[k], eta)
         parts += float(r @ r)
     assert total == pytest.approx(parts, rel=1e-12)
 
@@ -311,16 +320,16 @@ def test_stage1_equivariant_under_measurement_scaling(s):
     rng = np.random.default_rng(17)
     problem = make_random_problem(5, 12, seed=18)
     state = make_random_state(problem, 19, STAGE1)
-    cfg = PoseConfig(rng.uniform(0.05, 0.95))
+    eta = rng.uniform(0.05, 0.95)
     scaled = problem.rescaled(s)
     assert scaled.plan is problem.plan
     scaled_state = ProjectiveState(state.cameras * np.array([1 / s, 1 / s, 1.0])[:, None],
                                    state.landmarks)
-    pixel_cost = total_cost(state, problem, STAGE1, cfg)
-    assert total_cost(scaled_state, scaled, STAGE1, cfg) * s**2 == pytest.approx(
+    pixel_cost = total_cost(state, problem, STAGE1, eta)
+    assert total_cost(scaled_state, scaled, STAGE1, eta) * s**2 == pytest.approx(
         pixel_cost, rel=1e-12)
-    landmarks = solve_landmarks(state, problem, cfg).landmarks
-    np.testing.assert_allclose(solve_landmarks(scaled_state, scaled, cfg).landmarks,
+    landmarks = solve_landmarks(state, problem, eta).landmarks
+    np.testing.assert_allclose(solve_landmarks(scaled_state, scaled, eta).landmarks,
                                landmarks, rtol=0, atol=1e-10)
 
 
@@ -356,7 +365,7 @@ def test_solve_landmarks_recovers_ground_truth(rng):
             camera_indices=np.arange(n_cams), landmark_indices=np.zeros(n_cams, dtype=int),
             measurements=meas)
         state = ProjectiveState(cameras, np.array([[0.0, 0, 0, 1]]))
-        out = solve_landmarks(state, problem, PoseConfig(rng.uniform(0, 1))).landmarks
+        out = solve_landmarks(state, problem, rng.uniform(0, 1)).landmarks
         np.testing.assert_allclose(out[0], truth, atol=1e-10)
 
 
@@ -369,22 +378,22 @@ def test_solve_landmarks_zero_rhs_gives_origin(rng):
         camera_indices=np.arange(3), landmark_indices=np.zeros(3, dtype=int),
         measurements=np.zeros((3, 2)))
     state = ProjectiveState(cameras, np.array([[5.0, 5, 5, 1]]))
-    out = solve_landmarks(state, problem, PoseConfig(0.1)).landmarks
+    out = solve_landmarks(state, problem, 0.1).landmarks
     np.testing.assert_allclose(out[0], [0, 0, 0, 1], atol=1e-12)
 
 
 def test_solve_landmarks_is_optimal_under_perturbation(rng):
     problem = make_random_problem(4, 5, seed=8)
     state = make_random_state(problem, 9, STAGE1)
-    cfg = PoseConfig(0.1)
-    solved = ProjectiveState(state.cameras, solve_landmarks(state, problem, cfg).landmarks)
-    base = total_cost(solved, problem, STAGE1, cfg)
-    assert base <= total_cost(state, problem, STAGE1, cfg)
+    eta = 0.1
+    solved = ProjectiveState(state.cameras, solve_landmarks(state, problem, eta).landmarks)
+    base = total_cost(solved, problem, STAGE1, eta)
+    assert base <= total_cost(state, problem, STAGE1, eta)
     for _ in range(20):
         j = int(rng.integers(0, problem.num_landmarks))
         perturbed = np.array(solved.landmarks)
         perturbed[j, :3] += rng.standard_normal(3) * 0.1
-        cost = total_cost(ProjectiveState(solved.cameras, perturbed), problem, STAGE1, cfg)
+        cost = total_cost(ProjectiveState(solved.cameras, perturbed), problem, STAGE1, eta)
         assert cost >= base
 
 
@@ -398,7 +407,7 @@ def test_solve_landmarks_degenerate_left_unchanged(caplog):
         measurements=np.ones((2, 2)))
     state = ProjectiveState(cameras, np.array([[7.0, 8.0, 9.0, 1.0]]))
     with caplog.at_level("WARNING"):
-        out = solve_landmarks(state, problem, PoseConfig(0.1)).landmarks
+        out = solve_landmarks(state, problem, 0.1).landmarks
     np.testing.assert_array_equal(out[0], [7.0, 8.0, 9.0, 1.0])
     assert any("rank-deficient" in r.message for r in caplog.records)
 
@@ -428,9 +437,9 @@ def mixed_track_problem():
 def test_solve_landmarks_matches_per_landmark_lstsq(caplog):
     problem, state = mixed_track_problem()
     cameras, start = state.cameras, state.landmarks
-    cfg = PoseConfig(0.3)
+    eta = 0.3
     with caplog.at_level("WARNING"):
-        out = solve_landmarks(state, problem, cfg).landmarks
+        out = solve_landmarks(state, problem, eta).landmarks
 
     warnings = [r.getMessage() for r in caplog.records if "rank-deficient" in r.getMessage()]
     assert warnings == ["left 1 landmarks unchanged: rank-deficient closed-form systems"]
@@ -441,8 +450,8 @@ def test_solve_landmarks_matches_per_landmark_lstsq(caplog):
         for k in np.nonzero(problem.landmark_indices == j)[0]:
             cam = cameras[problem.camera_indices[k]]
             m = problem.measurements[k]
-            rows_a.append(pose_jacobians(cam, start[j], m, cfg)[1])
-            rows_c.append(pose_residual(cam, origin, m, cfg))
+            rows_a.append(pose_jacobians(cam, start[j], m, eta)[1])
+            rows_c.append(pose_residual(cam, origin, m, eta))
         expected = np.linalg.lstsq(np.vstack(rows_a), -np.concatenate(rows_c), rcond=None)[0]
         np.testing.assert_allclose(out[j, :3], expected, rtol=0, atol=1e-12 * max(
             1.0, np.abs(expected).max()))
@@ -450,7 +459,7 @@ def test_solve_landmarks_matches_per_landmark_lstsq(caplog):
 
     # a stage-1 linearization at the re-solved point is stationary in every
     # solved landmark and flags exactly the skipped ones as degenerate
-    system = assemble(build_stage1_blocks(problem, ProjectiveState(cameras, out), cfg), 1e-4)
+    system = assemble(build_stage1_blocks(problem, ProjectiveState(cameras, out), eta), 1e-4)
     np.testing.assert_array_equal(system.v_degenerate, np.arange(12) >= 10)
     scale = np.linalg.norm(system.v[:10], axis=(1, 2))
     assert np.all(np.linalg.norm(system.b_l[:10], axis=1) <= 1e-12 * np.maximum(1.0, scale))
@@ -461,11 +470,11 @@ def test_linearization_from_resolve_equals_fresh(lam):
     # the re-solve's V, A^T c and V^+ stand in for the ones a fresh
     # linearization at the re-solved point forms, bit for bit
     problem, state = mixed_track_problem()
-    cfg = PoseConfig(0.3)
-    resolved = solve_landmarks(state, problem, cfg)
+    eta = 0.3
+    resolved = solve_landmarks(state, problem, eta)
     at = ProjectiveState(state.cameras, resolved.landmarks)
-    rows = build_stage1_blocks(problem, at, cfg, resolved)
-    fresh_rows = build_stage1_blocks(problem, at, cfg)
+    rows = build_stage1_blocks(problem, at, eta, resolved)
+    fresh_rows = build_stage1_blocks(problem, at, eta)
     np.testing.assert_array_equal(rows.v, fresh_rows.v)
     np.testing.assert_array_equal(rows.b_l, fresh_rows.b_l)
     reused, fresh = assemble(rows, lam), assemble(fresh_rows, lam)
@@ -481,8 +490,8 @@ def test_linearization_from_resolve_equals_fresh(lam):
 def test_solve_landmarks_gradient_small(rng):
     problem = make_random_problem(6, 10, seed=21)
     state = make_random_state(problem, 22, STAGE1)
-    cfg = PoseConfig(0.1)
-    lms = solve_landmarks(state, problem, cfg).landmarks
+    eta = 0.1
+    lms = solve_landmarks(state, problem, eta).landmarks
     # analytic per-landmark gradient 2 A^T (A v + c), assembled independently
     for j in range(problem.num_landmarks):
         rows_a, rows_c = [], []
@@ -491,9 +500,9 @@ def test_solve_landmarks_gradient_small(rng):
                 continue
             cam = state.cameras[problem.camera_indices[k]]
             m = problem.measurements[k]
-            _, jl = pose_jacobians(cam, lms[j], m, cfg)
+            _, jl = pose_jacobians(cam, lms[j], m, eta)
             rows_a.append(jl)
-            rows_c.append(pose_residual(cam, lms[j], m, cfg))
+            rows_c.append(pose_residual(cam, lms[j], m, eta))
         a = np.vstack(rows_a)
         r = np.concatenate(rows_c)
         grad = 2 * a.T @ r

@@ -140,7 +140,7 @@ def test_riemannian_step_matches_dense_solve(seed):
     problem = make_random_problem(3, 9, seed=seed)
     state = make_random_state(problem, seed + 30, STAGE2)
     lam = 3.0
-    cfg = SolverConfig(max_power_order=20, power_threshold=0.0)
+    cfg = SolverConfig(power_order=20, power_threshold=0.0)
     bases = state_tangent_bases(state)
     step = riemannian_step(problem, state, lam, bases)
     rep = power_schur_solve(step, cfg)
@@ -160,8 +160,8 @@ def test_riemannian_power_vs_pcg(seed):
     state = make_random_state(problem, seed + 40, STAGE2)
     bases = state_tangent_bases(state)
     system = assemble(project_blocks(build_stage2_blocks(problem, state), bases), 3.0, BOTH)
-    a = power_schur_solve(system, SolverConfig(max_power_order=20, power_threshold=0.0))
-    b = pcg_schur_solve(system, SolverConfig(pcg_tolerance=1e-10, max_inner_iterations=5000))
+    a = power_schur_solve(system, SolverConfig(power_order=20, power_threshold=0.0))
+    b = pcg_schur_solve(system, SolverConfig(pcg_tolerance=1e-10, inner_iterations=5000))
     rel = np.linalg.norm(a.pose_update - b.pose_update) / np.linalg.norm(b.pose_update)
     assert rel <= 1e-5
 
@@ -245,7 +245,7 @@ def test_stage2_accepted_steps_keep_unit_norms():
     state = random_init(problem, 2)
     s1, _ = lm_minimize(problem, state, STAGE1, SolverConfig())
     lifted = retract(s1)
-    final, _ = lm_minimize(problem, lifted, STAGE2, SolverConfig(max_outer_iterations=10))
+    final, _ = lm_minimize(problem, lifted, STAGE2, SolverConfig(max_iterations=10))
     np.testing.assert_allclose(np.linalg.norm(final.cameras.reshape(-1, 12), axis=1), 1.0,
                                atol=1e-12)
     np.testing.assert_allclose(np.linalg.norm(final.landmarks, axis=1), 1.0, atol=1e-12)

@@ -15,7 +15,7 @@ from stratba.normal_eq import (
     dense_schur,
     schur_rhs,
 )
-from stratba.objective import STAGE1, STAGE2, PoseConfig, total_cost
+from stratba.objective import ETA, STAGE1, STAGE2, total_cost
 from stratba.solvers import (
     SolverConfig,
     direct_schur_solve,
@@ -42,14 +42,14 @@ def decoupled_system():
     """Single camera, W = 0: the reduced matrix equals the damped pose block."""
     problem = make_random_problem(1, 4, seed=0, cameras_per_landmark=1)
     state = make_random_state(problem, 1000, STAGE1)
-    sums = build_stage1_blocks(problem, state, PoseConfig(0.1))
+    sums = build_stage1_blocks(problem, state, 0.1)
     zero = dataclasses.replace(sums.factors, gt=np.zeros_like(sums.factors.gt))
     return assemble(dataclasses.replace(sums, factors=zero), 0.3, POSE_ONLY)
 
 
 def test_power_collapses_when_uncoupled():
     system = decoupled_system()
-    cfg = SolverConfig(max_power_order=20, power_threshold=0.01)
+    cfg = SolverConfig(power_order=20, power_threshold=0.01)
     rep = power_schur_solve(system, cfg)
     expected = -np.linalg.solve(system.u_blocks[0], system.b_p[0])
     np.testing.assert_allclose(rep.pose_update, expected, atol=1e-12)
@@ -59,7 +59,7 @@ def test_power_collapses_when_uncoupled():
 
 def test_power_order_zero_forced():
     system, _, _ = make_varpro_system(3, 8, seed=1, lam=0.5)
-    rep = power_schur_solve(system, SolverConfig(max_power_order=0, power_threshold=0.0))
+    rep = power_schur_solve(system, SolverConfig(power_order=0, power_threshold=0.0))
     u, _, _ = dense_uwv(system)
     expected = np.linalg.solve(u, schur_rhs(system))
     np.testing.assert_allclose(rep.pose_update, expected, atol=1e-10)
@@ -69,7 +69,7 @@ def test_power_order_zero_forced():
 @pytest.mark.parametrize("seed", range(5))
 def test_power_matches_dense_solve(seed):
     system, _, _ = make_varpro_system(3, 10, seed=seed, lam=3.0)
-    rep = power_schur_solve(system, SolverConfig(max_power_order=20, power_threshold=0.0))
+    rep = power_schur_solve(system, SolverConfig(power_order=20, power_threshold=0.0))
     x_exact = np.linalg.solve(dense_schur(system), schur_rhs(system))
     rel = np.linalg.norm(rep.pose_update - x_exact) / np.linalg.norm(x_exact)
     assert rel <= 1e-5
@@ -143,7 +143,7 @@ def test_pcg_zero_rhs():
 @pytest.mark.parametrize("seed", range(5))
 def test_pcg_matches_dense_solve(seed):
     system, _, _ = make_varpro_system(4, 12, seed=seed, lam=0.01)
-    rep = pcg_schur_solve(system, SolverConfig(pcg_tolerance=1e-12, max_inner_iterations=5000))
+    rep = pcg_schur_solve(system, SolverConfig(pcg_tolerance=1e-12, inner_iterations=5000))
     x_exact = np.linalg.solve(dense_schur(system), schur_rhs(system))
     rel = np.linalg.norm(rep.pose_update - x_exact) / np.linalg.norm(x_exact)
     assert rel <= 1e-6
@@ -204,8 +204,8 @@ def test_direct_sparse_path_matches_dense(monkeypatch):
 @pytest.mark.parametrize("seed", range(20))
 def test_solver_agreement(seed):
     system, _, _ = make_varpro_system(3, 10, seed=seed + 100, lam=3.0)
-    x_pow = power_schur_solve(system, SolverConfig(max_power_order=20, power_threshold=0.0))
-    x_pcg = pcg_schur_solve(system, SolverConfig(pcg_tolerance=1e-10, max_inner_iterations=5000))
+    x_pow = power_schur_solve(system, SolverConfig(power_order=20, power_threshold=0.0))
+    x_pcg = pcg_schur_solve(system, SolverConfig(pcg_tolerance=1e-10, inner_iterations=5000))
     x_dir = direct_schur_solve(system, SolverConfig())
     scale = np.linalg.norm(x_dir.pose_update)
     assert np.linalg.norm(x_pow.pose_update - x_dir.pose_update) / scale <= 1e-5
@@ -249,7 +249,7 @@ def test_spectral_check_sums_repeated_observations(speedup, monkeypatch):
     monkeypatch.setattr(normal_eq, "_GEMM_SPEEDUP", speedup)
     problem = with_repeated_observations(make_random_problem(4, 10, seed=3), [0, 5, 5], seed=4)
     state = make_random_state(problem, 1003, STAGE1)
-    system = assemble(build_stage1_blocks(problem, state, PoseConfig(0.1)), 1e-4, POSE_ONLY)
+    system = assemble(build_stage1_blocks(problem, state, 0.1), 1e-4, POSE_ONLY)
     _assert_matches_oracle(spectral_check(system), dense_spectral_oracle(system))
 
 
@@ -293,7 +293,7 @@ def affine_consistent_problem(seed=0):
 def test_lm_zero_residual_terminates_first_iteration():
     problem, state = affine_consistent_problem()
     cfg = SolverConfig()
-    assert total_cost(state, problem, STAGE1, cfg.pose) == 0.0
+    assert total_cost(state, problem, STAGE1, cfg.eta) == 0.0
     final, trace = lm_minimize(problem, state, STAGE1, cfg)
     assert trace.records[-1].iteration == 1
     assert trace.records[-1].cost == 0.0
@@ -413,7 +413,7 @@ def test_stage1_weights_computed_once_per_problem(monkeypatch):
     assert len(weights) == 1
 
 
-def oracle_landmarks(problem, cameras, cfg):
+def oracle_landmarks(problem, cameras, eta):
     """Each landmark's least-squares optimum from its stacked dense rows."""
     origin = np.array([0.0, 0.0, 0.0, 1.0])
     out = np.ones((problem.num_landmarks, 4))
@@ -421,15 +421,15 @@ def oracle_landmarks(problem, cameras, cfg):
         rows_a, rows_c = [], []
         for k in np.flatnonzero(problem.landmark_indices == j):
             cam, m = cameras[problem.camera_indices[k]], problem.measurements[k]
-            rows_a.append(pose_jacobians(cam, origin, m, cfg)[1])
-            rows_c.append(pose_residual(cam, origin, m, cfg))
+            rows_a.append(pose_jacobians(cam, origin, m, eta)[1])
+            rows_c.append(pose_residual(cam, origin, m, eta))
         out[j, :3] = np.linalg.lstsq(np.vstack(rows_a), -np.concatenate(rows_c), rcond=None)[0]
     return out
 
 
-def oracle_cost(problem, cameras, landmarks, cfg):
+def oracle_cost(problem, cameras, landmarks, eta):
     """Sum of per-observation squared residuals."""
-    return sum(float(np.sum(pose_residual(cameras[c], landmarks[j], m, cfg) ** 2))
+    return sum(float(np.sum(pose_residual(cameras[c], landmarks[j], m, eta) ** 2))
                for c, j, m in zip(problem.camera_indices, problem.landmark_indices,
                                   problem.measurements))
 
@@ -446,7 +446,7 @@ def test_varpro_trial_cost_is_reduced_cost_at_trial_cameras(monkeypatch, solver)
 
     monkeypatch.setattr(solvers, "total_cost", recording_cost)
     problem = make_ring_problem(5, 20, 0.5, seed=4)
-    cfg = SolverConfig(stage1_solver=solver, max_outer_iterations=4)
+    cfg = SolverConfig(stage1_solver=solver, max_iterations=4)
     _, trace = lm_minimize(problem, random_init(problem, 2), STAGE1, cfg)
     trials = judged[1:]  # after the starting cost
     assert len(trials) == len(trace.records) - 1
@@ -454,18 +454,18 @@ def test_varpro_trial_cost_is_reduced_cost_at_trial_cameras(monkeypatch, solver)
         [judged[0][1]] + [c for _, c in trials])[1:])
     rng = np.random.default_rng(5)
     for state, cost in trials:
-        best = oracle_landmarks(problem, state.cameras, cfg.pose)
+        best = oracle_landmarks(problem, state.cameras, cfg.eta)
         np.testing.assert_allclose(state.landmarks, best, rtol=1e-9, atol=1e-9)
-        assert cost == pytest.approx(oracle_cost(problem, state.cameras, best, cfg.pose),
+        assert cost == pytest.approx(oracle_cost(problem, state.cameras, best, cfg.eta),
                                      rel=1e-12)
         for scale in (1e-4, 1e-2, 1.0):
             perturbed = best.copy()
             perturbed[:, :3] += scale * rng.standard_normal((problem.num_landmarks, 3))
-            assert oracle_cost(problem, state.cameras, perturbed, cfg.pose) > cost
+            assert oracle_cost(problem, state.cameras, perturbed, cfg.eta) > cost
             j = int(rng.integers(problem.num_landmarks))
             one = best.copy()
             one[j, :3] += scale * rng.standard_normal(3)
-            assert oracle_cost(problem, state.cameras, one, cfg.pose) > cost
+            assert oracle_cost(problem, state.cameras, one, cfg.eta) > cost
 
 
 def test_lm_stage2_rejects_infinite_trials():
@@ -490,20 +490,20 @@ def test_lm_stage2_rejects_infinite_trials():
 def test_lm_trace_times_non_decreasing():
     problem = make_ring_problem(4, 15, 0.0, seed=3)
     state = random_init(problem, 0)
-    _, trace = lm_minimize(problem, state, STAGE1, SolverConfig(max_outer_iterations=5))
+    _, trace = lm_minimize(problem, state, STAGE1, SolverConfig(max_iterations=5))
     times = [r.elapsed_seconds for r in trace.records]
     assert all(b >= a for a, b in zip(times, times[1:]))
 
 
 def test_config_defaults_are_canonical():
     cfg = SolverConfig()
-    assert cfg.max_outer_iterations == 50
+    assert cfg.max_iterations == 50
     assert cfg.function_tolerance == 1e-6
     assert cfg.initial_lambda == 1e-4
-    assert cfg.max_power_order == 20
+    assert cfg.power_order == 20
     assert cfg.power_threshold == 0.01
-    assert cfg.max_inner_iterations == 500
-    assert cfg.pose.eta == 0.1
+    assert cfg.inner_iterations == 500
+    assert cfg.eta == ETA == 0.1
     assert cfg.stage1_solver == "povar"
     assert cfg.stage2_solver == "ripoba"
 

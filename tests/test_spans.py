@@ -80,13 +80,13 @@ def test_traced_ripoba_stage2_keeps_its_spans():
     # follows; a rejected step re-damps the kept system instead
     problem = make_random_problem(4, 20, seed=9)
     stage1, _ = solvers.lm_minimize(problem, random_init(problem, 1), STAGE1,
-                                    SolverConfig(max_outer_iterations=5))
+                                    SolverConfig(max_iterations=5))
     tracer = load_spans_module().Tracer()
     tracer.install()
     try:
         _, trace = solvers.lm_minimize(problem, retract(stage1), STAGE2,
                                        SolverConfig(stage2_solver="ripoba",
-                                                    max_outer_iterations=10))
+                                                    max_iterations=10))
     finally:
         tracer.uninstall()
     report = tracer.report()

@@ -5,7 +5,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -25,8 +25,9 @@ from stratba.bal_io import (
 from stratba.cli import main
 from stratba.evaluation import read_trace_csv
 from stratba.objective import STAGE1, STAGE2, total_cost
-from stratba.pipeline import RunSpec, read_state, write_state
+from stratba.pipeline import SOLVER_SETTINGS, RunSpec, read_state, write_state
 from stratba.riemannian import retract
+from stratba.solvers import SolverConfig
 from stratba.synth import ground_truth_state, make_ring_problem
 
 
@@ -180,6 +181,7 @@ def test_cli_solve_stage1_artifacts(synth_file, tmp_path):
     assert summary["config"]["power_threshold"] == 0.01
     assert summary["config"]["inner_iterations"] == 500
     assert summary["config"]["eta"] == 0.1
+    assert list(summary["config"]) == ["seed", "stage", *(name for name, _ in SOLVER_SETTINGS)]
     state = read_state(out / "ring_state.txt")
     assert state.cameras.shape == (6, 3, 4)
 
@@ -523,7 +525,7 @@ def test_cli_profile_hand_checked(tmp_path):
 
     def t(solver, problem, reach_time):
         recs = [TraceRecord(0, 100.0, 0.0), TraceRecord(1, 0.0, reach_time)]
-        return ConvergenceTrace(solver, problem, "stage1", recs, 100.0)
+        return ConvergenceTrace(solver, problem, "stage1", recs)
 
     traces = [t("a", "p1", 1.0), t("b", "p1", 2.0), t("a", "p2", 4.0), t("b", "p2", 2.0)]
     trace_path = tmp_path / "traces.csv"
@@ -552,10 +554,25 @@ def test_cli_profile_stage_filter_empty(tmp_path, capsys):
     from stratba.evaluation import ConvergenceTrace, TraceRecord, write_trace_csv
 
     trace_path = tmp_path / "traces.csv"
-    write_trace_csv([ConvergenceTrace("a", "p", "stage2",
-                                      [TraceRecord(0, 1.0, 0.0)], 1.0)], trace_path)
+    write_trace_csv([ConvergenceTrace("a", "p", "stage2", [TraceRecord(0, 1.0, 0.0)])],
+                    trace_path)
     code = main(["profile", "--stage", "stage1", str(trace_path)])
     assert code == 3
+
+
+def test_cli_profile_rejects_traces_with_different_initial_costs(synth_file, tmp_path, capsys):
+    # two random starts of one problem give two initial costs: no shared threshold
+    traces = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"seed{seed}"
+        assert main(["solve", "--stage1", "--seed", seed, "--out-dir", str(out),
+                     str(synth_file)]) == 0
+        traces.append(str(out / "ring_trace.csv"))
+    capsys.readouterr()
+    profile = tmp_path / "profile.csv"
+    assert main(["profile", "--out", str(profile), *traces]) == cli.EXIT_CONFIG
+    assert "traces disagree on the initial cost" in capsys.readouterr().err
+    assert not profile.exists()
 
 
 def test_cli_jobs_fan_out(tmp_path):
@@ -607,3 +624,7 @@ def test_solve_defaults_are_run_spec_defaults(monkeypatch):
     assert (args.seed, args.stage) == (RunSpec.seed, RunSpec.stage)
     assert cli._cmd_solve(args) == cli.EXIT_OK
     assert specs == [RunSpec(inputs=["p.txt"])]
+    # one name per setting: SolverConfig field, flag dest and summary key, in summary order
+    names = [name for name, _ in SOLVER_SETTINGS]
+    assert names == [f.name for f in fields(SolverConfig) if f.name != "pcg_tolerance"]
+    assert list(specs[0].config_echo()) == ["seed", "stage", *names]

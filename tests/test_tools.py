@@ -31,9 +31,38 @@ def test_tool_exits_2_without_a_stratba_package(name, n_trees, tmp_path):
     assert "no stratba package" in proc.stderr
 
 
-def test_panel_diff_solves_the_benchmark_workloads():
+def panel_diff():
     spec = importlib.util.spec_from_file_location("panel_diff", TOOLS / "panel_diff.py")
-    panel_diff = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(panel_diff)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_panel_diff_solves_the_benchmark_workloads():
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]
-    assert list(panel_diff.bench_module().WORKLOADS) == [wl["name"] for wl in declared]
+    assert list(panel_diff().bench_module().WORKLOADS) == [wl["name"] for wl in declared]
+
+
+def test_panel_diff_compares_summaries_without_runtimes(tmp_path):
+    old = {"config": {"seed": 1, "eta": 0.1},
+           "stages": {"stage1": {"final_cost": 2.5, "runtime_seconds": 0.25},
+                      "metric": {"plane_at_infinity": [0.0, 1.0], "runtime_seconds": 1.0}}}
+    new = json.loads(json.dumps(old))
+    new["stages"]["stage1"]["runtime_seconds"] = 0.5
+    new["stages"]["metric"]["runtime_seconds"] = 3.0
+    paths = [tmp_path / "old.json", tmp_path / "new.json"]
+    tool = panel_diff()
+
+    def verdict():
+        for path, summary in zip(paths, (old, new)):
+            path.write_text(json.dumps(summary))
+        return tool.compare_summaries(paths)
+
+    assert verdict() == "identical"
+    new["stages"]["stage1"]["final_cost"] = 2.0
+    new["stages"]["metric"]["plane_at_infinity"][1] = -1.0
+    assert verdict() == ("differs at stages.stage1.final_cost, "
+                         "stages.metric.plane_at_infinity[1]")
+    new = json.loads(json.dumps(old))
+    new["config"] = {"eta": 0.1, "seed": 1}
+    assert verdict() == "differs at config (key order)"

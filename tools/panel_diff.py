@@ -14,19 +14,22 @@ their final costs (where the iteration counts or the units of a stage differ,
 the final costs are what is left to compare). For each pair's
 state file, and its metric-upgrade file where it writes one
 (``<stem>_metric.txt``, the ``--metric`` solves), it prints "byte-identical"
-or the largest relative difference of the two files' numbers. The last line
+or the largest relative difference of the two files' numbers. For each pair's
+``<stem>_summary.json`` it prints "summary identical" or the key paths that
+differ, with every ``runtime_seconds`` removed on both sides. The last line
 counts the traces that are bit-identical (the same costs over the same
-iterations), the byte-identical states and the byte-identical metric files,
-then the traces with equal iteration counts and the largest relative
-difference of the trace costs over all pairs, so that a change that only
-reorders sums reads as such at a glance; like ``cmp``, it exits 1 when
-anything differs.
+iterations), the byte-identical states, the byte-identical metric files and
+the identical summaries, then the traces with equal iteration counts and the
+largest relative difference of the trace costs over all pairs, so that a
+change that only reorders sums reads as such at a glance; like ``cmp``, it
+exits 1 when anything differs.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -91,6 +94,40 @@ def compare_files(paths: list[Path]) -> str:
     return f"max rel diff {max_rel_diff(old, new):.1e}"
 
 
+def without_runtimes(value):
+    """A JSON value with every ``runtime_seconds`` key of its nested objects removed."""
+    if isinstance(value, dict):
+        return {k: without_runtimes(v) for k, v in value.items() if k != "runtime_seconds"}
+    return value
+
+
+def differing_paths(old, new, path: str = "") -> list[str]:
+    """The key paths (``stages.stage1.final_cost``, ``a[2]``) at which two JSON
+    values differ. Leaves compare by their JSON text, so 1 differs from 1.0 and
+    NaN equals NaN; a dict whose keys are equal but ordered differently is
+    reported as ``<path> (key order)``."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        paths = []
+        for key in [*old, *(k for k in new if k not in old)]:
+            sub = f"{path}.{key}" if path else str(key)
+            paths += (differing_paths(old[key], new[key], sub)
+                      if key in old and key in new else [sub])
+        if not paths and list(old) != list(new):
+            paths.append(f"{path or '$'} (key order)")
+        return paths
+    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        return [p for i, (a, b) in enumerate(zip(old, new))
+                for p in differing_paths(a, b, f"{path}[{i}]")]
+    return [] if json.dumps(old) == json.dumps(new) else [path or "$"]
+
+
+def compare_summaries(paths: list[Path]) -> str:
+    """"identical", or the key paths at which the two summaries differ, runtimes aside."""
+    old, new = (without_runtimes(json.loads(path.read_text())) for path in paths)
+    diff = differing_paths(old, new)
+    return "identical" if not diff else "differs at " + ", ".join(diff)
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description="compare the benchmark panels solved by two trees")
     ap.add_argument("old_src", type=Path, help="directory holding the reference stratba")
@@ -105,6 +142,7 @@ def main() -> int:
     print(f"{'pair':<22} {'stage':<7} {'iters old':>9} {'iters new':>9} {'max rel diff':>13} "
           f"{'final rel diff':>15}")
     same_traces, n_traces, same_states, n_states, same_metrics, n_metrics = 0, 0, 0, 0, 0, 0
+    same_summaries, n_summaries = 0, 0
     same_iterations, worst_cost = 0, 0.0
     with tempfile.TemporaryDirectory(prefix="panel_diff-") as tmp:
         work = Path(tmp)
@@ -146,12 +184,18 @@ def main() -> int:
                     print(f"{label:<22} metric  {verdict}")
                     same_metrics += verdict == "byte-identical"
                     n_metrics += 1
+                verdict = compare_summaries([out / f"{stem}_summary.json" for out in outs])
+                print(f"{label:<22} summary {verdict}")
+                same_summaries += verdict == "identical"
+                n_summaries += 1
     print(f"{same_traces}/{n_traces} traces bit-identical, "
           f"{same_states}/{n_states} states byte-identical, "
-          f"{same_metrics}/{n_metrics} metric files byte-identical; "
+          f"{same_metrics}/{n_metrics} metric files byte-identical, "
+          f"{same_summaries}/{n_summaries} summaries identical; "
           f"{same_iterations}/{n_traces} traces with equal iteration counts, "
           f"largest trace-cost rel diff {worst_cost:.1e}")
-    same = (same_traces, same_states, same_metrics) == (n_traces, n_states, n_metrics)
+    same = ((same_traces, same_states, same_metrics, same_summaries)
+            == (n_traces, n_states, n_metrics, n_summaries))
     return 0 if same else 1
 
 
