@@ -37,8 +37,14 @@ in the sparse direct solve above the dense limit, W V^+ W^T is a
 block-sparse product. The pose Hessian blocks are damped with Jacobi
 scaling; the landmark blocks are damped only in ``both`` mode (joint /
 tangent-space optimization), never in ``pose_only`` mode
-(eliminated-landmark optimization), where every re-damped system shares the
-pseudo-inverse of the undamped V (``v_pinv``).
+(eliminated-landmark optimization). There the damping reaches U alone, so
+everything formed from W and V^+ is the same for every damping of one
+linearization: the pseudo-inverse of the undamped V (``v_pinv``), the
+explicit coupling W V^+ W^T (dense for ``dense_schur``, block-sparse for
+``schur_matrix``), the reduced right-hand side (``schur_rhs``) and the
+coupling term of ``schur_diag_blocks``. Each is formed once, on first use,
+and shared by every re-damped system (``SchurSystem.lambda_free``), which
+adds only its own damped U.
 """
 
 from __future__ import annotations
@@ -47,7 +53,9 @@ import copy
 import dataclasses
 import functools
 import logging
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import TypeVar
 
 import numpy as np
 import scipy.linalg.blas
@@ -67,6 +75,8 @@ from .objective import (
 )
 
 logger = logging.getLogger(__name__)
+
+T = TypeVar("T")
 
 POSE_ONLY = "pose_only"
 BOTH = "both"
@@ -320,7 +330,8 @@ class SchurSystem(BlockSums):
     ``u_blocks`` and ``v_blocks`` and the landmark-block pseudo-inverses
     follow from them. In pose-only mode V is not damped, so ``v_pinv`` is
     filled when the sums do not carry it and is the ``v_inv`` of every
-    re-damped system; both mode damps V and ignores it.
+    re-damped system, and so are the products of ``lambda_free``; both mode
+    damps V, ignores ``v_pinv`` and forms those products on every call.
     """
 
     _: dataclasses.KW_ONLY
@@ -330,6 +341,9 @@ class SchurSystem(BlockSums):
     v_blocks: np.ndarray = dataclasses.field(init=False)  # damped only in BOTH mode
     v_inv: np.ndarray = dataclasses.field(init=False)  # pseudo-inverses
     v_degenerate: np.ndarray = dataclasses.field(init=False)  # (n_l,) bool
+    # pose-only: the products of ``lambda_free``, by function; shared by re-damped systems
+    _products: dict = dataclasses.field(init=False, default_factory=dict, repr=False,
+                                        compare=False)
 
     def __post_init__(self):
         if self.lam < 0:
@@ -352,11 +366,34 @@ class SchurSystem(BlockSums):
     def redamped(self, lam: float) -> SchurSystem:
         """The same linearization at another damping.
 
-        The sums, W's factors with their CSR matrices and, in pose-only mode,
-        V's pseudo-inverse are shared. The result equals a fresh ``assemble``
-        bit for bit.
+        The sums and W's factors with their CSR matrices are shared. In
+        pose-only mode so are V's pseudo-inverse and every product of
+        ``lambda_free`` formed so far or later, by either system: the explicit
+        coupling W V^+ W^T, the reduced right-hand side and the coupling term
+        of the block diagonal. The new system forms only its damped U. The
+        result equals a fresh ``assemble`` bit for bit.
         """
-        return dataclasses.replace(self, lam=lam)
+        out = dataclasses.replace(self, lam=lam)
+        if self.damping_mode == POSE_ONLY:
+            out._products = self._products
+        return out
+
+    def lambda_free(self, product: Callable[[SchurSystem], T]) -> T:
+        """``product(self)``, for a product of W, V^+ and the sums that does not read U.
+
+        In pose-only mode it does not depend on the damping: it is formed on
+        the first call, by this system or one re-damped from the same
+        linearization, and returned to every later call (arrays read-only).
+        In both mode V^+ is damped, and it is formed on every call.
+        """
+        if self.damping_mode == BOTH:
+            return product(self)
+        if product not in self._products:
+            out = product(self)
+            if isinstance(out, np.ndarray):
+                out.flags.writeable = False
+            self._products[product] = out
+        return self._products[product]
 
     @property
     def n_cameras(self) -> int:
@@ -398,7 +435,15 @@ def assemble(sums: BlockSums, lam: float, damping_mode: str = POSE_ONLY) -> Schu
 
 
 def schur_rhs(system: SchurSystem) -> np.ndarray:
-    """Reduced right-hand side -(b_p - W V^{-1} b_l), flattened to pose dimension."""
+    """Reduced right-hand side -(b_p - W V^{-1} b_l), flattened to pose dimension.
+
+    Formed once per pose-only linearization (``SchurSystem.lambda_free``);
+    the shared array is read-only.
+    """
+    return system.lambda_free(_schur_rhs)
+
+
+def _schur_rhs(system: SchurSystem) -> np.ndarray:
     return -(system.b_p.ravel() - system.factors.matvec(block_apply(system.v_inv, system.b_l)))
 
 
@@ -425,7 +470,14 @@ def schur_diag_blocks(system: SchurSystem) -> np.ndarray:
     sum_o K_o (x) (x x^T)_o with K_o = G^T_o V^+_l(o) G_o, summed with one
     (9 x n_c) (n_c x 16) GEMM over its n_c pairs, then projected. Repeated
     (camera, landmark) pairs need no care: each pair's G^T is already summed.
+    The subtracted term is formed once per pose-only linearization
+    (``SchurSystem.lambda_free``).
     """
+    return system.u_blocks - system.lambda_free(_diag_coupling)
+
+
+def _diag_coupling(system: SchurSystem) -> np.ndarray:
+    """The diagonal blocks of W V^+ W^T, as ``schur_diag_blocks`` derives them."""
     f, plan = system.factors, system.factors.plan
     d_l = system.lm_width
     # pairs last, so that each product runs over all of them
@@ -443,7 +495,7 @@ def schur_diag_blocks(system: SchurSystem) -> np.ndarray:
     m = m.reshape(-1, 3, 3, 4, 4).transpose(0, 1, 3, 2, 4).reshape(-1, 12, 12)
     if f.camera_bases is not None:
         m = f.camera_bases.transpose(0, 2, 1) @ m @ f.camera_bases
-    return system.u_blocks - m
+    return m
 
 
 def _sparse_coupling(system: SchurSystem) -> scipy.sparse.bsr_array:
@@ -501,20 +553,29 @@ def dense_coupling(system: SchurSystem) -> np.ndarray:
 
 
 def schur_matrix(system: SchurSystem) -> scipy.sparse.bsr_array:
-    """The reduced matrix U - (W V^+) W^T as one block-sparse matrix (sparse direct solves)."""
+    """The reduced matrix U - (W V^+) W^T as one block-sparse matrix (sparse direct solves).
+
+    The block-sparse coupling is formed once per pose-only linearization
+    (``SchurSystem.lambda_free``); each call returns a new matrix.
+    """
     n, dim = system.n_cameras, system.pose_dim
     u = scipy.sparse.bsr_array((system.u_blocks, np.arange(n), np.arange(n + 1)),
                                shape=(dim, dim))
-    return u - _sparse_coupling(system)
+    return u - system.lambda_free(_sparse_coupling)
 
 
 def dense_schur(system: SchurSystem) -> np.ndarray:
-    """The reduced matrix U - W V^+ W^T as a dense array (direct baseline and small oracles)."""
+    """The reduced matrix U - W V^+ W^T as a dense array (direct baseline and small oracles).
+
+    The dense coupling is formed once per pose-only linearization
+    (``SchurSystem.lambda_free``). Each call returns a new Fortran-ordered
+    array, which a caller may factor in place.
+    """
     if system.pose_dim ** 2 > 64_000_000:
         raise ValueError(f"dense Schur matrix of dimension {system.pose_dim} is too large")
-    s = dense_coupling(system)
-    np.negative(s, out=s)
+    s = np.negative(system.lambda_free(dense_coupling), order="F")
     n, d = system.n_cameras, system.pose_width
     cams = np.arange(n)
-    s.reshape(n, d, n, d)[cams, :, cams, :] += system.u_blocks
+    # s.T is C-ordered, so its blocks are views; its diagonal blocks are U^T
+    s.T.reshape(n, d, n, d)[cams, :, cams, :] += system.u_blocks.transpose(0, 2, 1)
     return s

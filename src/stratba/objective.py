@@ -220,14 +220,16 @@ def pinv_psd(blocks: np.ndarray, rel_tol: float) -> tuple[np.ndarray, np.ndarray
     inverted in closed form; every other block goes through ``eigh``, which
     applies the rank rule. A certified block's eigenvalues all exceed
     rel_tol * trace for any rel_tol below ``_CLOSED_FORM_MIN_EIG``, so the mask
-    is the one ``eigh`` would give.
+    is the one ``eigh`` would give. A batch that is certified throughout
+    skips ``eigh``.
     """
     if blocks.shape[1:] != (3, 3) or rel_tol >= _CLOSED_FORM_MIN_EIG:
         return _eigh_pinv(blocks, rel_tol)
     pinv, certified = _closed_form_inverse_3x3(blocks)
     degenerate = np.zeros(len(blocks), dtype=bool)
-    rest = ~certified
-    pinv[rest], degenerate[rest] = _eigh_pinv(blocks[rest], rel_tol)
+    if not certified.all():
+        rest = ~certified
+        pinv[rest], degenerate[rest] = _eigh_pinv(blocks[rest], rel_tol)
     return pinv, degenerate
 
 

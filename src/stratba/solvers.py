@@ -17,6 +17,7 @@ structurally for both flavors with damped positive-definite pose blocks;
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import math
 import time
@@ -216,20 +217,27 @@ def direct_schur_solve(system: SchurSystem, config: SolverConfig) -> StepReport:
 
     Small systems go through a dense Cholesky with a symmetric-indefinite
     fallback; larger ones through a sparse LU of the same block-sparse
-    matrix. Singular systems come back flagged so the outer loop can raise
-    the damping and retry.
+    matrix. In pose-only mode the coupling W V^+ W^T and the right-hand side
+    are formed once per linearization and shared by its re-damped systems, so
+    a re-damped solve adds only its damped U and factors. The dense matrix is
+    factored in place, so a solve holds two pose_dim^2 arrays, the shared
+    coupling and the matrix; a failed Cholesky overwrote the matrix, so the
+    fallback rebuilds it from the coupling. Singular systems come back flagged
+    so the outer loop can raise the damping and retry.
     """
     rhs = schur_rhs(system)
     flag = None
-    x = np.zeros_like(rhs)
+    x = None
     if system.pose_dim <= _DENSE_DIRECT_LIMIT:
-        s = dense_schur(system)
-        try:
-            factor = scipy.linalg.cho_factor(s)
-            x = scipy.linalg.cho_solve(factor, rhs)
-        except scipy.linalg.LinAlgError:
+        # outside the handler, so that the failed factorization is released
+        # before the matrix is rebuilt
+        with contextlib.suppress(scipy.linalg.LinAlgError):
+            x = scipy.linalg.cho_solve(
+                scipy.linalg.cho_factor(dense_schur(system), overwrite_a=True), rhs)
+        if x is None:
             try:
-                x = scipy.linalg.solve(s, rhs, assume_a="sym")
+                x = scipy.linalg.solve(dense_schur(system), rhs, assume_a="sym",
+                                       overwrite_a=True)
             except (scipy.linalg.LinAlgError, ValueError):
                 flag = "singular"
     else:
@@ -238,7 +246,7 @@ def direct_schur_solve(system: SchurSystem, config: SolverConfig) -> StepReport:
             x = lu.solve(rhs)
         except RuntimeError:
             flag = "singular"
-    if flag is None and not np.isfinite(x).all():
+    if flag is not None or not np.isfinite(x).all():
         x = np.zeros_like(rhs)
         flag = "singular"
     return StepReport(x, 1, 0, 0.0, flag)

@@ -17,6 +17,7 @@ from stratba.normal_eq import (
     dense_coupling,
     dense_schur,
     schur_diag_blocks,
+    schur_matrix,
     schur_rhs,
 )
 from stratba.objective import (
@@ -320,6 +321,61 @@ def test_pose_only_system_computes_v_pinv_once(monkeypatch):
         assert other.v_blocks is sums.v
         assert other.v_inv is system.v_inv
         assert other.v_degenerate is system.v_degenerate
+
+
+# the products of SchurSystem.lambda_free, by the function that forms each
+LAMBDA_FREE = ("dense_coupling", "_sparse_coupling", "_schur_rhs", "_diag_coupling")
+
+
+@pytest.mark.parametrize("mode", [POSE_ONLY, BOTH])
+def test_lambda_free_products_formed_once_per_pose_only_linearization(mode, monkeypatch):
+    # V is damped only in both mode: in pose-only mode the coupling (dense
+    # and block-sparse), the reduced right-hand side and the block diagonal's
+    # coupling term are formed once, by whichever system asks first, and
+    # shared by every re-damped system; in both mode each system forms its own
+    monkeypatch.setattr(normal_eq, "_GEMM_SPEEDUP", COUPLING_PATHS["gemm"])
+    problem = make_random_problem(4, 9, seed=21)
+    sums = build_stage1_blocks(problem, make_random_state(problem, 22, STAGE1), 0.1)
+
+    def products(system):
+        return (schur_rhs(system), dense_schur(system), schur_diag_blocks(system),
+                schur_matrix(system).toarray())
+
+    fresh = {lam: products(assemble(sums, lam, mode)) for lam in (1e-4, 0.37, 1.5)}
+    counts = dict.fromkeys(LAMBDA_FREE, 0)
+    for name in LAMBDA_FREE:
+        def counting(system, real=getattr(normal_eq, name), name=name):
+            counts[name] += 1
+            return real(system)
+
+        monkeypatch.setattr(normal_eq, name, counting)
+    system = assemble(sums, 1e-4, mode)
+    systems = [system.redamped(0.37), system, system.redamped(0.37).redamped(1.5)]
+    for other in systems:
+        for _ in range(2):
+            for got, want in zip(products(other), fresh[other.lam]):
+                np.testing.assert_array_equal(got, want)
+    calls = 1 if mode == POSE_ONLY else 2 * len(systems)
+    assert counts == dict.fromkeys(LAMBDA_FREE, calls)
+
+
+@pytest.mark.parametrize("mode", [POSE_ONLY, BOTH])
+def test_dense_schur_returns_a_new_matrix(mode):
+    # a direct solve factors the returned matrix in place: writing into it
+    # leaves the next call's result unchanged
+    problem = make_random_problem(4, 9, seed=3)
+    system = assemble(build_stage1_blocks(problem, make_random_state(problem, 4, STAGE1), 0.1),
+                      0.05, mode)
+    s = dense_schur(system)
+    assert s.flags.f_contiguous
+    want = s.copy()
+    s[...] = np.nan
+    np.testing.assert_array_equal(dense_schur(system), want)
+    rhs = schur_rhs(system)
+    if mode == POSE_ONLY:  # shared by the re-damped systems: read-only
+        with pytest.raises(ValueError):
+            rhs[0] = 1.0
+        assert schur_rhs(system.redamped(1.0)) is rhs
 
 
 @pytest.mark.parametrize("lam", [1e-4, 0.37])

@@ -560,3 +560,26 @@ def test_pinv_psd_3x3_matches_eigh_oracle():
             want, want_degenerate = eigh_pinv_oracle(block, rel_tol)
             assert degenerate[k] == want_degenerate
             np.testing.assert_allclose(pinv[k], want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+def test_pinv_psd_skips_eigh_when_every_block_is_certified(monkeypatch):
+    # a batch inverted in closed form throughout sends nothing to eigh
+    rng = np.random.default_rng(5)
+    blocks = psd_blocks_with_spectra(rng, [rng.uniform(0.5, 1.0, 3) for _ in range(30)])
+    assert objective._closed_form_inverse_3x3(blocks)[1].all()
+    calls = []
+    real_eigh_pinv = objective._eigh_pinv
+
+    def spy(batch, rel_tol):
+        calls.append(len(batch))
+        return real_eigh_pinv(batch, rel_tol)
+
+    monkeypatch.setattr(objective, "_eigh_pinv", spy)
+    pinv, degenerate = pinv_psd(blocks, V_PINV_TOL)
+    assert calls == []
+    assert not degenerate.any()
+    np.testing.assert_allclose(pinv @ blocks, np.broadcast_to(np.eye(3), blocks.shape),
+                               rtol=0, atol=1e-12)
+    # one uncertified block sends that block alone
+    pinv_psd(np.concatenate([blocks, np.zeros((1, 3, 3))]), V_PINV_TOL)
+    assert calls == [1]

@@ -389,6 +389,50 @@ def test_lm_linearizes_only_at_new_points(monkeypatch, stage, cfg):
         assert len(substitutions) == len(accepted)
 
 
+# the dense Cholesky and, forced by a limit of 0, the sparse LU of a direct solve
+DIRECT_BRANCHES = {"dense": (solvers._DENSE_DIRECT_LIMIT, "dense_coupling"),
+                   "sparse-lu": (0, "_sparse_coupling")}
+
+
+@pytest.mark.parametrize("branch", DIRECT_BRANCHES)
+def test_direct_stage1_forms_one_coupling_per_linearization(monkeypatch, branch):
+    # a rejected step's re-damped system reuses the explicit coupling and the
+    # reduced right-hand side of its pose-only linearization
+    limit, coupling = DIRECT_BRANCHES[branch]
+    monkeypatch.setattr(solvers, "_DENSE_DIRECT_LIMIT", limit)
+    counts = {coupling: 0, "_schur_rhs": 0, "build_stage1_blocks": 0}
+    for mod, name in ((normal_eq, coupling), (normal_eq, "_schur_rhs"),
+                      (solvers, "build_stage1_blocks")):
+        def counting(*args, real=getattr(mod, name), name=name, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mod, name, counting)
+    problem = make_random_problem(4, 20, seed=9)
+    _, trace = lm_minimize(problem, random_init(problem, 1), STAGE1,
+                           SolverConfig(stage1_solver="direct"))
+    costs = [r.cost for r in trace.records]
+    accepted = [b < a for a, b in zip(costs, costs[1:])]
+    linearizations = 1 + sum(accepted[:-1])
+    assert linearizations < len(accepted)  # some systems were re-damped
+    assert counts == dict.fromkeys(counts, linearizations)
+
+
+@pytest.mark.parametrize("branch", DIRECT_BRANCHES)
+def test_redamped_direct_solve_equals_fresh(monkeypatch, branch):
+    # the re-damped system solves with the coupling its first solve formed
+    monkeypatch.setattr(solvers, "_DENSE_DIRECT_LIMIT", DIRECT_BRANCHES[branch][0])
+    problem = make_random_problem(4, 20, seed=9)
+    sums = build_stage1_blocks(problem, make_random_state(problem, 10, STAGE1), ETA)
+    system = assemble(sums, 1e-4, POSE_ONLY)
+    direct_schur_solve(system, SolverConfig())
+    for lam in (0.37, 1.5):
+        got = direct_schur_solve(system.redamped(lam), SolverConfig())
+        want = direct_schur_solve(assemble(sums, lam, POSE_ONLY), SolverConfig())
+        assert got.flag is want.flag is None
+        np.testing.assert_array_equal(got.pose_update, want.pose_update)
+
+
 def test_stage1_weights_computed_once_per_problem(monkeypatch):
     # the measurement weights depend on the problem alone: one computation
     # serves the random start and every stage-1 linearization

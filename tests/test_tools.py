@@ -17,22 +17,23 @@ def run_tool(name: str, *args: str) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=60)
 
 
-@pytest.mark.parametrize("name", ["panel_diff.py", "census.py"])
+@pytest.mark.parametrize("name", ["panel_diff.py", "census.py", "ab_bench.py"])
 def test_tool_help_exits_0(name):
     proc = run_tool(name, "--help")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage:")
 
 
-@pytest.mark.parametrize("name, n_trees", [("panel_diff.py", 2), ("census.py", 1)])
+@pytest.mark.parametrize("name, n_trees", [("panel_diff.py", 2), ("census.py", 1),
+                                           ("ab_bench.py", 2)])
 def test_tool_exits_2_without_a_stratba_package(name, n_trees, tmp_path):
     proc = run_tool(name, *[str(tmp_path)] * n_trees)
     assert proc.returncode == 2
     assert "no stratba package" in proc.stderr
 
 
-def panel_diff():
-    spec = importlib.util.spec_from_file_location("panel_diff", TOOLS / "panel_diff.py")
+def load_tool(name: str):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -40,7 +41,7 @@ def panel_diff():
 
 def test_panel_diff_solves_the_benchmark_workloads():
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]
-    assert list(panel_diff().bench_module().WORKLOADS) == [wl["name"] for wl in declared]
+    assert list(load_tool("panel_diff").bench_module().WORKLOADS) == [wl["name"] for wl in declared]
 
 
 def test_panel_diff_compares_summaries_without_runtimes(tmp_path):
@@ -51,7 +52,7 @@ def test_panel_diff_compares_summaries_without_runtimes(tmp_path):
     new["stages"]["stage1"]["runtime_seconds"] = 0.5
     new["stages"]["metric"]["runtime_seconds"] = 3.0
     paths = [tmp_path / "old.json", tmp_path / "new.json"]
-    tool = panel_diff()
+    tool = load_tool("panel_diff")
 
     def verdict():
         for path, summary in zip(paths, (old, new)):
@@ -66,3 +67,26 @@ def test_panel_diff_compares_summaries_without_runtimes(tmp_path):
     new = json.loads(json.dumps(old))
     new["config"] = {"eta": 0.1, "seed": 1}
     assert verdict() == "differs at config (key order)"
+
+
+def test_ab_bench_verdicts_on_synthetic_samples():
+    verdict = load_tool("ab_bench").verdict
+    old = [1.0 + 0.01 * i for i in range(10)]  # interquartile range 0.045
+    faster = [0.9 * t for t in old]
+    assert verdict(old, faster, "lower", 0.24) == (10, "gain")
+    # a gain needs nine wins in ten; ties count for neither side
+    eight_wins = faster[:8] + old[8:]
+    assert verdict(old, eight_wins, "lower", 0.24) == (8, "within bound")
+    assert verdict(old, old, "lower", 0.24) == (0, "within bound")
+    # the medians must differ by more than the old runs' interquartile range
+    assert verdict(old, [t - 0.04 for t in old], "lower", 0.24) == (10, "within bound")
+    # a larger share of failed operations voids a gain
+    assert verdict(old, faster, "lower", 0.24, more_failures=True) == (10, "within bound")
+    # "higher" metrics win upward; worse by more than the bound is a regression
+    assert verdict(old, faster, "higher", 0.24) == (0, "within bound")
+    assert verdict(old, faster, "higher", 0.05) == (0, "regression")
+    assert verdict(old, [1.3 * t for t in old], "lower", 0.24) == (0, "regression")
+    # runs spread wider than the bound leave a small difference unresolved
+    wide = [0.5, 1.5, 0.6, 1.4, 0.7, 1.3, 0.8, 1.2, 0.9, 1.1]
+    assert verdict(wide, wide[::-1], "lower", 0.24) == (5, "unresolved")
+    assert verdict([1.0], [0.8], "lower", 0.24) == (1, "gain")
