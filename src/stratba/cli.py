@@ -7,7 +7,6 @@ import ctypes
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .bal_io import BalParseError, BalReadError, write_bal
@@ -67,8 +66,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            help=" | ".join(names[name]) if name in names else None)
     solve.add_argument("--out-dir", default=None,
                        help=f"artifact directory (default: $STRATBA_OUT_DIR or {RunSpec.out_dir})")
-    solve.add_argument("--jobs", type=int, default=1,
-                       help="worker threads across independent input files")
     solve.add_argument("inputs", nargs="+", help="BAL problem files (plain, .gz, or .bz2)")
 
     profile = sub.add_parser("profile", help="performance profiles from trace CSVs")
@@ -123,12 +120,7 @@ def _cmd_solve(args) -> int:
                 print(f"{path}: {name} done")
         return EXIT_OK
 
-    if args.jobs > 1 and len(spec.inputs) > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            codes = list(pool.map(run_one, spec.inputs))
-    else:
-        codes = [run_one(p) for p in spec.inputs]
-    return max(codes)
+    return max(run_one(p) for p in spec.inputs)
 
 
 def _cmd_profile(args) -> int:

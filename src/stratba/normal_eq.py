@@ -33,7 +33,7 @@ The explicit paths read W's blocks from the factors through one function,
 The dense reduced matrix U - W V^+ W^T is summed with dense GEMMs over chunks
 of landmarks, in slabs no larger than the result, on densely observed
 graphs; on sparse graphs, where the GEMMs would mostly multiply zeros, and
-in the sparse direct solve above the dense limit, W V^+ W^T is a
+in the sparse direct solve above ``DENSE_SCHUR_LIMIT``, W V^+ W^T is a
 block-sparse product. The pose Hessian blocks are damped with Jacobi
 scaling; the landmark blocks are damped only in ``both`` mode (joint /
 tangent-space optimization), never in ``pose_only`` mode
@@ -64,7 +64,6 @@ import scipy.sparse
 from .bal_io import BaProblem, ObservationPlan, ProjectiveState
 from .objective import (
     ETA,
-    V_PINV_TOL,
     Z_EPSILON,
     LandmarkSolve,
     pinv_psd,
@@ -90,6 +89,11 @@ DAMPING_CLAMP = (1e-6, 1e6)
 # on a 2-vCPU x86-64 host: 9x on a 10-camera ring, 17-28x on random graphs of
 # 20-100 cameras with tracks of 4-25 views, 37-50x at 138-300 cameras.
 _GEMM_SPEEDUP = 20
+
+# The largest pose dimension whose reduced matrix is formed densely:
+# ``dense_schur`` refuses larger systems, and the direct solver factors them
+# as a sparse matrix instead.
+DENSE_SCHUR_LIMIT = 6000
 
 
 def _holding(template: scipy.sparse.sparray, data: np.ndarray) -> scipy.sparse.sparray:
@@ -331,7 +335,7 @@ class SchurSystem(BlockSums):
     follow from them. In pose-only mode V is not damped, so ``v_pinv`` is
     filled when the sums do not carry it and is the ``v_inv`` of every
     re-damped system, and so are the products of ``lambda_free``; both mode
-    damps V, ignores ``v_pinv`` and forms those products on every call.
+    damps V, ignores ``v_pinv`` and forms those products once per system.
     """
 
     _: dataclasses.KW_ONLY
@@ -341,7 +345,7 @@ class SchurSystem(BlockSums):
     v_blocks: np.ndarray = dataclasses.field(init=False)  # damped only in BOTH mode
     v_inv: np.ndarray = dataclasses.field(init=False)  # pseudo-inverses
     v_degenerate: np.ndarray = dataclasses.field(init=False)  # (n_l,) bool
-    # pose-only: the products of ``lambda_free``, by function; shared by re-damped systems
+    # the products of ``lambda_free``, by function; pose-only: shared by re-damped systems
     _products: dict = dataclasses.field(init=False, default_factory=dict, repr=False,
                                         compare=False)
 
@@ -353,11 +357,11 @@ class SchurSystem(BlockSums):
         self.u_blocks = _jacobi_damped(self.u, self.lam)
         if self.damping_mode == BOTH:
             self.v_blocks = _jacobi_damped(self.v, self.lam)
-            self.v_inv, self.v_degenerate = pinv_psd(self.v_blocks, V_PINV_TOL)
+            self.v_inv, self.v_degenerate = pinv_psd(self.v_blocks)
         else:
             self.v_blocks = self.v
             if self.v_pinv is None:
-                self.v_pinv = pinv_psd(self.v, V_PINV_TOL)
+                self.v_pinv = pinv_psd(self.v)
             self.v_inv, self.v_degenerate = self.v_pinv
         if self.v_degenerate.any():
             logger.debug("%d landmark blocks are singular at tolerance",
@@ -381,13 +385,11 @@ class SchurSystem(BlockSums):
     def lambda_free(self, product: Callable[[SchurSystem], T]) -> T:
         """``product(self)``, for a product of W, V^+ and the sums that does not read U.
 
-        In pose-only mode it does not depend on the damping: it is formed on
-        the first call, by this system or one re-damped from the same
-        linearization, and returned to every later call (arrays read-only).
-        In both mode V^+ is damped, and it is formed on every call.
+        It is formed on the first call and returned to every later call
+        (arrays read-only). In pose-only mode it does not depend on the
+        damping, so a system re-damped from the same linearization shares it;
+        in both mode V^+ is damped, and each system forms its own.
         """
-        if self.damping_mode == BOTH:
-            return product(self)
         if product not in self._products:
             out = product(self)
             if isinstance(out, np.ndarray):
@@ -571,7 +573,7 @@ def dense_schur(system: SchurSystem) -> np.ndarray:
     (``SchurSystem.lambda_free``). Each call returns a new Fortran-ordered
     array, which a caller may factor in place.
     """
-    if system.pose_dim ** 2 > 64_000_000:
+    if system.pose_dim > DENSE_SCHUR_LIMIT:
         raise ValueError(f"dense Schur matrix of dimension {system.pose_dim} is too large")
     s = np.negative(system.lambda_free(dense_coupling), order="F")
     n, d = system.n_cameras, system.pose_width

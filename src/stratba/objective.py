@@ -175,10 +175,10 @@ V_PINV_TOL = 1e-10
 _CLOSED_FORM_MIN_EIG = 1e-3
 
 
-def _eigh_pinv(blocks: np.ndarray, rel_tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _eigh_pinv(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w, q = np.linalg.eigh(blocks)
     trace = np.trace(blocks, axis1=1, axis2=2)
-    tol = rel_tol * np.maximum(trace, 0.0)
+    tol = V_PINV_TOL * np.maximum(trace, 0.0)
     ok = w > tol[:, None]
     inv_w = np.where(ok, 1.0 / np.where(ok, w, 1.0), 0.0)
     pinv = np.matmul(q * inv_w[:, None, :], q.transpose(0, 2, 1))
@@ -212,24 +212,25 @@ def _closed_form_inverse_3x3(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return adj, certified
 
 
-def pinv_psd(blocks: np.ndarray, rel_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Pseudo-inverse of symmetric PSD blocks; eigenvalues below rel_tol*trace drop.
+def pinv_psd(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pseudo-inverse of symmetric PSD blocks; eigenvalues at or below
+    ``V_PINV_TOL`` times the trace drop.
 
     Returns the pseudo-inverses and the mask of rank-deficient blocks. 3x3
     blocks certified well-conditioned (``_closed_form_inverse_3x3``) are
     inverted in closed form; every other block goes through ``eigh``, which
     applies the rank rule. A certified block's eigenvalues all exceed
-    rel_tol * trace for any rel_tol below ``_CLOSED_FORM_MIN_EIG``, so the mask
-    is the one ``eigh`` would give. A batch that is certified throughout
+    ``_CLOSED_FORM_MIN_EIG`` times its trace, far above the cutoff, so the
+    mask is the one ``eigh`` would give. A batch that is certified throughout
     skips ``eigh``.
     """
-    if blocks.shape[1:] != (3, 3) or rel_tol >= _CLOSED_FORM_MIN_EIG:
-        return _eigh_pinv(blocks, rel_tol)
+    if blocks.shape[1:] != (3, 3):
+        return _eigh_pinv(blocks)
     pinv, certified = _closed_form_inverse_3x3(blocks)
     degenerate = np.zeros(len(blocks), dtype=bool)
     if not certified.all():
         rest = ~certified
-        pinv[rest], degenerate[rest] = _eigh_pinv(blocks[rest], rel_tol)
+        pinv[rest], degenerate[rest] = _eigh_pinv(blocks[rest])
     return pinv, degenerate
 
 
@@ -280,7 +281,7 @@ class LandmarkSolve:
     landmarks: np.ndarray  # (n_l, 4), last coordinate exactly 1
     hessian: np.ndarray  # (n_l, 3, 3) A^T A, the undamped V
     origin_gradient: np.ndarray  # (n_l, 3) A^T c, the landmark gradient at (0, 0, 0, 1)
-    pinv: np.ndarray  # (n_l, 3, 3) pinv_psd(V, V_PINV_TOL)
+    pinv: np.ndarray  # (n_l, 3, 3) pinv_psd(V)
     degenerate: np.ndarray  # (n_l,) rank-deficient at V_PINV_TOL
 
 
@@ -303,7 +304,7 @@ def solve_landmarks(state: ProjectiveState, problem: BaProblem,
     """
     out = np.array(state.landmarks, copy=True)
     ata, atc = stage1_landmark_normals(state.cameras, problem, eta)
-    ata_inv, skipped = pinv_psd(ata, V_PINV_TOL)
+    ata_inv, skipped = pinv_psd(ata)
     v = -np.einsum("nij,nj->ni", ata_inv, atc)
 
     solved = ~skipped

@@ -17,7 +17,6 @@ structurally for both flavors with damped positive-definite pose blocks;
 
 from __future__ import annotations
 
-import contextlib
 import logging
 import math
 import time
@@ -27,6 +26,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
 
+from . import normal_eq
 from .bal_io import BaProblem, ProjectiveState
 from .evaluation import ConvergenceTrace, TraceRecord
 from .normal_eq import (
@@ -44,12 +44,10 @@ from .normal_eq import (
     schur_matrix,
     schur_rhs,
 )
-from .objective import ETA, STAGE1, STAGE2, pinv_psd, solve_landmarks, total_cost
+from .objective import ETA, STAGE1, STAGE2, solve_landmarks, total_cost
 from .riemannian import apply_tangent_step, riemannian_step, state_tangent_bases
 
 logger = logging.getLogger(__name__)
-
-_DENSE_DIRECT_LIMIT = 6000
 
 # Damping update of the outer loop: halved after an accepted step, quadrupled
 # after a rejected one, and clamped to [LAMBDA_MIN, LAMBDA_MAX].
@@ -174,16 +172,15 @@ def power_schur_solve(system: SchurSystem, config: SolverConfig) -> StepReport:
 def pcg_schur_solve(system: SchurSystem, config: SolverConfig) -> StepReport:
     """Conjugate gradients on the reduced system with the exact block-diagonal
     preconditioner; stops at the relative-residual tolerance or the iteration cap.
-    A non-positive curvature direction returns the current iterate flagged."""
+    A non-positive curvature direction returns the current iterate flagged.
+    The damped preconditioner blocks are positive definite; an exactly
+    singular one raises LinAlgError, a numeric failure of ``lm_minimize``.
+    """
     rhs = schur_rhs(system)
     rhs_norm = np.linalg.norm(rhs)
     if rhs_norm == 0:
         return StepReport(np.zeros_like(rhs), 0, 0, 0.0)
-    diag = schur_diag_blocks(system)
-    try:
-        m_inv = np.linalg.inv(diag)
-    except np.linalg.LinAlgError:
-        m_inv = pinv_psd(diag, 1e-12)[0]
+    m_inv = np.linalg.inv(schur_diag_blocks(system))
     x = np.zeros_like(rhs)
     r = rhs.copy()
     z = block_apply(m_inv, r)
@@ -215,31 +212,24 @@ def pcg_schur_solve(system: SchurSystem, config: SolverConfig) -> StepReport:
 def direct_schur_solve(system: SchurSystem, config: SolverConfig) -> StepReport:
     """Factorize the explicitly assembled reduced matrix and solve.
 
-    Small systems go through a dense Cholesky with a symmetric-indefinite
-    fallback; larger ones through a sparse LU of the same block-sparse
+    Systems up to ``normal_eq.DENSE_SCHUR_LIMIT`` unknowns go through one
+    dense Cholesky; larger ones through a sparse LU of the same block-sparse
     matrix. In pose-only mode the coupling W V^+ W^T and the right-hand side
     are formed once per linearization and shared by its re-damped systems, so
     a re-damped solve adds only its damped U and factors. The dense matrix is
     factored in place, so a solve holds two pose_dim^2 arrays, the shared
-    coupling and the matrix; a failed Cholesky overwrote the matrix, so the
-    fallback rebuilds it from the coupling. Singular systems come back flagged
-    so the outer loop can raise the damping and retry.
+    coupling and the matrix. A damped system is positive definite; one that
+    fails to factor comes back flagged singular with a zero update, so the
+    outer loop raises the damping and retries.
     """
     rhs = schur_rhs(system)
     flag = None
-    x = None
-    if system.pose_dim <= _DENSE_DIRECT_LIMIT:
-        # outside the handler, so that the failed factorization is released
-        # before the matrix is rebuilt
-        with contextlib.suppress(scipy.linalg.LinAlgError):
+    if system.pose_dim <= normal_eq.DENSE_SCHUR_LIMIT:
+        try:
             x = scipy.linalg.cho_solve(
                 scipy.linalg.cho_factor(dense_schur(system), overwrite_a=True), rhs)
-        if x is None:
-            try:
-                x = scipy.linalg.solve(dense_schur(system), rhs, assume_a="sym",
-                                       overwrite_a=True)
-            except (scipy.linalg.LinAlgError, ValueError):
-                flag = "singular"
+        except scipy.linalg.LinAlgError:
+            flag = "singular"
     else:
         try:
             lu = scipy.sparse.linalg.splu(schur_matrix(system).tocsc())
@@ -362,8 +352,9 @@ def lm_minimize(problem: BaProblem, state: ProjectiveState, stage: int,
     when a finite trial changes the cost by at most the relative function
     tolerance (a stagnant rejected trial also counts). Every iteration appends
     a (cost, cumulative seconds) record; cost sequences are bit-reproducible.
-    A singular pose block or a degenerate stage-2 linearization raises
-    NumericFailureError.
+    A singular pose block (power series), a singular preconditioner block
+    (PCG) or a degenerate stage-2 linearization raises NumericFailureError;
+    a direct solve that fails to factor is a rejected step.
     """
     if stage not in _STAGES:
         raise ValueError(f"unknown stage {stage!r}")

@@ -307,9 +307,9 @@ def test_pose_only_system_computes_v_pinv_once(monkeypatch):
     assert sums.v_pinv is None
     calls = []
 
-    def counting_pinv(blocks, tol):
+    def counting_pinv(blocks):
         calls.append(blocks)
-        return pinv_psd(blocks, tol)
+        return pinv_psd(blocks)
 
     monkeypatch.setattr(normal_eq, "pinv_psd", counting_pinv)
     system = assemble(sums, 1e-4, POSE_ONLY)
@@ -332,7 +332,8 @@ def test_lambda_free_products_formed_once_per_pose_only_linearization(mode, monk
     # V is damped only in both mode: in pose-only mode the coupling (dense
     # and block-sparse), the reduced right-hand side and the block diagonal's
     # coupling term are formed once, by whichever system asks first, and
-    # shared by every re-damped system; in both mode each system forms its own
+    # shared by every re-damped system; in both mode each system forms its
+    # own, once
     monkeypatch.setattr(normal_eq, "_GEMM_SPEEDUP", COUPLING_PATHS["gemm"])
     problem = make_random_problem(4, 9, seed=21)
     sums = build_stage1_blocks(problem, make_random_state(problem, 22, STAGE1), 0.1)
@@ -355,7 +356,7 @@ def test_lambda_free_products_formed_once_per_pose_only_linearization(mode, monk
         for _ in range(2):
             for got, want in zip(products(other), fresh[other.lam]):
                 np.testing.assert_array_equal(got, want)
-    calls = 1 if mode == POSE_ONLY else 2 * len(systems)
+    calls = 1 if mode == POSE_ONLY else len(systems)
     assert counts == dict.fromkeys(LAMBDA_FREE, calls)
 
 

@@ -546,20 +546,20 @@ def test_pinv_psd_3x3_matches_eigh_oracle():
     certified = objective._closed_form_inverse_3x3(blocks)[1]
     assert 0 < certified.sum() < len(blocks)  # both paths are exercised
 
-    pinv, degenerate = pinv_psd(blocks, V_PINV_TOL)
+    pinv, degenerate = pinv_psd(blocks)
     for k, block in enumerate(blocks):
         want, want_degenerate = eigh_pinv_oracle(block, V_PINV_TOL)
         assert degenerate[k] == want_degenerate, k
         err = np.linalg.norm(pinv[k] - want)
         assert err <= 1e-12 * np.linalg.norm(want), (k, err)
-    # looser tolerances and larger blocks take the eigendecomposition alone
+    # larger blocks take the eigendecomposition alone
     b4 = rng.standard_normal((30, 4, 3))
-    for rel_tol, batch in ((1e-2, blocks), (0.5, blocks), (V_PINV_TOL, b4 @ b4.transpose(0, 2, 1))):
-        pinv, degenerate = pinv_psd(batch, rel_tol)
-        for k, block in enumerate(batch):
-            want, want_degenerate = eigh_pinv_oracle(block, rel_tol)
-            assert degenerate[k] == want_degenerate
-            np.testing.assert_allclose(pinv[k], want, rtol=0, atol=1e-12 * np.abs(want).max())
+    batch = b4 @ b4.transpose(0, 2, 1)
+    pinv, degenerate = pinv_psd(batch)
+    for k, block in enumerate(batch):
+        want, want_degenerate = eigh_pinv_oracle(block, V_PINV_TOL)
+        assert degenerate[k] == want_degenerate
+        np.testing.assert_allclose(pinv[k], want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 def test_pinv_psd_skips_eigh_when_every_block_is_certified(monkeypatch):
@@ -570,16 +570,16 @@ def test_pinv_psd_skips_eigh_when_every_block_is_certified(monkeypatch):
     calls = []
     real_eigh_pinv = objective._eigh_pinv
 
-    def spy(batch, rel_tol):
+    def spy(batch):
         calls.append(len(batch))
-        return real_eigh_pinv(batch, rel_tol)
+        return real_eigh_pinv(batch)
 
     monkeypatch.setattr(objective, "_eigh_pinv", spy)
-    pinv, degenerate = pinv_psd(blocks, V_PINV_TOL)
+    pinv, degenerate = pinv_psd(blocks)
     assert calls == []
     assert not degenerate.any()
     np.testing.assert_allclose(pinv @ blocks, np.broadcast_to(np.eye(3), blocks.shape),
                                rtol=0, atol=1e-12)
     # one uncertified block sends that block alone
-    pinv_psd(np.concatenate([blocks, np.zeros((1, 3, 3))]), V_PINV_TOL)
+    pinv_psd(np.concatenate([blocks, np.zeros((1, 3, 3))]))
     assert calls == [1]

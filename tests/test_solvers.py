@@ -17,6 +17,7 @@ from stratba.normal_eq import (
 )
 from stratba.objective import ETA, STAGE1, STAGE2, total_cost
 from stratba.solvers import (
+    NumericFailureError,
     SolverConfig,
     direct_schur_solve,
     lm_minimize,
@@ -192,10 +193,41 @@ def test_direct_singular_flagged():
     assert rep.flag == "singular"
 
 
+def test_direct_failed_cholesky_is_flagged_without_a_retry(monkeypatch):
+    # negative pose blocks make the reduced matrix negative definite:
+    # nonsingular, but Cholesky fails, and the solve returns a zero update flagged singular
+    system, _, _ = make_varpro_system(4, 9, seed=7, lam=0.05)
+    system.u_blocks[...] = -np.eye(12)
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return dense_schur(*args)
+
+    monkeypatch.setattr(solvers, "dense_schur", counting)
+    rep = direct_schur_solve(system, SolverConfig())
+    assert calls == [1]
+    assert rep.flag == "singular"
+    np.testing.assert_array_equal(rep.pose_update, np.zeros(system.pose_dim))
+
+
+def test_pcg_singular_preconditioner_raises(monkeypatch):
+    # the damped preconditioner blocks are inverted once, with no fallback:
+    # an exactly singular block raises, and the outer loop fails numerically
+    system, _, _ = make_varpro_system(3, 8, seed=1, lam=0.5)
+    monkeypatch.setattr(solvers, "schur_diag_blocks", lambda s: np.zeros_like(s.u_blocks))
+    with pytest.raises(np.linalg.LinAlgError):
+        pcg_schur_solve(system, SolverConfig())
+    problem = make_random_problem(4, 20, seed=9)
+    with pytest.raises(NumericFailureError, match="stage 1 iteration 1"):
+        lm_minimize(problem, random_init(problem, 1), STAGE1,
+                    SolverConfig(stage1_solver="iterative"))
+
+
 def test_direct_sparse_path_matches_dense(monkeypatch):
     system, _, _ = make_varpro_system(4, 9, seed=7, lam=0.05)
     dense_rep = direct_schur_solve(system, SolverConfig())
-    monkeypatch.setattr(solvers, "_DENSE_DIRECT_LIMIT", 0)
+    monkeypatch.setattr(normal_eq, "DENSE_SCHUR_LIMIT", 0)
     sparse_rep = direct_schur_solve(system, SolverConfig())
     np.testing.assert_allclose(sparse_rep.pose_update, dense_rep.pose_update,
                                rtol=1e-9, atol=1e-12)
@@ -367,7 +399,7 @@ def test_lm_linearizes_only_at_new_points(monkeypatch, stage, cfg):
         state = retract(state)
     monkeypatch.setattr(solvers_mod, linearize, counting)
     monkeypatch.setattr(solvers_mod, "back_substitute", counting_substitute)
-    for mod in (objective_mod, normal_eq_mod, solvers_mod):
+    for mod in (objective_mod, normal_eq_mod):
         monkeypatch.setattr(mod, "pinv_psd", counting_pinv)
     _, trace = lm_minimize(problem, state, stage, cfg)
     costs = [r.cost for r in trace.records]
@@ -390,7 +422,7 @@ def test_lm_linearizes_only_at_new_points(monkeypatch, stage, cfg):
 
 
 # the dense Cholesky and, forced by a limit of 0, the sparse LU of a direct solve
-DIRECT_BRANCHES = {"dense": (solvers._DENSE_DIRECT_LIMIT, "dense_coupling"),
+DIRECT_BRANCHES = {"dense": (normal_eq.DENSE_SCHUR_LIMIT, "dense_coupling"),
                    "sparse-lu": (0, "_sparse_coupling")}
 
 
@@ -399,7 +431,7 @@ def test_direct_stage1_forms_one_coupling_per_linearization(monkeypatch, branch)
     # a rejected step's re-damped system reuses the explicit coupling and the
     # reduced right-hand side of its pose-only linearization
     limit, coupling = DIRECT_BRANCHES[branch]
-    monkeypatch.setattr(solvers, "_DENSE_DIRECT_LIMIT", limit)
+    monkeypatch.setattr(normal_eq, "DENSE_SCHUR_LIMIT", limit)
     counts = {coupling: 0, "_schur_rhs": 0, "build_stage1_blocks": 0}
     for mod, name in ((normal_eq, coupling), (normal_eq, "_schur_rhs"),
                       (solvers, "build_stage1_blocks")):
@@ -421,7 +453,7 @@ def test_direct_stage1_forms_one_coupling_per_linearization(monkeypatch, branch)
 @pytest.mark.parametrize("branch", DIRECT_BRANCHES)
 def test_redamped_direct_solve_equals_fresh(monkeypatch, branch):
     # the re-damped system solves with the coupling its first solve formed
-    monkeypatch.setattr(solvers, "_DENSE_DIRECT_LIMIT", DIRECT_BRANCHES[branch][0])
+    monkeypatch.setattr(normal_eq, "DENSE_SCHUR_LIMIT", DIRECT_BRANCHES[branch][0])
     problem = make_random_problem(4, 20, seed=9)
     sums = build_stage1_blocks(problem, make_random_state(problem, 10, STAGE1), ETA)
     system = assemble(sums, 1e-4, POSE_ONLY)

@@ -433,11 +433,10 @@ def test_cli_unreadable_input_creates_no_out_dir(tmp_path, capsys, kind):
 
 @pytest.mark.parametrize("kind", ["dir", "gz", "truncated.gz", "bz2", "latin1.txt"])
 def test_cli_unreadable_input_exit_code(synth_file, tmp_path, capsys, kind):
-    # each is one stderr line and exit 2; with --jobs the other input still runs
+    # each is one stderr line and exit 2; the other input still runs
     bad = _unreadable_input(tmp_path, kind)
     out = tmp_path / "out"
-    code = main(["solve", "--stage1", "--jobs", "2", "--out-dir", str(out),
-                 str(bad), str(synth_file)])
+    code = main(["solve", "--stage1", "--out-dir", str(out), str(bad), str(synth_file)])
     assert code == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
@@ -575,15 +574,15 @@ def test_cli_profile_rejects_traces_with_different_initial_costs(synth_file, tmp
     assert not profile.exists()
 
 
-def test_cli_jobs_fan_out(tmp_path):
+def test_cli_solves_two_inputs(tmp_path):
     paths = []
     for i in range(2):
         p = tmp_path / f"ring{i}.txt"
         assert main(["synth", "--cameras", "4", "--landmarks", "12", "--seed", str(i),
                      "-o", str(p)]) == 0
         paths.append(str(p))
-    out = tmp_path / "jobs"
-    code = main(["solve", "--stage1", "--jobs", "2", "--out-dir", str(out), *paths])
+    out = tmp_path / "out"
+    code = main(["solve", "--stage1", "--out-dir", str(out), *paths])
     assert code == 0
     assert (out / "ring0_trace.csv").exists()
     assert (out / "ring1_trace.csv").exists()
@@ -600,7 +599,7 @@ def test_cli_refuses_colliding_artifact_stems(tmp_path, capsys, names):
         paths.append(str(p))
     capsys.readouterr()
     out = tmp_path / "out"
-    code = main(["solve", "--stage1", "--jobs", "2", "--out-dir", str(out), *paths])
+    code = main(["solve", "--stage1", "--out-dir", str(out), *paths])
     assert code == 3
     err = capsys.readouterr().err
     assert "'x'" in err and all(p in err for p in paths)
