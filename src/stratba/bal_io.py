@@ -47,7 +47,8 @@ class BalParseError(ValueError):
 
 
 class BalReadError(OSError):
-    """A BAL input that cannot be read: missing, a directory, corrupt compression, not UTF-8."""
+    """A BAL input that cannot be read (missing, a directory, corrupt compression, not
+    UTF-8) or that leaves nothing to solve once under-observed landmarks are pruned."""
 
 
 def _frozen(a: np.ndarray, dtype=np.float64) -> np.ndarray:

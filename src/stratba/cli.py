@@ -26,10 +26,11 @@ PROFILE_TAU = 0.01
 # glibc mallopt parameters (malloc.h).
 M_TRIM_THRESHOLD = -1
 M_MMAP_THRESHOLD = -3
-# Each linearization frees and re-allocates about 10 MB of W, Wᵀ and moment
-# temporaries. glibc's default policy returns that memory to the kernel and
-# faults it in again on the next iteration, a few µs per 4 KiB page. Keep up
-# to 256 MiB of free heap mapped: well above that swing, and bounded.
+# Each linearization frees and re-allocates about 10 MB of residual, moment
+# and Kronecker-factor temporaries. glibc's default policy returns that
+# memory to the kernel and faults it in again on the next iteration, a few µs
+# per 4 KiB page. Keep up to 256 MiB of free heap mapped: well above that
+# swing, and bounded.
 TRIM_THRESHOLD_BYTES = 256 << 20
 # Allocations below this come from the heap, so freeing them keeps them
 # mapped. 32 MiB is the documented upper limit on 64-bit (glibc's

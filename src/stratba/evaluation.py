@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, NamedTuple
@@ -97,56 +96,42 @@ def performance_profile(traces: Iterable[ConvergenceTrace], tau: float
                         ) -> dict[str, ProfileResult]:
     """Profiles for every solver appearing in the traces.
 
-    Curves are sampled at the union of the exact runtime-ratio breakpoints and
-    a log-spaced grid on [1, 32].
+    Times to each problem's threshold fill one (solvers x problems) array, inf
+    where a solver never gets there or has no trace on the problem. Dividing
+    each column by its minimum gives the runtime ratios: 1 for the fastest
+    solver (also at time 0), inf wherever nobody reaches the problem. A curve
+    at alpha is the percentage of problems whose ratio is at most alpha,
+    sampled at 1, ``ALPHA_GRID`` and every finite ratio. Raises ValueError on a
+    second trace of one solver on one problem, before any threshold, and on
+    traces of one problem that disagree on the initial cost.
     """
     traces = list(traces)
     if not traces:
         raise ValueError("no traces given")
-    solvers = sorted({t.solver_id for t in traces})
-    problems = sorted({t.problem_id for t in traces})
-    by_problem: dict[str, list[ConvergenceTrace]] = {p: [] for p in problems}
-    for t in traces:
-        by_problem[t.problem_id].append(t)
+    row = {s: i for i, s in enumerate(sorted({t.solver_id for t in traces}))}
+    by_problem = {p: [] for p in sorted({t.problem_id for t in traces})}
+    for t in traces:  # two starts of one problem are left to cost_threshold to report
+        group = by_problem[t.problem_id]
+        if any(o.solver_id == t.solver_id and o.initial_cost == t.initial_cost for o in group):
+            raise ValueError(f"two traces of solver {t.solver_id!r} on problem {t.problem_id!r}")
+        group.append(t)
 
-    times: dict[str, dict[str, float | None]] = {s: {} for s in solvers}
-    t_min: dict[str, float] = {}
-    for p, group in by_problem.items():
+    times = np.full((len(row), len(by_problem)), np.inf)
+    for j, group in enumerate(by_problem.values()):
         threshold = cost_threshold(group, tau)
-        best = math.inf
         for t in group:
             reach = time_to_threshold(t, threshold)
-            times[t.solver_id][p] = reach
-            if reach is not None:
-                best = min(best, reach)
-        t_min[p] = best
+            if reach is not UNREACHED:
+                times[row[t.solver_id], j] = reach
+    best = times.min(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(times == best, 1.0, times / best)
+    ratios[np.isinf(times)] = np.inf
 
-    breakpoints = set()
-    for s in solvers:
-        for p, reach in times[s].items():
-            if reach is None or not math.isfinite(t_min[p]):
-                continue
-            if t_min[p] > 0:
-                breakpoints.add(reach / t_min[p])
-            elif reach == 0:
-                breakpoints.add(1.0)
-    alphas = sorted({1.0, *ALPHA_GRID.tolist(), *(b for b in breakpoints if b >= 1.0)})
-
-    n_problems = len(problems)
-    out = {}
-    for s in solvers:
-        curve = []
-        for alpha in alphas:
-            solved = 0
-            for p in problems:
-                reach = times[s].get(p)
-                if reach is None or not math.isfinite(t_min[p]):
-                    continue
-                if reach <= alpha * t_min[p]:
-                    solved += 1
-            curve.append((alpha, 100.0 * solved / n_problems))
-        out[s] = ProfileResult(tau, s, curve)
-    return out
+    alphas = sorted({1.0, *ALPHA_GRID.tolist(), *ratios[np.isfinite(ratios)].tolist()})
+    shares = [100.0 * np.searchsorted(r, alphas, side="right") / len(by_problem)
+              for r in np.sort(ratios, axis=1)]
+    return {s: ProfileResult(tau, s, list(zip(alphas, shares[i].tolist()))) for s, i in row.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .bal_io import BaProblem, ProjectiveState, load_bal, prune_underobserved, random_init
+from .bal_io import (BalReadError, BaProblem, ProjectiveState, load_bal, prune_underobserved,
+                     random_init)
 from .evaluation import ConvergenceTrace, TraceRecord, write_trace_csv
 from .metric_upgrade import upgrade
 from .objective import STAGE1, STAGE2, total_cost
@@ -161,6 +162,8 @@ def run_problem(path: str | Path, spec: RunSpec) -> dict:
 
     raw = load_bal(path)
     problem = prune_underobserved(raw)
+    if problem.num_landmarks == 0:
+        raise BalReadError(f"nothing to solve in {path}: no landmark is seen by two cameras")
     scale = measurement_scale(problem)
     normalized = problem.rescaled(scale)
     out_dir.mkdir(parents=True, exist_ok=True)  # only once the input has parsed
@@ -230,7 +233,10 @@ def run_problem(path: str | Path, spec: RunSpec) -> dict:
 
         if run_metric:
             t0 = time.perf_counter()
-            result = upgrade(problem, state)
+            try:
+                result = upgrade(problem, state)
+            except ValueError as exc:  # no metric block, or a zero focal length
+                raise NumericFailureError(f"metric upgrade failed: {exc}") from exc
             summary["stages"]["metric"] = {
                 "plane_at_infinity": result.state.c.tolist(),
                 "orthogonality_error": result.orthogonality_error,

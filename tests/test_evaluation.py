@@ -153,12 +153,38 @@ def test_profile_unreached_counts_in_denominator_only():
         trace("b", "p1", [100.0, 0.0]),
         trace("a", "p2", [100.0, 95.0]),
         trace("b", "p2", [100.0, 90.0]),
+        # p3: nobody reaches its threshold (a non-finite start), b has no trace
+        trace("a", "p3", [float("nan"), 1.0]),
+        # p4: a is there at time 0, so b's ratio is infinite
+        trace("a", "p4", [100.0, 0.0], times=[0.0, 0.0]),
+        trace("b", "p4", [100.0, 0.0], times=[0.0, 2.0]),
     ]
     profiles = performance_profile(traces, tau=0.5)
     # p2: best cost is 90 -> threshold 95; both reach. p1: threshold 50, only b.
     assert profile_value(profiles["b"], 1.0) > 0
     curve_a = [pct for _, pct in profiles["a"].curve]
     assert max(curve_a) <= 50.0 + 1e-9
+    # a: p2 and p4 at ratio 1; b: p1 and p2 at ratio 1, never p3 or p4
+    assert profile_value(profiles["a"], 1.0) == pytest.approx(50.0)
+    assert [pct for _, pct in profiles["b"].curve] == [50.0] * len(profiles["b"].curve)
+
+
+def test_profile_counts_a_solver_at_its_own_breakpoint():
+    # slow / fast rounds so that alpha * fast < slow: a count that multiplies
+    # back misses the slower solver at its own ratio
+    fast, slow = 0.023342251999565633, 0.12484930199934752
+    traces = [trace("a", "p", [10.0, 1.0], times=[0.0, fast]),
+              trace("b", "p", [10.0, 1.0], times=[0.0, slow])]
+    curve = dict(performance_profile(traces, tau=0.01)["b"].curve)
+    assert curve[slow / fast] == 100.0
+    assert curve[1.0] == 0.0
+
+
+def test_profile_rejects_a_second_trace_of_one_solver_on_one_problem():
+    a = trace("a", "p1", [100.0, 0.0])
+    b = trace("b", "p1", [100.0, 0.0], times=[0.0, 2.0])
+    with pytest.raises(ValueError, match="two traces of solver 'a' on problem 'p1'"):
+        performance_profile([a, a, b], 0.01)
 
 
 def test_profile_fastest_solver_has_credit_at_alpha_one():

@@ -444,6 +444,35 @@ def test_cli_unreadable_input_exit_code(synth_file, tmp_path, capsys, kind):
     assert (out / "ring_trace.csv").exists()
 
 
+def test_cli_nothing_to_solve_exit_code(tmp_path, capsys):
+    # every landmark is seen by one camera, so pruning leaves none
+    bare = tmp_path / "bare.txt"
+    bare.write_text("2 2 2\n0 0 1.0 2.0\n1 1 3.0 4.0\n" + "0\n" * 24)
+    out = tmp_path / "out"
+    assert main(["solve", "--full", "--out-dir", str(out), str(bare)]) == cli.EXIT_PARSE
+    err = capsys.readouterr().err
+    assert str(bare) in err and "no landmark is seen by two cameras" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_cli_metric_without_focal_lengths_exits_4(tmp_path, capsys):
+    # write_bal writes a missing metric block as zeros: every focal length is 0
+    path = tmp_path / "ring.txt"
+    with open(path, "w") as fh:
+        write_bal(replace(make_ring_problem(6, 30, 0.0, 1), metric_cameras=None), fh)
+    out = tmp_path / "out"
+    assert main(["solve", "--metric", "--out-dir", str(out), str(path)]) == cli.EXIT_NUMERIC
+    assert "singular intrinsics" in capsys.readouterr().err
+    traces = read_trace_csv(out / "ring_trace.csv")
+    assert [t.stage for t in traces] == ["stage1", "stage2", "full"]
+    summary = json.loads((out / "ring_summary.json").read_text())
+    assert set(summary["stages"]) == {"stage1", "stage2"}
+    assert "singular intrinsics" in summary["error"]
+    assert (out / "ring_state.txt").exists()
+    assert not (out / "ring_metric.txt").exists()
+
+
 def test_cli_config_error_exit_code(synth_file, capsys):
     # unknown names, and names of the other stage's solvers
     for flag, name in (("--solver", "magic"), ("--solver", "ripoba"),
@@ -572,6 +601,23 @@ def test_cli_profile_rejects_traces_with_different_initial_costs(synth_file, tmp
     assert main(["profile", "--out", str(profile), *traces]) == cli.EXIT_CONFIG
     assert "traces disagree on the initial cost" in capsys.readouterr().err
     assert not profile.exists()
+
+
+def test_cli_profile_rejects_full_traces_that_differ_only_in_solver(synth_file, tmp_path,
+                                                                     capsys):
+    # both runs refine with ripoba, so their full traces share one solver name
+    traces = []
+    for solver in ("povar", "poba"):
+        out = tmp_path / solver
+        assert main(["solve", "--full", "--solver", solver, "--out-dir", str(out),
+                     str(synth_file)]) == 0
+        traces.append(str(out / "ring_trace.csv"))
+    capsys.readouterr()
+    profile = tmp_path / "profile.csv"
+    assert main(["profile", "--stage", "full", "--out", str(profile), *traces]) == cli.EXIT_CONFIG
+    assert "two traces of solver 'ripoba' on problem 'ring'" in capsys.readouterr().err
+    assert not profile.exists()
+    assert main(["profile", "--stage", "stage1", "--out", str(profile), *traces]) == 0
 
 
 def test_cli_solves_two_inputs(tmp_path):
