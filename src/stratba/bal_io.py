@@ -48,7 +48,8 @@ class BalParseError(ValueError):
 
 class BalReadError(OSError):
     """A BAL input that cannot be read (missing, a directory, corrupt compression, not
-    UTF-8) or that leaves nothing to solve once under-observed landmarks are pruned."""
+    UTF-8), that holds a non-finite measurement, or that leaves nothing to solve once
+    under-observed landmarks are pruned."""
 
 
 def _frozen(a: np.ndarray, dtype=np.float64) -> np.ndarray:
@@ -154,8 +155,10 @@ class ObservationPlan:
     the pairs landmark-major (cameras increasing within a landmark), landmark
     l owning ``landmark_pair_ptr[l]:landmark_pair_ptr[l + 1]`` of it.
     ``observation_pair`` maps each observation to its pair. Unobserved
-    cameras and landmarks get empty segments. All arrays are read-only, since
-    one plan serves every linearization.
+    cameras and landmarks get empty segments, and a landmark's segment length
+    is its count of distinct cameras, which is what ``prune_underobserved``
+    reads. ``build`` is the one place that enumerates pairs. All arrays are
+    read-only, since one plan serves pruning and every linearization.
     """
 
     observation_pair: np.ndarray  # (n_obs,) pair of each observation
@@ -461,31 +464,26 @@ def prune_underobserved(problem: BaProblem) -> BaProblem:
     Cameras left without observations are dropped as well; surviving cameras
     and landmarks are reindexed densely and metric blocks follow. Landmarks
     seen only once yield rank-deficient closed-form systems, so they are
-    removed before any solving and never re-added.
+    removed before any solving and never re-added. The counts come from the
+    plan, so an input that needs no pruning comes back as is, holding the plan
+    the solve then uses.
     """
-    n_lm = problem.num_landmarks
-    pairs = np.unique(problem.camera_indices * n_lm + problem.landmark_indices)
-    n_distinct = np.bincount(pairs % max(n_lm, 1), minlength=n_lm)
-    keep_lm = n_distinct >= MIN_CAMERAS
-    obs_keep = keep_lm[problem.landmark_indices]
-    cam_seen = np.zeros(problem.num_cameras, dtype=bool)
-    cam_seen[problem.camera_indices[obs_keep]] = True
-
-    if keep_lm.all() and cam_seen.all():
+    plan = problem.plan
+    keep_lm = np.diff(plan.landmark_pair_ptr) >= MIN_CAMERAS
+    if keep_lm.all() and (np.diff(plan.pair_camera_ptr) > 0).all():
         return problem
 
-    lm_map = np.cumsum(keep_lm) - 1
-    cam_map = np.cumsum(cam_seen) - 1
-    dropped_lms = int((~keep_lm).sum())
-    dropped_cams = int((~cam_seen).sum())
-    logger.info("pruned %d under-observed landmarks and %d empty cameras", dropped_lms, dropped_cams)
-
+    obs_keep = keep_lm[problem.landmark_indices]
+    # a camera that saw only dropped landmarks is empty too
+    cam_seen = np.bincount(problem.camera_indices[obs_keep], minlength=problem.num_cameras) > 0
+    logger.info("pruned %d under-observed landmarks and %d empty cameras",
+                (~keep_lm).sum(), (~cam_seen).sum())
     return BaProblem(
         num_cameras=int(cam_seen.sum()),
         num_landmarks=int(keep_lm.sum()),
         num_observations=int(obs_keep.sum()),
-        camera_indices=cam_map[problem.camera_indices[obs_keep]],
-        landmark_indices=lm_map[problem.landmark_indices[obs_keep]],
+        camera_indices=(np.cumsum(cam_seen) - 1)[problem.camera_indices[obs_keep]],
+        landmark_indices=(np.cumsum(keep_lm) - 1)[problem.landmark_indices[obs_keep]],
         measurements=problem.measurements[obs_keep],
         metric_cameras=None if problem.metric_cameras is None else problem.metric_cameras[cam_seen],
         metric_points=None if problem.metric_points is None else problem.metric_points[keep_lm],

@@ -71,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     profile = sub.add_parser("profile", help="performance profiles from trace CSVs")
     profile.add_argument("--tau", type=float, action="append",
-                         help=f"accuracy tolerance; repeatable (default {PROFILE_TAU})")
+                         help=f"accuracy tolerance in [0, 1); repeatable (default {PROFILE_TAU})")
     profile.add_argument("--stage", default="stage1",
                          help="trace stage to profile: stage1 | stage2 | full")
     profile.add_argument("--out", default="profile.csv", help="output CSV (default: %(default)s)")
@@ -80,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
     synth = sub.add_parser("synth", help="write a synthetic BAL problem with ground truth")
     synth.add_argument("--cameras", type=int, required=True)
     synth.add_argument("--landmarks", type=int, required=True)
-    synth.add_argument("--noise", type=float, default=0.0, help="pixel noise sigma")
+    synth.add_argument("--noise", type=float, default=0.0, help="pixel noise sigma, finite and >= 0")
     synth.add_argument("--seed", type=int, default=0)
     synth.add_argument("-o", "--output", required=True, help="output BAL file")
     return parser
@@ -141,7 +141,7 @@ def _cmd_profile(args) -> int:
     try:
         for tau in taus:
             profiles.extend(performance_profile(selected, tau).values())
-    except ValueError as exc:  # the traces of a problem disagree on the initial cost
+    except ValueError as exc:  # tau outside [0, 1), or traces that share no threshold
         print(f"cannot profile: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     write_profile_csv(profiles, args.out)

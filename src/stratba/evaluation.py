@@ -101,10 +101,12 @@ def performance_profile(traces: Iterable[ConvergenceTrace], tau: float
     each column by its minimum gives the runtime ratios: 1 for the fastest
     solver (also at time 0), inf wherever nobody reaches the problem. A curve
     at alpha is the percentage of problems whose ratio is at most alpha,
-    sampled at 1, ``ALPHA_GRID`` and every finite ratio. Raises ValueError on a
-    second trace of one solver on one problem, before any threshold, and on
-    traces of one problem that disagree on the initial cost.
+    sampled at 1, ``ALPHA_GRID`` and every finite ratio. Raises ValueError on
+    ``tau`` outside [0, 1) or a second trace of one solver on one problem, before
+    any threshold, and on traces of one problem that disagree on the initial cost.
     """
+    if not 0.0 <= tau < 1.0:  # NaN included
+        raise ValueError(f"tau must lie in [0, 1), got {tau!r}")
     traces = list(traces)
     if not traces:
         raise ValueError("no traces given")

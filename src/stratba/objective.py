@@ -310,7 +310,7 @@ def solve_landmarks(state: ProjectiveState, problem: BaProblem,
     solved = ~skipped
     out[solved, :3] = v[solved]
     out[solved, 3] = 1.0
-    observed = np.diff(problem.measurement_weights.indptr) > 0
+    observed = np.diff(problem.plan.landmark_pair_ptr) > 0
     n_degenerate = int((skipped & observed).sum())
     if n_degenerate:
         logger.warning("left %d landmarks unchanged: rank-deficient closed-form systems",

@@ -127,10 +127,9 @@ def full_trace(pre_stage1_cost: float, stage1_runtime: float, stage2_trace: Conv
                ) -> ConvergenceTrace:
     """Second-stage trace in the cumulative convention: the initial cost is the
     projective cost of the random starting state and runtimes include stage 1."""
-    records = [TraceRecord(0, pre_stage1_cost, 0.0)]
-    for rec in stage2_trace.records:
-        records.append(TraceRecord(rec.iteration + 1, rec.cost,
-                                   rec.elapsed_seconds + stage1_runtime))
+    records = [TraceRecord(0, pre_stage1_cost, 0.0)] + [
+        TraceRecord(rec.iteration + 1, rec.cost, rec.elapsed_seconds + stage1_runtime)
+        for rec in stage2_trace.records]
     return ConvergenceTrace(stage2_trace.solver_id, stage2_trace.problem_id, "full", records)
 
 
@@ -148,6 +147,13 @@ def _to_pixels(state: ProjectiveState, scale: float) -> ProjectiveState:
                            state.landmarks)
 
 
+def _stage_summary(trace: ConvergenceTrace, runtime: float, **extra) -> dict:
+    """A solved stage's summary entry; ``extra`` keys go between the initial and final cost."""
+    last = trace.records[-1]
+    return {"solver": trace.solver_id, "initial_cost": trace.initial_cost, **extra,
+            "final_cost": last.cost, "iterations": last.iteration, "runtime_seconds": runtime}
+
+
 def run_problem(path: str | Path, spec: RunSpec) -> dict:
     """Run the selected stages on one problem file; returns the summary dict.
 
@@ -160,8 +166,13 @@ def run_problem(path: str | Path, spec: RunSpec) -> dict:
     out_dir = Path(spec.out_dir)
     stem = problem_id = artifact_stem(path)
 
-    raw = load_bal(path)
-    problem = prune_underobserved(raw)
+    problem = load_bal(path)
+    if not np.isfinite(problem.measurements).all():  # keeps no mask alive through the solve
+        i = int(np.isfinite(problem.measurements).all(axis=1).argmin())
+        raise BalReadError(f"non-finite measurement in {path}: observation {i} (camera "
+                           f"{problem.camera_indices[i]}, point {problem.landmark_indices[i]})")
+    raw_landmarks = problem.num_landmarks  # all that outlives pruning of the raw problem
+    problem = prune_underobserved(problem)
     if problem.num_landmarks == 0:
         raise BalReadError(f"nothing to solve in {path}: no landmark is seen by two cameras")
     scale = measurement_scale(problem)
@@ -174,7 +185,7 @@ def run_problem(path: str | Path, spec: RunSpec) -> dict:
         "num_cameras": problem.num_cameras,
         "num_landmarks": problem.num_landmarks,
         "num_observations": problem.num_observations,
-        "pruned_landmarks": raw.num_landmarks - problem.num_landmarks,
+        "pruned_landmarks": raw_landmarks - problem.num_landmarks,
         "measurement_scale": scale,
         "config": spec.config_echo(),
         "stages": {},
@@ -204,13 +215,7 @@ def run_problem(path: str | Path, spec: RunSpec) -> dict:
             stage1_runtime = time.perf_counter() - t0
             state = _to_pixels(stage1_state, scale)
             traces.append(trace)
-            summary["stages"]["stage1"] = {
-                "solver": trace.solver_id,
-                "initial_cost": trace.initial_cost,
-                "final_cost": trace.records[-1].cost,
-                "iterations": trace.records[-1].iteration,
-                "runtime_seconds": stage1_runtime,
-            }
+            summary["stages"]["stage1"] = _stage_summary(trace, stage1_runtime)
 
         if run_stage2:
             try:  # the projective cost is scale-invariant: lifting keeps the residuals
@@ -220,16 +225,9 @@ def run_problem(path: str | Path, spec: RunSpec) -> dict:
             t0 = time.perf_counter()
             state, trace = lm_minimize(problem, state, STAGE2, spec.solver, problem_id=problem_id)
             stage2_runtime = time.perf_counter() - t0
-            traces.append(trace)
-            traces.append(full_trace(pre_cost_projective, stage1_runtime, trace))
-            summary["stages"]["stage2"] = {
-                "solver": trace.solver_id,
-                "initial_cost": trace.initial_cost,
-                "pre_stage1_cost": pre_cost_projective,
-                "final_cost": trace.records[-1].cost,
-                "iterations": trace.records[-1].iteration,
-                "runtime_seconds": stage2_runtime,
-            }
+            traces += [trace, full_trace(pre_cost_projective, stage1_runtime, trace)]
+            summary["stages"]["stage2"] = _stage_summary(trace, stage2_runtime,
+                                                         pre_stage1_cost=pre_cost_projective)
 
         if run_metric:
             t0 = time.perf_counter()

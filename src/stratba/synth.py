@@ -27,13 +27,14 @@ FOCAL_LENGTH = 2_000_000.0
 
 
 def make_ring_problem(n_cameras: int, n_landmarks: int, noise: float, seed: int) -> BaProblem:
-    """Generate a fully-observed ring problem; raises for fewer than 2 cameras."""
+    """Generate a fully-observed ring problem; raises ValueError for fewer than 2
+    cameras, no landmark, or a noise sigma that is negative or not finite."""
     if n_cameras < 2:
         raise ValueError("need at least 2 cameras")
     if n_landmarks < 1:
         raise ValueError("need at least 1 landmark")
-    if noise < 0:
-        raise ValueError("noise must be non-negative")
+    if not 0.0 <= noise < np.inf:  # NaN included
+        raise ValueError(f"noise must be finite and non-negative, got {noise!r}")
     rng = np.random.Generator(np.random.Philox(int(seed) & 0xFFFFFFFFFFFFFFFF))
 
     points = rng.standard_normal((n_landmarks, 3)) * CLOUD_SIGMA

@@ -10,6 +10,7 @@ from stratba import bal_io
 from stratba.bal_io import (
     BalParseError,
     BaProblem,
+    ObservationPlan,
     ProjectiveState,
     load_bal,
     parse_bal,
@@ -18,6 +19,8 @@ from stratba.bal_io import (
     write_bal,
 )
 from stratba.objective import STAGE1, total_cost
+from stratba.solvers import SolverConfig, lm_minimize
+from stratba.synth import make_ring_problem
 
 
 def minimal_bal_text():
@@ -212,6 +215,23 @@ def test_prune_underobserved():
     np.testing.assert_array_equal(pruned.landmark_indices, [0, 0])
     np.testing.assert_array_equal(pruned.measurements, problem.measurements[[0, 2]])
 
+    # camera 1 sees nothing while every landmark is kept -> camera dropped, landmarks stay
+    problem = BaProblem(
+        num_cameras=3, num_landmarks=2, num_observations=4,
+        camera_indices=np.array([0, 2, 2, 0]),
+        landmark_indices=np.array([0, 0, 1, 1]),
+        measurements=np.arange(8.0).reshape(4, 2),
+        metric_cameras=np.arange(27.0).reshape(3, 9),
+        metric_points=np.arange(6.0).reshape(2, 3),
+    )
+    pruned = prune_underobserved(problem)
+    assert (pruned.num_cameras, pruned.num_landmarks, pruned.num_observations) == (2, 2, 4)
+    np.testing.assert_array_equal(pruned.camera_indices, [0, 1, 1, 0])
+    np.testing.assert_array_equal(pruned.landmark_indices, problem.landmark_indices)
+    np.testing.assert_array_equal(pruned.measurements, problem.measurements)
+    np.testing.assert_array_equal(pruned.metric_cameras, problem.metric_cameras[[0, 2]])
+    np.testing.assert_array_equal(pruned.metric_points, problem.metric_points)
+
 
 def test_prune_noop_returns_same_object():
     problem = BaProblem(
@@ -220,6 +240,22 @@ def test_prune_noop_returns_same_object():
         measurements=np.zeros((2, 2)),
     )
     assert prune_underobserved(problem) is problem
+
+
+def test_unpruned_problem_keeps_the_plan_pruning_built(monkeypatch):
+    # the plan pruning reads is the one the random start and stage 1 use
+    builds = []
+    build = ObservationPlan.build.__func__
+    monkeypatch.setattr(ObservationPlan, "build",
+                        classmethod(lambda cls, problem: builds.append(problem) or build(cls, problem)))
+    problem = make_ring_problem(4, 12, 0.5, seed=0)
+    pruned = prune_underobserved(problem)
+    assert pruned is problem
+    assert "plan" in vars(pruned)
+    assert len(builds) == 1 and builds[0] is problem
+    start = random_init(pruned, 3)
+    lm_minimize(pruned, start, STAGE1, SolverConfig(max_iterations=3))
+    assert len(builds) == 1
 
 
 def test_random_init_deterministic(rng):

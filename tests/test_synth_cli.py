@@ -456,6 +456,25 @@ def test_cli_nothing_to_solve_exit_code(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("row, column, value, camera, point", [
+    (0, 2, "nan", 0, 0), (40, 3, "-inf", 1, 10),
+])
+def test_cli_non_finite_measurement_exit_code(synth_file, tmp_path, capsys,
+                                              row, column, value, camera, point):
+    lines = synth_file.read_text().split("\n")
+    tokens = lines[1 + row].split()
+    assert tokens[:2] == [str(camera), str(point)]
+    tokens[column] = value
+    lines[1 + row] = " ".join(tokens)
+    synth_file.write_text("\n".join(lines))
+    out = tmp_path / "out"
+    assert main(["solve", "--full", "--out-dir", str(out), str(synth_file)]) == cli.EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err == (f"error: non-finite measurement in {synth_file}: observation {row} "
+                   f"(camera {camera}, point {point})\n")
+    assert not out.exists()
+
+
 def test_cli_metric_without_focal_lengths_exits_4(tmp_path, capsys):
     # write_bal writes a missing metric block as zeros: every focal length is 0
     path = tmp_path / "ring.txt"
@@ -618,6 +637,30 @@ def test_cli_profile_rejects_full_traces_that_differ_only_in_solver(synth_file, 
     assert "two traces of solver 'ripoba' on problem 'ring'" in capsys.readouterr().err
     assert not profile.exists()
     assert main(["profile", "--stage", "stage1", "--out", str(profile), *traces]) == 0
+
+
+@pytest.mark.parametrize("tau", ["-0.5", "1", "2", "nan"])
+def test_cli_profile_rejects_tau_outside_unit_interval(tmp_path, capsys, tau):
+    from stratba.evaluation import ConvergenceTrace, TraceRecord, write_trace_csv
+
+    trace_path = tmp_path / "traces.csv"
+    write_trace_csv([ConvergenceTrace("a", "p", "stage1",
+                                      [TraceRecord(0, 1.0, 0.0), TraceRecord(1, 0.5, 0.1)])],
+                    trace_path)
+    profile = tmp_path / "profile.csv"
+    assert main(["profile", "--tau", tau, "--out", str(profile), str(trace_path)]) == cli.EXIT_CONFIG
+    assert "tau must lie in [0, 1)" in capsys.readouterr().err
+    assert not profile.exists()
+
+
+@pytest.mark.parametrize("noise", ["nan", "inf"])
+def test_cli_synth_rejects_non_finite_noise(tmp_path, capsys, noise):
+    path = tmp_path / "ring.txt"
+    code = main(["synth", "--cameras", "6", "--landmarks", "30", "--noise", noise,
+                 "-o", str(path)])
+    assert code == cli.EXIT_CONFIG
+    assert "noise must be finite and non-negative" in capsys.readouterr().err
+    assert not path.exists()
 
 
 def test_cli_solves_two_inputs(tmp_path):
