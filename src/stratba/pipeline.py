@@ -18,7 +18,7 @@ import json
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -36,21 +36,6 @@ logger = logging.getLogger(__name__)
 SCHEMA_VERSION = 1
 
 STAGES = ("stage1", "stage2", "full", "metric")
-
-# The solver settings a run exposes, in summary order: the SolverConfig field
-# (also the summary key and the flag's dest) and its command-line flag.
-SOLVER_SETTINGS = (
-    ("stage1_solver", "--solver"),
-    ("stage2_solver", "--stage2-solver"),
-    ("eta", "--eta"),
-    ("initial_lambda", "--lambda0"),
-    ("max_iterations", "--max-iterations"),
-    ("function_tolerance", "--ftol"),
-    ("power_order", "--power-order"),
-    ("power_threshold", "--power-threshold"),
-    ("inner_iterations", "--inner-iterations"),
-)
-
 
 @dataclass
 class RunSpec:
@@ -76,11 +61,7 @@ class RunSpec:
                              + "; ".join(clashes))
 
     def config_echo(self) -> dict:
-        return {
-            "seed": self.seed,
-            "stage": self.stage,
-            **{name: getattr(self.solver, name) for name, _ in SOLVER_SETTINGS},
-        }
+        return {"seed": self.seed, "stage": self.stage, **asdict(self.solver)}
 
 
 def artifact_stem(path: str | Path) -> str:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy.linalg
@@ -56,6 +56,12 @@ LAMBDA_INCREASE = 4.0
 LAMBDA_MIN = 1e-12
 LAMBDA_MAX = 1e8
 
+# A stage also stops once its accepted cost is at most this fraction of its
+# starting cost. The cost is then at rounding level, where the relative change
+# between two costs is rounding noise of order 1, so the relative function
+# tolerance alone would let the loop run on to the iteration cap.
+ROUNDING_FLOOR = np.finfo(float).eps
+
 # The solver names of each stage, as set in SolverConfig and written to traces
 # and summaries, and what each selects: (damping mode of ``assemble``, inner
 # solver) in stage 1, the inner solver in stage 2.
@@ -76,27 +82,31 @@ class NumericFailureError(RuntimeError):
 class SolverConfig:
     """Solver names and settings of both stages; defaults match the evaluated setup.
 
-    Each field is named by its key in a run summary's ``config`` echo, in
-    that order; ``pcg_tolerance`` alone is not echoed. ``lm_minimize`` reads
-    the solver name of its stage, a key of ``STAGE1_SOLVERS`` or
+    The only list of solver settings. Each field is named by its key in a run
+    summary's ``config`` echo, in that order, and declares its ``solve`` flag
+    in its metadata (``pcg_tolerance`` has none). ``lm_minimize`` reads the
+    solver name of its stage, a key of ``STAGE1_SOLVERS`` or
     ``STAGE2_SOLVERS``, so one config drives both stages.
     """
 
-    stage1_solver: str = "povar"
-    stage2_solver: str = "ripoba"
-    eta: float = ETA
-    initial_lambda: float = 1e-4
-    max_iterations: int = 50
-    function_tolerance: float = 1e-6
-    power_order: int = 20
-    # Stops the series when the latest term's norm falls below this fraction of
-    # the accumulated solution norm (one of several plausible readings of a
-    # "series threshold"; exposed so callers can pick another).
-    power_threshold: float = 0.01
-    inner_iterations: int = 500
+    stage1_solver: str = field(default="povar", metadata={"flag": "--solver"})
+    stage2_solver: str = field(default="ripoba", metadata={"flag": "--stage2-solver"})
+    eta: float = field(default=ETA, metadata={"flag": "--eta"})
+    initial_lambda: float = field(default=1e-4, metadata={"flag": "--lambda0"})
+    max_iterations: int = field(default=50, metadata={"flag": "--max-iterations"})
+    function_tolerance: float = field(default=1e-6, metadata={"flag": "--ftol"})
+    power_order: int = field(default=20, metadata={"flag": "--power-order"})
+    # The series stops once its latest term's norm is at most this fraction
+    # of the accumulated solution's norm.
+    power_threshold: float = field(default=0.01, metadata={"flag": "--power-threshold"})
+    inner_iterations: int = field(default=500, metadata={"flag": "--inner-iterations"})
     pcg_tolerance: float = 1e-6
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.stage1_solver not in STAGE1_SOLVERS:
             raise ValueError(f"unknown stage-1 solver {self.stage1_solver!r}; "
                              f"choose from {sorted(STAGE1_SOLVERS)}")
@@ -348,10 +358,12 @@ def lm_minimize(problem: BaProblem, state: ProjectiveState, stage: int,
     Each point is linearized once; after a rejected step the kept system is
     re-damped, which equals linearizing again bit for bit. Steps are
     accepted only on strict cost decrease; the damping halves
-    on success and quadruples on failure. Terminates on the iteration cap or
+    on success and quadruples on failure. Terminates on the iteration cap,
     when a finite trial changes the cost by at most the relative function
-    tolerance (a stagnant rejected trial also counts). Every iteration appends
-    a (cost, cumulative seconds) record; cost sequences are bit-reproducible.
+    tolerance (a stagnant rejected trial also counts), or once the accepted
+    cost is at most ``ROUNDING_FLOOR`` times the starting cost. Every
+    iteration appends a (cost, cumulative seconds) record; cost sequences are
+    bit-reproducible.
     A singular pose block (power series), a singular preconditioner block
     (PCG) or a degenerate stage-2 linearization raises NumericFailureError;
     a direct solve that fails to factor is a rejected step.
@@ -363,6 +375,7 @@ def lm_minimize(problem: BaProblem, state: ProjectiveState, stage: int,
     if not math.isfinite(f):
         raise NumericFailureError(f"stage {stage} starting cost is not finite")
 
+    floor = ROUNDING_FLOOR * f
     t_start = time.perf_counter()
     records = [TraceRecord(0, f, 0.0)]
     lam = config.initial_lambda
@@ -388,7 +401,7 @@ def lm_minimize(problem: BaProblem, state: ProjectiveState, stage: int,
             lam = min(LAMBDA_MAX, lam * LAMBDA_INCREASE)
 
         records.append(TraceRecord(it, f, time.perf_counter() - t_start))
-        if converged:
+        if converged or f <= floor:
             break
 
     trace = ConvergenceTrace(ops.name, problem_id, f"stage{stage}", records)

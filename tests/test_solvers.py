@@ -595,3 +595,6 @@ def test_config_validation():
         SolverConfig(stage2_solver="povar")
     with pytest.raises(ValueError):
         SolverConfig(initial_lambda=0.0)
+    # every float field must be finite, flagless pcg_tolerance included
+    with pytest.raises(ValueError, match="pcg_tolerance must be finite"):
+        SolverConfig(pcg_tolerance=float("nan"))

@@ -25,10 +25,13 @@ from stratba.bal_io import (
 from stratba.cli import main
 from stratba.evaluation import read_trace_csv
 from stratba.objective import STAGE1, STAGE2, total_cost
-from stratba.pipeline import SOLVER_SETTINGS, RunSpec, read_state, write_state
+from stratba.pipeline import RunSpec, read_state, run_problem, write_state
 from stratba.riemannian import retract
 from stratba.solvers import SolverConfig
 from stratba.synth import ground_truth_state, make_ring_problem
+
+# Every solver setting, in the order a summary's config echoes them after seed and stage.
+SETTING_NAMES = [f.name for f in fields(SolverConfig)]
 
 
 def bal_reproject(camera_row, point):
@@ -121,6 +124,27 @@ def test_state_file_round_trip(tmp_path):
     np.testing.assert_array_equal(state.landmarks, again.landmarks)
 
 
+def test_write_bal_formats_each_value_at_17_digits():
+    # a restatement: pins write_bal's bytes to one format(v, ".17g") per value
+    problem = make_ring_problem(3, 7, 0.5, seed=6)
+    edge = [-0.0, np.nan, np.inf, -np.inf, 1e-300, 5e-324]
+    measurements = problem.measurements.copy()
+    cameras = problem.metric_cameras.copy()
+    points = problem.metric_points.copy()
+    measurements[:3] = np.reshape(edge, (3, 2))
+    cameras[0, :6] = edge
+    points[:2] = np.reshape(edge, (2, 3))
+    problem = replace(problem, measurements=measurements, metric_cameras=cameras,
+                      metric_points=points)
+    lines = [f"{problem.num_cameras} {problem.num_landmarks} {problem.num_observations}"]
+    lines += [f"{c} {l} {format(m[0], '.17g')} {format(m[1], '.17g')}" for c, l, m in
+              zip(problem.camera_indices, problem.landmark_indices, problem.measurements)]
+    lines += [format(v, ".17g") for v in np.concatenate([cameras.ravel(), points.ravel()])]
+    buf = io.StringIO()
+    write_bal(problem, buf)
+    assert buf.getvalue() == "\n".join(lines) + "\n"
+
+
 @pytest.mark.parametrize("text", [
     "",
     "points 1\n1 2 3 4 5 6 7 8 9 10 11 12\nlandmarks 0\n",
@@ -181,7 +205,7 @@ def test_cli_solve_stage1_artifacts(synth_file, tmp_path):
     assert summary["config"]["power_threshold"] == 0.01
     assert summary["config"]["inner_iterations"] == 500
     assert summary["config"]["eta"] == 0.1
-    assert list(summary["config"]) == ["seed", "stage", *(name for name, _ in SOLVER_SETTINGS)]
+    assert list(summary["config"]) == ["seed", "stage", *SETTING_NAMES]
     state = read_state(out / "ring_state.txt")
     assert state.cameras.shape == (6, 3, 4)
 
@@ -201,10 +225,7 @@ def test_solver_names_label_traces_and_summaries(synth_file, tmp_path):
         summary = json.loads((out / "ring_summary.json").read_text())
         assert summary["stages"]["stage1"]["solver"] == stage1
         assert summary["stages"]["stage2"]["solver"] == stage2
-        assert list(summary["config"]) == [
-            "seed", "stage", "stage1_solver", "stage2_solver", "eta", "initial_lambda",
-            "max_iterations", "function_tolerance", "power_order", "power_threshold",
-            "inner_iterations"]
+        assert list(summary["config"]) == ["seed", "stage", *SETTING_NAMES]
         assert (summary["config"]["stage1_solver"], summary["config"]["stage2_solver"]) == (
             stage1, stage2)
 
@@ -505,6 +526,9 @@ def test_cli_config_error_exit_code(synth_file, capsys):
 @pytest.mark.parametrize("flag, value", [
     ("--eta", "1.5"), ("--max-iterations", "0"), ("--lambda0", "0"),
     ("--power-order", "-1"), ("--inner-iterations", "0"),
+    # non-finite values
+    ("--lambda0", "nan"), ("--lambda0", "inf"), ("--ftol", "nan"), ("--ftol", "inf"),
+    ("--power-threshold", "nan"),
 ])
 def test_cli_setting_out_of_range_is_config_error(synth_file, tmp_path, capsys, flag, value):
     out = tmp_path / "out"
@@ -512,6 +536,29 @@ def test_cli_setting_out_of_range_is_config_error(synth_file, tmp_path, capsys, 
     assert code == 3
     assert "config error" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_run_problem_echoes_pcg_tolerance(synth_file, tmp_path):
+    spec = RunSpec(inputs=[str(synth_file)], seed=1, stage="stage1", out_dir=str(tmp_path),
+                   solver=SolverConfig(stage1_solver="iterative", max_iterations=2,
+                                       pcg_tolerance=1e-9))
+    summary = run_problem(str(synth_file), spec)
+    assert summary["config"]["pcg_tolerance"] == 1e-9
+    assert json.loads((tmp_path / "ring_summary.json").read_text())["config"] == summary["config"]
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_noise_free_stage2_stops_at_the_rounding_floor(tmp_path, seed):
+    # the README quick-start ring: stage 2 reaches a cost at rounding level
+    path = tmp_path / "ring.txt"
+    assert main(["synth", "--cameras", "10", "--landmarks", "100", "--noise", "0",
+                 "--seed", "1", "-o", str(path)]) == 0
+    out = tmp_path / "out"
+    assert main(["solve", "--full", "--seed", str(seed), "--out-dir", str(out), str(path)]) == 0
+    stage2 = next(t for t in read_trace_csv(out / "ring_trace.csv") if t.stage == "stage2")
+    assert len(stage2.records) - 1 <= 5
+    assert stage2.records[-1].cost <= np.finfo(float).eps * stage2.records[0].cost
+
 
 def test_cli_numeric_failure_keeps_partial_artifacts(synth_file, tmp_path, monkeypatch, capsys):
     import stratba.pipeline as pipeline_mod
@@ -695,17 +742,8 @@ def test_cli_refuses_colliding_artifact_stems(tmp_path, capsys, names):
     assert not out.exists() or not any(out.iterdir())
 
 
-def test_cli_out_dir_env_override(synth_file, tmp_path, monkeypatch):
-    target = tmp_path / "env_out"
-    monkeypatch.setenv("STRATBA_OUT_DIR", str(target))
-    code = main(["solve", "--stage1", "--seed", "1", str(synth_file)])
-    assert code == 0
-    assert (target / "ring_trace.csv").exists()
-
-
 def test_solve_defaults_are_run_spec_defaults(monkeypatch):
     # seed, stage and artifact directory default to RunSpec's values
-    monkeypatch.delenv("STRATBA_OUT_DIR", raising=False)
     specs = []
     monkeypatch.setattr(cli, "run_problem", lambda path, spec: specs.append(spec) or {"stages": {}})
     args = cli._build_parser().parse_args(["solve", "p.txt"])
@@ -713,6 +751,14 @@ def test_solve_defaults_are_run_spec_defaults(monkeypatch):
     assert cli._cmd_solve(args) == cli.EXIT_OK
     assert specs == [RunSpec(inputs=["p.txt"])]
     # one name per setting: SolverConfig field, flag dest and summary key, in summary order
-    names = [name for name, _ in SOLVER_SETTINGS]
-    assert names == [f.name for f in fields(SolverConfig) if f.name != "pcg_tolerance"]
-    assert list(specs[0].config_echo()) == ["seed", "stage", *names]
+    assert list(specs[0].config_echo()) == ["seed", "stage", *SETTING_NAMES]
+
+
+def test_solve_flags_are_the_declared_ones():
+    # the flags perfbench and the README use, each setting its SolverConfig field;
+    # pcg_tolerance is set through RunSpec only
+    assert {f.metadata["flag"]: f.name for f in cli.FLAGGED_SETTINGS} == {
+        "--solver": "stage1_solver", "--stage2-solver": "stage2_solver", "--eta": "eta",
+        "--lambda0": "initial_lambda", "--max-iterations": "max_iterations",
+        "--ftol": "function_tolerance", "--power-order": "power_order",
+        "--power-threshold": "power_threshold", "--inner-iterations": "inner_iterations"}
