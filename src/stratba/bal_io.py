@@ -7,23 +7,23 @@ The BAL plain-text format is:
     <9 reals per camera>                   (angle-axis, translation, focal, k1, k2)
     <3 reals per point>
 
-Tokens are whitespace-separated; decimal and scientific notation are accepted.
+Tokens are whitespace-separated, in any layout; every literal Python's ``int``
+(indices and counts) or ``float`` (measurements and parameters) reads is
+accepted. ``parse_bal`` converts each block in bulk and walks the tokens one by
+one only to name the first error of a malformed text and its line.
 """
 
 from __future__ import annotations
 
-import array
 import bz2
 import functools
 import gzip
-import io
 import logging
 import math
-import warnings
 import zlib
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO, NoReturn
 
 import numpy as np
 import scipy.sparse
@@ -271,95 +271,53 @@ class ProjectiveState:
             raise ValueError("landmarks must be (n, 4)")
 
 
-def _tokens(stream: IO[str]) -> Iterator[tuple[int, str]]:
-    for line_no, line in enumerate(stream, start=1):
-        for tok in line.split():
-            yield line_no, tok
-
-
-class _TokenReader:
-    def __init__(self, stream: IO[str]):
-        self._it = _tokens(stream)
-        self.line = 0
-
-    def next_token(self, what: str) -> str:
-        try:
-            self.line, tok = next(self._it)
-        except StopIteration:
-            raise BalParseError(self.line, f"truncated file: expected {what}") from None
-        return tok
-
-    def next_int(self, what: str) -> int:
-        tok = self.next_token(what)
-        try:
-            return int(tok)
-        except ValueError:
-            raise BalParseError(self.line, f"expected integer {what}, got {tok!r}") from None
-
-    def next_float(self, what: str) -> float:
-        tok = self.next_token(what)
-        try:
-            return float(tok)
-        except ValueError:
-            raise BalParseError(self.line, f"non-numeric token for {what}: {tok!r}") from None
-
-    def at_end(self) -> bool:
-        try:
-            self.line, tok = next(self._it)
-        except StopIteration:
-            return True
-        return False
-
-
 def parse_bal(stream: IO[str]) -> BaProblem:
     """Parse a BAL-format text stream into a :class:`BaProblem`.
 
-    Raises :class:`BalParseError` with a line number for malformed headers,
-    out-of-range indices, truncated files, and non-numeric tokens.
-    Well-formed text is converted in bulk; any other text goes through the
-    token reader, which finds the first offending token and its line.
+    The text is split on whitespace once. The header is read as three ints;
+    the parameter block and each observation column (camera index, point
+    index, x, y) are converted by one ``np.array`` call each, which applies
+    Python's ``int`` or ``float`` to every token; then the token count and
+    the index ranges are checked. A text that fails a conversion or a check
+    is walked token by token (``_raise_first_error``) to raise
+    :class:`BalParseError` for its first offending token in file order:
+    malformed headers, out-of-range indices, truncated files, non-numeric
+    tokens and trailing data.
     """
     text = stream.read()
-    problem = _parse_bulk(text)
-    return problem if problem is not None else _parse_tokens(io.StringIO(text))
+    problem = _convert(text.split())
+    if problem is None:
+        _raise_first_error(text)
+    return problem
 
 
-_OBSERVATION_DTYPE = [("camera", np.int64), ("point", np.int64), ("xy", np.float64, 2)]
+def _convert(toks: list[str]) -> BaProblem | None:
+    """The problem the tokens spell, or None if a count, a conversion or a range check fails.
 
-
-def _loadtxt(text: str, dtype) -> np.ndarray:
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # an empty block warns; treat it as a misfit
-        return np.loadtxt(io.StringIO(text), dtype=dtype, comments=None, ndmin=1)
-
-
-def _parse_bulk(text: str) -> BaProblem | None:
-    """The problem from the canonical layout, or None for any other text.
-
-    The canonical layout is ASCII with the header on the first line and one
-    observation per line; the parameters follow in any layout. ``np.loadtxt``
-    accepts a subset of the literals Python's ``int`` and ``float`` accept
-    and reads them to the same values, so the result equals the token
-    reader's.
+    Consumes ``toks``: the parameters are converted first, then each
+    observation column as a strided slice of what is left, and each block's
+    strings are dropped as soon as it is converted, so the peak holds the
+    tokens and about one column more.
     """
-    if not text.isascii():
-        return None
-    breaks = np.flatnonzero(np.frombuffer(text.encode("ascii"), dtype=np.uint8) == ord("\n"))
     try:
-        n_cam, n_lm, n_obs = map(int, text[:breaks[0]].split())
-    except (IndexError, ValueError):
+        n_cam, n_lm, n_obs = map(int, toks[:3])
+    except ValueError:
         return None
-    if min(n_cam, n_lm, n_obs) <= 0 or len(breaks) <= n_obs:
+    end = 3 + 4 * n_obs
+    n_cam_params = CAMERA_FIELDS * n_cam
+    if min(n_cam, n_lm, n_obs) < 0 or len(toks) != end + n_cam_params + POINT_FIELDS * n_lm:
         return None
-    obs_end = breaks[n_obs] + 1
     try:
-        obs = _loadtxt(text[breaks[0] + 1:obs_end], _OBSERVATION_DTYPE)
-        meta = _loadtxt(text[obs_end:], np.float64).ravel()
-    except (ValueError, UserWarning):
+        params = np.array(toks[end:], dtype=np.float64)
+        del toks[end:]
+        columns = []
+        for stride, dtype in zip((4, 3, 2, 1), (np.int64, np.int64, np.float64, np.float64)):
+            columns.append(np.array(toks[3::stride], dtype=dtype))
+            del toks[3::stride]
+    except (ValueError, OverflowError):  # a non-numeric token, or an index beyond int64
         return None
-    cams, points = obs["camera"], obs["point"]
-    if (len(obs) != n_obs or len(meta) != CAMERA_FIELDS * n_cam + POINT_FIELDS * n_lm
-            or cams.min() < 0 or cams.max() >= n_cam or points.min() < 0 or points.max() >= n_lm):
+    cams, points, x, y = columns
+    if n_obs and (cams.min() < 0 or cams.max() >= n_cam or points.min() < 0 or points.max() >= n_lm):
         return None
     return BaProblem(
         num_cameras=n_cam,
@@ -367,54 +325,53 @@ def _parse_bulk(text: str) -> BaProblem | None:
         num_observations=n_obs,
         camera_indices=cams,
         landmark_indices=points,
-        measurements=obs["xy"],
-        metric_cameras=meta[:CAMERA_FIELDS * n_cam].reshape(n_cam, CAMERA_FIELDS),
-        metric_points=meta[CAMERA_FIELDS * n_cam:].reshape(n_lm, POINT_FIELDS),
+        measurements=np.column_stack([x, y]),
+        metric_cameras=params[:n_cam_params].reshape(n_cam, CAMERA_FIELDS),
+        metric_points=params[n_cam_params:].reshape(n_lm, POINT_FIELDS),
     )
 
 
-def _parse_tokens(stream: IO[str]) -> BaProblem:
-    rd = _TokenReader(stream)
-    n_cam = rd.next_int("camera count")
-    n_lm = rd.next_int("point count")
-    n_obs = rd.next_int("observation count")
-    if n_cam < 0 or n_lm < 0 or n_obs < 0:
-        raise BalParseError(rd.line, "malformed header: negative count")
+def _raise_first_error(text: str) -> NoReturn:
+    """Walk the tokens of a text ``_convert`` refused and raise its first error.
 
-    # Arrays are built from the tokens actually read: the header counts are
-    # untrusted and may exceed any allocatable size. Indices stay Python ints
-    # until the end, since an index below a count beyond int64 only fails
-    # once the file proves truncated.
-    cam_idx, lm_idx, meas = [], [], array.array("d")
+    Tokens are read in file order, an observation's as camera index, its
+    range, point index, its range, x, y. A token's line is 1 + the number of
+    newlines before it; a truncation takes the line of the last token, and an
+    empty text line 0. The walk reads only the tokens present, so a header
+    count beyond any allocatable size ends as a truncation.
+    """
+    tokens = ((n, tok) for n, row in enumerate(text.split("\n"), start=1) for tok in row.split())
+    line = 0
+
+    def take(what: str, kind: type) -> int | float:
+        nonlocal line
+        for line, tok in tokens:
+            try:
+                return kind(tok)
+            except ValueError:
+                raise BalParseError(line, f"expected integer {what}, got {tok!r}" if kind is int
+                                    else f"non-numeric token for {what}: {tok!r}") from None
+        raise BalParseError(line, f"truncated file: expected {what}")
+
+    n_cam, n_lm, n_obs = (take(what, int) for what in ("camera count", "point count",
+                                                        "observation count"))
+    if min(n_cam, n_lm, n_obs) < 0:
+        raise BalParseError(line, "malformed header: negative count")
     for _ in range(n_obs):
-        c = rd.next_int("camera index")
-        if not 0 <= c < n_cam:
-            raise BalParseError(rd.line, f"camera index {c} out of range [0, {n_cam})")
-        p = rd.next_int("point index")
-        if not 0 <= p < n_lm:
-            raise BalParseError(rd.line, f"point index {p} out of range [0, {n_lm})")
-        cam_idx.append(c)
-        lm_idx.append(p)
-        meas.append(rd.next_float("measurement x"))
-        meas.append(rd.next_float("measurement y"))
-
-    cams = array.array("d", (rd.next_float(f"camera {i} parameter {j}")
-                             for i in range(n_cam) for j in range(CAMERA_FIELDS)))
-    pts = array.array("d", (rd.next_float(f"point {i} coordinate {j}")
-                            for i in range(n_lm) for j in range(POINT_FIELDS)))
-    if not rd.at_end():
-        raise BalParseError(rd.line, "trailing data after point block")
-
-    return BaProblem(
-        num_cameras=n_cam,
-        num_landmarks=n_lm,
-        num_observations=n_obs,
-        camera_indices=np.array(cam_idx, dtype=np.int64),
-        landmark_indices=np.array(lm_idx, dtype=np.int64),
-        measurements=np.array(meas, dtype=np.float64).reshape(n_obs, 2),
-        metric_cameras=np.array(cams, dtype=np.float64).reshape(n_cam, CAMERA_FIELDS),
-        metric_points=np.array(pts, dtype=np.float64).reshape(n_lm, POINT_FIELDS),
-    )
+        for what, bound in (("camera index", n_cam), ("point index", n_lm)):
+            index = take(what, int)
+            if not 0 <= index < bound:
+                raise BalParseError(line, f"{what} {index} out of range [0, {bound})")
+        take("measurement x", float)
+        take("measurement y", float)
+    for count, fields, name in ((n_cam, CAMERA_FIELDS, "camera {} parameter {}"),
+                                (n_lm, POINT_FIELDS, "point {} coordinate {}")):
+        for i in range(count):
+            for j in range(fields):
+                take(name.format(i, j), float)
+    for line, _ in tokens:  # every token up to here is valid, so one is left over
+        break
+    raise BalParseError(line, "trailing data after point block")
 
 
 def write_bal(problem: BaProblem, stream: IO[str]) -> None:

@@ -145,9 +145,17 @@ def _cmd_profile(args) -> int:
     except ValueError as exc:  # tau outside [0, 1), or traces that share no threshold
         print(f"cannot profile: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    write_profile_csv(profiles, args.out)
+    try:
+        write_profile_csv(profiles, args.out)
+    except OSError as exc:
+        return _cannot_write(args.out, exc)
     print(f"wrote {args.out}")
     return EXIT_OK
+
+
+def _cannot_write(path: str | Path, exc: OSError) -> int:
+    print(f"config error: cannot write {path}: {exc}", file=sys.stderr)
+    return EXIT_CONFIG
 
 
 def _cmd_synth(args) -> int:
@@ -157,9 +165,12 @@ def _cmd_synth(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     out = Path(args.output)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w") as fh:
-        write_bal(problem, fh)
+    try:
+        out.parent.mkdir(parents=True, exist_ok=True)
+        with open(out, "w") as fh:
+            write_bal(problem, fh)
+    except OSError as exc:
+        return _cannot_write(out, exc)
     print(f"wrote {out} ({problem.num_cameras} cameras, {problem.num_landmarks} landmarks, "
           f"{problem.num_observations} observations)")
     return EXIT_OK

@@ -59,6 +59,10 @@ class RunSpec:
         if clashes:
             raise ValueError("inputs would overwrite each other's artifacts: "
                              + "; ".join(clashes))
+        out_dir = Path(self.out_dir)
+        for p in (out_dir, *out_dir.parents):
+            if p.exists() and not p.is_dir():
+                raise ValueError(f"output directory {out_dir}: {p} is not a directory")
 
     def config_echo(self) -> dict:
         return {"seed": self.seed, "stage": self.stage, **asdict(self.solver)}

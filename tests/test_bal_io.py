@@ -93,6 +93,7 @@ def _only_parse_errors(text):
     except BalParseError:
         return
     assert problem.measurements.shape == (problem.num_observations, 2)
+    assert_same_arrays(problem, python_arrays(text))
 
 
 @settings(max_examples=150, deadline=None)
@@ -146,34 +147,105 @@ def test_round_trip_identity(rng):
     np.testing.assert_array_equal(problem.camera_indices, again.camera_indices)
 
 
+ARRAYS = ("camera_indices", "landmark_indices", "measurements", "metric_cameras", "metric_points")
+
+
+def python_arrays(text):
+    """The arrays of a well-formed BAL text, each token read by Python's int or float."""
+    toks = text.split()
+    n_cam, n_lm, n_obs = map(int, toks[:3])
+    obs = [toks[3 + 4 * i:7 + 4 * i] for i in range(n_obs)]
+    params = [float(tok) for tok in toks[3 + 4 * n_obs:]]
+    return {
+        "camera_indices": np.array([int(o[0]) for o in obs], dtype=np.int64),
+        "landmark_indices": np.array([int(o[1]) for o in obs], dtype=np.int64),
+        "measurements": np.array([[float(o[2]), float(o[3])] for o in obs],
+                                 dtype=np.float64).reshape(n_obs, 2),
+        "metric_cameras": np.array(params[:9 * n_cam], dtype=np.float64).reshape(n_cam, 9),
+        "metric_points": np.array(params[9 * n_cam:], dtype=np.float64).reshape(n_lm, 3),
+    }
+
+
+def assert_same_arrays(problem, want):
+    for name in ARRAYS:
+        got = getattr(problem, name)
+        assert got.dtype == want[name].dtype and got.shape == want[name].shape
+        assert got.tobytes() == want[name].tobytes(), name
+
+
 @pytest.mark.parametrize("text", [
     # 17- and 26-digit values, signs, leading zeros, inf/nan and overflow
     "2 2 3\n0 1 0.10000000000000000555111512 -3.0000000000000004\n+1 01 1e400 nan\n"
     "1 0 .5 -Infinity\n" + "\n".join(f"{0.1 * i:.26g}" for i in range(24)) + "\n",
     # the parameter block several values a line, no final newline
     "1 2 2\n0 0 1.5 -2.0\n0 1 3 4\n" + " ".join(str(i) for i in range(15)),
-])
-def test_bulk_parse_equals_token_reader(text):
-    bulk = bal_io._parse_bulk(text)
-    assert bulk is not None
-    reference = bal_io._parse_tokens(io.StringIO(text))
-    for name in ("camera_indices", "landmark_indices", "measurements", "metric_cameras",
-                 "metric_points"):
-        got, want = getattr(bulk, name), getattr(reference, name)
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+], ids=["literals", "parameters-on-one-line"])
+def test_literals_parse_as_python_reads_them(text):
+    assert_same_arrays(parse_bal(io.StringIO(text)), python_arrays(text))
 
 
 @pytest.mark.parametrize("text", [
     minimal_bal_text().replace("\n", " "),  # one line
     "1 1 1\n0 0\n1.5 -2.0\n" + minimal_bal_text().split("\n", 2)[2],  # split observation
-    minimal_bal_text().replace("1.5", "1_5.0"),  # a literal only Python reads
+    minimal_bal_text().replace("1.5", "1_5e-1"),  # a literal only Python reads
+    minimal_bal_text().replace("\n", "\r\n"),
+    minimal_bal_text().replace(" ", "\t"),
+    minimal_bal_text().replace("1 1 1", "\u0661 \u0661 \u0661").replace("1.5", "\u0661.\u0665"),
+], ids=["one-line", "split-observation", "underscore", "crlf", "tabs", "arabic-indic-digits"])
+def test_every_layout_gives_the_canonical_arrays(text):
+    want = parse_bal(io.StringIO(minimal_bal_text()))
+    assert_same_arrays(parse_bal(io.StringIO(text)), {name: getattr(want, name) for name in ARRAYS})
+
+
+_PARAMS = " ".join(str(float(i)) for i in range(9))
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("", 0, "truncated file: expected camera count"),
+    ("\n\n", 0, "truncated file: expected camera count"),
+    ("1\n", 1, "truncated file: expected point count"),
+    ("1 1\n", 1, "truncated file: expected observation count"),
+    ("1 1 1\n", 1, "truncated file: expected camera index"),
+    ("1 1 1\n0\n", 2, "truncated file: expected point index"),
+    ("1 1 1\n0 0\n", 2, "truncated file: expected measurement x"),
+    ("1 1 1\n0 0 1.5\n\n\n", 2, "truncated file: expected measurement y"),
+    ("1 1 1\n0 0 1.5 -2.0\n0 1 2\n", 3, "truncated file: expected camera 0 parameter 3"),
+    ("1 1 1\n0 0 1.5 -2.0\n" + _PARAMS + "\n0.1\n", 4,
+     "truncated file: expected point 0 coordinate 1"),
+    ("1 x 1\n", 1, "expected integer point count, got 'x'"),
+    ("1 1 1\n0.0 0 1.5 -2.0\n", 2, "expected integer camera index, got '0.0'"),
+    ("1 1 1\n0 1e0 1.5 -2.0\n", 2, "expected integer point index, got '1e0'"),
+    ("1 1 1\n0 0 0x1 -2.0\n", 2, "non-numeric token for measurement x: '0x1'"),
+    ("1 1 1\n0 0 1.5 -2.0\n" + "\n".join(["0"] * 8) + "\nbogus\n1 2 3\n", 11,
+     "non-numeric token for camera 0 parameter 8: 'bogus'"),
+    ("1 1 1\n0 0 1.5 -2.0\n" + _PARAMS + "\n0.1 0.2 z\n", 4,
+     "non-numeric token for point 0 coordinate 2: 'z'"),
+    ("2 1 2\n0 0 1 1\n5 0 1 1\n", 3, "camera index 5 out of range [0, 2)"),
+    ("1 1 1\n0 3 1 1\n", 2, "point index 3 out of range [0, 1)"),  # ahead of the truncation
+    # complete files: the ranges, not the token count, reject these
+    ("2 1 2\n0 0 1 1\n2 0 1 1\n" + "0 " * 21, 3, "camera index 2 out of range [0, 2)"),
+    ("2 1 2\n0 0 1 1\n-1 0 1 1\n" + "0 " * 21, 3, "camera index -1 out of range [0, 2)"),
+    ("1 2 2\n0 1 1 1\n0 2 1 1\n" + "0 " * 15, 3, "point index 2 out of range [0, 2)"),
+    ("1 2 2\n0 1 1 1\n0 -1 1 1\n" + "0 " * 15, 3, "point index -1 out of range [0, 2)"),
+    ("2 1 2\n0 0 1 1\n12345678901234567890 0 1 1\n" + "0 " * 21, 3,
+     "camera index 12345678901234567890 out of range [0, 2)"),  # beyond int64
+    ("1\n-1\n1 0 0 1 1\n", 3, "malformed header: negative count"),
+    ("1 1 -1\n" + "0 " * 8, 1, "malformed header: negative count"),  # as many tokens as it spells
+    ("1 1 1\n0 0 1.5 -2.0\n" + _PARAMS + "\n0.1 0.2 0.3\n\n42\n", 6,
+     "trailing data after point block"),
+    ("99999999999999999999999 1 1\n12345678901234567890 0 1 2\n", 2,
+     "truncated file: expected camera 0 parameter 0"),
+    # wrapped: the bad y sits on line 4, not on the observation's line 2
+    ("1 1 1\n0 0\n1.5\ny\n", 4, "non-numeric token for measurement y: 'y'"),
+    # CRLF counts one line per \n; a bare \r separates tokens without ending a line
+    ("1\r\n1\r\n1\r\n0 0 bad -2.0\r\n", 4, "non-numeric token for measurement x: 'bad'"),
+    ("1 1 1\r\n0 0\r1.5 -2.0\r\n0 1 2 3 4 5 6 7 8\r\n0.1\r0.2 \r\n", 4,
+     "truncated file: expected point 0 coordinate 2"),
 ])
-def test_non_canonical_layouts_parse_through_token_reader(text):
-    assert bal_io._parse_bulk(text) is None
-    reference = bal_io._parse_tokens(io.StringIO(text))
-    np.testing.assert_array_equal(parse_bal(io.StringIO(text)).measurements,
-                                  reference.measurements)
+def test_parse_errors_name_the_token_and_line(text, line, message):
+    with pytest.raises(BalParseError) as info:
+        parse_bal(io.StringIO(text))
+    assert (info.value.line, str(info.value)) == (line, f"line {line}: {message}")
 
 
 def test_gzip_detection(tmp_path):

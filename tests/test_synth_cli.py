@@ -710,6 +710,42 @@ def test_cli_synth_rejects_non_finite_noise(tmp_path, capsys, noise):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("out_dir", ["afile", "afile/sub"])
+def test_cli_solve_out_dir_under_a_file_is_config_error(synth_file, tmp_path, capsys, out_dir):
+    (tmp_path / "afile").write_text("kept\n")
+    code = main(["solve", "--stage1", "--out-dir", str(tmp_path / out_dir), str(synth_file)])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: output directory ") and err.count("\n") == 1
+    assert f"{tmp_path / 'afile'} is not a directory" in err
+    assert (tmp_path / "afile").read_text() == "kept\n"
+    assert not list(tmp_path.glob("**/ring_*"))
+
+
+def test_cli_synth_unwritable_output_is_config_error(tmp_path, capsys):
+    (tmp_path / "afile").write_text("kept\n")
+    out = tmp_path / "afile" / "x.txt"
+    code = main(["synth", "--cameras", "6", "--landmarks", "30", "-o", str(out)])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write {out}: ") and err.count("\n") == 1
+    assert (tmp_path / "afile").read_text() == "kept\n"
+
+
+def test_cli_profile_unwritable_output_is_config_error(tmp_path, capsys):
+    from stratba.evaluation import ConvergenceTrace, TraceRecord, write_trace_csv
+
+    trace_path = tmp_path / "traces.csv"
+    write_trace_csv([ConvergenceTrace("a", "p", "stage1",
+                                      [TraceRecord(0, 1.0, 0.0), TraceRecord(1, 0.5, 0.1)])],
+                    trace_path)
+    out = tmp_path / "nodir" / "p.csv"
+    assert main(["profile", "--out", str(out), str(trace_path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write {out}: ") and err.count("\n") == 1
+    assert not (tmp_path / "nodir").exists()
+
+
 def test_cli_solves_two_inputs(tmp_path):
     paths = []
     for i in range(2):
