@@ -28,23 +28,21 @@ back-substitution.
 damped blocks and the landmark pseudo-inverses.
 
 The explicit paths read W's blocks from the factors through one function,
-``CouplingFactors.blocks``, except the exact block diagonal, which sums
-(G^T V^+ G) (x) (x x^T) over each camera's pairs with one GEMM per camera.
-The dense reduced matrix U - W V^+ W^T is summed with dense GEMMs over chunks
-of landmarks, in slabs no larger than the result, on densely observed
-graphs; on sparse graphs, where the GEMMs would mostly multiply zeros, and
-in the sparse direct solve above ``DENSE_SCHUR_LIMIT``, W V^+ W^T is a
-block-sparse product. The pose Hessian blocks are damped with Jacobi
-scaling; the landmark blocks are damped only in ``both`` mode (joint /
-tangent-space optimization), never in ``pose_only`` mode
-(eliminated-landmark optimization). There the damping reaches U alone, so
-everything formed from W and V^+ is the same for every damping of one
-linearization: the pseudo-inverse of the undamped V (``v_pinv``), the
-explicit coupling W V^+ W^T (dense for ``dense_schur``, block-sparse for
-``schur_matrix``), the reduced right-hand side (``schur_rhs``) and the
-coupling term of ``schur_diag_blocks``. Each is formed once, on first use,
-and shared by every re-damped system (``SchurSystem.lambda_free``), which
-adds only its own damped U.
+``CouplingFactors.blocks``. The dense reduced matrix U - W V^+ W^T is summed
+with dense GEMMs over chunks of landmarks, in slabs no larger than the
+result, on densely observed graphs; on sparse graphs, where the GEMMs would
+mostly multiply zeros, and in the sparse direct solve above
+``DENSE_SCHUR_LIMIT``, W V^+ W^T is a block-sparse product. The pose Hessian
+blocks are damped with Jacobi scaling; the landmark blocks are damped only
+in ``both`` mode (joint / tangent-space optimization), never in
+``pose_only`` mode (eliminated-landmark optimization). There the damping
+reaches U alone, so everything formed from W and V^+ is the same for every
+damping of one linearization: the pseudo-inverse of the undamped V
+(``v_pinv``), the explicit coupling W V^+ W^T (dense for ``dense_schur``,
+block-sparse for ``schur_matrix``) and the reduced right-hand side
+(``schur_rhs``). Each is formed once, on first use, and shared by every
+re-damped system (``SchurSystem.lambda_free``), which adds only its own
+damped U.
 """
 
 from __future__ import annotations
@@ -373,9 +371,9 @@ class SchurSystem(BlockSums):
         The sums and W's factors with their CSR matrices are shared. In
         pose-only mode so are V's pseudo-inverse and every product of
         ``lambda_free`` formed so far or later, by either system: the explicit
-        coupling W V^+ W^T, the reduced right-hand side and the coupling term
-        of the block diagonal. The new system forms only its damped U. The
-        result equals a fresh ``assemble`` bit for bit.
+        coupling W V^+ W^T and the reduced right-hand side. The new system
+        forms only its damped U. The result equals a fresh ``assemble`` bit
+        for bit.
         """
         out = dataclasses.replace(self, lam=lam)
         if self.damping_mode == POSE_ONLY:
@@ -462,42 +460,6 @@ def back_substitute(system: SchurSystem, pose_update: np.ndarray) -> np.ndarray:
         logger.debug("zeroed updates of %d degenerate landmark blocks",
                      int(system.v_degenerate.sum()))
     return upd
-
-
-def schur_diag_blocks(system: SchurSystem) -> np.ndarray:
-    """Exact block diagonal of the reduced system.
-
-    A pair's share W_o V^+ W_o^T of its camera's block is
-    B_c^T ((G^T V^+ G) (x) (x x^T)) B_c, so camera c's block is U_c minus
-    sum_o K_o (x) (x x^T)_o with K_o = G^T_o V^+_l(o) G_o, summed with one
-    (9 x n_c) (n_c x 16) GEMM over its n_c pairs, then projected. Repeated
-    (camera, landmark) pairs need no care: each pair's G^T is already summed.
-    The subtracted term is formed once per pose-only linearization
-    (``SchurSystem.lambda_free``).
-    """
-    return system.u_blocks - system.lambda_free(_diag_coupling)
-
-
-def _diag_coupling(system: SchurSystem) -> np.ndarray:
-    """The diagonal blocks of W V^+ W^T, as ``schur_diag_blocks`` derives them."""
-    f, plan = system.factors, system.factors.plan
-    d_l = system.lm_width
-    # pairs last, so that each product runs over all of them
-    gt = np.ascontiguousarray(f.gt.transpose(1, 2, 0))
-    v_inv = np.take(system.v_inv.reshape(-1, d_l * d_l).T, plan.pair_landmark, axis=1)
-    k = np.einsum("ikn,lkn->iln", np.einsum("ijn,jkn->ikn", gt, v_inv.reshape(d_l, d_l, -1)),
-                  gt).reshape(9, -1)
-    x = f.x.T
-    xx = (x[:, None] * x[None, :]).reshape(16, -1)
-    ptr = plan.pair_camera_ptr
-    m = np.empty((system.n_cameras, 9, 16))
-    for c in range(system.n_cameras):
-        sl = slice(ptr[c], ptr[c + 1])
-        m[c] = k[:, sl] @ xx[:, sl].T
-    m = m.reshape(-1, 3, 3, 4, 4).transpose(0, 1, 3, 2, 4).reshape(-1, 12, 12)
-    if f.camera_bases is not None:
-        m = f.camera_bases.transpose(0, 2, 1) @ m @ f.camera_bases
-    return m
 
 
 def _sparse_coupling(system: SchurSystem) -> scipy.sparse.bsr_array:

@@ -16,7 +16,6 @@ from stratba.normal_eq import (
     build_stage2_blocks,
     dense_coupling,
     dense_schur,
-    schur_diag_blocks,
     schur_matrix,
     schur_rhs,
 )
@@ -257,16 +256,6 @@ def test_blocks_reference_strictly_increasing_cameras():
     assert sorted(plan.observation_pair) == list(range(problem.num_observations))
 
 
-def test_schur_diag_matches_dense():
-    system, _, _ = make_varpro_system(4, 9, seed=12, lam=0.05)
-    s_dense = dense_schur(system)
-    d = system.pose_width
-    diag = schur_diag_blocks(system)
-    for i in range(system.n_cameras):
-        np.testing.assert_allclose(diag[i], s_dense[i * d:(i + 1) * d, i * d:(i + 1) * d],
-                                   atol=1e-11 * max(1, np.abs(s_dense).max()))
-
-
 def test_degenerate_v_block_zero_update():
     # landmark block with Jl = 0 is singular: pinv contributes nothing and the
     # back-substituted update is exactly zero
@@ -324,23 +313,21 @@ def test_pose_only_system_computes_v_pinv_once(monkeypatch):
 
 
 # the products of SchurSystem.lambda_free, by the function that forms each
-LAMBDA_FREE = ("dense_coupling", "_sparse_coupling", "_schur_rhs", "_diag_coupling")
+LAMBDA_FREE = ("dense_coupling", "_sparse_coupling", "_schur_rhs")
 
 
 @pytest.mark.parametrize("mode", [POSE_ONLY, BOTH])
 def test_lambda_free_products_formed_once_per_pose_only_linearization(mode, monkeypatch):
     # V is damped only in both mode: in pose-only mode the coupling (dense
-    # and block-sparse), the reduced right-hand side and the block diagonal's
-    # coupling term are formed once, by whichever system asks first, and
-    # shared by every re-damped system; in both mode each system forms its
-    # own, once
+    # and block-sparse) and the reduced right-hand side are formed once, by
+    # whichever system asks first, and shared by every re-damped system; in
+    # both mode each system forms its own, once
     monkeypatch.setattr(normal_eq, "_GEMM_SPEEDUP", COUPLING_PATHS["gemm"])
     problem = make_random_problem(4, 9, seed=21)
     sums = build_stage1_blocks(problem, make_random_state(problem, 22, STAGE1), 0.1)
 
     def products(system):
-        return (schur_rhs(system), dense_schur(system), schur_diag_blocks(system),
-                schur_matrix(system).toarray())
+        return schur_rhs(system), dense_schur(system), schur_matrix(system).toarray()
 
     fresh = {lam: products(assemble(sums, lam, mode)) for lam in (1e-4, 0.37, 1.5)}
     counts = dict.fromkeys(LAMBDA_FREE, 0)
@@ -445,10 +432,6 @@ def test_unobserved_camera_and_landmark_match_dense_oracle(mode, seed):
     np.testing.assert_allclose(schur_rhs(system), rhs, atol=1e-11 * max(1, np.abs(rhs).max()))
     x = np.random.default_rng(seed).standard_normal(system.pose_dim)
     np.testing.assert_allclose(apply_schur(system, x), s_dense @ x, atol=1e-11 * scale)
-    diag = schur_diag_blocks(system)
-    for i in range(problem.num_cameras):
-        np.testing.assert_allclose(diag[i], s_dense[i * d_p:(i + 1) * d_p, i * d_p:(i + 1) * d_p],
-                                   atol=1e-11 * scale)
     upd = back_substitute(system, x)
     expected = -v_pinv @ (b_l + w.T @ x)
     np.testing.assert_allclose(upd, expected, atol=1e-9 * max(1, np.abs(expected).max()))
@@ -545,20 +528,6 @@ def test_dense_schur_sums_repeated_observations(mode, path, monkeypatch):
     s = dense_schur(system)
     np.testing.assert_allclose(s, s_dense, atol=1e-11 * scale)
     assert np.abs(s - s.T).max() <= 1e-12 * np.abs(s).max()
-
-
-@pytest.mark.parametrize("mode", [POSE_ONLY, BOTH])
-def test_schur_diag_blocks_exact_on_repeated_observations(mode):
-    # The PCG preconditioner must include the cross terms W_1 V^+ W_2^T of
-    # the blocks of a repeated pair.
-    problem, _ = repeated_observation_problem()
-    state = make_random_state(problem, 43, STAGE1)
-    system = assemble(build_stage1_blocks(problem, state, 0.1), 0.2, mode)
-    s = dense_schur(system)
-    n, d = system.n_cameras, system.pose_width
-    cams = np.arange(n)
-    np.testing.assert_allclose(schur_diag_blocks(system), s.reshape(n, d, n, d)[cams, :, cams, :],
-                               rtol=0, atol=1e-12 * np.abs(s).max())
 
 
 @pytest.mark.parametrize("stage", [STAGE1, STAGE2])
@@ -826,8 +795,3 @@ def test_coupling_factors_match_dense_oracle(stage, path, monkeypatch):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-11 * max(1, np.abs(want).max()))
     scale = max(1, np.abs(s_dense).max())
     np.testing.assert_allclose(dense_schur(system), s_dense, rtol=0, atol=1e-11 * scale)
-    diag = schur_diag_blocks(system)
-    for c in range(n_c):
-        np.testing.assert_allclose(diag[c], s_dense[c * d_p:(c + 1) * d_p, c * d_p:(c + 1) * d_p],
-                                   rtol=0, atol=1e-11 * scale)
-    np.testing.assert_array_equal(diag[0], system.u_blocks[0])

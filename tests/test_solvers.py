@@ -10,6 +10,7 @@ from stratba.normal_eq import (
     POSE_ONLY,
     CouplingFactors,
     SchurSystem,
+    apply_schur,
     assemble,
     build_stage1_blocks,
     dense_schur,
@@ -150,6 +151,45 @@ def test_pcg_matches_dense_solve(seed):
     assert rel <= 1e-6
 
 
+def s_norm(s, e):
+    return math.sqrt(e @ s @ e)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("lam", [1e-4, 1e-2, 1.0])
+def test_pcg_never_worse_than_the_series_at_equal_krylov_space(seed, lam):
+    # the order-m series is preconditioned Richardson on S with U^{-1}, so
+    # x_m lies in the Krylov space of m + 1 PCG iterations with the same
+    # preconditioner, where PCG minimizes the S-norm error
+    system, _, _ = make_varpro_system(4, 12, seed=seed, lam=lam)
+    s = dense_schur(system)
+    x_exact = np.linalg.solve(s, schur_rhs(system))
+    slack = 1e-12 * s_norm(s, x_exact)
+    for m in (0, 1, 2, 4, 8):
+        cg = pcg_schur_solve(system, SolverConfig(pcg_tolerance=1e-300, inner_iterations=m + 1))
+        series = power_schur_solve(system, SolverConfig(power_order=m, power_threshold=0.0))
+        assert cg.inner_iterations_used == m + 1 and series.power_order_used == m
+        assert (s_norm(s, cg.pose_update - x_exact)
+                <= s_norm(s, series.pose_update - x_exact) + slack)
+
+
+@pytest.mark.parametrize("make_system", [make_varpro_system, make_riemannian_system])
+@pytest.mark.parametrize("seed", range(3))
+def test_pcg_reports_and_stops_on_the_true_relative_residual(make_system, seed):
+    for lam in (1e-4, 1e-2, 1.0):
+        system, _, _ = make_system(4, 12, seed=seed, lam=lam)
+        rhs = schur_rhs(system)
+        for tol in (0.1, 1e-3):
+            for cap in (1, 2, 500):
+                rep = pcg_schur_solve(system, SolverConfig(pcg_tolerance=tol,
+                                                           inner_iterations=cap))
+                true = (np.linalg.norm(rhs - apply_schur(system, rep.pose_update))
+                        / np.linalg.norm(rhs))
+                assert rep.truncation_estimate == pytest.approx(true, rel=1e-12, abs=0)
+                if rep.inner_iterations_used < cap and rep.flag is None:
+                    assert rep.truncation_estimate <= tol
+
+
 def identity_system(dim_blocks=2):
     d = 12
     u = np.tile(np.eye(d), (dim_blocks, 1, 1))
@@ -212,10 +252,11 @@ def test_direct_failed_cholesky_is_flagged_without_a_retry(monkeypatch):
 
 
 def test_pcg_singular_preconditioner_raises(monkeypatch):
-    # the damped preconditioner blocks are inverted once, with no fallback:
-    # an exactly singular block raises, and the outer loop fails numerically
+    # the damped pose blocks are inverted once, with no fallback: an exactly
+    # singular block raises, and the outer loop fails numerically
     system, _, _ = make_varpro_system(3, 8, seed=1, lam=0.5)
-    monkeypatch.setattr(solvers, "schur_diag_blocks", lambda s: np.zeros_like(s.u_blocks))
+    monkeypatch.setattr(solvers, "_u_inverse",
+                        lambda s: np.linalg.inv(np.zeros_like(s.u_blocks)))
     with pytest.raises(np.linalg.LinAlgError):
         pcg_schur_solve(system, SolverConfig())
     problem = make_random_problem(4, 20, seed=9)

@@ -547,6 +547,31 @@ def test_run_problem_echoes_pcg_tolerance(synth_file, tmp_path):
     assert json.loads((tmp_path / "ring_summary.json").read_text())["config"] == summary["config"]
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_forcing_tolerance_reaches_the_same_minimum(tmp_path, seed):
+    # an inexact inner solve (PCG to the default forcing tolerance) ends
+    # both stages where a near-exact one and the power series end
+    path = tmp_path / "ring.txt"
+    assert main(["synth", "--cameras", "10", "--landmarks", "100", "--noise", "0.5",
+                 "--seed", "1", "-o", str(path)]) == 0
+
+    def final_costs(name, solver):
+        spec = RunSpec(inputs=[str(path)], seed=seed, stage="full",
+                       out_dir=str(tmp_path / name), solver=solver)
+        run_problem(str(path), spec)
+        traces = read_trace_csv(tmp_path / name / "ring_trace.csv")
+        return {t.stage: t.records[-1].cost for t in traces if t.stage != "full"}
+
+    pcg = SolverConfig(stage1_solver="iterative", stage2_solver="ripcg")
+    assert pcg.pcg_tolerance == 0.1
+    loose = final_costs("loose", pcg)
+    assert loose.keys() == {"stage1", "stage2"}
+    for name, solver in (("tight", replace(pcg, pcg_tolerance=1e-10)),
+                         ("series", SolverConfig())):
+        for stage, cost in final_costs(name, solver).items():
+            assert loose[stage] == pytest.approx(cost, rel=1e-8, abs=0)
+
+
 @pytest.mark.parametrize("seed", [0, 3])
 def test_noise_free_stage2_stops_at_the_rounding_floor(tmp_path, seed):
     # the README quick-start ring: stage 2 reaches a cost at rounding level
@@ -584,13 +609,18 @@ def test_cli_numeric_failure_keeps_partial_artifacts(synth_file, tmp_path, monke
     assert (out / "ring_state.txt").exists()
 
 
-@pytest.mark.parametrize("module, name, error", [
-    ("solvers", "_u_inverse", np.linalg.LinAlgError("Singular matrix")),
-    ("riemannian", "build_stage2_blocks",
-     FloatingPointError("degenerate projection while linearizing stage 2")),
+@pytest.mark.parametrize("module, name, error, stage2_solver", [
+    pytest.param("solvers", "_u_inverse", np.linalg.LinAlgError("Singular matrix"), "ripoba",
+                 id="solvers-_u_inverse-error0"),
+    pytest.param("riemannian", "build_stage2_blocks",
+                 FloatingPointError("degenerate projection while linearizing stage 2"), "ripoba",
+                 id="riemannian-build_stage2_blocks-error1"),
+    # PCG inverts the same pose blocks as the power series
+    pytest.param("solvers", "_u_inverse", np.linalg.LinAlgError("Singular matrix"), "ripcg",
+                 id="solvers-_u_inverse-ripcg"),
 ])
 def test_cli_linalg_and_degenerate_failures_exit_4(synth_file, tmp_path, monkeypatch, capsys,
-                                                   module, name, error):
+                                                   module, name, error, stage2_solver):
     import importlib
 
     mod = importlib.import_module(f"stratba.{module}")
@@ -603,7 +633,8 @@ def test_cli_linalg_and_degenerate_failures_exit_4(synth_file, tmp_path, monkeyp
 
     monkeypatch.setattr(mod, name, fail_in_stage2)
     out = tmp_path / "fail"
-    code = main(["solve", "--full", "--seed", "1", "--out-dir", str(out), str(synth_file)])
+    code = main(["solve", "--full", "--seed", "1", "--stage2-solver", stage2_solver,
+                 "--out-dir", str(out), str(synth_file)])
     assert code == 4
     assert "partial artifacts" in capsys.readouterr().err
     traces = read_trace_csv(out / "ring_trace.csv")
