@@ -68,10 +68,13 @@ def ambiguity_columns(c: np.ndarray) -> np.ndarray:
 
 
 def intrinsics_from_problem(problem: BaProblem) -> np.ndarray:
-    """Per-camera K = diag(f, f, 1) built from the BAL focal lengths."""
+    """Per-camera K = diag(f, f, 1) built from the BAL focal lengths, which must be finite."""
     if problem.metric_cameras is None:
         raise ValueError("problem carries no metric camera block")
     f = problem.metric_cameras[:, 6]
+    bad = np.flatnonzero(~np.isfinite(f))
+    if bad.size:
+        raise ValueError(f"non-finite focal length {f[bad[0]]} of camera {bad[0]}")
     k = np.zeros((problem.num_cameras, 3, 3))
     k[:, 0, 0] = f
     k[:, 1, 1] = f

@@ -37,12 +37,13 @@ blocks are damped with Jacobi scaling; the landmark blocks are damped only
 in ``both`` mode (joint / tangent-space optimization), never in
 ``pose_only`` mode (eliminated-landmark optimization). There the damping
 reaches U alone, so everything formed from W and V^+ is the same for every
-damping of one linearization: the pseudo-inverse of the undamped V
-(``v_pinv``), the explicit coupling W V^+ W^T (dense for ``dense_schur``,
-block-sparse for ``schur_matrix``) and the reduced right-hand side
-(``schur_rhs``). Each is formed once, on first use, and shared by every
-re-damped system (``SchurSystem.lambda_free``), which adds only its own
-damped U.
+damping of one linearization: the pseudo-inverse of the undamped V, the
+explicit coupling W V^+ W^T (dense for ``dense_schur``, block-sparse for
+``schur_matrix``) and the reduced right-hand side (``schur_rhs``). Each is
+formed once, on first use (``SchurSystem.lambda_free``), into the sums' own
+cache (``BlockSums.products``), which every pose-only system assembled from
+them shares, so each adds only its damped U. A stage-1 landmark re-solve
+seeds V^+ into that cache.
 """
 
 from __future__ import annotations
@@ -189,8 +190,7 @@ class CouplingFactors:
 class BlockSums:
     """The undamped sums of one linearization: U = Jp^T Jp and b_p = Jp^T r per
     camera, the factors of W = Jp^T Jl, V = Jl^T Jl and b_l = Jl^T r per
-    landmark, and the pseudo-inverses of the undamped V with their degenerate
-    mask when a landmark re-solve already holds them.
+    landmark, and the cache of the products that no damping of U changes.
     """
 
     u: np.ndarray  # (n_p, d_p, d_p)
@@ -198,13 +198,14 @@ class BlockSums:
     factors: CouplingFactors
     v: np.ndarray  # (n_l, d_l, d_l)
     b_l: np.ndarray  # (n_l, d_l)
-    v_pinv: tuple[np.ndarray, np.ndarray] | None = None
+    # the products of ``SchurSystem.lambda_free`` by the function that forms
+    # each, shared by every pose-only system assembled from these sums
+    products: dict = dataclasses.field(default_factory=dict, repr=False, compare=False)
 
 
 def _kronecker_sums(plan: ObservationPlan, basis: np.ndarray, weights: np.ndarray,
                     x: np.ndarray, a: np.ndarray, gt: np.ndarray, v: np.ndarray,
-                    b_l: np.ndarray, v_pinv: tuple[np.ndarray, np.ndarray] | None = None
-                    ) -> BlockSums:
+                    b_l: np.ndarray) -> BlockSums:
     """Block sums of a pose Jacobian in the Kronecker form D (x) x^T.
 
     Per distinct pair, in the plan's pair order with the pair axis last, each
@@ -229,7 +230,7 @@ def _kronecker_sums(plan: ObservationPlan, basis: np.ndarray, weights: np.ndarra
     b_p = moments[:, 16:].reshape(n_p, 12)
     factors = CouplingFactors(plan, np.ascontiguousarray(gt.transpose(2, 0, 1)),
                               np.ascontiguousarray(x.T))
-    return BlockSums(u, b_p, factors, v, b_l, v_pinv)
+    return BlockSums(u, b_p, factors, v, b_l)
 
 
 def _gather_pairs(problem: BaProblem, state: ProjectiveState) -> tuple[np.ndarray, np.ndarray]:
@@ -250,9 +251,10 @@ def build_stage1_blocks(problem: BaProblem, state: ProjectiveState,
     A = B P[:, :3], so G^T = B^T B P[:, :3] and a = B^T (B P x - d). All
     three are linear in the weights, so a pair's sums come from its summed
     weights (``problem.pair_weights``, computed once per problem).
-    ``resolved``, the landmark re-solve at ``state.cameras``, supplies A^T A,
-    A^T c and V^+, which depend on the cameras alone; without it they are
-    formed here by ``stage1_landmark_normals``. The landmark gradient is
+    ``resolved``, the landmark re-solve at ``state.cameras``, supplies A^T A
+    and A^T c, which depend on the cameras alone, and seeds its V^+ into the
+    sums' cache; without it A^T A and A^T c are formed here by
+    ``stage1_landmark_normals`` and V^+ on first use. The landmark gradient is
     b_l = A^T A v + A^T c at the landmarks' free coordinates v, which holds
     for stage-1 landmarks (last coordinate 1).
     """
@@ -263,13 +265,14 @@ def build_stage1_blocks(problem: BaProblem, state: ProjectiveState,
     a = stage1_gram_apply(px, weights, eta) - offsets.T @ weights
     if resolved is None:
         v, origin_gradient = stage1_landmark_normals(state.cameras, problem, eta)
-        v_pinv = None
     else:
         v, origin_gradient = resolved.hessian, resolved.origin_gradient
-        v_pinv = resolved.pinv, resolved.degenerate
     b_l = np.einsum("nij,nj->ni", v, state.landmarks[:, :3]) + origin_gradient
-    return _kronecker_sums(problem.plan, basis, weights, x, a,
-                           stage1_gram_apply(cams[:, :3], weights, eta), v, b_l, v_pinv)
+    sums = _kronecker_sums(problem.plan, basis, weights, x, a,
+                           stage1_gram_apply(cams[:, :3], weights, eta), v, b_l)
+    if resolved is not None:
+        sums.products[_v_pinv] = resolved.pinv, resolved.degenerate
+    return sums
 
 
 def build_stage2_blocks(problem: BaProblem, state: ProjectiveState) -> BlockSums:
@@ -330,10 +333,11 @@ class SchurSystem(BlockSums):
 
     It extends the undamped sums with ``lam`` and ``damping_mode``; the damped
     ``u_blocks`` and ``v_blocks`` and the landmark-block pseudo-inverses
-    follow from them. In pose-only mode V is not damped, so ``v_pinv`` is
-    filled when the sums do not carry it and is the ``v_inv`` of every
-    re-damped system, and so are the products of ``lambda_free``; both mode
-    damps V, ignores ``v_pinv`` and forms those products once per system.
+    follow from them. Built by ``assemble`` alone, which decides whose cache
+    ``products`` is: in pose-only mode V is not damped, and it is the sums'
+    own, so V^+ and the products of ``lambda_free`` are shared by every
+    system of the sums; both mode damps V and gives each system a cache of
+    its own.
     """
 
     _: dataclasses.KW_ONLY
@@ -343,9 +347,6 @@ class SchurSystem(BlockSums):
     v_blocks: np.ndarray = dataclasses.field(init=False)  # damped only in BOTH mode
     v_inv: np.ndarray = dataclasses.field(init=False)  # pseudo-inverses
     v_degenerate: np.ndarray = dataclasses.field(init=False)  # (n_l,) bool
-    # the products of ``lambda_free``, by function; pose-only: shared by re-damped systems
-    _products: dict = dataclasses.field(init=False, default_factory=dict, repr=False,
-                                        compare=False)
 
     def __post_init__(self):
         if self.lam < 0:
@@ -353,47 +354,27 @@ class SchurSystem(BlockSums):
         if self.damping_mode not in (POSE_ONLY, BOTH):
             raise ValueError(f"unknown damping mode {self.damping_mode!r}")
         self.u_blocks = _jacobi_damped(self.u, self.lam)
-        if self.damping_mode == BOTH:
-            self.v_blocks = _jacobi_damped(self.v, self.lam)
-            self.v_inv, self.v_degenerate = pinv_psd(self.v_blocks)
-        else:
-            self.v_blocks = self.v
-            if self.v_pinv is None:
-                self.v_pinv = pinv_psd(self.v)
-            self.v_inv, self.v_degenerate = self.v_pinv
+        self.v_blocks = _jacobi_damped(self.v, self.lam) if self.damping_mode == BOTH else self.v
+        self.v_inv, self.v_degenerate = self.lambda_free(_v_pinv)
         if self.v_degenerate.any():
             logger.debug("%d landmark blocks are singular at tolerance",
                          int(self.v_degenerate.sum()))
 
-    def redamped(self, lam: float) -> SchurSystem:
-        """The same linearization at another damping.
-
-        The sums and W's factors with their CSR matrices are shared. In
-        pose-only mode so are V's pseudo-inverse and every product of
-        ``lambda_free`` formed so far or later, by either system: the explicit
-        coupling W V^+ W^T and the reduced right-hand side. The new system
-        forms only its damped U. The result equals a fresh ``assemble`` bit
-        for bit.
-        """
-        out = dataclasses.replace(self, lam=lam)
-        if self.damping_mode == POSE_ONLY:
-            out._products = self._products
-        return out
-
     def lambda_free(self, product: Callable[[SchurSystem], T]) -> T:
         """``product(self)``, for a product of W, V^+ and the sums that does not read U.
 
-        It is formed on the first call and returned to every later call
-        (arrays read-only). In pose-only mode it does not depend on the
-        damping, so a system re-damped from the same linearization shares it;
-        in both mode V^+ is damped, and each system forms its own.
+        It is formed on the first call into ``products`` and returned to every
+        later call (arrays read-only). In pose-only mode it does not depend on
+        the damping, and ``products`` is the sums' cache, so every system
+        assembled from the same sums shares it; in both mode V^+ is damped,
+        and each system forms its own.
         """
-        if product not in self._products:
+        if product not in self.products:
             out = product(self)
             if isinstance(out, np.ndarray):
                 out.flags.writeable = False
-            self._products[product] = out
-        return self._products[product]
+            self.products[product] = out
+        return self.products[product]
 
     @property
     def n_cameras(self) -> int:
@@ -425,13 +406,22 @@ def assemble(sums: BlockSums, lam: float, damping_mode: str = POSE_ONLY) -> Schu
 
     U gets the damping lam * Dp^T Dp with Jacobi Dp (clamped), V the
     analogous landmark damping in ``both`` mode; W stays as its factors.
+    A pose-only system shares the sums' cache of ``SchurSystem.lambda_free``
+    products, so it forms only its damped U; a both-mode system gets a new
+    cache, which never reaches the sums.
     """
-    return SchurSystem(sums.u, sums.b_p, sums.factors, sums.v, sums.b_l, sums.v_pinv,
+    products = sums.products if damping_mode == POSE_ONLY else {}
+    return SchurSystem(sums.u, sums.b_p, sums.factors, sums.v, sums.b_l, products,
                        lam=lam, damping_mode=damping_mode)
 
 
 # ---------------------------------------------------------------------------
 # reduced-system operations
+
+
+def _v_pinv(system: SchurSystem) -> tuple[np.ndarray, np.ndarray]:
+    """The pseudo-inverses of the landmark blocks and their degenerate mask."""
+    return pinv_psd(system.v_blocks)
 
 
 def schur_rhs(system: SchurSystem) -> np.ndarray:

@@ -218,7 +218,7 @@ def run_problem(path: str | Path, spec: RunSpec) -> dict:
             t0 = time.perf_counter()
             try:
                 result = upgrade(problem, state)
-            except ValueError as exc:  # no metric block, or a zero focal length
+            except ValueError as exc:  # no metric block, or a zero or non-finite focal length
                 raise NumericFailureError(f"metric upgrade failed: {exc}") from exc
             summary["stages"]["metric"] = {
                 "plane_at_infinity": result.state.c.tolist(),

@@ -18,14 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bal_io import ProjectiveState
-from .normal_eq import (
-    BOTH,
-    BlockSums,
-    CouplingFactors,
-    SchurSystem,
-    assemble,
-    build_stage2_blocks,
-)
+from .normal_eq import BlockSums, CouplingFactors, build_stage2_blocks
 
 _UNIT_TOL = 1e-9
 
@@ -114,13 +107,12 @@ def apply_tangent_step(state: ProjectiveState, bases: TangentBasis, pose_update:
         return None
 
 
-def riemannian_step(problem, state: ProjectiveState, lam: float,
-                    bases: TangentBasis) -> SchurSystem:
-    """The stage-2 linearization at ``state``: the damped tangent-space system.
+def riemannian_step(problem, state: ProjectiveState, bases: TangentBasis) -> BlockSums:
+    """The stage-2 linearization at ``state``: the undamped tangent-space sums.
 
-    The block sums of the projective Jacobian are projected onto ``bases``
-    and both parameter groups are damped, so an inner solve of the result gives
-    tangent-coordinate updates (11 per camera, 3 per landmark) for
-    :func:`apply_tangent_step`.
+    The block sums of the projective Jacobian are projected onto ``bases``.
+    ``assemble`` damps both parameter groups of them (``both`` mode), and an
+    inner solve of that system gives tangent-coordinate updates (11 per
+    camera, 3 per landmark) for :func:`apply_tangent_step`.
     """
-    return assemble(project_blocks(build_stage2_blocks(problem, state), bases), lam, BOTH)
+    return project_blocks(build_stage2_blocks(problem, state), bases)

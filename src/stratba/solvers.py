@@ -32,6 +32,7 @@ from .evaluation import ConvergenceTrace, TraceRecord
 from .normal_eq import (
     BOTH,
     POSE_ONLY,
+    BlockSums,
     SchurSystem,
     apply_schur,
     assemble,
@@ -133,7 +134,7 @@ class StepReport:
 
     pose_update: np.ndarray  # flattened pose dimension
     inner_iterations_used: int
-    power_order_used: int
+    power_order_used: int  # the index of the last series term above the threshold
     truncation_estimate: float
     flag: str | None = None  # "breakdown" | "singular"
 
@@ -159,7 +160,10 @@ def power_schur_solve(system: SchurSystem, config: SolverConfig) -> StepReport:
     Accumulates x <- x + t with t_0 = U^{-1} rhs and
     t_{i+1} = U^{-1} W V^{-1} W^T t_i, stopping at the configured order or once
     ||t_i|| / ||x|| falls to the threshold. The discarded tail is geometrically
-    bounded because the iteration matrix has spectrum inside [0, 1).
+    bounded because the iteration matrix has spectrum inside [0, 1). The
+    reported order is the index of the last term above the threshold: at a
+    threshold stop, one less than the round trips made (the term that met the
+    threshold is still added); at the order cap, equal to them.
     """
     rhs = schur_rhs(system)
     u_inv = _u_inverse(system)
@@ -238,12 +242,12 @@ def direct_schur_solve(system: SchurSystem, config: SolverConfig) -> StepReport:
     Systems up to ``normal_eq.DENSE_SCHUR_LIMIT`` unknowns go through one
     dense Cholesky; larger ones through a sparse LU of the same block-sparse
     matrix. In pose-only mode the coupling W V^+ W^T and the right-hand side
-    are formed once per linearization and shared by its re-damped systems, so
-    a re-damped solve adds only its damped U and factors. The dense matrix is
-    factored in place, so a solve holds two pose_dim^2 arrays, the shared
-    coupling and the matrix. A damped system is positive definite; one that
-    fails to factor comes back flagged singular with a zero update, so the
-    outer loop raises the damping and retries.
+    are formed once per linearization and shared by every damping of it, so a
+    solve after a rejected step adds only its damped U and factors. The dense
+    matrix is factored in place, so a solve holds two pose_dim^2 arrays, the
+    shared coupling and the matrix. A damped system is positive definite; one
+    that fails to factor comes back flagged singular with a zero update, so
+    the outer loop raises the damping and retries.
     """
     rhs = schur_rhs(system)
     flag = None
@@ -306,12 +310,11 @@ class _Stage1:
     def cost(self, state: ProjectiveState) -> float:
         return total_cost(state, self.problem, STAGE1, self.eta)
 
-    def linearize(self, state: ProjectiveState, lam: float) -> SchurSystem:
+    def linearize(self, state: ProjectiveState) -> BlockSums:
         trial, resolved = self.latest or (None, None)
         if trial is not state:  # the starting state
             resolved = None
-        sums = build_stage1_blocks(self.problem, state, self.eta, resolved)
-        return assemble(sums, lam, self.damping_mode)
+        return build_stage1_blocks(self.problem, state, self.eta, resolved)
 
     def trial(self, state: ProjectiveState, system: SchurSystem,
               report: StepReport) -> ProjectiveState:
@@ -329,6 +332,8 @@ class _Stage1:
 class _Stage2:
     """Stage 2: the projective cost on the product of unit spheres (tangent steps, retraction)."""
 
+    damping_mode = BOTH
+
     def __init__(self, problem: BaProblem, config: SolverConfig):
         self.problem = problem
         self.name = config.stage2_solver
@@ -338,9 +343,9 @@ class _Stage2:
     def cost(self, state: ProjectiveState) -> float:
         return total_cost(state, self.problem, STAGE2)
 
-    def linearize(self, state: ProjectiveState, lam: float) -> SchurSystem:
+    def linearize(self, state: ProjectiveState) -> BlockSums:
         self.bases = state_tangent_bases(state)
-        return riemannian_step(self.problem, state, lam, self.bases)
+        return riemannian_step(self.problem, state, self.bases)
 
     def trial(self, state: ProjectiveState, system: SchurSystem,
               report: StepReport) -> ProjectiveState | None:
@@ -359,17 +364,20 @@ def lm_minimize(problem: BaProblem, state: ProjectiveState, stage: int,
     ``config`` names the solver of each stage; the one of ``stage`` selects
     the inner solver of ``_INNER_SOLVERS`` that solves every damped system,
     the stage-1 damping mode, and the trace's ``solver_id``. A stage object
-    supplies the cost, the linearization into a damped
-    ``SchurSystem`` (stage 1: the damping mode of its solver, pose blocks only
-    or both groups; stage 2: both groups of the tangent-space system), and the
-    trial state of an inner solve of that system (stage-1 pose-only: the trial
-    cameras with the landmarks re-solved in closed form at them, whose V, V^+
-    and A^T c the next linearization reuses if the trial is accepted; joint
+    supplies the cost, the linearization into undamped ``BlockSums`` (stage
+    1: ``build_stage1_blocks``; stage 2: the tangent-space sums of
+    ``riemannian_step``), the damping mode of ``assemble`` (stage 1: that of
+    its solver, pose blocks only or both groups; stage 2: both groups), and
+    the trial state of an inner solve (stage-1 pose-only: the trial cameras
+    with the landmarks re-solved in closed form at them, whose V, V^+ and
+    A^T c the next linearization reuses if the trial is accepted; joint
     damping and stage 2 back-substitute the landmark update, and stage 2
     retracts the step onto the spheres). An accepted trial becomes the
     current state.
-    Each point is linearized once; after a rejected step the kept system is
-    re-damped, which equals linearizing again bit for bit. Steps are
+    Each point is linearized once, and its sums are kept until a step is
+    accepted. Every iteration damps them with its lam in one ``assemble``
+    call, the only place lam enters a system; after a rejected step that
+    equals linearizing again bit for bit. Steps are
     accepted only on strict cost decrease; the damping halves
     on success and quadruples on failure. Terminates on the iteration cap,
     when a finite trial changes the cost by at most the relative function
@@ -392,11 +400,13 @@ def lm_minimize(problem: BaProblem, state: ProjectiveState, stage: int,
     t_start = time.perf_counter()
     records = [TraceRecord(0, f, 0.0)]
     lam = config.initial_lambda
-    system = None  # the linearization at the current state
+    sums = None  # the linearization at the current state
 
     for it in range(1, config.max_iterations + 1):
         try:
-            system = ops.linearize(state, lam) if system is None else system.redamped(lam)
+            if sums is None:
+                sums = ops.linearize(state)
+            system = assemble(sums, lam, ops.damping_mode)
             report = _INNER_SOLVERS[ops.inner](system, config)
             trial = None if report.flag == "singular" else ops.trial(state, system, report)
         except (np.linalg.LinAlgError, FloatingPointError) as exc:
@@ -405,7 +415,7 @@ def lm_minimize(problem: BaProblem, state: ProjectiveState, stage: int,
         f_trial = math.inf if trial is None else ops.cost(trial)
         accepted = f_trial < f
         if accepted:
-            state, system = trial, None
+            state, sums, system = trial, None, None  # free the linearization before the next
         denom = f if f > 0 else 1.0
         converged = math.isfinite(f_trial) and abs(f - f_trial) / denom <= config.function_tolerance
         if accepted:

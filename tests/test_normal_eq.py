@@ -270,17 +270,27 @@ def test_degenerate_v_block_zero_update():
 
 @pytest.mark.parametrize("mode", [POSE_ONLY, BOTH, "stage2"])
 def test_redamped_equals_fresh_assembly(mode):
+    # a second assemble of the kept sums, after the first one's products
+    # are formed, equals the system of a fresh linearization
     problem = make_random_problem(4, 9, seed=21)
     if mode == "stage2":
-        # the projected tangent-space system that stage 2 re-damps
+        # the projected tangent-space sums that stage 2 re-damps
         state = make_random_state(problem, 22, STAGE2)
-        blocks = project_blocks(build_stage2_blocks(problem, state), state_tangent_bases(state))
+
+        def linearize():
+            return project_blocks(build_stage2_blocks(problem, state), state_tangent_bases(state))
         mode = BOTH
     else:
         state = make_random_state(problem, 22, STAGE1)
-        blocks = build_stage1_blocks(problem, state, 0.1)
-    redamped = assemble(blocks, 1e-4, mode).redamped(0.37)
-    fresh = assemble(blocks, 0.37, mode)
+
+        def linearize():
+            return build_stage1_blocks(problem, state, 0.1)
+    blocks = linearize()
+    first = assemble(blocks, 1e-4, mode)
+    schur_rhs(first)
+    dense_schur(first)
+    redamped = assemble(blocks, 0.37, mode)
+    fresh = assemble(linearize(), 0.37, mode)
     assert redamped.lam == 0.37
     for name in ("u_blocks", "v_blocks", "v_inv", "v_degenerate", "b_p", "b_l"):
         np.testing.assert_array_equal(getattr(redamped, name), getattr(fresh, name))
@@ -290,10 +300,11 @@ def test_redamped_equals_fresh_assembly(mode):
 
 def test_pose_only_system_computes_v_pinv_once(monkeypatch):
     # V is not damped in pose-only mode: its pseudo-inverse is formed by the
-    # first system and shared, array for array, by every re-damped one
+    # first system into the sums' cache and shared, array for array, by every
+    # other damping of the sums
     problem = make_random_problem(4, 9, seed=21)
     sums = build_stage1_blocks(problem, make_random_state(problem, 22, STAGE1), 0.1)
-    assert sums.v_pinv is None
+    assert not sums.products  # no re-solve seeded V^+
     calls = []
 
     def counting_pinv(blocks):
@@ -302,10 +313,12 @@ def test_pose_only_system_computes_v_pinv_once(monkeypatch):
 
     monkeypatch.setattr(normal_eq, "pinv_psd", counting_pinv)
     system = assemble(sums, 1e-4, POSE_ONLY)
-    redamped = [system.redamped(0.37), system.redamped(0.37).redamped(1.5)]
+    redamped = [assemble(sums, 0.37, POSE_ONLY), assemble(sums, 1.5, POSE_ONLY)]
     assert len(calls) == 1 and calls[0] is sums.v
-    assert sums.v_pinv is None
-    assert system.v_pinv == (system.v_inv, system.v_degenerate)
+    assert system.products is sums.products
+    assert list(sums.products) == [normal_eq._v_pinv]
+    v_inv, v_degenerate = sums.products[normal_eq._v_pinv]
+    assert v_inv is system.v_inv and v_degenerate is system.v_degenerate
     for other in redamped:
         assert other.v_blocks is sums.v
         assert other.v_inv is system.v_inv
@@ -320,16 +333,18 @@ LAMBDA_FREE = ("dense_coupling", "_sparse_coupling", "_schur_rhs")
 def test_lambda_free_products_formed_once_per_pose_only_linearization(mode, monkeypatch):
     # V is damped only in both mode: in pose-only mode the coupling (dense
     # and block-sparse) and the reduced right-hand side are formed once, by
-    # whichever system asks first, and shared by every re-damped system; in
-    # both mode each system forms its own, once
+    # whichever system asks first, and shared by every system of the same
+    # sums; in both mode each system forms its own, once
     monkeypatch.setattr(normal_eq, "_GEMM_SPEEDUP", COUPLING_PATHS["gemm"])
     problem = make_random_problem(4, 9, seed=21)
-    sums = build_stage1_blocks(problem, make_random_state(problem, 22, STAGE1), 0.1)
+    state = make_random_state(problem, 22, STAGE1)
+    sums = build_stage1_blocks(problem, state, 0.1)
 
     def products(system):
         return schur_rhs(system), dense_schur(system), schur_matrix(system).toarray()
 
-    fresh = {lam: products(assemble(sums, lam, mode)) for lam in (1e-4, 0.37, 1.5)}
+    fresh = {lam: products(assemble(build_stage1_blocks(problem, state, 0.1), lam, mode))
+             for lam in (1e-4, 0.37, 1.5)}
     counts = dict.fromkeys(LAMBDA_FREE, 0)
     for name in LAMBDA_FREE:
         def counting(system, real=getattr(normal_eq, name), name=name):
@@ -338,7 +353,7 @@ def test_lambda_free_products_formed_once_per_pose_only_linearization(mode, monk
 
         monkeypatch.setattr(normal_eq, name, counting)
     system = assemble(sums, 1e-4, mode)
-    systems = [system.redamped(0.37), system, system.redamped(0.37).redamped(1.5)]
+    systems = [assemble(sums, 0.37, mode), system, assemble(sums, 1.5, mode)]
     for other in systems:
         for _ in range(2):
             for got, want in zip(products(other), fresh[other.lam]):
@@ -352,41 +367,65 @@ def test_dense_schur_returns_a_new_matrix(mode):
     # a direct solve factors the returned matrix in place: writing into it
     # leaves the next call's result unchanged
     problem = make_random_problem(4, 9, seed=3)
-    system = assemble(build_stage1_blocks(problem, make_random_state(problem, 4, STAGE1), 0.1),
-                      0.05, mode)
+    sums = build_stage1_blocks(problem, make_random_state(problem, 4, STAGE1), 0.1)
+    system = assemble(sums, 0.05, mode)
     s = dense_schur(system)
     assert s.flags.f_contiguous
     want = s.copy()
     s[...] = np.nan
     np.testing.assert_array_equal(dense_schur(system), want)
     rhs = schur_rhs(system)
-    if mode == POSE_ONLY:  # shared by the re-damped systems: read-only
+    if mode == POSE_ONLY:  # shared by every system of the sums: read-only
         with pytest.raises(ValueError):
             rhs[0] = 1.0
-        assert schur_rhs(system.redamped(1.0)) is rhs
+        assert schur_rhs(assemble(sums, 1.0, mode)) is rhs
 
 
 @pytest.mark.parametrize("lam", [1e-4, 0.37])
 def test_both_mode_ignores_a_carried_v_pinv(lam):
-    # a re-solve's V^+ is that of the undamped V: a both-mode system damps V
-    # and forms its own, bit-equal to a system built from sums without it
+    # a re-solve's V^+, seeded into the sums' cache, is that of the undamped
+    # V: a both-mode system damps V and forms its own, bit-equal to a system
+    # built from sums without it
     problem = make_random_problem(5, 12, seed=8)
     eta = 0.1
     state = make_random_state(problem, 9, STAGE1)
     resolved = solve_landmarks(state, problem, eta)
     carried = build_stage1_blocks(problem, ProjectiveState(state.cameras, resolved.landmarks),
                                   eta, resolved)
-    assert carried.v_pinv is not None
-    plain = dataclasses.replace(carried, v_pinv=None)
+    assert normal_eq._v_pinv in carried.products
+    plain = dataclasses.replace(carried, products={})
     got, want = assemble(carried, lam, BOTH), assemble(plain, lam, BOTH)
-    assert not np.array_equal(got.v_inv, carried.v_pinv[0])
-    for system in (got, got.redamped(0.5 * lam).redamped(lam)):
+    assert not np.array_equal(got.v_inv, carried.products[normal_eq._v_pinv][0])
+    assemble(carried, 0.5 * lam, BOTH)
+    for system in (got, assemble(carried, lam, BOTH)):
         for name in ("u_blocks", "v_blocks", "v_inv", "v_degenerate"):
             np.testing.assert_array_equal(getattr(system, name), getattr(want, name))
         t = np.linspace(-1.0, 1.0, want.pose_dim)
         np.testing.assert_array_equal(schur_rhs(system), schur_rhs(want))
         np.testing.assert_array_equal(back_substitute(system, t), back_substitute(want, t))
         np.testing.assert_array_equal(dense_schur(system), dense_schur(want))
+
+
+def test_both_mode_assembly_leaves_the_sums_cache_alone():
+    # a both-mode system damps V, so its V^+ and products go to a cache of
+    # its own: a pose-only system of the same sums afterwards still equals
+    # that of a fresh linearization
+    problem = make_random_problem(4, 9, seed=21)
+    state = make_random_state(problem, 22, STAGE1)
+    sums = build_stage1_blocks(problem, state, 0.1)
+    both = assemble(sums, 0.37, BOTH)
+    for product in (schur_rhs, dense_schur, schur_matrix):
+        product(both)
+    assert both.products is not sums.products
+    assert not sums.products
+    got = assemble(sums, 0.37, POSE_ONLY)
+    want = assemble(build_stage1_blocks(problem, state, 0.1), 0.37, POSE_ONLY)
+    assert not np.array_equal(got.v_inv, both.v_inv)
+    for name in ("u_blocks", "v_blocks", "v_inv", "v_degenerate"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+    np.testing.assert_array_equal(schur_rhs(got), schur_rhs(want))
+    np.testing.assert_array_equal(dense_schur(got), dense_schur(want))
+    assert sums.products[normal_eq._v_pinv][0] is got.v_inv
 
 
 def problem_with_unobserved(seed):

@@ -480,7 +480,8 @@ def test_linearization_from_resolve_equals_fresh(lam):
     reused, fresh = assemble(rows, lam), assemble(fresh_rows, lam)
     # the unobserved and the rank-deficient landmark are both covered
     np.testing.assert_array_equal(reused.v_degenerate, np.arange(12) >= 10)
-    for got, want in ((reused, fresh), (assemble(rows, 1e-4).redamped(lam), fresh)):
+    assemble(rows, 1e-4)  # another damping of the same sums first
+    for got, want in ((reused, fresh), (assemble(rows, lam), fresh)):
         for name in ("u_blocks", "v_blocks", "v_inv", "v_degenerate", "b_p", "b_l"):
             np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
         for name in ("gt", "x"):

@@ -129,7 +129,8 @@ def test_riemannian_step_zero_gradient_zero_update():
     state = retract(ground_truth_state(problem))
     assert total_cost(state, problem, STAGE2) <= 1e-18
     cfg = SolverConfig()
-    system = riemannian_step(problem, state, cfg.initial_lambda, state_tangent_bases(state))
+    system = assemble(riemannian_step(problem, state, state_tangent_bases(state)),
+                      cfg.initial_lambda, BOTH)
     rep = power_schur_solve(system, cfg)
     np.testing.assert_allclose(rep.pose_update, 0.0, atol=1e-12)
     np.testing.assert_allclose(back_substitute(system, rep.pose_update), 0.0, atol=1e-12)
@@ -142,7 +143,7 @@ def test_riemannian_step_matches_dense_solve(seed):
     lam = 3.0
     cfg = SolverConfig(power_order=20, power_threshold=0.0)
     bases = state_tangent_bases(state)
-    step = riemannian_step(problem, state, lam, bases)
+    step = assemble(riemannian_step(problem, state, bases), lam, BOTH)
     rep = power_schur_solve(step, cfg)
 
     system = assemble(project_blocks(build_stage2_blocks(problem, state), bases), lam, BOTH)

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from stratba import bal_io, normal_eq, objective, solvers
-from stratba.bal_io import BaProblem, ProjectiveState
+from stratba import bal_io, cli, normal_eq, objective, pipeline, solvers
+from stratba.bal_io import BaProblem, ProjectiveState, write_bal
 from stratba.normal_eq import (
     POSE_ONLY,
     CouplingFactors,
@@ -406,7 +406,7 @@ def test_lm_bit_reproducible():
     pytest.param(STAGE2, SolverConfig(), id="stage2"),
 ])
 def test_lm_linearizes_only_at_new_points(monkeypatch, stage, cfg):
-    # a rejected step re-damps the kept system instead of linearizing again
+    # a rejected step re-damps the kept sums instead of linearizing again
     import stratba.normal_eq as normal_eq_mod
     import stratba.objective as objective_mod
     import stratba.solvers as solvers_mod
@@ -491,17 +491,56 @@ def test_direct_stage1_forms_one_coupling_per_linearization(monkeypatch, branch)
     assert counts == dict.fromkeys(counts, linearizations)
 
 
+def test_direct_solve_forms_its_lambda_free_products_once_per_linearization(tmp_path,
+                                                                          monkeypatch):
+    # end to end through the command line, on a ring whose stage 1 rejects
+    # steps: the dense coupling is formed once per linearization, and V^+
+    # once in all of stage 1, since every later linearization takes it from
+    # the accepted trial's landmark re-solve
+    path = tmp_path / "ring.txt"
+    with open(path, "w") as fh:
+        write_bal(make_ring_problem(10, 100, 0.5, 1), fh)
+    stage, traces = [0], {}
+    counts = {name: {STAGE1: 0, STAGE2: 0}
+              for name in ("build_stage1_blocks", "dense_coupling", "pinv_psd")}
+
+    def staged(problem, state, at_stage, *args, real=pipeline.lm_minimize, **kwargs):
+        stage[0] = at_stage
+        out = real(problem, state, at_stage, *args, **kwargs)
+        traces[at_stage] = out[1]
+        return out
+
+    monkeypatch.setattr(pipeline, "lm_minimize", staged)
+    for mod, name in ((solvers, "build_stage1_blocks"), (normal_eq, "dense_coupling"),
+                      (normal_eq, "pinv_psd")):
+        def counting(*args, real=getattr(mod, name), name=name, **kwargs):
+            counts[name][stage[0]] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mod, name, counting)
+    assert cli.main(["solve", "--full", "--solver", "direct", "--stage2-solver", "ripcg",
+                     "--seed", "1", "--out-dir", str(tmp_path / "out"), str(path)]) == 0
+    costs = [r.cost for r in traces[STAGE1].records]
+    iterations = len(costs) - 1
+    linearizations = counts["build_stage1_blocks"][STAGE1]
+    assert counts["dense_coupling"][STAGE1] == linearizations < iterations
+    assert counts["pinv_psd"][STAGE1] == 1
+
+
 @pytest.mark.parametrize("branch", DIRECT_BRANCHES)
 def test_redamped_direct_solve_equals_fresh(monkeypatch, branch):
-    # the re-damped system solves with the coupling its first solve formed
+    # a re-damped system of the same sums solves with the coupling the first
+    # solve formed, as a system of a fresh linearization does with its own
     monkeypatch.setattr(normal_eq, "DENSE_SCHUR_LIMIT", DIRECT_BRANCHES[branch][0])
     problem = make_random_problem(4, 20, seed=9)
-    sums = build_stage1_blocks(problem, make_random_state(problem, 10, STAGE1), ETA)
+    state = make_random_state(problem, 10, STAGE1)
+    sums = build_stage1_blocks(problem, state, ETA)
     system = assemble(sums, 1e-4, POSE_ONLY)
     direct_schur_solve(system, SolverConfig())
     for lam in (0.37, 1.5):
-        got = direct_schur_solve(system.redamped(lam), SolverConfig())
-        want = direct_schur_solve(assemble(sums, lam, POSE_ONLY), SolverConfig())
+        got = direct_schur_solve(assemble(sums, lam, POSE_ONLY), SolverConfig())
+        want = direct_schur_solve(assemble(build_stage1_blocks(problem, state, ETA), lam,
+                                           POSE_ONLY), SolverConfig())
         assert got.flag is want.flag is None
         np.testing.assert_array_equal(got.pose_update, want.pose_update)
 

@@ -513,6 +513,28 @@ def test_cli_metric_without_focal_lengths_exits_4(tmp_path, capsys):
     assert not (out / "ring_metric.txt").exists()
 
 
+@pytest.mark.parametrize("focal", [np.inf, np.nan])
+def test_cli_metric_with_a_non_finite_focal_length_exits_4(tmp_path, capsys, focal):
+    # the stages run, and the upgrade names the first camera without a usable focal length
+    problem = make_ring_problem(6, 30, 0.0, 1)
+    cams = problem.metric_cameras.copy()
+    cams[[2, 4], 6] = focal
+    path = tmp_path / "ring.txt"
+    with open(path, "w") as fh:
+        write_bal(replace(problem, metric_cameras=cams), fh)
+    out = tmp_path / "out"
+    assert main(["solve", "--metric", "--out-dir", str(out), str(path)]) == cli.EXIT_NUMERIC
+    cause = f"non-finite focal length {focal} of camera 2"
+    assert cause in capsys.readouterr().err
+    traces = read_trace_csv(out / "ring_trace.csv")
+    assert [t.stage for t in traces] == ["stage1", "stage2", "full"]
+    summary = json.loads((out / "ring_summary.json").read_text())
+    assert set(summary["stages"]) == {"stage1", "stage2"}
+    assert cause in summary["error"]
+    assert (out / "ring_state.txt").exists()
+    assert not (out / "ring_metric.txt").exists()
+
+
 def test_cli_config_error_exit_code(synth_file, capsys):
     # unknown names, and names of the other stage's solvers
     for flag, name in (("--solver", "magic"), ("--solver", "ripoba"),

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from stratba.solvers import STAGE1_SOLVERS, STAGE2_SOLVERS
+
 ROOT = Path(__file__).resolve().parent.parent
 TOOLS = ROOT / "tools"
 
@@ -42,6 +44,13 @@ def load_tool(name: str):
 def test_panel_diff_solves_the_benchmark_workloads():
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]
     assert list(load_tool("panel_diff").bench_module().WORKLOADS) == [wl["name"] for wl in declared]
+
+
+def test_panel_diff_sweeps_every_solver_pair():
+    tool = load_tool("panel_diff")
+    assert list(tool.STAGE1_SOLVERS) == list(STAGE1_SOLVERS)
+    assert list(tool.STAGE2_SOLVERS) == list(STAGE2_SOLVERS)
+    assert tool.SWEEP_WORKLOAD in tool.bench_module().WORKLOADS
 
 
 def test_panel_diff_compares_summaries_without_runtimes(tmp_path):

@@ -6,13 +6,16 @@ Run from the repository root; OLD_SRC and NEW_SRC are directories that hold a
 ``stratba`` package (for example ``src`` of two checkouts). The panels come
 from ``perfbench/run.py`` (``WORKLOADS``: problem seed, start seed and solve
 arguments of every pair) and the inputs from ``perfbench/gen.py``, generated
-once with OLD_SRC so that both trees solve the same files. Every solve runs in
-a fresh process with one BLAS thread. For each pair and trace stage it prints
-both iteration counts and the largest relative difference of the trace costs
-over the iterations both runs reached (0 means bit-identical), and that of
-their final costs (where the iteration counts or the units of a stage differ,
-the final costs are what is left to compare). For each pair's
-state file, and its metric-upgrade file where it writes one
+once with OLD_SRC so that both trees solve the same files. Then, since the
+panels never run some solvers, it also solves the first ``ring-direct`` pair
+with every stage-1 x stage-2 solver pair (``solve --full``), labelled
+``<stage-1 solver>/<stage-2 solver>``, and compares those solves the same way.
+Every solve runs in a fresh process with one BLAS thread. For each pair and
+trace stage it prints both iteration counts and the largest relative
+difference of the trace costs over the iterations both runs reached (0 means
+bit-identical), and that of their final costs (where the iteration counts or
+the units of a stage differ, the final costs are what is left to compare).
+For each pair's state file, and its metric-upgrade file where it writes one
 (``<stem>_metric.txt``, the ``--metric`` solves), it prints "byte-identical"
 or the largest relative difference of the two files' numbers. For each pair's
 ``<stem>_summary.json`` it prints "summary identical" or the key paths that
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
+import itertools
 import json
 import os
 import subprocess
@@ -38,6 +42,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
+
+# The solver names of each stage (the keys of ``solvers.STAGE1_SOLVERS`` and
+# ``STAGE2_SOLVERS``). Every stage-1 x stage-2 pair of them is also solved on
+# the first panel pair of SWEEP_WORKLOAD, since the panels leave some unused.
+STAGE1_SOLVERS = ("povar", "poba", "iterative", "direct")
+STAGE2_SOLVERS = ("ripoba", "ripcg")
+SWEEP_WORKLOAD = "ring-direct"
 
 
 def bench_module():
@@ -128,6 +139,44 @@ def compare_summaries(paths: list[Path]) -> str:
     return "identical" if not diff else "differs at " + ", ".join(diff)
 
 
+def compare_solve(label: str, solve_args: list[str], input_path: Path, out_base: Path,
+                  trees: list[Path], bench, tally: dict) -> None:
+    """Solve one input with both trees, print the comparisons and add them to ``tally``."""
+    stem = input_path.name.split(".")[0]
+    outs = []
+    for side, tree in zip(("old", "new"), trees):
+        out = out_base.with_name(f"{out_base.name}-{side}")
+        _run([sys.executable, "-m", "stratba.cli", "solve", *solve_args, "--out-dir", str(out),
+              str(input_path)], solver_env(tree))
+        outs.append(out)
+    traces = [bench.read_trace(out / f"{stem}_trace.csv") for out in outs]
+    for stage in traces[0] | traces[1]:  # a stage on one side only differs
+        old, new = ([r[1] for r in t.get(stage, [])] for t in traces)
+        its = [len(old) - 1, len(new) - 1]
+        final = max_rel_diff(old[-1:], new[-1:])
+        worst = max_rel_diff(old, new)
+        print(f"{label:<22} {stage:<7} {its[0]:>9} {its[1]:>9} {worst:>13.1e} {final:>15.1e}")
+        tally["same_traces"] += old == new
+        tally["traces"] += 1
+        tally["same_iterations"] += its[0] == its[1]
+        tally["worst_cost"] = max(tally["worst_cost"], worst)
+    verdict = compare_files([out / f"{stem}_state.txt" for out in outs])
+    print(f"{label:<22} state   {verdict}")
+    tally["same_states"] += verdict == "byte-identical"
+    tally["states"] += 1
+    metrics = [out / f"{stem}_metric.txt" for out in outs]
+    if any(path.exists() for path in metrics):  # a file on one side only differs
+        verdict = (compare_files(metrics) if all(path.exists() for path in metrics)
+                   else "on one side only")
+        print(f"{label:<22} metric  {verdict}")
+        tally["same_metrics"] += verdict == "byte-identical"
+        tally["metrics"] += 1
+    verdict = compare_summaries([out / f"{stem}_summary.json" for out in outs])
+    print(f"{label:<22} summary {verdict}")
+    tally["same_summaries"] += verdict == "identical"
+    tally["summaries"] += 1
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description="compare the benchmark panels solved by two trees")
     ap.add_argument("old_src", type=Path, help="directory holding the reference stratba")
@@ -141,9 +190,9 @@ def main() -> int:
     bench = bench_module()
     print(f"{'pair':<22} {'stage':<7} {'iters old':>9} {'iters new':>9} {'max rel diff':>13} "
           f"{'final rel diff':>15}")
-    same_traces, n_traces, same_states, n_states, same_metrics, n_metrics = 0, 0, 0, 0, 0, 0
-    same_summaries, n_summaries = 0, 0
-    same_iterations, worst_cost = 0, 0.0
+    tally = dict.fromkeys(["traces", "same_traces", "same_iterations", "states", "same_states",
+                           "metrics", "same_metrics", "summaries", "same_summaries"], 0)
+    tally["worst_cost"] = 0.0
     with tempfile.TemporaryDirectory(prefix="panel_diff-") as tmp:
         work = Path(tmp)
         for name, wl in bench.WORKLOADS.items():
@@ -152,50 +201,26 @@ def main() -> int:
             _run([sys.executable, str(PERFBENCH / "gen.py"), wl.kind, *wl.gen_args,
                   "--seeds", *map(str, seeds), "--out", str(inputs)], solver_env(trees[0]))
             for problem_seed, start_seed in wl.panel:
-                stem = f"{wl.kind}-{problem_seed}"
-                outs = []
-                for side, tree in zip(("old", "new"), trees):
-                    out = work / name / f"{problem_seed}-{start_seed}-{side}"
-                    _run([sys.executable, "-m", "stratba.cli", "solve", *wl.solve_args,
-                          "--seed", str(start_seed), "--out-dir", str(out),
-                          str(inputs / f"{stem}.txt")], solver_env(tree))
-                    outs.append(out)
-                traces = [bench.read_trace(out / f"{stem}_trace.csv") for out in outs]
-                label = f"{name} {problem_seed}/{start_seed}"
-                for stage in traces[0] | traces[1]:  # a stage on one side only differs
-                    old, new = ([r[1] for r in t.get(stage, [])] for t in traces)
-                    its = [len(old) - 1, len(new) - 1]
-                    final = max_rel_diff(old[-1:], new[-1:])
-                    worst = max_rel_diff(old, new)
-                    print(f"{label:<22} {stage:<7} {its[0]:>9} {its[1]:>9} "
-                          f"{worst:>13.1e} {final:>15.1e}")
-                    same_traces += old == new
-                    n_traces += 1
-                    same_iterations += its[0] == its[1]
-                    worst_cost = max(worst_cost, worst)
-                verdict = compare_files([out / f"{stem}_state.txt" for out in outs])
-                print(f"{label:<22} state   {verdict}")
-                same_states += verdict == "byte-identical"
-                n_states += 1
-                metrics = [out / f"{stem}_metric.txt" for out in outs]
-                if any(path.exists() for path in metrics):  # a file on one side only differs
-                    verdict = (compare_files(metrics) if all(path.exists() for path in metrics)
-                               else "on one side only")
-                    print(f"{label:<22} metric  {verdict}")
-                    same_metrics += verdict == "byte-identical"
-                    n_metrics += 1
-                verdict = compare_summaries([out / f"{stem}_summary.json" for out in outs])
-                print(f"{label:<22} summary {verdict}")
-                same_summaries += verdict == "identical"
-                n_summaries += 1
-    print(f"{same_traces}/{n_traces} traces bit-identical, "
-          f"{same_states}/{n_states} states byte-identical, "
-          f"{same_metrics}/{n_metrics} metric files byte-identical, "
-          f"{same_summaries}/{n_summaries} summaries identical; "
-          f"{same_iterations}/{n_traces} traces with equal iteration counts, "
-          f"largest trace-cost rel diff {worst_cost:.1e}")
-    same = ((same_traces, same_states, same_metrics, same_summaries)
-            == (n_traces, n_states, n_metrics, n_summaries))
+                compare_solve(f"{name} {problem_seed}/{start_seed}",
+                              [*wl.solve_args, "--seed", str(start_seed)],
+                              inputs / f"{wl.kind}-{problem_seed}.txt",
+                              work / name / f"{problem_seed}-{start_seed}", trees, bench, tally)
+        wl = bench.WORKLOADS[SWEEP_WORKLOAD]
+        problem_seed, start_seed = wl.panel[0]
+        for stage1, stage2 in itertools.product(STAGE1_SOLVERS, STAGE2_SOLVERS):
+            compare_solve(f"{stage1}/{stage2}",
+                          ["--full", "--solver", stage1, "--stage2-solver", stage2,
+                           "--seed", str(start_seed)],
+                          work / SWEEP_WORKLOAD / "inputs" / f"{wl.kind}-{problem_seed}.txt",
+                          work / "sweep" / f"{stage1}-{stage2}", trees, bench, tally)
+    print(f"{tally['same_traces']}/{tally['traces']} traces bit-identical, "
+          f"{tally['same_states']}/{tally['states']} states byte-identical, "
+          f"{tally['same_metrics']}/{tally['metrics']} metric files byte-identical, "
+          f"{tally['same_summaries']}/{tally['summaries']} summaries identical; "
+          f"{tally['same_iterations']}/{tally['traces']} traces with equal iteration counts, "
+          f"largest trace-cost rel diff {tally['worst_cost']:.1e}")
+    same = all(tally[f"same_{key}"] == tally[key]
+               for key in ("traces", "states", "metrics", "summaries"))
     return 0 if same else 1
 
 
