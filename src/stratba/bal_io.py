@@ -19,7 +19,6 @@ import bz2
 import functools
 import gzip
 import logging
-import math
 import zlib
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -214,23 +213,6 @@ class ObservationPlan:
                                   width * self.num_landmarks)
             cache[width] = xi, psi, xi.T, psi.T
         return cache[width]
-
-    @functools.cached_property
-    def landmark_segments(self) -> scipy.sparse.csr_array:
-        """(n_landmarks, n_pairs) CSR of ones: row l picks landmark l's pairs."""
-        n_pairs = len(self.pair_camera)
-        return scipy.sparse.csr_array(
-            (np.ones(n_pairs), self.landmark_pairs, self.landmark_pair_ptr),
-            shape=(self.num_landmarks, n_pairs))
-
-    def landmark_sums(self, values: np.ndarray) -> np.ndarray:
-        """Per-landmark sums of values listed in the plan's pair order; zero if unobserved.
-
-        Each landmark's pairs are summed in ``landmark_pairs`` order (cameras
-        increasing) by one product with ``landmark_segments``.
-        """
-        sums = self.landmark_segments @ values.reshape(len(values), math.prod(values.shape[1:]))
-        return sums.reshape((self.num_landmarks,) + values.shape[1:])
 
 
 def _index_only_csr(columns: np.ndarray, n_columns: int) -> scipy.sparse.csr_array:

@@ -26,11 +26,13 @@ PROFILE_TAU = 0.01
 # glibc mallopt parameters (malloc.h).
 M_TRIM_THRESHOLD = -1
 M_MMAP_THRESHOLD = -3
-# Each linearization frees and re-allocates about 10 MB of residual, moment
-# and Kronecker-factor temporaries. glibc's default policy returns that
-# memory to the kernel and faults it in again on the next iteration, a few µs
-# per 4 KiB page. Keep up to 256 MiB of free heap mapped: well above that
-# swing, and bounded.
+# Each iteration frees and re-allocates a few MB: a linearization's sums and
+# its chunk temporaries (on a 30-camera x 1500-landmark BAL-shaped problem,
+# 1.5 MB kept, at a peak of 2.3 MB in stage 1 and 3.1 MB in stage 2), the
+# trial costs' squares and the inner solve's vectors. glibc's default policy
+# returns that memory to the kernel and faults it in again on the next
+# iteration, a few µs per 4 KiB page. Keep up to 256 MiB of free heap
+# mapped: well above that swing, and bounded.
 TRIM_THRESHOLD_BYTES = 256 << 20
 # Allocations below this come from the heap, so freeing them keeps them
 # mapped. 32 MiB is the documented upper limit on 64-bit (glibc's

@@ -15,14 +15,24 @@ per-observation pose Jacobian is formed. V and b_l come from the landmark
 normal equations of ``objective`` (stage 1) or, with landmark Jacobian D P,
 as P^T G^T and P^T a (stage 2).
 
+The helper takes the pairs in chunks of whole cameras, in camera order, of
+at most ``objective.CHUNK_PAIRS`` pairs (one camera with more is a chunk of
+its own), so every per-pair temporary holds one chunk, and only the sums
+span the problem. The sums keep the bits of one pass over all pairs: each
+camera's moment GEMM reads the same operands, laid out alike; the per-pair
+contractions sum in the order ``np.einsum`` takes over many pairs
+(``_sum_of_products``); and each landmark adds its pairs' V and b_l in
+camera order, from zero.
+
 No W = Jp^T Jl or W^T matrix is formed either. The W block of a distinct
 (camera, landmark) pair is G^T (x) x, so the sums (``BlockSums``) keep W as
-its Kronecker factors (``CouplingFactors``): per pair, G^T and x; stage 2's
-tangent projection multiplies G^T by the landmark basis and keeps the camera
-bases, which are applied to vectors. Two CSR matrices with the plan's pair
-indices wrap the factors without copying them and give the products W v and
-W^T t of the reduced right-hand side, the matrix-free coupling round trip and
-back-substitution.
+its Kronecker factors (``CouplingFactors``): per pair, G^T and x, written
+chunk by chunk into the pair-first arrays they are kept in; stage 2's
+tangent projection multiplies each chunk's G^T by the landmark basis as it
+is formed and keeps the camera bases, which are applied to vectors. Two CSR
+matrices with the plan's pair indices wrap the factors without copying them
+and give the products W v and W^T t of the reduced right-hand side, the
+matrix-free coupling round trip and back-substitution.
 ``assemble`` damps the sums into the reduced-camera operator, a
 ``SchurSystem`` that extends them: the same fields, plus the damping, the
 damped blocks and the landmark pseudo-inverses.
@@ -60,6 +70,7 @@ import numpy as np
 import scipy.linalg.blas
 import scipy.sparse
 
+from . import objective
 from .bal_io import BaProblem, ObservationPlan, ProjectiveState
 from .objective import (
     ETA,
@@ -203,42 +214,98 @@ class BlockSums:
     products: dict = dataclasses.field(default_factory=dict, repr=False, compare=False)
 
 
-def _kronecker_sums(plan: ObservationPlan, basis: np.ndarray, weights: np.ndarray,
-                    x: np.ndarray, a: np.ndarray, gt: np.ndarray, v: np.ndarray,
-                    b_l: np.ndarray) -> BlockSums:
-    """Block sums of a pose Jacobian in the Kronecker form D (x) x^T.
+def _sum_of_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_k a[k] * b[k] over the leading axis, pair axis last, added in turn to zeros.
 
-    Per distinct pair, in the plan's pair order with the pair axis last, each
-    summed over the pair's observations: the weights w (4, n) of
-    D^T D = sum_k w_k C_k over ``basis`` (4, 3, 3), a = D^T r (3, n) and
-    G^T = D^T Jl (3, d_l, n); and the pair's landmark x (4, n). A camera's U
-    is sum_k C_k (x) M_k over the moments M_k = sum w_k x x^T of its pairs
-    and its b_p is sum a (x) x, both from one (19 x 4) moment GEMM per
-    camera. W is kept as its factors G^T and x.
+    ``np.einsum`` sums so when the pair axis is longer than one; for a single
+    pair it takes a vectorized reduction that rounds differently, so that
+    case is summed by hand, and every chunking of the pairs sums alike.
     """
-    n_p, n = plan.num_cameras, x.shape[1]
-    lhs = np.empty((19, n))  # rows w_k x, then a
-    lhs[:16].reshape(4, 4, n)[...] = weights[:, None] * x
-    lhs[16:] = a
-    moments = np.empty((n_p, 19, 4))
-    ptr = plan.pair_camera_ptr
-    for c in range(n_p):
-        sl = slice(ptr[c], ptr[c + 1])
-        moments[c] = lhs[:, sl] @ x[:, sl].T
+    if a.shape[-1] > 1:
+        return np.einsum("k...,k...->...", a, b)
+    out = np.zeros(np.broadcast_shapes(a.shape[1:], b.shape[1:]))
+    for a_k, b_k in zip(a, b):
+        out += a_k * b_k
+    return out
+
+
+def _camera_chunks(plan: ObservationPlan) -> list[int]:
+    """The camera boundaries of the chunks that a linearization takes in turn.
+
+    Chunk k holds the whole cameras ``bounds[k]:bounds[k + 1]``, and so the
+    pairs ``pair_camera_ptr[bounds[k]]:pair_camera_ptr[bounds[k + 1]]``: as
+    many cameras, in camera order, as keep it within
+    ``objective.CHUNK_PAIRS`` pairs, or one camera with more pairs than that.
+    """
+    ptr, bounds = plan.pair_camera_ptr, [0]
+    while bounds[-1] < plan.num_cameras:
+        first = bounds[-1]
+        last = int(np.searchsorted(ptr, ptr[first] + objective.CHUNK_PAIRS, side="right")) - 1
+        bounds.append(max(last, first + 1))
+    return bounds
+
+
+PairTerms = Callable[[slice, np.ndarray, np.ndarray, np.ndarray],
+                     tuple[np.ndarray, np.ndarray, np.ndarray | None]]
+
+
+def _kronecker_sums(problem: BaProblem, state: ProjectiveState, basis: np.ndarray,
+                    width: int, pair_terms: PairTerms, landmark_sums: np.ndarray | None = None
+                    ) -> tuple[np.ndarray, np.ndarray, CouplingFactors]:
+    """U, b_p and the coupling factors of a pose Jacobian in the Kronecker form D (x) x^T.
+
+    The plan's pairs are taken in chunks of whole cameras, in camera order
+    (``_camera_chunks``), so every per-pair temporary holds one chunk of at
+    most ``objective.CHUNK_PAIRS`` pairs. ``pair_terms(pairs, cams, x, gt)``
+    gets a chunk's slice of the pair order, its cameras (3, 4, m), a gathered
+    copy that it may overwrite, and its landmarks x (4, m), pair axis last.
+    It writes each pair's G^T = D^T Jl (3 x ``width``) into ``gt``, the
+    chunk's rows of the factor, and returns the weights w (4, m) of
+    D^T D = sum_k w_k C_k over ``basis`` (4, 3, 3), a = D^T r (3, m) and
+    per-pair values to add into their landmarks' rows of ``landmark_sums``
+    (None without them), all summed over each pair's observations. Those
+    values are added a camera at a time, so each landmark sums its pairs in
+    camera order from zero, whatever the chunking. The chunk's landmarks go
+    into the factor x as they are gathered.
+
+    A camera's U is sum_k C_k (x) M_k over the moments M_k = sum w_k x x^T of
+    its pairs and its b_p is sum a (x) x, both from one (19 x 4) moment GEMM
+    per camera, on operands laid out as they would be over the whole
+    problem, so the sums are the same bits for every chunking.
+    """
+    plan = problem.plan
+    n_p, ptr = plan.num_cameras, plan.pair_camera_ptr
+    n_pairs = len(plan.pair_camera)
+    gt = np.empty((n_pairs, 3, width))
+    x = np.empty((n_pairs, 4))
+    moments = np.zeros((n_p, 19, 4))  # a camera without pairs has zero moments
+    cameras, landmarks = state.cameras.reshape(-1, 12).T, state.landmarks.T
+    bounds = _camera_chunks(plan)
+    for first, last in zip(bounds[:-1], bounds[1:]):
+        lo, hi = ptr[first], ptr[last]
+        if lo == hi:
+            continue
+        pairs = slice(lo, hi)
+        cams = np.take(cameras, plan.pair_camera[pairs], axis=1).reshape(3, 4, hi - lo)
+        x_chunk = np.take(landmarks, plan.pair_landmark[pairs], axis=1)
+        x[pairs] = x_chunk.T
+        weights, a, landmark_values = pair_terms(pairs, cams, x_chunk, gt[pairs])
+        if landmark_values is not None:
+            # added and freed before the moments' operands are formed, to
+            # lower the chunk's peak; a camera sees each landmark once
+            for c in range(first, last):
+                landmark_sums[plan.pair_landmark[ptr[c]:ptr[c + 1]]] += (
+                    landmark_values[ptr[c] - lo:ptr[c + 1] - lo])
+            del landmark_values
+        lhs = np.empty((19, hi - lo))  # rows w_k x, then a
+        np.multiply(weights[:, None], x_chunk, out=lhs[:16].reshape(4, 4, hi - lo))
+        lhs[16:] = a
+        for c in range(first, last):
+            sl = slice(ptr[c] - lo, ptr[c + 1] - lo)
+            moments[c] = lhs[:, sl] @ x_chunk[:, sl].T
     u = np.einsum("kjJ,ckaA->cjaJA", basis,
                   moments[:, :16].reshape(n_p, 4, 4, 4)).reshape(n_p, 12, 12)
-    b_p = moments[:, 16:].reshape(n_p, 12)
-    factors = CouplingFactors(plan, np.ascontiguousarray(gt.transpose(2, 0, 1)),
-                              np.ascontiguousarray(x.T))
-    return BlockSums(u, b_p, factors, v, b_l)
-
-
-def _gather_pairs(problem: BaProblem, state: ProjectiveState) -> tuple[np.ndarray, np.ndarray]:
-    """Cameras (3, 4, n) and landmarks (4, n) of the plan's distinct pairs, pair axis last."""
-    plan = problem.plan
-    n = len(plan.pair_camera)
-    cams = np.take(state.cameras.reshape(-1, 12).T, plan.pair_camera, axis=1).reshape(3, 4, n)
-    return cams, np.take(state.landmarks.T, plan.pair_landmark, axis=1)
+    return u, moments[:, 16:].reshape(n_p, 12), CouplingFactors(plan, gt, x)
 
 
 def build_stage1_blocks(problem: BaProblem, state: ProjectiveState,
@@ -250,7 +317,8 @@ def build_stage1_blocks(problem: BaProblem, state: ProjectiveState,
     B^T B has the weights (1, m0, m1, |m|^2); the landmark Jacobian is
     A = B P[:, :3], so G^T = B^T B P[:, :3] and a = B^T (B P x - d). All
     three are linear in the weights, so a pair's sums come from its summed
-    weights (``problem.pair_weights``, computed once per problem).
+    weights (``problem.pair_weights``, computed once per problem), a chunk
+    of cameras at a time (``_kronecker_sums``).
     ``resolved``, the landmark re-solve at ``state.cameras``, supplies A^T A
     and A^T c, which depend on the cameras alone, and seeds its V^+ into the
     sums' cache; without it A^T A and A^T c are formed here by
@@ -259,23 +327,29 @@ def build_stage1_blocks(problem: BaProblem, state: ProjectiveState,
     for stage-1 landmarks (last coordinate 1).
     """
     basis, offsets = stage1_gram_basis(eta)
-    cams, x = _gather_pairs(problem, state)
-    weights = problem.pair_weights
-    px = np.einsum("ian,an->in", cams, x)
-    a = stage1_gram_apply(px, weights, eta) - offsets.T @ weights
+
+    def pair_terms(pairs, cams, x, gt_out):
+        weights = problem.pair_weights[:, pairs]
+        # B^T B applied to P[:, :3] and, in place of the last column, to P x
+        cams[:, 3] = _sum_of_products(cams.transpose(1, 0, 2), x[:, None])
+        applied = stage1_gram_apply(cams, weights, eta)
+        gt_out[...] = applied[:, :3].transpose(2, 0, 1)
+        return weights, applied[:, 3] - offsets.T @ weights, None
+
+    u, b_p, factors = _kronecker_sums(problem, state, basis, 3, pair_terms)
     if resolved is None:
         v, origin_gradient = stage1_landmark_normals(state.cameras, problem, eta)
     else:
         v, origin_gradient = resolved.hessian, resolved.origin_gradient
     b_l = np.einsum("nij,nj->ni", v, state.landmarks[:, :3]) + origin_gradient
-    sums = _kronecker_sums(problem.plan, basis, weights, x, a,
-                           stage1_gram_apply(cams[:, :3], weights, eta), v, b_l)
+    sums = BlockSums(u, b_p, factors, v, b_l)
     if resolved is not None:
         sums.products[_v_pinv] = resolved.pinv, resolved.degenerate
     return sums
 
 
-def build_stage2_blocks(problem: BaProblem, state: ProjectiveState) -> BlockSums:
+def build_stage2_blocks(problem: BaProblem, state: ProjectiveState,
+                        landmark_bases: np.ndarray | None = None) -> BlockSums:
     """Linearize the stage-2 objective in the full parameters (widths 12/4).
 
     With u = P x, p = u[:2] / u[2] and D = dp/du = [I | -p] / u[2], the pose
@@ -284,33 +358,52 @@ def build_stage2_blocks(problem: BaProblem, state: ProjectiveState) -> BlockSums
     G^T = D^T D P, a = D^T r, V = P^T G^T and b_l = P^T a per observation.
     D does not depend on the measurement, so a pair of k observations has
     k times those weights and G^T, and a[:2] = (k p - sum m) / u[2].
-    ``riemannian.project_blocks`` projects the sums onto the tangent spaces.
+
+    The pairs are taken a chunk of cameras at a time (``_kronecker_sums``).
+    Each pair's V and b_l are added into its landmark's sums a camera at a
+    time, so every landmark sums its pairs in camera order from zero, and
+    they exist for one chunk only. With ``landmark_bases`` (n_l, 4, 3),
+    each chunk's G^T is multiplied by its pairs' bases as it is formed, so
+    the factor holds G^T B_l (3 x 3) and no unprojected G^T exists beyond
+    one chunk; ``riemannian.project_blocks`` then projects the other sums.
 
     Degenerate observations (depth within the guard) must be excluded by the
     caller rejecting the state; here they would poison the step, so we raise.
     """
-    plan = problem.plan
-    cams, x = _gather_pairs(problem, state)
-    u = np.einsum("ian,an->in", cams, x)
-    if not (np.abs(u[2]) > Z_EPSILON).all():
-        raise FloatingPointError("degenerate projection while linearizing stage 2")
-    inv_z = 1.0 / u[2]
-    p = u[:2]
-    p *= inv_z
-    weights = stage1_weights(p.T)  # z^2 D^T D = sum_k w_k C_k
-    pair_weights = problem.pair_weights
-    weights *= pair_weights[0]
-    inv_z2 = inv_z * inv_z
-    gt = stage1_gram_apply(cams, weights, 0.0)
-    gt *= inv_z2
-    a = np.empty((3, len(inv_z)))
-    a[:2] = (weights[1:3] - pair_weights[1:3]) * inv_z
-    weights *= inv_z2
-    a[2] = -np.einsum("rn,rn->n", p, a[:2])
-    # (D P)^T (D P) = P^T G^T and (D P)^T r = P^T a
-    v = plan.landmark_sums(np.einsum("ijn,ikn->njk", cams, gt))
-    b_l = plan.landmark_sums(np.einsum("ijn,in->nj", cams, a))
-    return _kronecker_sums(plan, stage1_gram_basis(0.0)[0], weights, x, a, gt, v, b_l)
+    pair_landmark = problem.plan.pair_landmark
+    landmark_sums = np.zeros((problem.plan.num_landmarks, 4, 5))  # V, then b_l
+
+    def pair_terms(pairs, cams, x, gt_out):
+        u = _sum_of_products(cams.transpose(1, 0, 2), x[:, None])
+        if not (np.abs(u[2]) > Z_EPSILON).all():
+            raise FloatingPointError("degenerate projection while linearizing stage 2")
+        inv_z = 1.0 / u[2]
+        p = u[:2]
+        p *= inv_z
+        weights = stage1_weights(p.T)  # z^2 D^T D = sum_k w_k C_k
+        pair_weights = problem.pair_weights[:, pairs]
+        weights *= pair_weights[0]
+        inv_z2 = inv_z * inv_z
+        gt_a = np.empty((3, 5, len(inv_z)))  # G^T, then a
+        gt = stage1_gram_apply(cams, weights, 0.0, out=gt_a[:, :4])
+        gt *= inv_z2
+        a = gt_a[:, 4]
+        a[:2] = (weights[1:3] - pair_weights[1:3]) * inv_z
+        weights *= inv_z2
+        a[2] = -_sum_of_products(p, a[:2])
+        if landmark_bases is None:
+            gt_out[...] = gt.transpose(2, 0, 1)
+        else:
+            np.matmul(gt.transpose(2, 0, 1), np.take(landmark_bases, pair_landmark[pairs], axis=0),
+                      out=gt_out)
+        # (D P)^T (D P) = P^T G^T and (D P)^T r = P^T a
+        return weights, a, np.einsum("ijn,ikn->njk", cams, gt_a)
+
+    width = 4 if landmark_bases is None else landmark_bases.shape[2]
+    u, b_p, factors = _kronecker_sums(problem, state, stage1_gram_basis(0.0)[0], width,
+                                      pair_terms, landmark_sums)
+    return BlockSums(u, b_p, factors, np.ascontiguousarray(landmark_sums[:, :, :4]),
+                     np.ascontiguousarray(landmark_sums[:, :, 4]))
 
 
 def _jacobi_damped(blocks: np.ndarray, lam: float) -> np.ndarray:

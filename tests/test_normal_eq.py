@@ -1,10 +1,11 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from stratba import normal_eq
+from stratba import normal_eq, objective
 from stratba.bal_io import BaProblem, ProjectiveState, load_bal, prune_underobserved, write_bal
 from stratba.normal_eq import (
     BOTH,
@@ -26,8 +27,9 @@ from stratba.objective import (
     solve_landmarks,
     stage1_landmark_normals,
     stage1_residuals,
+    total_cost,
 )
-from stratba.riemannian import project_blocks, state_tangent_bases
+from stratba.riemannian import project_blocks, riemannian_step, state_tangent_bases
 from tests.conftest import (
     OracleRows,
     dense_damped_hessian,
@@ -678,7 +680,6 @@ def test_plan_built_lazily_and_cached(tmp_path):
     assert loaded.plan is plan
     np.testing.assert_array_equal(plan.pair_camera_ptr, [0, *np.cumsum(np.bincount(
         loaded.camera_indices, minlength=4))])
-    assert "landmark_segments" not in vars(plan)
     for name in ("observation_pair", "pair_camera", "pair_landmark", "pair_camera_ptr",
                  "landmark_pairs", "landmark_pair_ptr"):
         array = getattr(plan, name)
@@ -686,8 +687,6 @@ def test_plan_built_lazily_and_cached(tmp_path):
     assert plan.factor_matrices(3) is plan.factor_matrices(3)
     assert "pair_weights" not in vars(loaded)
     assert "measurement_weights" not in vars(loaded)
-    segments = plan.landmark_segments
-    assert plan.landmark_segments is segments
     weights = loaded.measurement_weights
     assert loaded.measurement_weights is weights
     # the weight matrix: the weights (1, m0, m1, |m|^2) of each observation at
@@ -697,10 +696,6 @@ def test_plan_built_lazily_and_cached(tmp_path):
     for c, lm, (m0, m1) in zip(loaded.camera_indices, loaded.landmark_indices, m):
         expected[lm, 4 * c:4 * c + 4] += [1.0, m0, m1, m0 * m0 + m1 * m1]
     np.testing.assert_allclose(weights.toarray(), expected, rtol=1e-15)
-    # the segment matrix sums camera-major pairs per landmark
-    values = np.arange(len(plan.pair_camera), dtype=float)
-    expected_sums = np.bincount(plan.pair_landmark, weights=values, minlength=6)
-    np.testing.assert_array_equal(plan.landmark_sums(values), expected_sums)
     # on a graph with repeated (camera, landmark) pairs, each distinct pair
     # holds the sum of its observations' weights in one set of four columns
     # (quarter-integer measurements, so that every sum is exact)
@@ -834,3 +829,103 @@ def test_coupling_factors_match_dense_oracle(stage, path, monkeypatch):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-11 * max(1, np.abs(want).max()))
     scale = max(1, np.abs(s_dense).max())
     np.testing.assert_allclose(dense_schur(system), s_dense, rtol=0, atol=1e-11 * scale)
+
+
+def chunked_problem() -> BaProblem:
+    """Eight cameras whose pair counts make chunks of every kind.
+
+    Camera 2 is unobserved (an empty segment), camera 5 sees all 30
+    landmarks (more pairs than a budget of 8), camera 7 sees one (a chunk of
+    a single pair), and every landmark is seen by camera 5 and at least one
+    other, so its pairs span chunks. Some observations are made twice.
+    """
+    rng = np.random.default_rng(11)
+    cams, lms = [], []
+    for c, count in zip(range(8), (6, 4, 0, 7, 3, 30, 5, 1)):
+        for lm in sorted(rng.choice(30, size=count, replace=False)):
+            cams.append(c)
+            lms.append(lm)
+    for lm in range(30):
+        if lms.count(lm) < 2:
+            cams.append(6 if 6 not in [c for c, l in zip(cams, lms) if l == lm] else 0)
+            lms.append(lm)
+    problem = BaProblem(8, 30, len(cams), np.array(cams), np.array(lms),
+                        2.0 * rng.standard_normal((len(cams), 2)))
+    return with_repeated_observations(problem, [0, 9, 17, 40], seed=12)
+
+
+def linearized_bytes(problem: BaProblem) -> dict[str, bytes]:
+    """The bytes of every linearization and cost of one stage-1 and one stage-2 state."""
+    out = {}
+    state = make_random_state(problem, 13, STAGE1)
+    resolved = solve_landmarks(state, problem, 0.1)
+    stage2 = make_random_state(problem, 14, STAGE2)
+    bases = state_tangent_bases(stage2)
+    for label, sums in (
+            ("stage1", build_stage1_blocks(problem, state, 0.1)),
+            ("resolved", build_stage1_blocks(problem, ProjectiveState(state.cameras,
+                                                                      resolved.landmarks),
+                                             0.1, resolved)),
+            ("stage2", riemannian_step(problem, stage2, bases)),
+            ("unprojected", build_stage2_blocks(problem, stage2))):
+        for name in ("u", "b_p", "v", "b_l"):
+            out[f"{label}.{name}"] = getattr(sums, name).tobytes()
+        out[f"{label}.gt"] = sums.factors.gt.tobytes()
+        out[f"{label}.x"] = sums.factors.x.tobytes()
+    out["cost1"] = np.float64(total_cost(state, problem, STAGE1, 0.1)).tobytes()
+    out["cost2"] = np.float64(total_cost(stage2, problem, STAGE2)).tobytes()
+    return out
+
+
+def test_linearizations_and_costs_do_not_depend_on_the_chunking(monkeypatch):
+    problem = chunked_problem()
+    plan = problem.plan
+    counts = np.diff(plan.pair_camera_ptr)
+    assert counts[2] == 0 and counts[5] == 30 and counts[7] == 1
+    assert problem.pair_weights[0].max() == 2  # repeated pairs
+    runs = {}
+    for budget in (1, 8, 10**9):
+        monkeypatch.setattr(objective, "CHUNK_PAIRS", budget)
+        runs[budget] = linearized_bytes(problem)
+        chunks = normal_eq._camera_chunks(plan)
+        assert chunks[0] == 0 and chunks[-1] == problem.num_cameras
+        sizes = np.diff(plan.pair_camera_ptr[chunks])
+        assert all(size <= budget or n == 1 for size, n in zip(sizes, np.diff(chunks)))
+        if budget == 1:
+            assert chunks == list(range(problem.num_cameras + 1))  # one camera per chunk
+        elif budget == 8:
+            assert [5, 6] in [chunks[i:i + 2] for i in range(len(chunks) - 1)]
+            assert (np.diff(chunks) > 1).any()
+        else:
+            assert chunks == [0, problem.num_cameras]
+    assert runs[1] == runs[10**9]
+    assert runs[8] == runs[10**9]
+    # the per-chunk projection of G^T gives the bits of projecting all pairs at once
+    stage2 = make_random_state(problem, 14, STAGE2)
+    bases = state_tangent_bases(stage2)
+    whole = project_blocks(build_stage2_blocks(problem, stage2), bases)
+    assert whole.factors.gt.tobytes() == runs[8]["stage2.gt"]
+    assert whole.v.tobytes() == runs[8]["stage2.v"]
+
+
+@pytest.mark.parametrize("stage", [STAGE1, STAGE2])
+def test_linearization_peaks_within_twice_its_sums(stage, monkeypatch):
+    # many chunks: about 90 pairs per camera and 256 pairs per chunk
+    monkeypatch.setattr(objective, "CHUNK_PAIRS", 256)
+    problem = make_random_problem(40, 600, seed=15, cameras_per_landmark=6)
+    assert len(normal_eq._camera_chunks(problem.plan)) > 10
+    problem.pair_weights, problem.measurement_weights  # built once per problem
+    state = make_random_state(problem, 16, stage)
+    bases = state_tangent_bases(state) if stage == STAGE2 else None
+    tracemalloc.start()
+    try:
+        if stage == STAGE1:
+            sums = build_stage1_blocks(problem, state, 0.1)
+        else:
+            sums = riemannian_step(problem, state, bases)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = sum(a.nbytes for a in (sums.u, sums.b_p, sums.factors.gt, sums.factors.x,
+                                  sums.v, sums.b_l))
+    assert peak <= 2 * kept, (peak, kept)

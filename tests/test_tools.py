@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from stratba.bal_io import write_bal
 from stratba.solvers import STAGE1_SOLVERS, STAGE2_SOLVERS
+from stratba.synth import make_ring_problem
 
 ROOT = Path(__file__).resolve().parent.parent
 TOOLS = ROOT / "tools"
@@ -19,17 +21,18 @@ def run_tool(name: str, *args: str) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=60)
 
 
-@pytest.mark.parametrize("name", ["panel_diff.py", "census.py", "ab_bench.py"])
+@pytest.mark.parametrize("name", ["panel_diff.py", "census.py", "ab_bench.py",
+                                  "rss_layers.py"])
 def test_tool_help_exits_0(name):
     proc = run_tool(name, "--help")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage:")
 
 
-@pytest.mark.parametrize("name, n_trees", [("panel_diff.py", 2), ("census.py", 1),
-                                           ("ab_bench.py", 2)])
-def test_tool_exits_2_without_a_stratba_package(name, n_trees, tmp_path):
-    proc = run_tool(name, *[str(tmp_path)] * n_trees)
+@pytest.mark.parametrize("name, n_args", [("panel_diff.py", 2), ("census.py", 1),
+                                          ("ab_bench.py", 2), ("rss_layers.py", 2)])
+def test_tool_exits_2_without_a_stratba_package(name, n_args, tmp_path):
+    proc = run_tool(name, *[str(tmp_path)] * n_args)
     assert proc.returncode == 2
     assert "no stratba package" in proc.stderr
 
@@ -99,3 +102,17 @@ def test_ab_bench_verdicts_on_synthetic_samples():
     wide = [0.5, 1.5, 0.6, 1.4, 0.7, 1.3, 0.8, 1.2, 0.9, 1.1]
     assert verdict(wide, wide[::-1], "lower", 0.24) == (5, "unresolved")
     assert verdict([1.0], [0.8], "lower", 0.24) == (1, "gain")
+
+
+def test_rss_layers_reports_every_layer_of_a_small_solve(tmp_path):
+    path = tmp_path / "ring.txt"
+    with open(path, "w") as fh:
+        write_bal(make_ring_problem(4, 20, 0.5, 0), fh)
+    proc = run_tool("rss_layers.py", str(ROOT / "src"), str(path), "--seed", "1")
+    assert proc.returncode == 0, proc.stderr
+    layers = [line.split()[0] for line in proc.stdout.splitlines() if " MB" in line]
+    for name in ("load_bal", "prune_underobserved", "random_init", "total_cost",
+                 "build_stage1_blocks", "riemannian_step", "lm_minimize"):
+        assert name in layers, name
+    assert "lm_minimize stage 1" in proc.stdout and "lm_minimize stage 2" in proc.stdout
+    assert proc.stdout.splitlines()[-1].startswith("solve")
