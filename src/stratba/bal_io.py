@@ -194,25 +194,23 @@ class ObservationPlan:
     def num_landmarks(self) -> int:
         return len(self.landmark_pair_ptr) - 1
 
-    def factor_matrices(self, width: int) -> tuple[scipy.sparse.sparray, ...]:
-        """Templates of the sparse matrices that wrap the coupling factors, cached per width.
+    @functools.cached_property
+    def factor_matrices(self) -> tuple[scipy.sparse.sparray, ...]:
+        """Templates of the sparse matrices that wrap the coupling factors.
 
         X (n_pairs x 4 n_cameras): row p holds four entries, at columns
-        4c..4c+3 of its camera c. Psi (3 n_pairs x width n_landmarks): rows
-        3p..3p+2 each hold ``width`` entries, at the columns of pair p's
-        landmark. Returns X and Psi in CSR form and X^T and Psi^T as their CSC
-        views. Their indices are read-only and their data a zero placeholder;
-        each linearization takes shallow copies that hold its own factors.
+        4c..4c+3 of its camera c. Psi (3 n_pairs x 3 n_landmarks): rows
+        3p..3p+2 each hold three entries, at the columns of pair p's
+        landmark, since G^T is 3x3 in both stages. Returns X and Psi in CSR
+        form and X^T and Psi^T as their CSC views. Their indices are
+        read-only and their data a zero placeholder; each linearization takes
+        shallow copies that hold its own factors.
         """
-        cache = self.__dict__.setdefault("_factor_matrices", {})
-        if width not in cache:
-            n_pairs, n_cameras = len(self.pair_camera), self.num_cameras
-            cols = width * self.pair_landmark[:, None, None] + np.arange(width)
-            xi = _index_only_csr(4 * self.pair_camera[:, None] + np.arange(4), 4 * n_cameras)
-            psi = _index_only_csr(np.broadcast_to(cols, (n_pairs, 3, width)),
-                                  width * self.num_landmarks)
-            cache[width] = xi, psi, xi.T, psi.T
-        return cache[width]
+        n_pairs, n_cameras = len(self.pair_camera), self.num_cameras
+        cols = 3 * self.pair_landmark[:, None, None] + np.arange(3)
+        xi = _index_only_csr(4 * self.pair_camera[:, None] + np.arange(4), 4 * n_cameras)
+        psi = _index_only_csr(np.broadcast_to(cols, (n_pairs, 3, 3)), 3 * self.num_landmarks)
+        return xi, psi, xi.T, psi.T
 
 
 def _index_only_csr(columns: np.ndarray, n_columns: int) -> scipy.sparse.csr_array:

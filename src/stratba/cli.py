@@ -107,9 +107,11 @@ def _cmd_solve(args) -> int:
     def run_one(path: str) -> int:
         try:
             summary = run_problem(path, spec)
-        except BalReadError as exc:
+        except BalReadError as exc:  # an OSError, so caught before the next one
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_PARSE
+        except OSError as exc:  # an artifact that cannot be written
+            return _cannot_write(exc.filename or spec.out_dir, exc)
         except BalParseError as exc:
             print(f"parse error in {path}: {exc}", file=sys.stderr)
             return EXIT_PARSE

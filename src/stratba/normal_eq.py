@@ -8,12 +8,14 @@ D (x) x^T, with D = dr/du: the 4x3 measurement matrix B in stage 1, the 2x3
 derivative of the perspective division in stage 2. D^T D is a weighted sum
 sum_k w_k C_k over the four 3x3 bases of ``objective.stage1_gram_basis``
 (stage 2 at eta = 0). So a stage supplies per pair only its weights, a = D^T r
-and the 3 x d_l block G^T = D^T Jl, each summed over the pair's observations
+and the 3x3 block G^T = D^T Jl, each summed over the pair's observations
 (all linear in the measurement weights, ``BaProblem.pair_weights``), and one
 helper forms U and b_p from one (19 x 4) moment GEMM per camera; no
 per-observation pose Jacobian is formed. V and b_l come from the landmark
 normal equations of ``objective`` (stage 1) or, with landmark Jacobian D P,
-as P^T G^T and P^T a (stage 2).
+as P^T G^T and P^T a (stage 2). Stage 2 keeps G^T only in the landmarks'
+tangent spaces, multiplied by their 4x3 bases in the chunk that forms it, so
+G^T, like V once ``riemannian.project_blocks`` projects it, is 3x3 in both.
 
 The helper takes the pairs in chunks of whole cameras, in camera order, of
 at most ``objective.CHUNK_PAIRS`` pairs (one camera with more is a chunk of
@@ -27,9 +29,8 @@ camera order, from zero.
 No W = Jp^T Jl or W^T matrix is formed either. The W block of a distinct
 (camera, landmark) pair is G^T (x) x, so the sums (``BlockSums``) keep W as
 its Kronecker factors (``CouplingFactors``): per pair, G^T and x, written
-chunk by chunk into the pair-first arrays they are kept in; stage 2's
-tangent projection multiplies each chunk's G^T by the landmark basis as it
-is formed and keeps the camera bases, which are applied to vectors. Two CSR
+chunk by chunk into the pair-first arrays they are kept in; stage 2 keeps
+the camera tangent bases with them, which are applied to vectors. Two CSR
 matrices with the plan's pair indices wrap the factors without copying them
 and give the products W v and W^T t of the reduced right-hand side, the
 matrix-free coupling round trip and back-substitution.
@@ -123,7 +124,7 @@ class CouplingFactors:
     """The coupling W = Jp^T Jl of one linearization, kept as its Kronecker factors.
 
     The block of the plan's distinct (camera c, landmark l) pair p is
-    B_c^T (G^T_p (x) x_p): the landmark-side factor G^T_p (3 x d_l), the
+    B_c^T (G^T_p (x) x_p): the landmark-side factor G^T_p (3x3), the
     landmark x_p (4) and, in stage 2, the camera's tangent basis B_c
     (12 x d_p; without bases B_c is the identity and d_p = 12). A pose
     vector t maps to 3x4 blocks T_c = B_c t_c, so W^T t sums G_p T_c x_p
@@ -131,7 +132,7 @@ class CouplingFactors:
     camera's block before B_c^T. Both are products with two CSR matrices
     that wrap the factors without copying them: X, one row per pair holding
     x_p at its camera's four columns, and Psi, three rows per pair holding
-    G^T_p at its landmark's d_l columns. Then W^T t = Psi^T (X T) and
+    G^T_p at its landmark's three columns. Then W^T t = Psi^T (X T) and
     W v = X^T (Psi v), with T the stacked T_c^T; the transposes are CSC
     views. The matrices of each product are made on its first use, from the
     plan's templates (``ObservationPlan.factor_matrices``), and shared by
@@ -139,20 +140,20 @@ class CouplingFactors:
     """
 
     plan: ObservationPlan
-    gt: np.ndarray  # (n_pairs, 3, d_l), C-contiguous
+    gt: np.ndarray  # (n_pairs, 3, 3), C-contiguous
     x: np.ndarray  # (n_pairs, 4), C-contiguous
     camera_bases: np.ndarray | None = None  # (n_p, 12, d_p)
 
     @functools.cached_property
     def _forward(self) -> tuple[scipy.sparse.csr_array, scipy.sparse.csc_array]:
         """Psi and X^T, the matrices of W v."""
-        _, psi, xi_t, _ = self.plan.factor_matrices(self.gt.shape[2])
+        _, psi, xi_t, _ = self.plan.factor_matrices
         return _holding(psi, self.gt.reshape(-1)), _holding(xi_t, self.x.reshape(-1))
 
     @functools.cached_property
     def _adjoint(self) -> tuple[scipy.sparse.csr_array, scipy.sparse.csc_array]:
         """X and Psi^T, the matrices of W^T t."""
-        xi, _, _, psi_t = self.plan.factor_matrices(self.gt.shape[2])
+        xi, _, _, psi_t = self.plan.factor_matrices
         return _holding(xi, self.x.reshape(-1)), _holding(psi_t, self.gt.reshape(-1))
 
     @functools.cached_property
@@ -250,7 +251,7 @@ PairTerms = Callable[[slice, np.ndarray, np.ndarray, np.ndarray],
 
 
 def _kronecker_sums(problem: BaProblem, state: ProjectiveState, basis: np.ndarray,
-                    width: int, pair_terms: PairTerms, landmark_sums: np.ndarray | None = None
+                    pair_terms: PairTerms, landmark_sums: np.ndarray | None = None
                     ) -> tuple[np.ndarray, np.ndarray, CouplingFactors]:
     """U, b_p and the coupling factors of a pose Jacobian in the Kronecker form D (x) x^T.
 
@@ -259,7 +260,7 @@ def _kronecker_sums(problem: BaProblem, state: ProjectiveState, basis: np.ndarra
     most ``objective.CHUNK_PAIRS`` pairs. ``pair_terms(pairs, cams, x, gt)``
     gets a chunk's slice of the pair order, its cameras (3, 4, m), a gathered
     copy that it may overwrite, and its landmarks x (4, m), pair axis last.
-    It writes each pair's G^T = D^T Jl (3 x ``width``) into ``gt``, the
+    It writes each pair's G^T = D^T Jl (3 x 3) into ``gt``, the
     chunk's rows of the factor, and returns the weights w (4, m) of
     D^T D = sum_k w_k C_k over ``basis`` (4, 3, 3), a = D^T r (3, m) and
     per-pair values to add into their landmarks' rows of ``landmark_sums``
@@ -276,7 +277,7 @@ def _kronecker_sums(problem: BaProblem, state: ProjectiveState, basis: np.ndarra
     plan = problem.plan
     n_p, ptr = plan.num_cameras, plan.pair_camera_ptr
     n_pairs = len(plan.pair_camera)
-    gt = np.empty((n_pairs, 3, width))
+    gt = np.empty((n_pairs, 3, 3))
     x = np.empty((n_pairs, 4))
     moments = np.zeros((n_p, 19, 4))  # a camera without pairs has zero moments
     cameras, landmarks = state.cameras.reshape(-1, 12).T, state.landmarks.T
@@ -336,7 +337,7 @@ def build_stage1_blocks(problem: BaProblem, state: ProjectiveState,
         gt_out[...] = applied[:, :3].transpose(2, 0, 1)
         return weights, applied[:, 3] - offsets.T @ weights, None
 
-    u, b_p, factors = _kronecker_sums(problem, state, basis, 3, pair_terms)
+    u, b_p, factors = _kronecker_sums(problem, state, basis, pair_terms)
     if resolved is None:
         v, origin_gradient = stage1_landmark_normals(state.cameras, problem, eta)
     else:
@@ -349,8 +350,8 @@ def build_stage1_blocks(problem: BaProblem, state: ProjectiveState,
 
 
 def build_stage2_blocks(problem: BaProblem, state: ProjectiveState,
-                        landmark_bases: np.ndarray | None = None) -> BlockSums:
-    """Linearize the stage-2 objective in the full parameters (widths 12/4).
+                        landmark_bases: np.ndarray) -> BlockSums:
+    """Linearize the stage-2 objective, the coupling in the landmarks' tangent spaces.
 
     With u = P x, p = u[:2] / u[2] and D = dp/du = [I | -p] / u[2], the pose
     Jacobian is D (x) x^T, D^T D has the weights (1, p0, p1, |p|^2) / u[2]^2
@@ -362,10 +363,11 @@ def build_stage2_blocks(problem: BaProblem, state: ProjectiveState,
     The pairs are taken a chunk of cameras at a time (``_kronecker_sums``).
     Each pair's V and b_l are added into its landmark's sums a camera at a
     time, so every landmark sums its pairs in camera order from zero, and
-    they exist for one chunk only. With ``landmark_bases`` (n_l, 4, 3),
-    each chunk's G^T is multiplied by its pairs' bases as it is formed, so
-    the factor holds G^T B_l (3 x 3) and no unprojected G^T exists beyond
-    one chunk; ``riemannian.project_blocks`` then projects the other sums.
+    they exist for one chunk only. Each chunk's 3x4 G^T is multiplied by its
+    pairs' ``landmark_bases`` (n_l, 4, 3) as it is formed, so the factor
+    holds the 3x3 G^T B_l and no unprojected G^T exists beyond one chunk.
+    U and b_p (width 12) and V and b_l (width 4) come back unprojected, for
+    ``riemannian.project_blocks`` to project.
 
     Degenerate observations (depth within the guard) must be excluded by the
     caller rejecting the state; here they would poison the step, so we raise.
@@ -391,17 +393,13 @@ def build_stage2_blocks(problem: BaProblem, state: ProjectiveState,
         a[:2] = (weights[1:3] - pair_weights[1:3]) * inv_z
         weights *= inv_z2
         a[2] = -_sum_of_products(p, a[:2])
-        if landmark_bases is None:
-            gt_out[...] = gt.transpose(2, 0, 1)
-        else:
-            np.matmul(gt.transpose(2, 0, 1), np.take(landmark_bases, pair_landmark[pairs], axis=0),
-                      out=gt_out)
+        np.matmul(gt.transpose(2, 0, 1), np.take(landmark_bases, pair_landmark[pairs], axis=0),
+                  out=gt_out)
         # (D P)^T (D P) = P^T G^T and (D P)^T r = P^T a
         return weights, a, np.einsum("ijn,ikn->njk", cams, gt_a)
 
-    width = 4 if landmark_bases is None else landmark_bases.shape[2]
-    u, b_p, factors = _kronecker_sums(problem, state, stage1_gram_basis(0.0)[0], width,
-                                      pair_terms, landmark_sums)
+    u, b_p, factors = _kronecker_sums(problem, state, stage1_gram_basis(0.0)[0], pair_terms,
+                                      landmark_sums)
     return BlockSums(u, b_p, factors, np.ascontiguousarray(landmark_sums[:, :, :4]),
                      np.ascontiguousarray(landmark_sums[:, :, 4]))
 

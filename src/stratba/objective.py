@@ -226,19 +226,18 @@ def _closed_form_inverse_3x3(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def pinv_psd(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pseudo-inverse of symmetric PSD blocks; eigenvalues at or below
+    """Pseudo-inverse of symmetric PSD 3x3 blocks; eigenvalues at or below
     ``V_PINV_TOL`` times the trace drop.
 
-    Returns the pseudo-inverses and the mask of rank-deficient blocks. 3x3
-    blocks certified well-conditioned (``_closed_form_inverse_3x3``) are
-    inverted in closed form; every other block goes through ``eigh``, which
-    applies the rank rule. A certified block's eigenvalues all exceed
-    ``_CLOSED_FORM_MIN_EIG`` times its trace, far above the cutoff, so the
-    mask is the one ``eigh`` would give. A batch that is certified throughout
-    skips ``eigh``.
+    Every landmark block is 3x3: stage 1 solves for three free coordinates,
+    stage 2 in the landmarks' three-dimensional tangent spaces. Returns the
+    pseudo-inverses and the mask of rank-deficient blocks. Blocks certified
+    well-conditioned (``_closed_form_inverse_3x3``) are inverted in closed
+    form; every other block goes through ``eigh``, which applies the rank
+    rule. A certified block's eigenvalues all exceed ``_CLOSED_FORM_MIN_EIG``
+    times its trace, far above the cutoff, so the mask is the one ``eigh``
+    would give. A batch that is certified throughout skips ``eigh``.
     """
-    if blocks.shape[1:] != (3, 3):
-        return _eigh_pinv(blocks)
     pinv, certified = _closed_form_inverse_3x3(blocks)
     degenerate = np.zeros(len(blocks), dtype=bool)
     if not certified.all():

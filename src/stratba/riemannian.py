@@ -62,25 +62,20 @@ def state_tangent_bases(state: ProjectiveState) -> TangentBasis:
 
 
 def project_blocks(sums: BlockSums, bases: TangentBasis) -> BlockSums:
-    """The block sums of the Jacobian right-multiplied by the tangent bases.
+    """Finish the tangent projection of ``build_stage2_blocks``' sums.
 
     With camera bases B_c (12 -> 11) and landmark bases B_l (4 -> 3):
-    U -> B_c^T U B_c, b_p -> B_c^T b_p, V -> B_l^T V B_l, b_l -> B_l^T b_l.
-    A W block B_c^T (G^T (x) x) B_l is B_c^T ((G^T B_l) (x) x), so only the
-    landmark-side factor is projected, G^T -> G^T B_l, and the camera bases
-    go with the factors, to be applied to vectors. A factor that
-    ``build_stage2_blocks`` already projected, a chunk at a time, as it formed
-    it (3 columns, not 4; ``riemannian_step``) is kept as it is; any other is
-    multiplied here, for all pairs at once.
+    U -> B_c^T U B_c, b_p -> B_c^T b_p, V -> B_l^T V B_l, b_l -> B_l^T b_l,
+    so V is 3x3 as in stage 1. A W block B_c^T (G^T (x) x) B_l is
+    B_c^T ((G^T B_l) (x) x); the linearization already holds the projected
+    3x3 factor G^T B_l, formed a chunk at a time, and the camera bases go
+    with the factors, to be applied to vectors.
     """
     factors = sums.factors
     cam_b, lm_b = bases.camera_bases, bases.landmark_bases
-    gt = factors.gt
-    if gt.shape[2] == lm_b.shape[1]:
-        gt = np.matmul(gt, lm_b[factors.plan.pair_landmark])
     return BlockSums(cam_b.transpose(0, 2, 1) @ sums.u @ cam_b,
                      np.einsum("nji,nj->ni", cam_b, sums.b_p),
-                     CouplingFactors(factors.plan, gt, factors.x, cam_b),
+                     CouplingFactors(factors.plan, factors.gt, factors.x, cam_b),
                      lm_b.transpose(0, 2, 1) @ sums.v @ lm_b,
                      np.einsum("nji,nj->ni", lm_b, sums.b_l))
 
@@ -115,11 +110,12 @@ def apply_tangent_step(state: ProjectiveState, bases: TangentBasis, pose_update:
 def riemannian_step(problem, state: ProjectiveState, bases: TangentBasis) -> BlockSums:
     """The stage-2 linearization at ``state``: the undamped tangent-space sums.
 
-    The block sums of the projective Jacobian are projected onto ``bases``:
-    the coupling's landmark-side factor by ``build_stage2_blocks``, a chunk of
-    cameras at a time, and the rest by ``project_blocks``. ``assemble`` damps
-    both parameter groups of them (``both`` mode), and an inner solve of that
-    system gives tangent-coordinate updates (11 per camera, 3 per landmark)
-    for :func:`apply_tangent_step`.
+    The only stage-2 linearization: the block sums of the projective
+    Jacobian, projected onto ``bases``. ``build_stage2_blocks`` projects the
+    coupling's landmark-side factor G^T to 3x3, a chunk of cameras at a time,
+    and ``project_blocks`` the rest, so V and G^T are 3x3 as in stage 1.
+    ``assemble`` damps both parameter groups of them (``both`` mode), and an
+    inner solve of that system gives tangent-coordinate updates (11 per
+    camera, 3 per landmark) for :func:`apply_tangent_step`.
     """
     return project_blocks(build_stage2_blocks(problem, state, bases.landmark_bases), bases)

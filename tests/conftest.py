@@ -22,7 +22,6 @@ from stratba.normal_eq import (
     CouplingFactors,
     assemble,
     build_stage1_blocks,
-    build_stage2_blocks,
 )
 from stratba.objective import (
     STAGE1,
@@ -31,7 +30,7 @@ from stratba.objective import (
     stage1_residuals,
     stage2_residuals,
 )
-from stratba.riemannian import TangentBasis, project_blocks, retract, state_tangent_bases
+from stratba.riemannian import TangentBasis, retract, riemannian_step, state_tangent_bases
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +338,19 @@ def dense_jacobian(problem: BaProblem, state: ProjectiveState, stage: int,
     return jac, res, d_p, d_l
 
 
+def dense_rows_jacobian(rows, n_cameras, n_landmarks):
+    """The stacked Jacobian and residual of per-observation rows, one row band at a time."""
+    n_obs, r, d_p = rows.pose_jac.shape
+    d_l = rows.lm_width
+    pc = n_cameras * d_p
+    jac = np.zeros((n_obs * r, pc + n_landmarks * d_l))
+    for k in range(n_obs):
+        c, lm = rows.camera[k], rows.landmark[k]
+        jac[k * r:(k + 1) * r, c * d_p:(c + 1) * d_p] = rows.pose_jac[k]
+        jac[k * r:(k + 1) * r, pc + lm * d_l:pc + (lm + 1) * d_l] = rows.lm_jac[k]
+    return jac, rows.residual.ravel(), d_p, d_l
+
+
 def dense_damped_hessian(jac: np.ndarray, res: np.ndarray, n_cameras: int, d_p: int,
                          lam: float, mode: str) -> tuple[np.ndarray, np.ndarray]:
     """(J^T J + damping, J^T r) with the production Jacobi clamping convention."""
@@ -367,9 +379,8 @@ def make_riemannian_system(n_cameras: int, n_landmarks: int, seed: int, lam: flo
     """Random projected stage-2 system (both-sided damping)."""
     problem = make_random_problem(n_cameras, n_landmarks, seed)
     state = make_random_state(problem, seed + 1000, STAGE2)
-    bases = state_tangent_bases(state)
-    blocks = project_blocks(build_stage2_blocks(problem, state), bases)
-    return assemble(blocks, lam, BOTH), problem, state
+    sums = riemannian_step(problem, state, state_tangent_bases(state))
+    return assemble(sums, lam, BOTH), problem, state
 
 
 def dense_uwv(system):

@@ -29,11 +29,12 @@ from stratba.objective import (
     stage1_residuals,
     total_cost,
 )
-from stratba.riemannian import project_blocks, riemannian_step, state_tangent_bases
+from stratba.riemannian import riemannian_step, state_tangent_bases
 from tests.conftest import (
     OracleRows,
     dense_damped_hessian,
     dense_jacobian,
+    dense_rows_jacobian,
     dense_uwv,
     dense_w,
     make_random_problem,
@@ -280,7 +281,7 @@ def test_redamped_equals_fresh_assembly(mode):
         state = make_random_state(problem, 22, STAGE2)
 
         def linearize():
-            return project_blocks(build_stage2_blocks(problem, state), state_tangent_bases(state))
+            return riemannian_step(problem, state, state_tangent_bases(state))
         mode = BOTH
     else:
         state = make_random_state(problem, 22, STAGE1)
@@ -451,7 +452,7 @@ def test_unobserved_camera_and_landmark_match_dense_oracle(mode, seed):
         mode = BOTH
         state = make_random_state(problem, seed + 70, STAGE2)
         bases = state_tangent_bases(state)
-        system = assemble(project_blocks(build_stage2_blocks(problem, state), bases), lam, mode)
+        system = assemble(riemannian_step(problem, state, bases), lam, mode)
         rows = oracle_rows(problem, state, STAGE2).project(bases)
         jac, res, d_p, d_l = dense_rows_jacobian(rows, problem.num_cameras, problem.num_landmarks)
     else:
@@ -479,19 +480,6 @@ def test_unobserved_camera_and_landmark_match_dense_oracle(mode, seed):
     np.testing.assert_array_equal(upd.reshape(-1, d_l)[[2, 6]], 0.0)
     # the unobserved camera is decoupled: its block is the clamped damping alone
     np.testing.assert_array_equal(system.u_blocks[0], lam * 1e-12 * np.eye(d_p))
-
-
-def dense_rows_jacobian(rows, n_cameras, n_landmarks):
-    """The stacked Jacobian and residual of per-observation rows, one row band at a time."""
-    n_obs, r, d_p = rows.pose_jac.shape
-    d_l = rows.lm_width
-    pc = n_cameras * d_p
-    jac = np.zeros((n_obs * r, pc + n_landmarks * d_l))
-    for k in range(n_obs):
-        c, lm = rows.camera[k], rows.landmark[k]
-        jac[k * r:(k + 1) * r, c * d_p:(c + 1) * d_p] = rows.pose_jac[k]
-        jac[k * r:(k + 1) * r, pc + lm * d_l:pc + (lm + 1) * d_l] = rows.lm_jac[k]
-    return jac, rows.residual.ravel(), d_p, d_l
 
 
 # _GEMM_SPEEDUP settings that make dense_coupling take one path whatever the graph
@@ -580,7 +568,7 @@ def test_w_holds_one_canonical_block_per_distinct_pair(stage):
         sums = build_stage1_blocks(problem, state, 0.1)
     else:
         bases = state_tangent_bases(state)
-        sums = project_blocks(build_stage2_blocks(problem, state), bases)
+        sums = riemannian_step(problem, state, bases)
         oracle = oracle.project(bases)
     system = assemble(sums, 0.1, BOTH)
     plan = problem.plan
@@ -597,14 +585,18 @@ def test_w_holds_one_canonical_block_per_distinct_pair(stage):
 @pytest.mark.parametrize("stage", [STAGE1, STAGE2])
 def test_block_sums_of_repeated_pairs_match_oracle_rows(stage):
     # Every sum comes from the weights summed over each pair's observations;
-    # the oracle sums the per-observation row bands one at a time.
+    # the oracle sums the per-observation row bands one at a time (stage 2's
+    # projected onto the tangent bases, which loses nothing at unit x: J x = 0)
     problem, _ = repeated_observation_problem()
     state = make_random_state(problem, 45, stage)
+    oracle = oracle_rows(problem, state, stage)
     if stage == STAGE1:
         sums = build_stage1_blocks(problem, state, 0.1)
     else:
-        sums = build_stage2_blocks(problem, state)
-    oracle = oracle_rows(problem, state, stage).sums()
+        bases = state_tangent_bases(state)
+        sums = riemannian_step(problem, state, bases)
+        oracle = oracle.project(bases)
+    oracle = oracle.sums()
     for name in ("u", "b_p", "v", "b_l"):
         want = getattr(oracle, name)
         np.testing.assert_allclose(getattr(sums, name), want, rtol=0,
@@ -646,7 +638,7 @@ def test_wt_equals_gathered_transposed_blocks(stage):
     if stage == STAGE1:
         rows = build_stage1_blocks(problem, state, 0.1)
     else:
-        rows = project_blocks(build_stage2_blocks(problem, state), state_tangent_bases(state))
+        rows = riemannian_step(problem, state, state_tangent_bases(state))
     system = assemble(rows, 0.1, BOTH)
     # reference: W's blocks gathered landmark-major and transposed one by one
     plan = problem.plan
@@ -684,7 +676,7 @@ def test_plan_built_lazily_and_cached(tmp_path):
                  "landmark_pairs", "landmark_pair_ptr"):
         array = getattr(plan, name)
         assert array.dtype == np.int64 and not array.flags.writeable
-    assert plan.factor_matrices(3) is plan.factor_matrices(3)
+    assert plan.factor_matrices is plan.factor_matrices
     assert "pair_weights" not in vars(loaded)
     assert "measurement_weights" not in vars(loaded)
     weights = loaded.measurement_weights
@@ -806,7 +798,7 @@ def test_coupling_factors_match_dense_oracle(stage, path, monkeypatch):
     else:
         mode = BOTH
         bases = state_tangent_bases(state)
-        system = assemble(project_blocks(build_stage2_blocks(problem, state), bases), lam, mode)
+        system = assemble(riemannian_step(problem, state, bases), lam, mode)
         jac = jac @ scipy.linalg.block_diag(*bases.camera_bases, *bases.landmark_bases)
         d_p, d_l = 11, 3
     n_c, n_l = problem.num_cameras, problem.num_landmarks
@@ -867,7 +859,8 @@ def linearized_bytes(problem: BaProblem) -> dict[str, bytes]:
                                                                       resolved.landmarks),
                                              0.1, resolved)),
             ("stage2", riemannian_step(problem, stage2, bases)),
-            ("unprojected", build_stage2_blocks(problem, stage2))):
+            # U, b_p, V and b_l before ``project_blocks`` projects them
+            ("unprojected", build_stage2_blocks(problem, stage2, bases.landmark_bases))):
         for name in ("u", "b_p", "v", "b_l"):
             out[f"{label}.{name}"] = getattr(sums, name).tobytes()
         out[f"{label}.gt"] = sums.factors.gt.tobytes()
@@ -900,12 +893,6 @@ def test_linearizations_and_costs_do_not_depend_on_the_chunking(monkeypatch):
             assert chunks == [0, problem.num_cameras]
     assert runs[1] == runs[10**9]
     assert runs[8] == runs[10**9]
-    # the per-chunk projection of G^T gives the bits of projecting all pairs at once
-    stage2 = make_random_state(problem, 14, STAGE2)
-    bases = state_tangent_bases(stage2)
-    whole = project_blocks(build_stage2_blocks(problem, stage2), bases)
-    assert whole.factors.gt.tobytes() == runs[8]["stage2.gt"]
-    assert whole.v.tobytes() == runs[8]["stage2.v"]
 
 
 @pytest.mark.parametrize("stage", [STAGE1, STAGE2])

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stratba.bal_io import ProjectiveState, random_init
-from stratba.normal_eq import BOTH, assemble, back_substitute, build_stage2_blocks
+from stratba.normal_eq import BOTH, CouplingFactors, assemble, back_substitute
 from stratba.objective import STAGE1, STAGE2, total_cost
 from stratba.riemannian import (
     project_blocks,
@@ -72,10 +72,15 @@ def test_project_blocks_kills_normal_directions():
     np.testing.assert_allclose(rows.pose_jac, np.broadcast_to(
         scaled[cams][:, None, :], rows.pose_jac.shape), rtol=1e-12)
     rows.lm_jac[...] = state.landmarks[rows.landmark][:, None, :]
-    projected = project_blocks(rows.sums(), bases)
+    sums = rows.sums()
+    # any 3-wide landmark-side factor: W's pose rows are vec(P_c), so the
+    # camera bases that project_blocks attaches zero its blocks on their own
+    factors = sums.factors
+    sums.factors = CouplingFactors(factors.plan, factors.gt @ rng.standard_normal((4, 3)),
+                                   factors.x)
+    projected = project_blocks(sums, bases)
     for name in ("u", "b_p", "v", "b_l"):
         np.testing.assert_allclose(getattr(projected, name), 0.0, atol=1e-12)
-    np.testing.assert_allclose(projected.factors.gt, 0.0, atol=1e-12)
     np.testing.assert_allclose(projected.factors.blocks(), 0.0, atol=1e-12)
 
 
@@ -90,7 +95,7 @@ def test_project_blocks_matches_dense_products():
     problem = make_random_problem(3, 6, seed=3)
     state = make_random_state(problem, 4, STAGE2)
     bases = state_tangent_bases(state)
-    projected = project_blocks(build_stage2_blocks(problem, state), bases)
+    projected = riemannian_step(problem, state, bases)
     # the sums of the per-observation rows, each right-multiplied by its tangent basis
     oracle = oracle_rows(problem, state, STAGE2).project(bases).sums()
     for name in ("u", "b_p", "v", "b_l"):
@@ -103,25 +108,6 @@ def test_project_blocks_matches_dense_products():
     assert projected.u.shape[1:] == (11, 11) and projected.v.shape[1:] == (3, 3)
     assert projected.factors.gt.shape[1:] == (3, 3)
     assert projected.factors.blocks().shape[1:] == (11, 3)
-
-
-def test_unprojected_system_rank_deficient_projected_spd():
-    problem = make_random_problem(3, 8, seed=5)
-    state = make_random_state(problem, 6, STAGE2)
-    blocks = build_stage2_blocks(problem, state)
-
-    system0 = assemble(blocks, 0.0, BOTH)
-    u, w, v = dense_uwv(system0)
-    h = np.block([[u, w], [w.T, v]])
-    eigs = np.linalg.eigvalsh(h)
-    n_zero = int((np.abs(eigs) <= 1e-8).sum())
-    assert n_zero >= problem.num_cameras + problem.num_landmarks
-
-    bases = state_tangent_bases(state)
-    projected = assemble(project_blocks(blocks, bases), 1e-4, BOTH)
-    up, wp, vp = dense_uwv(projected)
-    hp = np.block([[up, wp], [wp.T, vp]])
-    assert np.linalg.eigvalsh(hp).min() > 0
 
 
 def test_riemannian_step_zero_gradient_zero_update():
@@ -146,10 +132,9 @@ def test_riemannian_step_matches_dense_solve(seed):
     step = assemble(riemannian_step(problem, state, bases), lam, BOTH)
     rep = power_schur_solve(step, cfg)
 
-    system = assemble(project_blocks(build_stage2_blocks(problem, state), bases), lam, BOTH)
-    u, w, v = dense_uwv(system)
+    u, w, v = dense_uwv(step)
     h = np.block([[u, w], [w.T, v]])
-    g = np.concatenate([system.b_p.ravel(), system.b_l.ravel()])
+    g = np.concatenate([step.b_p.ravel(), step.b_l.ravel()])
     sol = np.linalg.solve(h, -g)
     got = np.concatenate([rep.pose_update, back_substitute(step, rep.pose_update)])
     assert np.linalg.norm(got - sol) / np.linalg.norm(sol) <= 1e-5
@@ -160,7 +145,7 @@ def test_riemannian_power_vs_pcg(seed):
     problem = make_random_problem(3, 9, seed=seed + 10)
     state = make_random_state(problem, seed + 40, STAGE2)
     bases = state_tangent_bases(state)
-    system = assemble(project_blocks(build_stage2_blocks(problem, state), bases), 3.0, BOTH)
+    system = assemble(riemannian_step(problem, state, bases), 3.0, BOTH)
     a = power_schur_solve(system, SolverConfig(power_order=20, power_threshold=0.0))
     b = pcg_schur_solve(system, SolverConfig(pcg_tolerance=1e-10, inner_iterations=5000))
     rel = np.linalg.norm(a.pose_update - b.pose_update) / np.linalg.norm(b.pose_update)
@@ -225,7 +210,7 @@ def test_tangent_gradient_consistency():
     problem = make_random_problem(3, 5, seed=11)
     state = make_random_state(problem, 12, STAGE2)
     bases = state_tangent_bases(state)
-    system = assemble(project_blocks(build_stage2_blocks(problem, state), bases), 0.0, BOTH)
+    system = assemble(riemannian_step(problem, state, bases), 0.0, BOTH)
     for i in range(problem.num_cameras):
         for k in range(11):
             direction = bases.camera_bases[i][:, k]

@@ -380,6 +380,29 @@ def test_cli_solve_keeps_freed_memory_mapped(tmp_path):
     assert int(run.stdout) < 2000
 
 
+def test_cli_solve_full_is_blas_thread_invariant(tmp_path):
+    # povar then ripoba give the same trace costs and state bytes under one
+    # and two BLAS threads (``direct`` does not; see the README)
+    ring = tmp_path / "ring.txt"
+    with open(ring, "w") as fh:
+        write_bal(make_ring_problem(10, 100, 0.5, 1), fh)
+    src = str(Path(stratba.__file__).parents[1])
+    runs = {}
+    for count in ("1", "2"):
+        out = tmp_path / f"threads{count}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=count, OMP_NUM_THREADS=count,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-m", "stratba.cli", "solve", "--full", "--seed", "1",
+                        "--solver", "povar", "--stage2-solver", "ripoba",
+                        "--out-dir", str(out), str(ring)],
+                       env=env, capture_output=True, text=True, timeout=120, check=True)
+        traces = read_trace_csv(out / "ring_trace.csv")
+        runs[count] = ([(t.stage, [r.cost for r in t.records]) for t in traces],
+                       (out / "ring_state.txt").read_bytes())
+    assert [stage for stage, _ in runs["1"][0]] == ["stage1", "stage2", "full"]
+    assert runs["2"] == runs["1"]
+
+
 def _solve_artifacts(path, out):
     assert main(["solve", "--full", "--out-dir", str(out), str(path)]) == 0
     traces = read_trace_csv(out / "ring_trace.csv")
@@ -463,6 +486,22 @@ def test_cli_unreadable_input_exit_code(synth_file, tmp_path, capsys, kind):
     assert err.count("\n") == 1 and "Traceback" not in err
     assert err.startswith(f"error: cannot read {bad}")
     assert (out / "ring_trace.csv").exists()
+
+
+def test_cli_unwritable_artifact_is_config_error(synth_file, tmp_path, capsys):
+    # an artifact path that is a directory: one stderr line and exit 3; the
+    # other input still solves
+    out = tmp_path / "out"
+    (out / "ring_trace.csv").mkdir(parents=True)
+    other = tmp_path / "other.txt"
+    other.write_bytes(synth_file.read_bytes())
+    code = main(["solve", "--stage1", "--out-dir", str(out), str(synth_file), str(other)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith(f"config error: cannot write {out / 'ring_trace.csv'}")
+    assert [t.stage for t in read_trace_csv(out / "other_trace.csv")] == ["stage1"]
+    assert (out / "other_state.txt").exists()
 
 
 def test_cli_nothing_to_solve_exit_code(tmp_path, capsys):

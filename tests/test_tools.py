@@ -112,7 +112,8 @@ def test_rss_layers_reports_every_layer_of_a_small_solve(tmp_path):
     assert proc.returncode == 0, proc.stderr
     layers = [line.split()[0] for line in proc.stdout.splitlines() if " MB" in line]
     for name in ("load_bal", "prune_underobserved", "random_init", "total_cost",
-                 "build_stage1_blocks", "riemannian_step", "lm_minimize"):
+                 "build_stage1_blocks", "riemannian_step", "schur_rhs", "solve_landmarks",
+                 "lm_minimize"):
         assert name in layers, name
     assert "lm_minimize stage 1" in proc.stdout and "lm_minimize stage 2" in proc.stdout
     assert proc.stdout.splitlines()[-1].startswith("solve")

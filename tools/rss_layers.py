@@ -9,8 +9,11 @@ fresh process with one BLAS thread, through the command's own entry point,
 so with its allocator policy. Each call of a layer is measured by the
 process's peak resident set size (``ru_maxrss``): ``load_bal``,
 ``prune_underobserved``, ``random_init``, each linearization
-(``build_stage1_blocks``, ``riemannian_step``), each ``total_cost`` and
-each stage (``lm_minimize``, labelled with its stage). It prints one line
+(``build_stage1_blocks``, ``riemannian_step``), each reduced right-hand
+side (``schur_rhs``, whose first coupling product builds the plan's
+factor-matrix templates), each landmark re-solve (``solve_landmarks``),
+each ``total_cost`` and each stage (``lm_minimize``, labelled with its
+stage). It prints one line
 per call, in the order the calls end, indented by nesting: the call, how
 far it raised the peak above the peak at its start (a stage's rise includes
 its inner calls') and the peak at its end. The last line is the solve's
@@ -35,6 +38,8 @@ LAYERS = [
     ("bal_io", "random_init"),
     ("normal_eq", "build_stage1_blocks"),
     ("riemannian", "riemannian_step"),
+    ("normal_eq", "schur_rhs"),
+    ("objective", "solve_landmarks"),
     ("objective", "total_cost"),
     ("solvers", "lm_minimize"),
 ]
